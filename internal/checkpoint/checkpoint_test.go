@@ -131,6 +131,38 @@ func TestLatestCompleteIsIntersection(t *testing.T) {
 	}
 }
 
+// TestWriterBoundsStaleness pins the Writer's contract: hammered with
+// droppable captures far faster than it can commit, every MaxLag-th call is
+// kept on every rank, so the newest iteration complete on all ranks trails the
+// newest attempted by less than MaxLag — with no dependence on timing.
+func TestWriterBoundsStaleness(t *testing.T) {
+	_, sc := openScope(t)
+	const ranks, last = 3, 199
+	var dropped int64
+	for r := 0; r < ranks; r++ {
+		w, err := NewWriter(sc, r, hubWords, lWords, hubLen, lLen, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur := NewState(hubWords, lWords, hubLen, lLen)
+		for it := int64(-1); it <= last; it++ {
+			cur.ParentL[int(it+1)%lLen] = it
+			w.Checkpoint(it, it == -1, cur.HubFrontier, cur.HubVisited, cur.LFrontier, cur.LVisited,
+				cur.ParentHub, cur.ParentL, cur.ActiveL, cur.VisitL)
+		}
+		ws := w.Close()
+		if ws.Segments+ws.Dropped != last+2 || ws.Errors != 0 {
+			t.Fatalf("rank %d: writer stats %+v do not account for %d captures", r, ws, last+2)
+		}
+		dropped += ws.Dropped
+	}
+	it, ok := sc.LatestComplete(ranks)
+	if !ok || it <= last-MaxLag {
+		t.Fatalf("LatestComplete = (%d, %v), want > %d", it, ok, last-MaxLag)
+	}
+	t.Logf("%d captures dropped, resumable at %d of %d", dropped, it, last)
+}
+
 func segPath(sc *RunScope, rank int, iter int64) string {
 	return deltaPath(sc.rankDir(rank), iter)
 }

@@ -8,6 +8,11 @@ import (
 	"repro/internal/trace"
 )
 
+// MaxLag is the writer's staleness bound in captures: of any MaxLag
+// consecutive Checkpoint calls at least one — the same one on every rank —
+// is committed. See Writer.
+const MaxLag = 2
+
 // WriterStats summarizes one Writer's lifetime.
 type WriterStats struct {
 	Segments int64 // delta segments committed
@@ -26,9 +31,22 @@ type WriterStats struct {
 // than blocking a kernel — the delta chain stays consistent because diffs
 // are always taken against the last *committed* state, so the next capture
 // simply carries the skipped iteration's changes too.
+//
+// Staleness contract: drops are bounded by back-pressure, not by timing.
+// Every MaxLag-th call to Checkpoint, counting from the writer's first, is
+// mandatory whatever the caller passed: it blocks the rank until a buffer
+// frees instead of dropping. The ranks of a world all call Checkpoint at the
+// same iterations, so their mandatory captures coincide, and once the
+// writers have drained (Close, which every rank reaches on a fail-stop)
+// RunScope.LatestComplete is at most MaxLag-1 captures older than the newest
+// capture any rank attempted — recovery replays at most that many extra
+// iterations however slow the disk or the scheduler was. A per-writer bound
+// on consecutive drops would not give this: two ranks dropping alternate
+// iterations share no complete one.
 type Writer struct {
 	rank    int
 	rankDir string
+	calls   int64 // Checkpoint calls so far; owned by the calling rank
 	free    chan *State
 	work    chan *State
 	done    chan struct{}
@@ -90,12 +108,15 @@ func copyState(dst, src *State) error {
 
 // Checkpoint captures the rank's state as of completing iteration iter and
 // queues it for committing. It returns false if the capture was dropped
-// (both buffers busy and must was false). must blocks for a buffer instead —
-// used for the bootstrap segment, without which a chain is worthless.
+// (both buffers busy, must false, and not a MaxLag-th call). must blocks for
+// a buffer instead — used for the bootstrap segment, without which a chain
+// is worthless.
 func (w *Writer) Checkpoint(iter int64, must bool,
 	hubFrontier, hubVisited, lFrontier, lVisited []uint64,
 	parentHub, parentL []int64, activeL, visitL int64) bool {
 	var buf *State
+	must = must || w.calls%MaxLag == 0
+	w.calls++
 	if must {
 		buf = <-w.free
 	} else {

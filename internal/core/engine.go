@@ -12,6 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -317,6 +319,9 @@ type Engine struct {
 
 	segPull  [][]partition.SparseCSR // [rank][segment], built when Segmented or SegmentAdaptive
 	segAdapt []*segAdapter           // [rank] measured flat-vs-segmented state, when SegmentAdaptive
+	lRows    []lRowMasks             // [rank] non-empty-row masks the L-destination pulls scan by word
+	hubsAt   [][]int32               // [rank] hub ids whose original vertex the rank owns
+	scratch  []rankScratch           // [rank] kernel buffers that outlive the iteration and the run
 
 	tr         *trace.Stream // engine-level span stream; nil when tracing is off
 	runSeq     int           // run-scope counter for checkpoint naming
@@ -388,6 +393,18 @@ func NewEngineFromPartition(part *partition.Partitioned, opt Options) (*Engine, 
 	if opt.Trace != nil {
 		e.tr = opt.Trace.NewStream(-1)
 	}
+	e.lRows = make([]lRowMasks, opt.Ranks)
+	for r, rg := range part.Ranks {
+		per := int(part.Layout.PerRank)
+		e.lRows[r] = lRowMasks{toE: rowMask(rg.LToE.Ptr, per),
+			toH: rowMask(rg.LToH.Ptr, per), toL: rowMask(rg.L2L.Ptr, per)}
+	}
+	e.hubsAt = make([][]int32, opt.Ranks)
+	for h, orig := range part.Hubs.Orig {
+		r := part.Layout.Owner(orig)
+		e.hubsAt[r] = append(e.hubsAt[r], int32(h))
+	}
+	e.scratch = make([]rankScratch, opt.Ranks)
 	if opt.Segmented || opt.SegmentAdaptive {
 		e.segPull = make([][]partition.SparseCSR, opt.Ranks)
 		for r, rg := range part.Ranks {
@@ -852,7 +869,6 @@ func (e *Engine) Run(root int64) (*Result, error) {
 	}
 	res := &Result{
 		Root:            root,
-		Parent:          make([]int64, n),
 		Iterations:      len(rc.trace),
 		Time:            rc.time,
 		Recorder:        rc.recorder,
@@ -864,33 +880,73 @@ func (e *Engine) Run(root int64) (*Result, error) {
 		Recovery:        rc.recovery,
 		CheckpointScope: rc.scopeName,
 	}
-	for i := range res.Parent {
-		res.Parent[i] = -1
-	}
-	if rc.err == nil {
-		for _, wl := range rc.states {
-			if wl == nil {
-				continue
-			}
-			wl.(*rankState).writeParents(res.Parent)
-		}
-		e.distAssemble(func(r *comm.Rank, lead bool) {
-			gatherOwned(e, r, lead, res.Parent)
-		})
-		res.TraversedEdges = e.countTraversedEdges(res.Parent)
-	}
+	e.assemble(rc, []*Result{res}, func(wl workload) []*rankState { return []*rankState{wl.(*rankState)} })
 	return res, rc.err
 }
 
-// countTraversedEdges sums degrees of reachable vertices / 2 (each undirected
-// non-loop edge inside the component contributes its two endpoints' degree
-// increments; edges cannot leave the component in a completed BFS).
-func (e *Engine) countTraversedEdges(parent []int64) int64 {
-	var sum int64
-	for v, p := range parent {
-		if p >= 0 {
-			sum += e.Part.Degrees[v]
-		}
+// assemble builds every query's Result.Parent and TraversedEdges from the
+// ranks' final states; planesOf lists one rank's per-query states, aligned
+// with out. Each rank fills its own block of each parent array (see
+// assembleOwned) and sums the degrees of the vertices it reached, all ranks
+// in parallel; on a distributed world the blocks of ranks hosted elsewhere
+// then arrive by gatherOwned. A failed run, or a process recovery left with
+// no rank to host, reports every vertex unreached.
+func (e *Engine) assemble(rc *runCommon, out []*Result, planesOf func(wl workload) []*rankState) {
+	n := e.Part.Layout.N
+	for _, res := range out {
+		res.Parent = make([]int64, n)
 	}
-	return sum / 2
+	if rc.err != nil || len(e.World.LocalRanks()) == 0 {
+		for _, res := range out {
+			for i := range res.Parent {
+				res.Parent[i] = -1
+			}
+		}
+		return
+	}
+	degSum := make([]atomic.Int64, len(out))
+	var wg sync.WaitGroup
+	for r, wl := range rc.states {
+		if wl == nil { // remote rank on a distributed world
+			continue
+		}
+		wg.Add(1)
+		go func(r int, planes []*rankState) {
+			defer wg.Done()
+			for q, st := range planes {
+				degSum[q].Add(st.assembleOwned(ownedSeg(e, r, out[q].Parent)))
+			}
+		}(r, planesOf(wl))
+	}
+	wg.Wait()
+	e.distAssemble(func(r *comm.Rank, lead bool) {
+		for q, res := range out {
+			gatherOwned(e, r, lead, res.Parent)
+			if !lead {
+				continue
+			}
+			for j := 0; j < e.Opt.Ranks; j++ {
+				if !e.World.IsLocal(j) {
+					degSum[q].Add(e.reachedDegrees(j, ownedSeg(e, j, res.Parent)))
+				}
+			}
+		}
+	})
+	for q, res := range out {
+		res.TraversedEdges = degSum[q].Load() / 2
+	}
+}
+
+// reachedDegrees sums the degrees of the reached vertices in blk, rank r's
+// owned block of a parent array. Halved over all blocks it is the Graph 500
+// TEPS numerator: each undirected non-loop edge inside the component adds to
+// both endpoints' degrees, and edges cannot leave the component in a
+// completed BFS.
+func (e *Engine) reachedDegrees(r int, blk []int64) int64 {
+	deg := ownedSeg(e, r, e.Part.Degrees)
+	var sum int64
+	for i, p := range blk {
+		sum += deg[i] &^ (p >> 63) // p>>63 is all ones exactly when p < 0: no branch to mispredict
+	}
+	return sum
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -42,12 +43,13 @@ func (st *rankState) ehPush() (int64, error) {
 	push := &st.rg.EHPush
 	orig := st.e.Part.Hubs.Orig
 	// Collect active source positions.
-	var active []int32
+	active := st.scr.active[:0]
 	for i, src := range push.IDs {
 		if st.hubFrontier.Test(int(src)) {
 			active = append(active, int32(i))
 		}
 	}
+	st.scr.active = active
 	if len(active) == 0 {
 		return 0, nil
 	}
@@ -125,9 +127,6 @@ func edgeCutChunks(prefix []int64, workers int) [][2]int {
 			hi = lo + 1
 		}
 		if hi > n || w == workers {
-			hi = n
-		}
-		if w == workers {
 			hi = n
 		}
 		chunks = append(chunks, [2]int{lo, hi})
@@ -244,23 +243,34 @@ func (st *rankState) e2lPush() (int64, error) {
 // e2lPull: unvisited owned L vertices probe their E neighbors against the
 // replicated frontier; local, with early exit.
 func (st *rankState) e2lPull() (int64, error) {
-	csr := &st.rg.LToE
+	return st.hubToLPull(&st.rg.LToE, st.e.lRows[st.r.ID].toE), nil
+}
+
+// hubToLPull is the shared body of the E2L and H2L pulls. Candidates come a
+// word at a time: has marks the owned L vertices with a non-empty row in csr,
+// so has &^ (visited | new) is exactly the set the bit-at-a-time loop header
+// used to let through, and a visited vertex costs 1/64 of a load instead of
+// a branch. Set bits are walked in ascending order and a probe only ever sets
+// its own vertex's lNew bit, so taking the word's candidates once up front
+// visits the same vertices in the same order with the same early exits.
+func (st *rankState) hubToLPull(csr *partition.DenseCSR32, has []uint64) int64 {
 	orig := st.e.Part.Hubs.Orig
+	visited, lNew := st.lVisited.Words(), st.lNew.Words()
 	var edges int64
-	for li := 0; li < st.rg.LocalN; li++ {
-		if csr.Ptr[li] == csr.Ptr[li+1] || st.lVisited.Test(li) || st.lNew.Test(li) {
-			continue
-		}
-		for _, hub := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
-			edges++
-			if st.hubFrontier.Test(int(hub)) {
-				st.lNew.Set(li)
-				st.parentL[li] = orig[hub]
-				break
+	for w, h := range has {
+		for cand := h &^ (visited[w] | lNew[w]); cand != 0; cand &= cand - 1 {
+			li := w<<6 | bits.TrailingZeros64(cand)
+			for _, hub := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
+				edges++
+				if st.hubFrontier.Test(int(hub)) {
+					lNew[w] |= cand & -cand
+					st.parentL[li] = orig[hub]
+					break
+				}
 			}
 		}
 	}
-	return edges, nil
+	return edges
 }
 
 // h2lGen walks the H2L component once, calling emit for every (destination
@@ -292,7 +302,7 @@ func (st *rankState) h2lPush() (int64, error) {
 	if st.sparse[partition.CompH2L] {
 		return st.h2lPushSparse()
 	}
-	send := make([][]lMsg, st.e.Opt.Mesh.Cols)
+	send := resetParts(&st.scr.lParts, st.e.Opt.Mesh.Cols)
 	edges := st.h2lGen(func(col, li int32, parent int64) {
 		send[col] = append(send[col], lMsg{LIdx: li, Parent: parent})
 	})
@@ -313,11 +323,12 @@ func (st *rankState) h2lPush() (int64, error) {
 // receiver's filtered stream is the same sequence the dense exchange
 // delivers.
 func (st *rankState) h2lPushSparse() (int64, error) {
-	var ups []comm.SparseUpdate
+	ups := st.scr.ups[:0]
 	edges := st.h2lGen(func(col, li int32, parent int64) {
 		ups = append(ups, comm.SparseUpdate{Dst: col,
 			Tag: int32(partition.CompH2L), Off: int64(li), Val: parent})
 	})
+	st.scr.ups = ups
 	if st.batchRow {
 		st.pendRow = append(st.pendRow, ups...)
 		return edges, nil
@@ -326,14 +337,14 @@ func (st *rankState) h2lPushSparse() (int64, error) {
 	if err != nil {
 		return edges, err
 	}
-	st.applyLMsgs(lPartsOf(out))
+	st.applyLMsgs(lPartsOf(resetParts(&st.scr.lParts, len(out)), out))
 	return edges, nil
 }
 
 // lPartsOf reshapes received sparse updates into the dense exchange's
-// per-source lMsg parts (Off is the destination-local L index).
-func lPartsOf(out [][]comm.SparseUpdate) [][]lMsg {
-	parts := make([][]lMsg, len(out))
+// per-source lMsg parts (Off is the destination-local L index), appending
+// onto the len(out) parts the caller supplies.
+func lPartsOf(parts [][]lMsg, out [][]comm.SparseUpdate) [][]lMsg {
 	for j, us := range out {
 		for _, u := range us {
 			parts[j] = append(parts[j], lMsg{LIdx: int32(u.Off), Parent: u.Val})
@@ -345,23 +356,7 @@ func lPartsOf(out [][]comm.SparseUpdate) [][]lMsg {
 // h2lPull: unvisited owned L vertices probe their H neighbors against the
 // replicated hub frontier; local thanks to delegation.
 func (st *rankState) h2lPull() (int64, error) {
-	csr := &st.rg.LToH
-	orig := st.e.Part.Hubs.Orig
-	var edges int64
-	for li := 0; li < st.rg.LocalN; li++ {
-		if csr.Ptr[li] == csr.Ptr[li+1] || st.lVisited.Test(li) || st.lNew.Test(li) {
-			continue
-		}
-		for _, hub := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
-			edges++
-			if st.hubFrontier.Test(int(hub)) {
-				st.lNew.Set(li)
-				st.parentL[li] = orig[hub]
-				break
-			}
-		}
-	}
-	return edges, nil
+	return st.hubToLPull(&st.rg.LToH, st.e.lRows[st.r.ID].toH), nil
 }
 
 // applyLMsgs applies received L activation messages owner-locally. With
@@ -510,7 +505,7 @@ func (st *rankState) l2hPush() (int64, error) {
 	if st.sparse[partition.CompL2H] {
 		return st.l2hPushSparse()
 	}
-	send := make([][]hubMsg, st.e.Opt.Mesh.Cols)
+	send := resetParts(&st.scr.hubParts, st.e.Opt.Mesh.Cols)
 	edges := st.l2hGen(func(col, hub int32, parent int64) {
 		send[col] = append(send[col], hubMsg{Hub: hub, Parent: parent})
 	})
@@ -527,11 +522,12 @@ func (st *rankState) l2hPush() (int64, error) {
 // pendRow and flushes the combined frame as the iteration's single row
 // exchange; otherwise it exchanges inline.
 func (st *rankState) l2hPushSparse() (int64, error) {
-	var ups []comm.SparseUpdate
+	ups := st.scr.ups[:0]
 	edges := st.l2hGen(func(col, hub int32, parent int64) {
 		ups = append(ups, comm.SparseUpdate{Dst: col,
 			Tag: int32(partition.CompL2H), Off: int64(hub), Val: parent})
 	})
+	st.scr.ups = ups
 	if st.batchRow {
 		st.pendRow = append(st.pendRow, ups...)
 		return edges, st.flushRowSparse()
@@ -540,7 +536,7 @@ func (st *rankState) l2hPushSparse() (int64, error) {
 	if err != nil {
 		return edges, err
 	}
-	st.applyHubMsgs(hubPartsOf(out))
+	st.applyHubMsgs(hubPartsOf(resetParts(&st.scr.hubParts, len(out)), out))
 	return edges, nil
 }
 
@@ -559,8 +555,7 @@ func (st *rankState) applyHubMsgs(parts [][]hubMsg) {
 
 // hubPartsOf reshapes received sparse updates into the dense exchange's
 // per-source hubMsg parts (Off is the hub id).
-func hubPartsOf(out [][]comm.SparseUpdate) [][]hubMsg {
-	parts := make([][]hubMsg, len(out))
+func hubPartsOf(parts [][]hubMsg, out [][]comm.SparseUpdate) [][]hubMsg {
 	for j, us := range out {
 		for _, u := range us {
 			parts[j] = append(parts[j], hubMsg{Hub: int32(u.Off), Parent: u.Val})
@@ -584,8 +579,8 @@ func (st *rankState) flushRowSparse() error {
 	if err != nil {
 		return err
 	}
-	lParts := make([][]lMsg, len(out))
-	hubParts := make([][]hubMsg, len(out))
+	lParts := resetParts(&st.scr.lParts, len(out))
+	hubParts := resetParts(&st.scr.hubParts, len(out))
 	for j, us := range out {
 		for _, u := range us {
 			if u.Tag == int32(partition.CompH2L) {
@@ -609,7 +604,7 @@ func (st *rankState) l2hPull() (int64, error) {
 	if st.rowFrontier == nil {
 		st.rowFrontier = bitmap.New(per * mesh.Cols)
 	}
-	if err := gatherFrontier(st.r.RowC, st.lFrontier, st.rowFrontier); err != nil {
+	if err := comm.AllgathervUniform(st.r.RowC, st.lFrontier.Words(), st.rowFrontier.Words()); err != nil {
 		return 0, err
 	}
 	return st.l2hPullScan(), nil
@@ -639,21 +634,6 @@ func (st *rankState) l2hPullScan() int64 {
 		}
 	}
 	return edges
-}
-
-// gatherFrontier allgathers each member's local frontier words into the
-// member-indexed concatenated bitmap dst.
-func gatherFrontier(c *comm.Comm, local *bitmap.Bitmap, dst *bitmap.Bitmap) error {
-	parts, err := comm.Allgatherv(c, local.Words())
-	if err != nil {
-		return err
-	}
-	wordsPer := len(local.Words())
-	dw := dst.Words()
-	for m, p := range parts {
-		copy(dw[m*wordsPer:(m+1)*wordsPer], p)
-	}
-	return nil
 }
 
 // --- L2L ---------------------------------------------------------------------
@@ -705,7 +685,7 @@ func (st *rankState) l2lPush() (int64, error) {
 		if st.sparse[partition.CompL2L] {
 			return st.l2lPushSparse()
 		}
-		send := make([][]l2lMsg, layout.P)
+		send := resetParts(&st.scr.l2lParts, layout.P)
 		edges := st.l2lGenFlat(func(owner int, dst, parent int64) {
 			send[owner] = append(send[owner], l2lMsg{Dst: dst, Parent: parent})
 		})
@@ -717,7 +697,7 @@ func (st *rankState) l2lPush() (int64, error) {
 		return edges, nil
 	}
 	// Stage 1: sort by destination row, send down my column.
-	sendRow := make([][]l2lMsg, mesh.Rows)
+	sendRow := resetParts(&st.scr.l2lParts, mesh.Rows)
 	edges := st.l2lGenRows(func(row int, dst, parent int64) {
 		sendRow[row] = append(sendRow[row], l2lMsg{Dst: dst, Parent: parent})
 	})
@@ -725,7 +705,8 @@ func (st *rankState) l2lPush() (int64, error) {
 	// Stage 2: forward within the destination row by owner column. This runs
 	// even when stage 1 failed (with nothing to forward) so every rank keeps
 	// the same per-communicator collective schedule under faults.
-	sendCol := make([][]l2lMsg, mesh.Cols)
+	// Stage 1 has returned, so its send buffers are free to carry stage 2.
+	sendCol := resetParts(&st.scr.l2lParts, mesh.Cols)
 	for _, part := range viaCol {
 		for _, m := range part {
 			col := mesh.ColOf(layout.Owner(m.Dst))
@@ -748,16 +729,17 @@ func (st *rankState) l2lPush() (int64, error) {
 // world alltoallv of dense buffers. Off carries the original vertex id;
 // hierarchical mode never reaches here (pickSparse keeps it dense).
 func (st *rankState) l2lPushSparse() (int64, error) {
-	var ups []comm.SparseUpdate
+	ups := st.scr.ups[:0]
 	edges := st.l2lGenFlat(func(owner int, dst, parent int64) {
 		ups = append(ups, comm.SparseUpdate{Dst: int32(owner),
 			Tag: int32(partition.CompL2L), Off: dst, Val: parent})
 	})
+	st.scr.ups = ups
 	out, err := comm.AllgatherSparse(st.r.World, ups)
 	if err != nil {
 		return edges, err
 	}
-	recv := make([][]l2lMsg, len(out))
+	recv := resetParts(&st.scr.l2lParts, len(out))
 	for j, us := range out {
 		for _, u := range us {
 			recv[j] = append(recv[j], l2lMsg{Dst: u.Off, Parent: u.Val})
@@ -788,28 +770,29 @@ func (st *rankState) l2lPull() (int64, error) {
 	if st.worldFrontier == nil {
 		st.worldFrontier = bitmap.New(per * st.e.Part.Layout.P)
 	}
-	if err := gatherFrontier(st.r.World, st.lFrontier, st.worldFrontier); err != nil {
+	if err := comm.AllgathervUniform(st.r.World, st.lFrontier.Words(), st.worldFrontier.Words()); err != nil {
 		return 0, err
 	}
 	return st.l2lPullScan(), nil
 }
 
 // l2lPullScan is the local probe half of l2lPull, run after worldFrontier is
-// populated (by gatherFrontier solo, or by one batched gather for every
-// plane in the multi-source path).
+// populated (by the gather solo, or by one batched gather for every plane in
+// the multi-source path). Same word-parallel candidate scan as hubToLPull.
 func (st *rankState) l2lPullScan() int64 {
 	csr := &st.rg.L2L
+	visited, lNew := st.lVisited.Words(), st.lNew.Words()
 	var edges int64
-	for li := 0; li < st.rg.LocalN; li++ {
-		if csr.Ptr[li] == csr.Ptr[li+1] || st.lVisited.Test(li) || st.lNew.Test(li) {
-			continue
-		}
-		for _, dst := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
-			edges++
-			if st.worldFrontier.Test(int(dst)) {
-				st.lNew.Set(li)
-				st.parentL[li] = dst
-				break
+	for w, h := range st.e.lRows[st.r.ID].toL {
+		for cand := h &^ (visited[w] | lNew[w]); cand != 0; cand &= cand - 1 {
+			li := w<<6 | bits.TrailingZeros64(cand)
+			for _, dst := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
+				edges++
+				if st.worldFrontier.Test(int(dst)) {
+					lNew[w] |= cand & -cand
+					st.parentL[li] = dst
+					break
+				}
 			}
 		}
 	}

@@ -171,6 +171,7 @@ func newMultiState(e *Engine, r *comm.Rank, roots []int64) *multiState {
 			lVisited:    m.lPl[lVIdx].Plane(q),
 			lNew:        m.lPl[lNIdx].Plane(q),
 			parentL:     m.pLAll[q*per : (q+1)*per : (q+1)*per],
+			scr:         &e.scratch[r.ID],
 		}
 		// Planes share the batch driver's recorder (one merged breakdown per
 		// rank) and emit no spans of their own — the batch driver's per-
@@ -804,7 +805,7 @@ func (m *multiState) loadState(cs *checkpoint.State) {
 // gatherPlanes ships the pulling planes' local L frontiers in one uniform
 // allgather over c and scatters the member-major result into each plane's
 // destination frontier (rowFrontier or worldFrontier), reproducing exactly
-// what Q separate gatherFrontier calls would build.
+// what Q separate solo gathers would build.
 func (m *multiState) gatherPlanes(c *comm.Comm, comp partition.Component, qs []int, dstOf func(p *rankState) *bitmap.Bitmap) error {
 	lw := m.lPl[lFIdx].Stride()
 	n := len(qs) * lw
@@ -1047,9 +1048,8 @@ func (e *Engine) RunBatch(roots []int64) (*BatchResult, error) {
 		CheckpointScope: rc.scopeName,
 	}
 	for qi, root := range roots {
-		res := &Result{
+		br.Queries[qi] = &Result{
 			Root:            root,
-			Parent:          make([]int64, n),
 			Time:            rc.time,
 			Recorder:        rc.recorder,
 			Faults:          rc.faults,
@@ -1058,34 +1058,18 @@ func (e *Engine) RunBatch(roots []int64) (*BatchResult, error) {
 			Recovery:        rc.recovery,
 			CheckpointScope: rc.scopeName,
 		}
-		for i := range res.Parent {
-			res.Parent[i] = -1
-		}
-		br.Queries[qi] = res
 	}
+	e.assemble(rc, br.Queries, func(wl workload) []*rankState { return wl.(*multiState).planes })
 	if rc.err == nil {
 		var ref *multiState
 		for _, wl := range rc.states {
-			if wl == nil {
-				continue
-			}
-			ms := wl.(*multiState)
-			if ref == nil {
-				ref = ms
-			}
-			for qi := range roots {
-				ms.planes[qi].writeParents(br.Queries[qi].Parent)
+			if wl != nil {
+				ref = wl.(*multiState)
+				break
 			}
 		}
-		e.distAssemble(func(r *comm.Rank, lead bool) {
-			for qi := range roots {
-				gatherOwned(e, r, lead, br.Queries[qi].Parent)
-			}
-		})
 		var liveIters int64
-		for qi := range roots {
-			qres := br.Queries[qi]
-			qres.TraversedEdges = e.countTraversedEdges(qres.Parent)
+		for qi, qres := range br.Queries {
 			if ref != nil {
 				qres.Iterations = int(ref.doneIter[qi]) + 1
 				qres.Trace = append([]IterTrace(nil), ref.hist[qi]...)

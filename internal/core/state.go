@@ -39,6 +39,7 @@ type rankState struct {
 	// scratch buffers reused across iterations
 	rowFrontier   *bitmap.Bitmap // row-wide L frontier for L2H pull
 	worldFrontier *bitmap.Bitmap // world-wide L frontier for L2L pull
+	scr           *rankScratch   // the engine's buffers for this rank, reused across runs
 
 	// cached active counts, recomputed after each hub sync / L update
 	activeL int64
@@ -85,6 +86,49 @@ type iterSnapshot struct {
 	hubFrontier, hubVisited, hubNew, hubIter []uint64
 	lFrontier, lVisited, lNew                []uint64
 	activeL, visitL                          int64
+}
+
+// lRowMasks are one rank's "row is non-empty" word masks over its owned L
+// block, one per L-keyed CSR. They are derived from the rank graph at engine
+// construction and kept beside it rather than in it, so the checkpoint graph
+// tier's format does not change.
+type lRowMasks struct{ toE, toH, toL []uint64 }
+
+// rowMask marks the rows of a dense CSR row-pointer array that hold at least
+// one edge, as the words of an n-bit bitmap.
+func rowMask(ptr []int64, n int) []uint64 {
+	has := bitmap.New(n)
+	for li := 0; li+1 < len(ptr); li++ {
+		if ptr[li] != ptr[li+1] {
+			has.Set(li)
+		}
+	}
+	return has.Words()
+}
+
+// rankScratch holds one rank's kernel buffers on the engine, so what one
+// iteration or run grew the next reuses: every kernel re-slices to [:0]
+// before filling. Reuse right after a collective returns is safe because
+// receivers copy a sender's buffer before the collective's closing barrier.
+// The planes of a batch share their rank's scratch; they run one at a time.
+type rankScratch struct {
+	active   []int32 // ehPush: active source positions
+	ups      []comm.SparseUpdate
+	lParts   [][]lMsg // dense send buffers, and the sparse paths' receive reshapes
+	hubParts [][]hubMsg
+	l2lParts [][]l2lMsg
+}
+
+// resetParts returns *buf resized to n empty parts, each keeping its capacity.
+func resetParts[T any](buf *[][]T, n int) [][]T {
+	for len(*buf) < n {
+		*buf = append(*buf, nil)
+	}
+	parts := (*buf)[:n]
+	for i := range parts {
+		parts[i] = parts[i][:0]
+	}
+	return parts
 }
 
 func snapWords(dst *[]uint64, src *bitmap.Bitmap) {
@@ -140,6 +184,7 @@ func newRankState(e *Engine, r *comm.Rank, root int64) *rankState {
 		lVisited:    bitmap.New(per),
 		lNew:        bitmap.New(per),
 		parentL:     make([]int64, per),
+		scr:         &e.scratch[r.ID],
 	}
 	for i := range st.parentHub {
 		st.parentHub[i] = -1
@@ -354,19 +399,26 @@ func (st *rankState) syncHubs() error {
 	return err
 }
 
-// writeParents assembles this rank's share of the global parent array:
-// its owned L vertices plus the hub vertices whose original IDs it owns
-// (hub parents are identical on all ranks after the delayed reduction).
-func (st *rankState) writeParents(parent []int64) {
-	layout := st.e.Part.Layout
-	for i := 0; i < st.rg.LocalN; i++ {
-		if st.parentL[i] >= 0 {
-			parent[layout.GlobalOf(st.r.ID, int32(i))] = st.parentL[i]
-		}
+// assembleOwned fills blk, this rank's owned block of one query's global
+// parent array, and returns the degree sum of the block's reached vertices,
+// both in one pass over the block. parentL already holds -1 for every
+// unreached L vertex and for the hub positions (hubs are never L
+// destinations), so it lays the block down as it stands; the hubs whose
+// original IDs the rank owns are then overlaid from parentHub (identical on
+// all ranks after the delayed reduction).
+func (st *rankState) assembleOwned(blk []int64) int64 {
+	hubs := st.e.Part.Hubs
+	lo := st.e.Part.Layout.GlobalOf(st.r.ID, 0)
+	deg := ownedSeg(st.e, st.r.ID, st.e.Part.Degrees)
+	var sum int64
+	for i, p := range st.parentL[:len(blk)] {
+		blk[i] = p
+		sum += deg[i] &^ (p >> 63) // counts deg[i] only when p >= 0; see reachedDegrees
 	}
-	for h, orig := range st.e.Part.Hubs.Orig {
-		if layout.Owner(orig) == st.r.ID && st.parentHub[h] >= 0 {
-			parent[orig] = st.parentHub[h]
-		}
+	for _, h := range st.e.hubsAt[st.r.ID] {
+		p := st.parentHub[h]
+		blk[hubs.Orig[h]-lo] = p
+		sum += hubs.Deg[h] &^ (p >> 63)
 	}
+	return sum
 }

@@ -305,7 +305,7 @@ func (st *wccState) h2lProp() (int64, error) {
 		if err != nil {
 			return edges, err
 		}
-		st.applyLLabels(lPartsOf(out))
+		st.applyLLabels(lPartsOf(make([][]lMsg, len(out)), out))
 		return edges, nil
 	}
 	send := make([][]lMsg, st.e.Opt.Mesh.Cols)
@@ -380,7 +380,7 @@ func (st *wccState) l2hProp() (int64, error) {
 		if err != nil {
 			return edges, err
 		}
-		st.applyHubLabels(hubPartsOf(out))
+		st.applyHubLabels(hubPartsOf(make([][]hubMsg, len(out)), out))
 		return edges, nil
 	}
 	send := make([][]hubMsg, mesh.Cols)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/faultinject"
 	"repro/internal/partition"
@@ -242,10 +243,11 @@ func TestWorkloadKillRecoverySparseTail(t *testing.T) {
 				t.Fatalf("kills = %d, want 1", res.Faults.Kills)
 			}
 			// The checkpoint must carry the run back near the kill, not restart
-			// the workload from scratch.
-			if res.Recovery.LastResumeIter < tc.killIter-2 {
-				t.Fatalf("resumed at iteration %d, want >= %d (tail checkpoint)",
-					res.Recovery.LastResumeIter, tc.killIter-2)
+			// the workload from scratch: at most MaxLag-1 captures behind the
+			// newest one attempted (killIter-1), by the writer's contract.
+			if want := tc.killIter - checkpoint.MaxLag; res.Recovery.LastResumeIter < want {
+				t.Fatalf("resumed at iteration %d, want >= %d (checkpoint.MaxLag)",
+					res.Recovery.LastResumeIter, want)
 			}
 			if workloadSparseCalls(res) == 0 {
 				t.Fatalf("recovered %s run never used the sparse exchange", tc.wl)
