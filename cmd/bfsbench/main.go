@@ -52,13 +52,11 @@ func main() {
 		roots      = flag.Int("roots", 16, "number of sampled roots (Graph 500 uses 64)")
 		batchRoots = flag.Int("batch-roots", 0, "offline batched-BFS mode: run ONE multi-source sweep over this many roots and A/B its collective calls against solo runs (bfs only)")
 		seed       = flag.Uint64("seed", 42, "generator seed")
-		kernel     = flag.String("kernel", "bfs", "kernel: bfs or sssp (legacy alias of -workload)")
-		workload   = flag.String("workload", "", "comma-separated workloads to run: bfs, wcc, kcore, sssp (default: the -kernel value)")
+		workload   = flag.String("workload", "bfs", "comma-separated workloads to run: bfs, wcc, kcore, sssp")
 		kcoreK     = flag.Int64("kcore-k", 2, "peeling threshold for the kcore workload")
 		eThresh    = flag.Int64("ethreshold", 0, "E degree threshold (0 = scale default)")
 		hThresh    = flag.Int64("hthreshold", 0, "H degree threshold (0 = scale default)")
 		segmented  = flag.Bool("segmented", false, "enable CG-aware core subgraph segmenting")
-		segAdapt   = flag.Bool("seg-adaptive", false, "pick flat vs segmented core-subgraph pull per iteration from measured kernel durations (overrides -segmented)")
 		hier       = flag.Bool("hierarchical", false, "forward L2L messages via mesh intersections")
 		sparse     = flag.String("sparse", "auto", "sparse tail collective policy: auto, off or always")
 		workers    = flag.Int("rankworkers", 1, "intra-rank kernel workers (edge-aware vertex cut)")
@@ -126,11 +124,10 @@ func main() {
 	genSeconds := time.Since(t0).Seconds()
 
 	cfg := graph500.Config{
-		Ranks:           *ranks,
-		Segmented:       *segmented,
-		SegmentAdaptive: *segAdapt,
-		Hierarchical:    *hier,
-		RankWorkers:     *workers,
+		Ranks:        *ranks,
+		Segmented:    *segmented,
+		Hierarchical: *hier,
+		RankWorkers:  *workers,
 	}
 	if *rows > 0 && *cols > 0 {
 		cfg.Mesh = graph500.Mesh{Rows: *rows, Cols: *cols}
@@ -190,7 +187,6 @@ func main() {
 		Seed:         *seed,
 		Direction:    "sub-iteration",
 		Segmented:    *segmented,
-		SegAdaptive:  *segAdapt,
 		Hierarchical: *hier,
 		RankWorkers:  *workers,
 		Faults:       *faults,
@@ -205,19 +201,7 @@ func main() {
 		out.cfgReport.Scale, out.cfgReport.EdgeFactor = 0, 0
 	}
 
-	// -workload supersedes -kernel; the legacy flag maps onto the one-element
-	// workload lists it used to select.
-	list := *workload
-	if list == "" {
-		switch *kernel {
-		case "bfs", "sssp":
-			list = *kernel
-		default:
-			fmt.Fprintf(os.Stderr, "unknown kernel %q (want bfs or sssp)\n", *kernel)
-			os.Exit(2)
-		}
-	}
-	names, err := graph500.ParseWorkloads(list)
+	names, err := graph500.ParseWorkloads(*workload)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -133,13 +133,6 @@ type Config struct {
 	Direction DirectionMode
 	// Segmented enables CG-aware segmenting of the core-subgraph pull.
 	Segmented bool
-	// SegmentAdaptive picks flat vs segmented EH2EH pull per iteration from
-	// measured kernel durations bucketed by active-hub count, instead of the
-	// static Segmented switch; it overrides Segmented and records each choice
-	// as a "segment_choice" decision span in the trace. Off by default: the
-	// learned choice depends on machine timing, so parent arrays may differ
-	// between runs (levels never do).
-	SegmentAdaptive bool
 	// RankWorkers is intra-rank kernel parallelism (edge-aware vertex cut).
 	RankWorkers int
 	// Hierarchical forwards L2L messages via mesh intersection ranks.
@@ -218,7 +211,6 @@ func New(g Graph, cfg Config) (*Runner, error) {
 		Thresholds:         cfg.Thresholds,
 		Direction:          cfg.Direction,
 		Segmented:          cfg.Segmented,
-		SegmentAdaptive:    cfg.SegmentAdaptive,
 		RankWorkers:        cfg.RankWorkers,
 		Hierarchical:       cfg.Hierarchical,
 		SparseTail:         cfg.SparseTail,

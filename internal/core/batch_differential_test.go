@@ -253,48 +253,4 @@ func TestRunBatchRejectsBadInput(t *testing.T) {
 	if _, err := eng.RunBatch([]int64{-1}); err == nil {
 		t.Fatal("negative root accepted")
 	}
-	adaptive, err := NewEngineFromPartition(eng.Part, Options{
-		Mesh:            topology.Mesh{Rows: 1, Cols: 2},
-		SegmentAdaptive: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := adaptive.RunBatch([]int64{0, 1}); err == nil {
-		t.Fatal("SegmentAdaptive batch accepted")
-	}
-}
-
-// TestBatchSingleQueryMatchesSolo pins the degenerate batch: a batch of one
-// root is exactly a solo run.
-func TestBatchSingleQueryMatchesSolo(t *testing.T) {
-	n, edges := combEdges(32, 6)
-	eng, err := NewEngine(n, edges, Options{
-		Mesh:       topology.Mesh{Rows: 2, Cols: 2},
-		Thresholds: partition.Thresholds{E: 64, H: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := firstConnectedRootOf(eng)
-	solo, err := eng.Run(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := eng.RunBatch([]int64{root})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := batch.Queries[0]
-	for v := int64(0); v < n; v++ {
-		if q.Parent[v] != solo.Parent[v] {
-			t.Fatalf("parent[%d] = %d, solo %d", v, q.Parent[v], solo.Parent[v])
-		}
-	}
-	if q.Iterations != solo.Iterations {
-		t.Fatalf("iterations %d, solo %d", q.Iterations, solo.Iterations)
-	}
-	if batch.AvgOccupancy != 1 {
-		t.Fatalf("single-query occupancy %v, want 1", batch.AvgOccupancy)
-	}
 }

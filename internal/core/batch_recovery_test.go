@@ -78,6 +78,19 @@ func TestBatchKillRecovery(t *testing.T) {
 				if q.Iterations != solo[qi].Iterations {
 					t.Errorf("%s root %d: %d iterations, fault-free solo %d", mode, root, q.Iterations, solo[qi].Iterations)
 				}
+				// The per-query trace is stitched across the two world epochs
+				// on the absolute iteration axis, so it matches the fault-free
+				// run entry for entry from iteration 0.
+				if len(q.Trace) != q.Iterations {
+					t.Fatalf("%s root %d: %d trace entries for %d iterations", mode, root, len(q.Trace), q.Iterations)
+				}
+				for i, it := range q.Trace {
+					want := solo[qi].Trace[i]
+					if it.ActiveE != want.ActiveE || it.ActiveH != want.ActiveH || it.ActiveL != want.ActiveL ||
+						it.Directions != want.Directions {
+						t.Fatalf("%s root %d iteration %d: trace %+v, fault-free solo %+v", mode, root, i, it, want)
+					}
+				}
 			}
 		})
 	}

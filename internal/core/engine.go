@@ -74,17 +74,6 @@ type Options struct {
 	Segmented bool
 	// Segments is the segment count (the chip has 6 CGs). 0 means 6.
 	Segments int
-	// SegmentAdaptive chooses between the flat and the segmented EH2EH pull
-	// per iteration from measured kernel durations instead of statically:
-	// each rank keeps per-frontier-size-bucket duration averages of both
-	// variants and runs whichever measures faster, re-exploring the loser
-	// periodically so a drifting crossover is re-found. Every choice is
-	// emitted as a "segment_choice" decision span, auditable in the Chrome
-	// trace. Implies building the segmented adjacency (Segments controls the
-	// count); overrides Segmented. Off by default: the two pull variants may
-	// discover different (equally valid) BFS parents, so timing-driven
-	// switching makes repeated runs nondeterministic.
-	SegmentAdaptive bool
 	// RankWorkers is intra-rank kernel parallelism; the EH2EH push uses
 	// edge-aware vertex-cut chunking across these workers. 0 means 1.
 	RankWorkers int
@@ -181,10 +170,14 @@ type Options struct {
 	// ResumeFrom names an existing run scope under CheckpointDir to resume
 	// the first Run call from — the cross-process restart path. The scope's
 	// latest complete iteration is loaded; if the scope cannot seed a resume
-	// (no valid bootstrap segments) the run restarts from the root. On a
-	// resumed run Result.Trace covers only the re-executed iterations (the
-	// absolute iteration axis starts past the checkpoint), so Iterations
-	// undercounts the traversal's logical depth by LastResumeIter+1.
+	// (no valid bootstrap segments) the run restarts from the root. The
+	// checkpoint carries each query's state and depth but no history: on a
+	// resumed run Result.Iterations is still the traversal's absolute depth,
+	// while Result.Trace (and BatchResult.Trace/Iterations) cover only the
+	// iterations this engine re-executed, so len(Trace) is short of
+	// Iterations by the Recovery.LastResumeIter+1 iterations the checkpoint
+	// already held. Recovery inside one run is not affected: its traces are
+	// stitched across world epochs and stay complete.
 	ResumeFrom string
 	// Drain, when non-nil, is polled once per iteration vote; when it starts
 	// returning true (a supervisor forwarding SIGTERM), every rank finishes
@@ -317,11 +310,10 @@ type Engine struct {
 	World *comm.World
 	Opt   Options
 
-	segPull  [][]partition.SparseCSR // [rank][segment], built when Segmented or SegmentAdaptive
-	segAdapt []*segAdapter           // [rank] measured flat-vs-segmented state, when SegmentAdaptive
-	lRows    []lRowMasks             // [rank] non-empty-row masks the L-destination pulls scan by word
-	hubsAt   [][]int32               // [rank] hub ids whose original vertex the rank owns
-	scratch  []rankScratch           // [rank] kernel buffers that outlive the iteration and the run
+	segPull [][]partition.SparseCSR // [rank][segment], built when Segmented
+	lRows   []lRowMasks             // [rank] non-empty-row masks the L-destination pulls scan by word
+	hubsAt  [][]int32               // [rank] hub ids whose original vertex the rank owns
+	scratch []rankScratch           // [rank] exchange buffers that outlive the iteration and the run
 
 	tr         *trace.Stream // engine-level span stream; nil when tracing is off
 	runSeq     int           // run-scope counter for checkpoint naming
@@ -405,16 +397,10 @@ func NewEngineFromPartition(part *partition.Partitioned, opt Options) (*Engine, 
 		e.hubsAt[r] = append(e.hubsAt[r], int32(h))
 	}
 	e.scratch = make([]rankScratch, opt.Ranks)
-	if opt.Segmented || opt.SegmentAdaptive {
+	if opt.Segmented {
 		e.segPull = make([][]partition.SparseCSR, opt.Ranks)
 		for r, rg := range part.Ranks {
 			e.segPull[r] = rg.SegmentedPull(opt.Segments, part.Hubs.K())
-		}
-	}
-	if opt.SegmentAdaptive {
-		e.segAdapt = make([]*segAdapter, opt.Ranks)
-		for r := range e.segAdapt {
-			e.segAdapt[r] = &segAdapter{}
 		}
 	}
 	return e, nil
@@ -468,6 +454,16 @@ type IterTrace struct {
 	// update triples (comm.AllgatherSparse) instead of dense buffers this
 	// iteration; always false for components that pulled or skipped.
 	Sparse [partition.NumComponents]bool
+	// queries holds the per-query records behind one entry of a batch-level
+	// trace, one per query live in the iteration, so the engine's stitching of
+	// world epochs onto the absolute iteration axis carries them along. Entries
+	// of a Result's own Trace have none.
+	queries []queryIter
+}
+
+type queryIter struct {
+	qid int
+	it  IterTrace
 }
 
 // GTEPS returns giga-traversed-edges-per-second for the run.
@@ -846,52 +842,24 @@ func (e *Engine) execute(suffix string, spanArgs map[string]int64, mk workloadFa
 	return rc, nil
 }
 
-// Run executes one BFS from root and assembles the global result. Under a
-// fault transport the run may fail even after retries; the Result is still
-// returned alongside the error so callers can inspect the fault and retry
-// accounting of the doomed run.
-//
-// A fail-stop (a Kill fault) does not fail the run when CheckpointDir is set:
-// the engine detects the agreed-dead ranks, rebuilds the world as a new epoch
-// (Options.Recovery selects shrink vs restore), replays every rank from the
-// latest complete checkpoint and continues, recording the cost in
-// Result.Recovery. With checkpointing off, recovery degrades to a full
-// restart of the traversal under the new world.
+// Run executes one BFS from root and assembles the global result: a batch
+// of one (see RunBatch for the fault and recovery behaviour, and
+// multisource.go for the traversal).
 func (e *Engine) Run(root int64) (*Result, error) {
-	n := e.Part.Layout.N
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("core: root %d out of [0,%d)", root, n)
-	}
-	rc, err := e.execute(fmt.Sprintf("root%d", root), map[string]int64{"root": root},
-		func(e *Engine, r *comm.Rank) workload { return newRankState(e, r, root) })
-	if err != nil {
+	br, err := e.RunBatch([]int64{root})
+	if br == nil {
 		return nil, err
 	}
-	res := &Result{
-		Root:            root,
-		Iterations:      len(rc.trace),
-		Time:            rc.time,
-		Recorder:        rc.recorder,
-		PerRank:         rc.perRank,
-		Trace:           rc.trace,
-		Faults:          rc.faults,
-		Retries:         rc.retries,
-		RecoveryTime:    rc.recoveryTime,
-		Recovery:        rc.recovery,
-		CheckpointScope: rc.scopeName,
-	}
-	e.assemble(rc, []*Result{res}, func(wl workload) []*rankState { return []*rankState{wl.(*rankState)} })
-	return res, rc.err
+	return br.Queries[0], err
 }
 
 // assemble builds every query's Result.Parent and TraversedEdges from the
-// ranks' final states; planesOf lists one rank's per-query states, aligned
-// with out. Each rank fills its own block of each parent array (see
-// assembleOwned) and sums the degrees of the vertices it reached, all ranks
-// in parallel; on a distributed world the blocks of ranks hosted elsewhere
-// then arrive by gatherOwned. A failed run, or a process recovery left with
-// no rank to host, reports every vertex unreached.
-func (e *Engine) assemble(rc *runCommon, out []*Result, planesOf func(wl workload) []*rankState) {
+// ranks' final BFS states. Each rank fills its own block of each parent array
+// (see assembleOwned) and sums the degrees of the vertices it reached, all
+// ranks in parallel; on a distributed world the blocks of ranks hosted
+// elsewhere then arrive by gatherOwned. A failed run, or a process recovery
+// left with no rank to host, reports every vertex unreached.
+func (e *Engine) assemble(rc *runCommon, out []*Result) {
 	n := e.Part.Layout.N
 	for _, res := range out {
 		res.Parent = make([]int64, n)
@@ -916,7 +884,7 @@ func (e *Engine) assemble(rc *runCommon, out []*Result, planesOf func(wl workloa
 			for q, st := range planes {
 				degSum[q].Add(st.assembleOwned(ownedSeg(e, r, out[q].Parent)))
 			}
-		}(r, planesOf(wl))
+		}(r, wl.(*multiState).planes)
 	}
 	wg.Wait()
 	e.distAssemble(func(r *comm.Rank, lead bool) {

@@ -83,57 +83,6 @@ func TestEngineSegmentedPull(t *testing.T) {
 	checkAgainstReference(t, n, edges, opt, []int64{0, 42, 1234})
 }
 
-func TestEngineSegmentAdaptive(t *testing.T) {
-	// Adaptive segmenting must stay correct across many runs on one engine
-	// (the adapter state persists and keeps switching arms while exploring)
-	// and in pull-heavy mode where the adaptive kernel actually runs every
-	// iteration.
-	n, edges := rmatEdges(t, 11, 3)
-	for _, mode := range []DirectionMode{ModeSubIteration, ModePullOnly} {
-		opt := Options{
-			Mesh:            topology.Mesh{Rows: 2, Cols: 2},
-			Thresholds:      partition.Thresholds{E: 512, H: 64},
-			Direction:       mode,
-			SegmentAdaptive: true,
-		}
-		t.Run(fmt.Sprintf("mode%d", mode), func(t *testing.T) {
-			checkAgainstReference(t, n, edges, opt, []int64{0, 42, 777, 1234})
-		})
-	}
-}
-
-func TestEngineSegmentAdaptiveExploresBothArms(t *testing.T) {
-	// Across enough pull iterations the adapter must have measured both the
-	// flat and the segmented kernel at least once in some bucket — the
-	// crossover search cannot work if one arm is never run.
-	n, edges := rmatEdges(t, 10, 9)
-	opt := Options{
-		Mesh:            topology.Mesh{Rows: 2, Cols: 2},
-		Thresholds:      partition.Thresholds{E: 256, H: 32},
-		Direction:       ModePullOnly,
-		SegmentAdaptive: true,
-	}
-	eng, err := NewEngine(n, edges, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, root := range []int64{0, 3, 99, 511} {
-		if _, err := eng.Run(root); err != nil {
-			t.Fatalf("root %d: %v", root, err)
-		}
-	}
-	var flat, seg int64
-	for _, a := range eng.segAdapt {
-		for i := range a.buckets {
-			flat += a.buckets[i].n[segArmFlat]
-			seg += a.buckets[i].n[segArmSeg]
-		}
-	}
-	if flat == 0 || seg == 0 {
-		t.Fatalf("adapter observations flat=%d seg=%d; both arms must be explored", flat, seg)
-	}
-}
-
 func TestEngineSegmentedMatchesUnsegmented(t *testing.T) {
 	n, edges := rmatEdges(t, 10, 4)
 	base := Options{Mesh: topology.Mesh{Rows: 2, Cols: 2}, Thresholds: partition.Thresholds{E: 256, H: 32}, Direction: ModePullOnly}

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/bitmap"
-	"repro/internal/comm"
 	"repro/internal/partition"
 )
 
@@ -39,7 +37,7 @@ type l2lMsg struct {
 // the edge-aware vertex-cut (Section 5): chunk boundaries follow the prefix
 // sum of active-source degrees, not source counts, so one heavy hub cannot
 // serialize the kernel.
-func (st *rankState) ehPush() (int64, error) {
+func (st *rankState) ehPush() int64 {
 	push := &st.rg.EHPush
 	orig := st.e.Part.Hubs.Orig
 	// Collect active source positions.
@@ -51,7 +49,7 @@ func (st *rankState) ehPush() (int64, error) {
 	}
 	st.scr.active = active
 	if len(active) == 0 {
-		return 0, nil
+		return 0
 	}
 	workers := st.e.Opt.RankWorkers
 	if workers == 1 || len(active) < 2*workers {
@@ -66,7 +64,7 @@ func (st *rankState) ehPush() (int64, error) {
 				}
 			}
 		}
-		return edges, nil
+		return edges
 	}
 	// Edge-aware vertex cut: prefix-sum active degrees, then split evenly by
 	// accumulated degree.
@@ -110,7 +108,7 @@ func (st *rankState) ehPush() (int64, error) {
 			}
 		}
 	}
-	return edges, nil
+	return edges
 }
 
 // edgeCutChunks splits [0, len(prefix)-1) into up to `workers` ranges of
@@ -138,7 +136,7 @@ func edgeCutChunks(prefix []int64, workers int) [][2]int {
 // ehPull is the bottom-up core-subgraph kernel: scan unvisited destination
 // hubs in the row block, probing source hubs in the column block against the
 // replicated frontier, with early exit on the first active parent.
-func (st *rankState) ehPull() (int64, error) {
+func (st *rankState) ehPull() int64 {
 	pull := &st.rg.EHPull
 	orig := st.e.Part.Hubs.Orig
 	var edges int64
@@ -155,7 +153,7 @@ func (st *rankState) ehPull() (int64, error) {
 			}
 		}
 	}
-	return edges, nil
+	return edges
 }
 
 // ehPullSegmented is the CG-aware variant (Section 4.3): the source bitmap is
@@ -164,7 +162,7 @@ func (st *rankState) ehPull() (int64, error) {
 // intervals rotate round-robin across steps so no two workers ever write the
 // same destination range concurrently. The hot source-bitmap slice stays
 // cache-resident per worker — the commodity-CPU analogue of LDM residency.
-func (st *rankState) ehPullSegmented() (int64, error) {
+func (st *rankState) ehPullSegmented() int64 {
 	segs := st.e.segPull[st.r.ID]
 	s := len(segs)
 	orig := st.e.Part.Hubs.Orig
@@ -213,14 +211,14 @@ func (st *rankState) ehPullSegmented() (int64, error) {
 	for _, e := range edgesPer {
 		edges += e
 	}
-	return edges, nil
+	return edges
 }
 
 // --- E2L / H2L (hub -> L) ---------------------------------------------------
 
 // e2lPush: active E hubs activate owned L vertices; purely local because E is
 // delegated on every rank.
-func (st *rankState) e2lPush() (int64, error) {
+func (st *rankState) e2lPush() int64 {
 	csr := &st.rg.EToL
 	orig := st.e.Part.Hubs.Orig
 	var edges int64
@@ -237,13 +235,13 @@ func (st *rankState) e2lPush() (int64, error) {
 			}
 		}
 	}
-	return edges, nil
+	return edges
 }
 
 // e2lPull: unvisited owned L vertices probe their E neighbors against the
 // replicated frontier; local, with early exit.
-func (st *rankState) e2lPull() (int64, error) {
-	return st.hubToLPull(&st.rg.LToE, st.e.lRows[st.r.ID].toE), nil
+func (st *rankState) e2lPull() int64 {
+	return st.hubToLPull(&st.rg.LToE, st.e.lRows[st.r.ID].toE)
 }
 
 // hubToLPull is the shared body of the E2L and H2L pulls. Candidates come a
@@ -273,11 +271,13 @@ func (st *rankState) hubToLPull(csr *partition.DenseCSR32, has []uint64) int64 {
 	return edges
 }
 
-// h2lGen walks the H2L component once, calling emit for every (destination
-// column, L-index, parent) activation the push ships. The dense and sparse
-// solo kernels and the batched multi-source path all generate through this
-// one loop body, which is what keeps their receiver-side apply streams
-// identical message for message.
+// h2lGen is the H2L push: active H hubs in this rank's column block message
+// their L neighbors' owners along the row (the component is stored at the
+// intersection of H's column and the owner's row). It walks the component
+// once, calling emit for every (destination column, L-index, parent)
+// activation; the workload ships them dense or sparse. Both forms generate
+// through this one loop body, which is what keeps their receiver-side apply
+// streams identical message for message.
 func (st *rankState) h2lGen(emit func(col, li int32, parent int64)) int64 {
 	csr := &st.rg.HToL
 	orig := st.e.Part.Hubs.Orig
@@ -295,68 +295,10 @@ func (st *rankState) h2lGen(emit func(col, li int32, parent int64)) int64 {
 	return edges
 }
 
-// h2lPush: active H hubs in this rank's column block message their L
-// neighbors' owners along the row (the H2L component is stored at the
-// intersection of H's column and the owner's row).
-func (st *rankState) h2lPush() (int64, error) {
-	if st.sparse[partition.CompH2L] {
-		return st.h2lPushSparse()
-	}
-	send := resetParts(&st.scr.lParts, st.e.Opt.Mesh.Cols)
-	edges := st.h2lGen(func(col, li int32, parent int64) {
-		send[col] = append(send[col], lMsg{LIdx: li, Parent: parent})
-	})
-	recv, err := comm.Alltoallv(st.r.RowC, send)
-	if err != nil {
-		return edges, err
-	}
-	st.applyLMsgs(recv)
-	return edges, nil
-}
-
-// h2lPushSparse ships the same messages as the dense h2lPush as
-// destination-addressed triples over one row allgather. When the L2H push
-// also went sparse this iteration (st.batchRow) the updates are parked in
-// pendRow instead — the two kernels' payloads then ride a single batched
-// exchange at the L2H flush point, applied in the dense schedule's kernel
-// order. Generation order matches the dense kernel exactly, so each
-// receiver's filtered stream is the same sequence the dense exchange
-// delivers.
-func (st *rankState) h2lPushSparse() (int64, error) {
-	ups := st.scr.ups[:0]
-	edges := st.h2lGen(func(col, li int32, parent int64) {
-		ups = append(ups, comm.SparseUpdate{Dst: col,
-			Tag: int32(partition.CompH2L), Off: int64(li), Val: parent})
-	})
-	st.scr.ups = ups
-	if st.batchRow {
-		st.pendRow = append(st.pendRow, ups...)
-		return edges, nil
-	}
-	out, err := comm.AllgatherSparse(st.r.RowC, ups)
-	if err != nil {
-		return edges, err
-	}
-	st.applyLMsgs(lPartsOf(resetParts(&st.scr.lParts, len(out)), out))
-	return edges, nil
-}
-
-// lPartsOf reshapes received sparse updates into the dense exchange's
-// per-source lMsg parts (Off is the destination-local L index), appending
-// onto the len(out) parts the caller supplies.
-func lPartsOf(parts [][]lMsg, out [][]comm.SparseUpdate) [][]lMsg {
-	for j, us := range out {
-		for _, u := range us {
-			parts[j] = append(parts[j], lMsg{LIdx: int32(u.Off), Parent: u.Val})
-		}
-	}
-	return parts
-}
-
 // h2lPull: unvisited owned L vertices probe their H neighbors against the
 // replicated hub frontier; local thanks to delegation.
-func (st *rankState) h2lPull() (int64, error) {
-	return st.hubToLPull(&st.rg.LToH, st.e.lRows[st.r.ID].toH), nil
+func (st *rankState) h2lPull() int64 {
+	return st.hubToLPull(&st.rg.LToH, st.e.lRows[st.r.ID].toH)
 }
 
 // applyLMsgs applies received L activation messages owner-locally. With
@@ -436,7 +378,7 @@ func (st *rankState) applyLMsgsTwoStage(recv [][]lMsg, total, workers int) {
 
 // l2ePush: active owned L vertices activate E delegates locally (E is
 // delegated everywhere, so no message leaves the rank).
-func (st *rankState) l2ePush() (int64, error) {
+func (st *rankState) l2ePush() int64 {
 	csr := &st.rg.LToE
 	layout := st.e.Part.Layout
 	var edges int64
@@ -449,12 +391,12 @@ func (st *rankState) l2ePush() (int64, error) {
 			}
 		}
 	})
-	return edges, nil
+	return edges
 }
 
 // l2ePull: unvisited E hubs probe their owned-L neighbors against the local
 // frontier; every rank does its share, with per-rank early exit.
-func (st *rankState) l2ePull() (int64, error) {
+func (st *rankState) l2ePull() int64 {
 	csr := &st.rg.EToL
 	layout := st.e.Part.Layout
 	var edges int64
@@ -471,14 +413,15 @@ func (st *rankState) l2ePull() (int64, error) {
 			}
 		}
 	}
-	return edges, nil
+	return edges
 }
 
-// l2hGen walks active owned L vertices once, calling emit for every
-// (destination column, hub, parent) delegate activation the push ships —
-// the shared loop body of the dense/sparse solo kernels and the batched
-// multi-source path. Delegation knowledge (hubVisited) prunes the message
-// before emit, exactly as the original kernels did.
+// l2hGen is the L2H push: active owned L vertices message the row delegate
+// of each unvisited H neighbor (the rank in this row holding H's column),
+// which records the delegate activation; the next hub sync propagates it. It
+// calls emit for every (destination column, hub, parent) message — the one
+// loop body behind the dense and the sparse exchange. Delegation knowledge
+// (hubVisited) prunes the message before emit.
 func (st *rankState) l2hGen(emit func(col, hub int32, parent int64)) int64 {
 	csr := &st.rg.LToH
 	layout := st.e.Part.Layout
@@ -498,121 +441,26 @@ func (st *rankState) l2hGen(emit func(col, hub int32, parent int64)) int64 {
 	return edges
 }
 
-// l2hPush: active owned L vertices message the row delegate of each
-// unvisited H neighbor (the rank in this row holding H's column), which
-// records the delegate activation; the next hub sync propagates it.
-func (st *rankState) l2hPush() (int64, error) {
-	if st.sparse[partition.CompL2H] {
-		return st.l2hPushSparse()
-	}
-	send := resetParts(&st.scr.hubParts, st.e.Opt.Mesh.Cols)
-	edges := st.l2hGen(func(col, hub int32, parent int64) {
-		send[col] = append(send[col], hubMsg{Hub: hub, Parent: parent})
-	})
-	recv, err := comm.Alltoallv(st.r.RowC, send)
-	if err != nil {
-		return edges, err
-	}
-	st.applyHubMsgs(recv)
-	return edges, nil
-}
-
-// l2hPushSparse is the sparse-triple form of l2hPush (Off carries the hub
-// id). With st.batchRow set it appends onto the H2L updates already parked in
-// pendRow and flushes the combined frame as the iteration's single row
-// exchange; otherwise it exchanges inline.
-func (st *rankState) l2hPushSparse() (int64, error) {
-	ups := st.scr.ups[:0]
-	edges := st.l2hGen(func(col, hub int32, parent int64) {
-		ups = append(ups, comm.SparseUpdate{Dst: col,
-			Tag: int32(partition.CompL2H), Off: int64(hub), Val: parent})
-	})
-	st.scr.ups = ups
-	if st.batchRow {
-		st.pendRow = append(st.pendRow, ups...)
-		return edges, st.flushRowSparse()
-	}
-	out, err := comm.AllgatherSparse(st.r.RowC, ups)
-	if err != nil {
-		return edges, err
-	}
-	st.applyHubMsgs(hubPartsOf(resetParts(&st.scr.hubParts, len(out)), out))
-	return edges, nil
-}
-
 // applyHubMsgs records received delegate activations (the L2H push's receive
 // side), in part order.
 func (st *rankState) applyHubMsgs(parts [][]hubMsg) {
 	for _, part := range parts {
 		for _, m := range part {
-			if !st.hubVisited.Test(int(m.Hub)) && !st.hubNew.Test(int(m.Hub)) {
-				st.hubNew.Set(int(m.Hub))
-				st.parentHub[m.Hub] = m.Parent
-			}
+			st.applyOneHub(m)
 		}
 	}
 }
 
-// hubPartsOf reshapes received sparse updates into the dense exchange's
-// per-source hubMsg parts (Off is the hub id).
-func hubPartsOf(parts [][]hubMsg, out [][]comm.SparseUpdate) [][]hubMsg {
-	for j, us := range out {
-		for _, u := range us {
-			parts[j] = append(parts[j], hubMsg{Hub: int32(u.Off), Parent: u.Val})
-		}
+func (st *rankState) applyOneHub(m hubMsg) {
+	if !st.hubVisited.Test(int(m.Hub)) && !st.hubNew.Test(int(m.Hub)) {
+		st.hubNew.Set(int(m.Hub))
+		st.parentHub[m.Hub] = m.Parent
 	}
-	return parts
 }
 
-// flushRowSparse runs the batched row exchange carrying both the H2L and L2H
-// pushes' updates and applies them in the dense schedule's kernel order: all
-// H2L activations first, then all L2H delegate activations, each split by tag
-// with per-source order preserved. Deferring the H2L applies to this point is
-// safe because the kernels between generation and flush (L2E, L2H) read only
-// lFrontier and the hub bitmaps, never lNew or parentL. The batch buffer is
-// cleared before the exchange even on error: a retry re-enters at the top of
-// step 1 and regenerates every update.
-func (st *rankState) flushRowSparse() error {
-	ups := st.pendRow
-	st.pendRow = st.pendRow[:0]
-	out, err := comm.AllgatherSparse(st.r.RowC, ups)
-	if err != nil {
-		return err
-	}
-	lParts := resetParts(&st.scr.lParts, len(out))
-	hubParts := resetParts(&st.scr.hubParts, len(out))
-	for j, us := range out {
-		for _, u := range us {
-			if u.Tag == int32(partition.CompH2L) {
-				lParts[j] = append(lParts[j], lMsg{LIdx: int32(u.Off), Parent: u.Val})
-			} else {
-				hubParts[j] = append(hubParts[j], hubMsg{Hub: int32(u.Off), Parent: u.Val})
-			}
-		}
-	}
-	st.applyLMsgs(lParts)
-	st.applyHubMsgs(hubParts)
-	return nil
-}
-
-// l2hPull: unvisited H hubs in this rank's column block probe their L
-// neighbors across the row against a row-wide L frontier (one row allgather),
-// with early exit.
-func (st *rankState) l2hPull() (int64, error) {
-	per := int(st.e.Part.Layout.PerRank)
-	mesh := st.e.Opt.Mesh
-	if st.rowFrontier == nil {
-		st.rowFrontier = bitmap.New(per * mesh.Cols)
-	}
-	if err := comm.AllgathervUniform(st.r.RowC, st.lFrontier.Words(), st.rowFrontier.Words()); err != nil {
-		return 0, err
-	}
-	return st.l2hPullScan(), nil
-}
-
-// l2hPullScan is the local probe half of l2hPull, run after rowFrontier is
-// populated. The batched path fills every plane's rowFrontier with one
-// gather and then scans each plane through this method.
+// l2hPullScan is the L2H pull: unvisited H hubs in this rank's column block
+// probe their L neighbors across the row against rowFrontier, the row-wide L
+// frontier the workload gathered, with early exit.
 func (st *rankState) l2hPullScan() int64 {
 	per := int(st.e.Part.Layout.PerRank)
 	mesh := st.e.Opt.Mesh
@@ -638,15 +486,10 @@ func (st *rankState) l2hPullScan() int64 {
 
 // --- L2L ---------------------------------------------------------------------
 
-// l2lPush: active owned L vertices message their L neighbors' owners. With
-// Hierarchical set, messages hop via the intersection rank of the source
-// column and destination row (column alltoallv then row alltoallv), the
-// paper's forwarding scheme for fewer live global connections; otherwise one
-// world alltoallv.
-// l2lGenFlat walks active owned L vertices once, calling emit with every
-// (owner rank, destination vertex, parent) message of the flat L2L push —
-// the shared loop body of the dense and sparse solo kernels and the batched
-// multi-source path.
+// l2lGenFlat is the flat L2L push: active owned L vertices message their L
+// neighbors' owners. It calls emit with every (owner rank, destination
+// vertex, parent) message — the one loop body behind the dense world
+// alltoallv and the sparse world allgather.
 func (st *rankState) l2lGenFlat(emit func(owner int, dst, parent int64)) int64 {
 	csr := &st.rg.L2L
 	layout := st.e.Part.Layout
@@ -662,7 +505,8 @@ func (st *rankState) l2lGenFlat(emit func(owner int, dst, parent int64)) int64 {
 }
 
 // l2lGenRows is l2lGenFlat keyed by the owner's mesh row — stage 1 of the
-// hierarchical forwarding scheme.
+// hierarchical forwarding scheme (Options.Hierarchical), where messages hop
+// via the intersection rank of the source column and destination row.
 func (st *rankState) l2lGenRows(emit func(row int, dst, parent int64)) int64 {
 	csr := &st.rg.L2L
 	layout := st.e.Part.Layout
@@ -678,107 +522,19 @@ func (st *rankState) l2lGenRows(emit func(row int, dst, parent int64)) int64 {
 	return edges
 }
 
-func (st *rankState) l2lPush() (int64, error) {
-	layout := st.e.Part.Layout
-	mesh := st.e.Opt.Mesh
-	if !st.e.Opt.Hierarchical {
-		if st.sparse[partition.CompL2L] {
-			return st.l2lPushSparse()
-		}
-		send := resetParts(&st.scr.l2lParts, layout.P)
-		edges := st.l2lGenFlat(func(owner int, dst, parent int64) {
-			send[owner] = append(send[owner], l2lMsg{Dst: dst, Parent: parent})
-		})
-		recv, err := comm.Alltoallv(st.r.World, send)
-		if err != nil {
-			return edges, err
-		}
-		st.applyL2L(recv)
-		return edges, nil
-	}
-	// Stage 1: sort by destination row, send down my column.
-	sendRow := resetParts(&st.scr.l2lParts, mesh.Rows)
-	edges := st.l2lGenRows(func(row int, dst, parent int64) {
-		sendRow[row] = append(sendRow[row], l2lMsg{Dst: dst, Parent: parent})
-	})
-	viaCol, colErr := comm.Alltoallv(st.r.ColC, sendRow)
-	// Stage 2: forward within the destination row by owner column. This runs
-	// even when stage 1 failed (with nothing to forward) so every rank keeps
-	// the same per-communicator collective schedule under faults.
-	// Stage 1 has returned, so its send buffers are free to carry stage 2.
-	sendCol := resetParts(&st.scr.l2lParts, mesh.Cols)
-	for _, part := range viaCol {
-		for _, m := range part {
-			col := mesh.ColOf(layout.Owner(m.Dst))
-			sendCol[col] = append(sendCol[col], m)
-		}
-	}
-	recv, rowErr := comm.Alltoallv(st.r.RowC, sendCol)
-	if colErr != nil {
-		return edges, colErr
-	}
-	if rowErr != nil {
-		return edges, rowErr
-	}
-	st.applyL2L(recv)
-	return edges, nil
-}
-
-// l2lPushSparse is the sparse-triple form of the flat (non-hierarchical) L2L
-// push: one world allgather of (owner, vertex, parent) triples instead of a
-// world alltoallv of dense buffers. Off carries the original vertex id;
-// hierarchical mode never reaches here (pickSparse keeps it dense).
-func (st *rankState) l2lPushSparse() (int64, error) {
-	ups := st.scr.ups[:0]
-	edges := st.l2lGenFlat(func(owner int, dst, parent int64) {
-		ups = append(ups, comm.SparseUpdate{Dst: int32(owner),
-			Tag: int32(partition.CompL2L), Off: dst, Val: parent})
-	})
-	st.scr.ups = ups
-	out, err := comm.AllgatherSparse(st.r.World, ups)
-	if err != nil {
-		return edges, err
-	}
-	recv := resetParts(&st.scr.l2lParts, len(out))
-	for j, us := range out {
-		for _, u := range us {
-			recv[j] = append(recv[j], l2lMsg{Dst: u.Off, Parent: u.Val})
-		}
-	}
-	st.applyL2L(recv)
-	return edges, nil
-}
-
 func (st *rankState) applyL2L(recv [][]l2lMsg) {
 	layout := st.e.Part.Layout
 	for _, part := range recv {
 		for _, m := range part {
-			li := layout.LocalIdx(m.Dst)
-			if !st.lVisited.Test(int(li)) && !st.lNew.Test(int(li)) {
-				st.lNew.Set(int(li))
-				st.parentL[li] = m.Parent
-			}
+			st.applyOneL(lMsg{LIdx: layout.LocalIdx(m.Dst), Parent: m.Parent})
 		}
 	}
 }
 
-// l2lPull: one world allgather replicates the L frontier (indexed by
-// original vertex ID thanks to the padded block layout), then unvisited
-// owned L vertices probe their neighbors with early exit.
-func (st *rankState) l2lPull() (int64, error) {
-	per := int(st.e.Part.Layout.PerRank)
-	if st.worldFrontier == nil {
-		st.worldFrontier = bitmap.New(per * st.e.Part.Layout.P)
-	}
-	if err := comm.AllgathervUniform(st.r.World, st.lFrontier.Words(), st.worldFrontier.Words()); err != nil {
-		return 0, err
-	}
-	return st.l2lPullScan(), nil
-}
-
-// l2lPullScan is the local probe half of l2lPull, run after worldFrontier is
-// populated (by the gather solo, or by one batched gather for every plane in
-// the multi-source path). Same word-parallel candidate scan as hubToLPull.
+// l2lPullScan is the L2L pull: unvisited owned L vertices probe their
+// neighbors, with early exit, against worldFrontier — the L frontier of every
+// rank, gathered by the workload and indexed by original vertex ID thanks to
+// the padded block layout. Same word-parallel candidate scan as hubToLPull.
 func (st *rankState) l2lPullScan() int64 {
 	csr := &st.rg.L2L
 	visited, lNew := st.lVisited.Words(), st.lNew.Words()

@@ -123,11 +123,17 @@ func fillRandom(b *bitmap.Bitmap, n int, p float64, rng *rand.Rand) {
 	}
 }
 
-// scanState hand-builds one rank's state: visited/new/frontier densities are
+// onePlane builds a rank's BFS workload for one query, as Engine.Run does,
+// and returns its plane.
+func onePlane(e *Engine, r *comm.Rank) *rankState {
+	return newMultiState(e, r, []int64{0}).planes[0]
+}
+
+// scanState hand-builds one rank's plane: visited/new/frontier densities are
 // the scenario, and parentL carries a sentinel so a stray write shows.
 func scanState(e *Engine, r *comm.Rank, visited, pending, frontier float64, seed int64) *rankState {
 	rng := rand.New(rand.NewSource(seed))
-	st := newRankState(e, r, 0)
+	st := onePlane(e, r)
 	fillRandom(st.lVisited, st.rg.LocalN, visited, rng)
 	fillRandom(st.lNew, st.rg.LocalN, pending, rng)
 	st.lNew.AndNot(st.lVisited)
@@ -177,10 +183,8 @@ func TestWordScanPullsMatchBitLoops(t *testing.T) {
 		name     string
 		run, ref func(st *rankState) int64
 	}{
-		{"e2l", func(st *rankState) int64 { n, _ := st.e2lPull(); return n },
-			func(st *rankState) int64 { return refHubToLPull(st, &st.rg.LToE) }},
-		{"h2l", func(st *rankState) int64 { n, _ := st.h2lPull(); return n },
-			func(st *rankState) int64 { return refHubToLPull(st, &st.rg.LToH) }},
+		{"e2l", (*rankState).e2lPull, func(st *rankState) int64 { return refHubToLPull(st, &st.rg.LToE) }},
+		{"h2l", (*rankState).h2lPull, func(st *rankState) int64 { return refHubToLPull(st, &st.rg.LToH) }},
 		{"l2l", (*rankState).l2lPullScan, refL2LPullScan},
 	}
 	activated := map[string]int{} // per kernel, over all ranks and scenarios
@@ -219,7 +223,7 @@ func TestWordScanEmptyHasMask(t *testing.T) {
 		}
 		got := scanState(e, r, 0.2, 0.1, 1, 7)
 		want := scanState(e, r, 0.2, 0.1, 1, 7)
-		n, _ := got.e2lPull()
+		n := got.e2lPull()
 		sameScan(t, fmt.Sprintf("rank %d e2l empty mask", r.ID), got, want, n, refHubToLPull(want, &want.rg.LToE))
 		if n != 0 {
 			t.Errorf("rank %d: E2L pull touched %d edges of an empty component", r.ID, n)
@@ -265,16 +269,16 @@ func TestInRankAssemblyMatchesSerial(t *testing.T) {
 	}
 	for _, root := range []int64{hubRoot, lRoot} {
 		root := root
-		rc, err := e.execute("asm", nil, func(e *Engine, r *comm.Rank) workload { return newRankState(e, r, root) })
+		rc, err := e.execute("asm", nil, func(e *Engine, r *comm.Rank) workload { return newMultiState(e, r, []int64{root}) })
 		if err != nil || rc.err != nil {
 			t.Fatal(err, rc.err)
 		}
 		var planes []*rankState
 		for _, wl := range rc.states {
-			planes = append(planes, wl.(*rankState))
+			planes = append(planes, wl.(*multiState).planes[0])
 		}
 		res := &Result{}
-		e.assemble(rc, []*Result{res}, func(wl workload) []*rankState { return []*rankState{wl.(*rankState)} })
+		e.assemble(rc, []*Result{res})
 		what := fmt.Sprintf("Run(%d)", root)
 		sameAssembly(t, what, e, res, planes)
 		if res.TraversedEdges == 0 {
@@ -293,7 +297,7 @@ func TestInRankAssemblyMatchesSerial(t *testing.T) {
 		t.Fatal(err, rc.err)
 	}
 	out := []*Result{{}, {}, {}}
-	e.assemble(rc, out, func(wl workload) []*rankState { return wl.(*multiState).planes })
+	e.assemble(rc, out)
 	br, err := e.RunBatch(roots)
 	if err != nil {
 		t.Fatal(err)
@@ -344,13 +348,9 @@ func benchPull(b *testing.B, kernel func(st *rankState) int64) {
 	}
 }
 
-func BenchmarkKernelE2LPull(b *testing.B) {
-	benchPull(b, func(st *rankState) int64 { n, _ := st.e2lPull(); return n })
-}
+func BenchmarkKernelE2LPull(b *testing.B) { benchPull(b, (*rankState).e2lPull) }
 
-func BenchmarkKernelH2LPull(b *testing.B) {
-	benchPull(b, func(st *rankState) int64 { n, _ := st.h2lPull(); return n })
-}
+func BenchmarkKernelH2LPull(b *testing.B) { benchPull(b, (*rankState).h2lPull) }
 
 func BenchmarkKernelL2LPull(b *testing.B) { benchPull(b, (*rankState).l2lPullScan) }
 
@@ -363,7 +363,8 @@ func BenchmarkAssemble(b *testing.B) {
 		rng := rand.New(rand.NewSource(2))
 		rc := &runCommon{states: make([]workload, len(handles))}
 		for _, r := range handles {
-			st := newRankState(e, r, 0)
+			wl := newMultiState(e, r, []int64{0})
+			st := wl.planes[0]
 			for i := 0; i < st.rg.LocalN; i++ {
 				if _, hub := e.Part.Hubs.HubOf(e.Part.Layout.GlobalOf(r.ID, int32(i))); !hub && rng.Float64() < reached {
 					st.parentL[i] = int64(i)
@@ -372,16 +373,33 @@ func BenchmarkAssemble(b *testing.B) {
 			for h := range st.parentHub {
 				st.parentHub[h] = int64(h)
 			}
-			rc.states[r.ID] = st
+			rc.states[r.ID] = wl
 		}
 		b.Run(fmt.Sprintf("reached=%.0f%%", 100*reached), func(b *testing.B) {
 			b.ReportAllocs()
 			res := &Result{}
 			for i := 0; i < b.N; i++ {
-				e.assemble(rc, []*Result{res}, func(wl workload) []*rankState { return []*rankState{wl.(*rankState)} })
+				e.assemble(rc, []*Result{res})
 				benchSink += res.TraversedEdges
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(e.Part.Layout.N), "ns/vertex")
+		})
+	}
+}
+
+// BenchmarkPlaneConstruct times building one rank's BFS workload — the
+// stacked backings, parent arrays and planes every run allocates — for one
+// query and for a full daemon batch.
+func BenchmarkPlaneConstruct(b *testing.B) {
+	e := benchEngine(b)
+	r := rankHandles(e)[0]
+	for _, q := range []int{1, 8} {
+		roots := make([]int64, q)
+		b.Run(fmt.Sprintf("queries=%d", q), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink += int64(len(newMultiState(e, r, roots).planes))
+			}
 		})
 	}
 }

@@ -160,6 +160,12 @@ func TestKillRecoveryShrinkAndRestore(t *testing.T) {
 			if rec.RecoveryTime <= 0 {
 				t.Fatalf("RecoveryTime = %v, want > 0", rec.RecoveryTime)
 			}
+			// Recovery inside one run keeps the absolute iteration axis: the
+			// depth and the stitched trace both match the fault-free run.
+			if res.Iterations != refRes.Iterations || len(res.Trace) != res.Iterations {
+				t.Fatalf("Iterations = %d with %d trace entries, fault-free run took %d",
+					res.Iterations, len(res.Trace), refRes.Iterations)
+			}
 			if eng.World.Epoch() != 1 {
 				t.Fatalf("world epoch %d after one recovery, want 1", eng.World.Epoch())
 			}

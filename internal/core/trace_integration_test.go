@@ -90,3 +90,62 @@ func TestTraceCapturesRunTimeline(t *testing.T) {
 		t.Error("no kernel span from the failed attempt carries Attempt > 0")
 	}
 }
+
+// TestTraceAttributesKernelsPerQuery: every plane of a batch records its own
+// kernel and decision spans on the rank's stream, tagged with its query id,
+// so a batched timeline says which query the local-kernel time belongs to.
+func TestTraceAttributesKernelsPerQuery(t *testing.T) {
+	n, edges := rmatEdges(t, 10, 5)
+	tr := trace.New()
+	eng, err := NewEngine(n, edges, Options{
+		Mesh:       topology.Mesh{Rows: 2, Cols: 2},
+		Thresholds: partition.Thresholds{E: 512, H: 64},
+		Trace:      tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := distinctConnectedRoots(eng, 3)
+	if len(roots) != 3 {
+		t.Fatalf("wanted 3 roots, got %v", roots)
+	}
+	batch, err := eng.RunBatch(roots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernels := map[int64]int{}   // qid -> kernel spans, all ranks
+	ran := map[int64]int{}       // qid -> kernel spans that scanned edges
+	decisions := map[int64]int{} // qid -> decision spans, all ranks
+	for _, sp := range tr.Spans() {
+		qid, ok := sp.Args["qid"]
+		switch {
+		case sp.Kind == trace.KindKernel && ok:
+			kernels[qid]++
+			if sp.Edges > 0 {
+				ran[qid]++
+			}
+		case sp.Kind == trace.KindDecision:
+			if !ok {
+				t.Fatalf("decision span %+v names no query", sp)
+			}
+			decisions[qid]++
+		}
+	}
+	for q, res := range batch.Queries {
+		qid := int64(q)
+		// One span per component per iteration per rank at least (skips
+		// included); a deferred pull or retry only adds to it.
+		if got, min := kernels[qid], res.Iterations*int(partition.NumComponents)*4; got < min {
+			t.Errorf("query %d: %d kernel spans, want >= %d (%d iterations on 4 ranks)", q, got, min, res.Iterations)
+		}
+		if ran[qid] == 0 {
+			t.Errorf("query %d: no kernel span scanned an edge", q)
+		}
+		if got, want := decisions[qid], res.Iterations*4; got != want {
+			t.Errorf("query %d: %d decision spans, want %d", q, got, want)
+		}
+	}
+	if len(kernels) != len(roots) {
+		t.Errorf("kernel spans name queries %v, want exactly %d of them", kernels, len(roots))
+	}
+}

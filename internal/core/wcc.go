@@ -506,3 +506,26 @@ func (st *wccState) writeResult(label []int64) {
 		}
 	}
 }
+
+// lPartsOf reshapes received sparse updates into the dense exchange's
+// per-source lMsg parts (Off is the destination-local L index), appending
+// onto the len(out) parts the caller supplies.
+func lPartsOf(parts [][]lMsg, out [][]comm.SparseUpdate) [][]lMsg {
+	for j, us := range out {
+		for _, u := range us {
+			parts[j] = append(parts[j], lMsg{LIdx: int32(u.Off), Parent: u.Val})
+		}
+	}
+	return parts
+}
+
+// hubPartsOf reshapes received sparse updates into the dense exchange's
+// per-source hubMsg parts (Off is the hub id).
+func hubPartsOf(parts [][]hubMsg, out [][]comm.SparseUpdate) [][]hubMsg {
+	for j, us := range out {
+		for _, u := range us {
+			parts[j] = append(parts[j], hubMsg{Hub: int32(u.Off), Parent: u.Val})
+		}
+	}
+	return parts
+}

@@ -63,8 +63,9 @@ type ckptSlices struct {
 }
 
 // driver is the per-rank engine substrate shared by every workload. It is
-// embedded by value in each workload's rank state, so kernels reach its
-// fields (r, rg, sparse, pendRow, ...) via promotion.
+// embedded by value in each workload's rank state (and by pointer in each
+// plane of the BFS workload), so kernels reach its fields (r, rg, sparse,
+// pendRow, ...) via promotion.
 type driver struct {
 	e   *Engine
 	r   *comm.Rank
@@ -77,6 +78,9 @@ type driver struct {
 	curIter    int64
 	curStep    int
 	curAttempt int
+	// kernelArgs rides on every kernel span emitted while it is set: the BFS
+	// workload names the query whose plane is running.
+	kernelArgs map[string]int64
 
 	// maxIter bounds the iteration loop (BFS: Opt.MaxIterations; iterative
 	// value-propagation workloads get a larger multiple — see newWorkloadDriver).
@@ -358,7 +362,7 @@ func (d *driver) observe(c partition.Component, dir stats.Direction, fn func() (
 			Iter: d.curIter, Step: d.curStep, Attempt: d.curAttempt,
 			Tag: int(c), Name: c.String(), Dir: dir.String(),
 			Start: s0, Dur: d.tr.Now() - s0, Edges: edges,
-			IntraBytes: intra, InterBytes: inter}
+			IntraBytes: intra, InterBytes: inter, Args: d.kernelArgs}
 		if err != nil {
 			sp.Err = 1
 		}
@@ -377,7 +381,7 @@ func (d *driver) runComp(c partition.Component, dir stats.Direction, fn func() (
 		if d.tr != nil {
 			d.tr.Emit(trace.Span{Kind: trace.KindKernel, Epoch: d.r.Epoch(),
 				Iter: d.curIter, Step: d.curStep, Attempt: d.curAttempt,
-				Tag: int(c), Name: c.String(), Dir: "skip", Start: d.tr.Now()})
+				Tag: int(c), Name: c.String(), Dir: "skip", Start: d.tr.Now(), Args: d.kernelArgs})
 		}
 		return nil
 	}

@@ -39,8 +39,9 @@ import (
 //	    still decode. Later additions within v2 (also additive):
 //	    Resilience.Wire, the socket backend's transport counters, absent
 //	    for in-process runs; the Setup block (run_start→first-kernel gap
-//	    plus the partitioning sort breakdown) and Config.SegAdaptive,
-//	    absent in older documents.
+//	    plus the partitioning sort breakdown), absent in older documents.
+//	    (Config.SegAdaptive, once part of v2, left with the option it marked;
+//	    documents that carry it still decode.)
 //	v3: adds the Batch block (batched multi-source sweeps: occupancy,
 //	    per-query latency percentiles, batched throughput, and the
 //	    batch-vs-solo collective-call amortization) and Config.BatchRoots.
@@ -182,9 +183,6 @@ type RunConfig struct {
 	// Workload (schema v2) is the comma-joined workload list of the run
 	// ("bfs,wcc,kcore,sssp"); empty means a pre-v2 BFS-only document.
 	Workload string `json:"workload,omitempty"`
-	// SegAdaptive (schema v2, additive) marks runs with the measured
-	// flat-vs-segmented EH2EH pull switch enabled.
-	SegAdaptive bool `json:"seg_adaptive,omitempty"`
 	// BatchRoots (schema v3, additive) is the batch width of a batched
 	// multi-source run; 0 means solo-only.
 	BatchRoots int `json:"batch_roots,omitempty"`
