@@ -1,21 +1,23 @@
-// Package checkpoint is the durable two-tier store behind fail-stop
-// recovery. The insight (shared with the SC'11 distributed-memory BFS line of
-// work) is that the partitioned graph is enormous and immutable while the
-// per-iteration traversal state is tiny and churning, so the two deserve
-// different tiers:
+// Package checkpoint is the two-tier store behind fail-stop recovery. The
+// insight (shared with the SC'11 distributed-memory BFS line of work) is that
+// the partitioned graph is enormous and immutable while the per-iteration
+// traversal state is tiny and churning, so the two deserve different tiers:
 //
 //   - the graph tier — layout metadata plus every rank's partitioned
 //     CSRs and delegation tables — is written once, right after
-//     partitioning, under <dir>/graph/;
+//     partitioning, under <dir>/graph/, one gob segment per file committed
+//     by atomic rename;
 //   - the delta tier — per-iteration frontier/parent/visited increments —
-//     is written continuously during a run, one directory per run scope
-//     under <dir>/runs/<scope>/rank-NNNN/, by an asynchronous
-//     double-buffered Writer that never blocks the BFS kernels.
+//     is written continuously during a run into one append-only log per
+//     rank per run scope, <dir>/runs/<scope>/rank-NNNN.log, by an
+//     asynchronous double-buffered Writer that never blocks the kernels.
 //
-// Every segment on disk is CRC-32 checked and committed by atomic rename, so
-// a torn write (power cut mid-segment) is detected at read time — the reader
-// surfaces ErrCheckpointCorrupt and recovery falls back to the previous
-// complete iteration instead of consuming garbage.
+// Every segment and every log record is CRC-32 framed, so a torn or damaged
+// one is detected at read time: a graph-tier reader surfaces
+// ErrCheckpointCorrupt, and a log scan stops at the first record that fails
+// its length or CRC, which makes recovery fall back to the previous complete
+// capture instead of consuming garbage. See Writer for what the log does and
+// does not guarantee.
 package checkpoint
 
 import (
@@ -27,12 +29,11 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
-// ErrCheckpointCorrupt marks a segment that failed its integrity checks:
-// truncated header or payload, bad magic, CRC mismatch, or an undecodable
-// payload. Match with errors.Is.
+// ErrCheckpointCorrupt marks a segment or log record that failed its
+// integrity checks: truncated header or payload, bad magic, CRC mismatch, or an
+// undecodable payload. Match with errors.Is.
 var ErrCheckpointCorrupt = errors.New("checkpoint: segment corrupt")
 
 // Segment kinds.
@@ -42,38 +43,77 @@ const (
 	kindDelta
 )
 
-// Segment wire format, little-endian:
+// Frame shared by graph-tier segments and delta-log records, little-endian:
 //
-//	[0:4)   magic "CPK1"
+//	[0:4)   magic "CPK2"
 //	[4]     kind
 //	[5:9)   rank
-//	[9:17)  iteration (int64; -1 for the bootstrap delta, 0 for graph tiers)
+//	[9:17)  iteration (int64; -1 for the bootstrap record, 0 for graph tiers)
 //	[17:21) payload length
-//	[21:n)  gob payload
+//	[21:n)  payload (gob for the graph tier; see appendDiff for kindDelta)
 //	[n:n+4) CRC-32 (IEEE) over bytes [0:n)
+//
+// The magic changed from "CPK1" when the delta tier became a log: a store
+// written by an older build reads as "no valid tier" / "no valid boot record",
+// so ResumeFrom across the format change restarts from the root.
 const (
-	segMagic   = 0x314b5043 // "CPK1"
+	segMagic   = 0x324b5043 // "CPK2"
 	headerSize = 21
 )
 
-func encodeSegment(kind byte, rank int, iter int64, payload any) ([]byte, error) {
-	var pb bytes.Buffer
-	if err := gob.NewEncoder(&pb).Encode(payload); err != nil {
-		return nil, fmt.Errorf("checkpoint: encode: %w", err)
-	}
-	out := make([]byte, headerSize, headerSize+pb.Len()+4)
-	binary.LittleEndian.PutUint32(out[0:], segMagic)
-	out[4] = kind
-	binary.LittleEndian.PutUint32(out[5:], uint32(rank))
-	binary.LittleEndian.PutUint64(out[9:], uint64(iter))
-	binary.LittleEndian.PutUint32(out[17:], uint32(pb.Len()))
-	out = append(out, pb.Bytes()...)
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out)), nil
+// appendHeader starts a frame on dst with the payload length left blank;
+// sealFrame fills it in and appends the CRC once the payload is on.
+func appendHeader(dst []byte, kind byte, rank int, iter int64) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, segMagic)
+	dst = append(dst, kind)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(rank))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(iter))
+	return append(dst, 0, 0, 0, 0)
 }
 
-// commit writes data next to path and renames it into place, the atomic
-// publish that guarantees a reader never sees a half-written segment under
-// the final name — a torn write leaves only a stale .tmp behind.
+func sealFrame(frame []byte) []byte {
+	binary.LittleEndian.PutUint32(frame[17:], uint32(len(frame)-headerSize))
+	return binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame))
+}
+
+func encodeSegment(kind byte, rank int, iter int64, payload any) ([]byte, error) {
+	pb := bytes.NewBuffer(appendHeader(nil, kind, rank, iter))
+	if err := gob.NewEncoder(pb).Encode(payload); err != nil {
+		return nil, fmt.Errorf("checkpoint: encode: %w", err)
+	}
+	return sealFrame(pb.Bytes()), nil
+}
+
+// frameAt verifies the frame starting at data[0] and returns its iteration
+// stamp, its payload and its total length. why is non-empty when the bytes do
+// not start with one whole, CRC-clean frame of the wanted kind and rank.
+func frameAt(data []byte, wantKind byte, wantRank int) (iter int64, payload []byte, size int, why string) {
+	if len(data) < headerSize+4 {
+		return 0, nil, 0, "truncated header"
+	}
+	if binary.LittleEndian.Uint32(data[0:]) != segMagic {
+		return 0, nil, 0, "bad magic"
+	}
+	if data[4] != wantKind {
+		return 0, nil, 0, fmt.Sprintf("segment kind %d, want %d", data[4], wantKind)
+	}
+	if r := int(binary.LittleEndian.Uint32(data[5:])); r != wantRank {
+		return 0, nil, 0, fmt.Sprintf("segment for rank %d, want %d", r, wantRank)
+	}
+	plen := int(binary.LittleEndian.Uint32(data[17:]))
+	if plen < 0 || len(data)-headerSize-4 < plen {
+		return 0, nil, 0, "truncated payload"
+	}
+	body := data[:headerSize+plen]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[headerSize+plen:]) {
+		return 0, nil, 0, "crc mismatch"
+	}
+	return int64(binary.LittleEndian.Uint64(data[9:])), body[headerSize:], headerSize + plen + 4, ""
+}
+
+// commit writes a graph-tier segment next to path and renames it into place,
+// the atomic publish that guarantees a reader never sees a half-written
+// segment under the final name — a torn write leaves only a stale .tmp behind.
 func commit(path string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
@@ -86,39 +126,25 @@ func corruptErr(path, msg string) error {
 	return fmt.Errorf("%s: %s: %w", path, msg, ErrCheckpointCorrupt)
 }
 
-// readSegment loads and verifies one segment, decoding its payload into
-// payload (a pointer). It returns the payload's iteration stamp and the
-// segment's on-disk size.
-func readSegment(path string, wantKind byte, wantRank int, payload any) (iter int64, size int64, err error) {
+// readSegment loads and verifies one graph-tier segment file, decoding its gob
+// payload into payload (a pointer), and returns the file's size.
+func readSegment(path string, wantKind byte, wantRank int, payload any) (size int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	size = int64(len(data))
-	if len(data) < headerSize+4 {
-		return 0, size, corruptErr(path, "truncated header")
+	_, body, n, why := frameAt(data, wantKind, wantRank)
+	if why == "" && n != len(data) {
+		why = "trailing bytes"
 	}
-	if binary.LittleEndian.Uint32(data[0:]) != segMagic {
-		return 0, size, corruptErr(path, "bad magic")
+	if why != "" {
+		return size, corruptErr(path, why)
 	}
-	if data[4] != wantKind {
-		return 0, size, corruptErr(path, fmt.Sprintf("segment kind %d, want %d", data[4], wantKind))
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(payload); err != nil {
+		return size, corruptErr(path, "payload decode: "+err.Error())
 	}
-	if r := int(binary.LittleEndian.Uint32(data[5:])); r != wantRank {
-		return 0, size, corruptErr(path, fmt.Sprintf("segment for rank %d, want %d", r, wantRank))
-	}
-	plen := int(binary.LittleEndian.Uint32(data[17:]))
-	if len(data) != headerSize+plen+4 {
-		return 0, size, corruptErr(path, "truncated payload")
-	}
-	body := data[:headerSize+plen]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[headerSize+plen:]) {
-		return 0, size, corruptErr(path, "crc mismatch")
-	}
-	if err := gob.NewDecoder(bytes.NewReader(data[headerSize : headerSize+plen])).Decode(payload); err != nil {
-		return 0, size, corruptErr(path, "payload decode: "+err.Error())
-	}
-	return int64(binary.LittleEndian.Uint64(data[9:])), size, nil
+	return size, nil
 }
 
 // Store is a checkpoint directory.
@@ -162,7 +188,7 @@ func (s *Store) rankGraphPath(rank int) string {
 // HasGraph reports whether a valid graph tier matching meta is present.
 func (s *Store) HasGraph(meta GraphMeta) bool {
 	var got GraphMeta
-	if _, _, err := readSegment(s.graphMetaPath(), kindGraphMeta, 0, &got); err != nil {
+	if _, err := readSegment(s.graphMetaPath(), kindGraphMeta, 0, &got); err != nil {
 		return false
 	}
 	return got == meta
@@ -191,8 +217,7 @@ func (s *Store) WriteRankGraph(rank int, rg any) (int64, error) {
 // pointer), returning the bytes read. This is the read a replacement rank
 // pays when it rejoins a restored world.
 func (s *Store) ReadRankGraph(rank int, rg any) (int64, error) {
-	_, size, err := readSegment(s.rankGraphPath(rank), kindRankGraph, rank, rg)
-	return size, err
+	return readSegment(s.rankGraphPath(rank), kindRankGraph, rank, rg)
 }
 
 // Scope opens (creating if needed) the named run scope in the delta tier.
@@ -204,8 +229,7 @@ func (s *Store) Scope(name string) (*RunScope, error) {
 	return &RunScope{name: name, dir: dir}, nil
 }
 
-// RunScope is one run's delta-tier directory: per-rank chains of iteration
-// segments.
+// RunScope is one run's delta-tier directory: one append-only log per rank.
 type RunScope struct {
 	name string
 	dir  string
@@ -220,15 +244,8 @@ func (sc *RunScope) Dir() string { return sc.dir }
 // Remove deletes the scope and everything under it.
 func (sc *RunScope) Remove() error { return os.RemoveAll(sc.dir) }
 
-func (sc *RunScope) rankDir(rank int) string {
-	return filepath.Join(sc.dir, fmt.Sprintf("rank-%04d", rank))
-}
-
-func deltaPath(rankDir string, iter int64) string {
-	if iter < 0 {
-		return filepath.Join(rankDir, "boot.ckpt")
-	}
-	return filepath.Join(rankDir, fmt.Sprintf("iter-%08d.ckpt", iter))
+func (sc *RunScope) logPath(rank int) string {
+	return filepath.Join(sc.dir, fmt.Sprintf("rank-%04d.log", rank))
 }
 
 // State is one rank's complete BFS iteration state at an iteration boundary:
@@ -268,117 +285,157 @@ func NewState(hubWords, lWords, hubLen, lLen int) *State {
 	return st
 }
 
-// WordDelta is one changed word of a bitmap: replay assigns Word at Idx.
-type WordDelta struct {
-	Idx  int32
-	Word uint64
-}
+// A kindDelta record's payload is flat little-endian, no reflection:
+//
+//	ActiveL, VisitL                      2 × int64
+//	six sections, in State field order   HubFrontier, HubVisited, LFrontier,
+//	                                     LVisited, ParentHub, ParentL
+//
+// and each section is a uint32 entry count followed by that many entries of
+// (uvarint gap, 8-byte value): the words or slots that differ from the rank's
+// previous committed record, gap being the distance from the slot after the
+// previous entry (so a run of changed neighbours costs 9 bytes each). The
+// bootstrap record is a diff against the all-zero / all minus-one NewState,
+// which makes replay a single uniform fold.
 
-// ParentDelta is one changed parent slot.
-type ParentDelta struct {
-	Idx    int32
-	Parent int64
-}
-
-// Delta is the incremental payload of one iteration segment: only the words
-// and parent slots that changed since the rank's previous committed segment.
-// The bootstrap segment is a Delta against the all-zero / all minus-one
-// state, which makes replay a single uniform fold.
-type Delta struct {
-	Iter        int64
-	HubFrontier []WordDelta
-	HubVisited  []WordDelta
-	LFrontier   []WordDelta
-	LVisited    []WordDelta
-	ParentHub   []ParentDelta
-	ParentL     []ParentDelta
-	ActiveL     int64
-	VisitL      int64
-}
-
-func (st *State) apply(d *Delta) {
-	st.Iter = d.Iter
-	for _, w := range d.HubFrontier {
-		st.HubFrontier[w.Idx] = w.Word
-	}
-	for _, w := range d.HubVisited {
-		st.HubVisited[w.Idx] = w.Word
-	}
-	for _, w := range d.LFrontier {
-		st.LFrontier[w.Idx] = w.Word
-	}
-	for _, w := range d.LVisited {
-		st.LVisited[w.Idx] = w.Word
-	}
-	for _, p := range d.ParentHub {
-		st.ParentHub[p.Idx] = p.Parent
-	}
-	for _, p := range d.ParentL {
-		st.ParentL[p.Idx] = p.Parent
-	}
-	st.ActiveL = d.ActiveL
-	st.VisitL = d.VisitL
-}
-
-// chain lists a rank's committed segment iterations in ascending order
-// (boot = -1 first), stopping at the first segment that fails verification:
-// later deltas build on earlier ones, so nothing after a corrupt segment is
-// usable. The returned ok is false when the rank has no valid boot segment.
-func (sc *RunScope) chain(rank int) (iters []int64, ok bool) {
-	rd := sc.rankDir(rank)
-	entries, err := os.ReadDir(rd)
-	if err != nil {
-		return nil, false
-	}
-	var all []int64
-	hasBoot := false
-	for _, e := range entries {
-		name := e.Name()
-		if name == "boot.ckpt" {
-			hasBoot = true
-		} else if n, k := len(name), len("iter-00000000.ckpt"); n == k && name[:5] == "iter-" {
-			var it int64
-			if _, err := fmt.Sscanf(name, "iter-%08d.ckpt", &it); err == nil {
-				all = append(all, it)
-			}
+// appendDiff appends one section: every slot of cur that differs from shadow.
+func appendDiff[T uint64 | int64](dst []byte, shadow, cur []T) []byte {
+	at := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	n, next := uint32(0), 0
+	for i, v := range cur {
+		if shadow[i] != v {
+			dst = binary.AppendUvarint(dst, uint64(i-next))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
+			n, next = n+1, i+1
 		}
 	}
-	if !hasBoot {
+	binary.LittleEndian.PutUint32(dst[at:], n)
+	return dst
+}
+
+// appendDelta appends the payload that takes shadow to cur.
+func appendDelta(dst []byte, shadow, cur *State) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(cur.ActiveL))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(cur.VisitL))
+	dst = appendDiff(dst, shadow.HubFrontier, cur.HubFrontier)
+	dst = appendDiff(dst, shadow.HubVisited, cur.HubVisited)
+	dst = appendDiff(dst, shadow.LFrontier, cur.LFrontier)
+	dst = appendDiff(dst, shadow.LVisited, cur.LVisited)
+	dst = appendDiff(dst, shadow.ParentHub, cur.ParentHub)
+	return appendDiff(dst, shadow.ParentL, cur.ParentL)
+}
+
+// applyDiff folds one section into dst and returns what follows it. The
+// section is outside input: every index is checked against dst and every read
+// against the payload, and nothing is allocated from a decoded count.
+func applyDiff[T uint64 | int64](p []byte, dst []T) ([]byte, bool) {
+	if len(p) < 4 {
 		return nil, false
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	var d Delta
-	if _, _, err := readSegment(deltaPath(rd, -1), kindDelta, rank, &d); err != nil {
-		return nil, false
+	n := binary.LittleEndian.Uint32(p)
+	p = p[4:]
+	next := uint64(0)
+	for ; n > 0; n-- {
+		gap, k := binary.Uvarint(p)
+		if k <= 0 || len(p)-k < 8 || gap >= uint64(len(dst)) || next+gap >= uint64(len(dst)) {
+			return nil, false
+		}
+		dst[next+gap] = T(binary.LittleEndian.Uint64(p[k:]))
+		next += gap + 1
+		p = p[k+8:]
 	}
-	iters = append(iters, int64(-1))
-	for _, it := range all {
-		d = Delta{}
-		if _, _, err := readSegment(deltaPath(rd, it), kindDelta, rank, &d); err != nil {
+	return p, true
+}
+
+// applyDelta folds one record's payload into st, whose geometry must be the
+// writer's. false means the payload does not parse against that geometry; st
+// may then be partly updated and must be discarded.
+func (st *State) applyDelta(iter int64, p []byte) bool {
+	if len(p) < 16 {
+		return false
+	}
+	st.Iter = iter
+	st.ActiveL = int64(binary.LittleEndian.Uint64(p))
+	st.VisitL = int64(binary.LittleEndian.Uint64(p[8:]))
+	p = p[16:]
+	ok := true
+	for _, words := range [][]uint64{st.HubFrontier, st.HubVisited, st.LFrontier, st.LVisited} {
+		if p, ok = applyDiff(p, words); !ok {
+			return false
+		}
+	}
+	for _, slots := range [][]int64{st.ParentHub, st.ParentL} {
+		if p, ok = applyDiff(p, slots); !ok {
+			return false
+		}
+	}
+	return len(p) == 0
+}
+
+// logRecord locates one verified record inside a rank log.
+type logRecord struct {
+	iter       int64
+	start, end int // data[start:end] is the whole frame
+}
+
+func (r logRecord) payload(data []byte) []byte { return data[r.start+headerSize : r.end-4] }
+
+// upTo returns the chain's prefix of records for iterations <= iter.
+func upTo(recs []logRecord, iter int64) []logRecord {
+	n := 0
+	for n < len(recs) && recs[n].iter <= iter {
+		n++
+	}
+	return recs[:n]
+}
+
+// scanLog walks a rank log from the front and returns its chain: the records
+// up to the first one that fails its length or CRC check, is not for rank, or
+// does not advance the iteration. Deltas build on each other, so nothing after
+// such a record is usable, valid-looking bytes notwithstanding; a torn tail
+// (the process died mid-append) is simply the shortest case. A chain must open
+// with the bootstrap record (iteration -1); without it the result is empty.
+// Payloads are not parsed here.
+func scanLog(data []byte, rank int) []logRecord {
+	var recs []logRecord
+	for off := 0; off < len(data); {
+		iter, _, size, why := frameAt(data[off:], kindDelta, rank)
+		if why != "" {
 			break
 		}
-		iters = append(iters, it)
+		if len(recs) == 0 && iter != -1 || len(recs) > 0 && iter <= recs[len(recs)-1].iter {
+			break
+		}
+		recs = append(recs, logRecord{iter: iter, start: off, end: off + size})
+		off += size
 	}
-	return iters, true
+	return recs
+}
+
+// chain reads and scans rank's log. A missing log is an empty chain.
+func (sc *RunScope) chain(rank int) ([]byte, []logRecord, error) {
+	data, err := os.ReadFile(sc.logPath(rank))
+	if err != nil && !os.IsNotExist(err) {
+		return nil, nil, err
+	}
+	return data, scanLog(data, rank), nil
 }
 
 // LatestComplete returns the highest iteration present and valid in EVERY
-// rank's segment chain — the only iteration all ranks can consistently
-// resume from. -1 means "bootstrap only". ok is false when some rank has no
-// valid boot segment, i.e. the scope cannot seed a resume at all and the
-// engine must restart the traversal from the root.
+// rank's chain — the only iteration all ranks can consistently resume from.
+// -1 means "bootstrap only". ok is false when some rank has no valid
+// bootstrap record, i.e. the scope cannot seed a resume at all and the engine
+// must restart the traversal from the root.
 func (sc *RunScope) LatestComplete(ranks int) (int64, bool) {
-	var common map[int64]int
+	common := make(map[int64]int)
 	for r := 0; r < ranks; r++ {
-		iters, ok := sc.chain(r)
-		if !ok {
+		_, recs, err := sc.chain(r)
+		if err != nil || len(recs) == 0 {
 			return 0, false
 		}
-		if common == nil {
-			common = make(map[int64]int)
-		}
-		for _, it := range iters {
-			common[it]++
+		for _, rec := range recs {
+			common[rec.iter]++
 		}
 	}
 	best, found := int64(0), false
@@ -387,69 +444,69 @@ func (sc *RunScope) LatestComplete(ranks int) (int64, bool) {
 			best, found = it, true
 		}
 	}
-	if !found {
-		return 0, false
-	}
-	return best, true
+	return best, found
 }
 
-// Replay folds rank's segment chain up to and including iteration upTo into
-// a fresh State, returning the bytes read. Segments beyond upTo are ignored.
-// upTo must come from LatestComplete (or be -1 for bootstrap-only).
-func (sc *RunScope) Replay(rank int, upTo int64, hubWords, lWords, hubLen, lLen int) (*State, int64, error) {
-	iters, ok := sc.chain(rank)
-	if !ok {
-		return nil, 0, fmt.Errorf("checkpoint: rank %d has no valid boot segment in scope %s: %w",
+// Replay folds rank's chain up to and including iteration iter into a fresh
+// State, returning the bytes read. Records beyond iter are ignored. iter must
+// come from LatestComplete (or be -1 for bootstrap-only).
+func (sc *RunScope) Replay(rank int, iter int64, hubWords, lWords, hubLen, lLen int) (*State, int64, error) {
+	data, recs, err := sc.chain(rank)
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(recs) == 0 {
+		return nil, 0, fmt.Errorf("checkpoint: rank %d has no valid boot record in scope %s: %w",
 			rank, sc.name, ErrCheckpointCorrupt)
 	}
-	if last := iters[len(iters)-1]; last < upTo {
-		return nil, 0, fmt.Errorf("checkpoint: rank %d chain stops at %d, want %d: %w",
-			rank, last, upTo, ErrCheckpointCorrupt)
+	recs = upTo(recs, iter)
+	if len(recs) == 0 || recs[len(recs)-1].iter != iter {
+		return nil, 0, fmt.Errorf("checkpoint: rank %d chain has no record for iteration %d: %w",
+			rank, iter, ErrCheckpointCorrupt)
 	}
 	st := NewState(hubWords, lWords, hubLen, lLen)
-	var bytes int64
-	applied := false
-	rd := sc.rankDir(rank)
-	for _, it := range iters {
-		if it > upTo {
-			break
+	for _, rec := range recs {
+		if !st.applyDelta(rec.iter, rec.payload(data)) {
+			return nil, 0, corruptErr(sc.logPath(rank),
+				fmt.Sprintf("record for iteration %d does not fit the state geometry", rec.iter))
 		}
-		var d Delta
-		_, size, err := readSegment(deltaPath(rd, it), kindDelta, rank, &d)
-		if err != nil {
-			return nil, bytes, err // chain() verified these; only racy corruption lands here
-		}
-		bytes += size
-		st.apply(&d)
-		applied = true
 	}
-	if !applied || st.Iter != upTo {
-		return nil, bytes, fmt.Errorf("checkpoint: rank %d chain stops at %d, want %d: %w",
-			rank, st.Iter, upTo, ErrCheckpointCorrupt)
-	}
-	return st, bytes, nil
+	return st, int64(recs[len(recs)-1].end), nil
 }
 
-// Truncate removes rank's segments beyond iteration after (exclusive),
-// including unverifiable ones: on resume the engine re-executes those
-// iterations and rewrites the chain, and a stale or torn tail must not
-// shadow the rewrite.
+// Truncate cuts rank's log at the boundary after the record for iteration
+// after, dropping later records and any unverifiable tail: on resume the
+// engine re-executes those iterations and appends them again, and a stale or
+// torn tail must not sit between the kept chain and the new records. No
+// Writer may have the log open.
 func (sc *RunScope) Truncate(rank int, after int64) error {
-	rd := sc.rankDir(rank)
-	entries, err := os.ReadDir(rd)
+	_, recs, err := sc.chain(rank)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
 		return err
 	}
-	for _, e := range entries {
-		var it int64
-		if _, err := fmt.Sscanf(e.Name(), "iter-%08d.ckpt", &it); err == nil && it > after {
-			if err := os.Remove(filepath.Join(rd, e.Name())); err != nil {
-				return err
-			}
-		}
+	cut := 0
+	if kept := upTo(recs, after); len(kept) > 0 {
+		cut = kept[len(kept)-1].end
+	}
+	if err := os.Truncate(sc.logPath(rank), int64(cut)); err != nil && !os.IsNotExist(err) {
+		return err
 	}
 	return nil
+}
+
+// TearAt damages rank's log the way a process killed mid-append would have
+// left it had iteration iter been its last capture: the log is cut in the
+// middle of that record. It exists so tests outside this package can stage a
+// torn write without knowing the on-disk layout.
+func (sc *RunScope) TearAt(rank int, iter int64) error {
+	_, recs, err := sc.chain(rank)
+	if err != nil {
+		return err
+	}
+	for _, rec := range recs {
+		if rec.iter == iter {
+			return os.Truncate(sc.logPath(rank), int64(rec.start+(rec.end-rec.start)/2))
+		}
+	}
+	return fmt.Errorf("checkpoint: rank %d has no record for iteration %d in scope %s", rank, iter, sc.name)
 }

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync/atomic"
@@ -15,22 +16,24 @@ const MaxLag = 2
 
 // WriterStats summarizes one Writer's lifetime.
 type WriterStats struct {
-	Segments int64 // delta segments committed
+	Segments int64 // delta records committed
 	Bytes    int64 // bytes committed
 	Dropped  int64 // captures skipped because both buffers were in flight
-	Errors   int64 // segments that failed to encode or commit
+	Errors   int64 // records that failed to append
 }
 
 // Writer checkpoints one rank's iteration state asynchronously. The caller
 // copies its live state into one of two capture buffers (the only
 // synchronous cost — a memcpy of the bitmap words and parent arrays) and the
-// writer goroutine does everything expensive off the critical path: diffing
-// the capture against its shadow of the last committed state, gob-encoding
-// the sparse delta, and committing the CRC'd segment by atomic rename. When
-// both buffers are still in flight a non-mandatory capture is dropped rather
-// than blocking a kernel — the delta chain stays consistent because diffs
-// are always taken against the last *committed* state, so the next capture
-// simply carries the skipped iteration's changes too.
+// writer goroutine does everything else off the critical path: in one pass
+// it diffs the capture against its shadow of the last committed state and
+// encodes the changed slots into a retained byte buffer, appends the
+// CRC-framed record to the rank's log, and on success adopts the capture as
+// the new shadow (the old shadow becomes a capture buffer). When both buffers
+// are still in flight a non-mandatory capture is dropped rather than blocking
+// a kernel — the chain stays consistent because diffs are always taken
+// against the last *committed* state, so the next capture simply carries the
+// skipped iteration's changes too.
 //
 // Staleness contract: drops are bounded by back-pressure, not by timing.
 // Every MaxLag-th call to Checkpoint, counting from the writer's first, is
@@ -43,59 +46,84 @@ type WriterStats struct {
 // iterations however slow the disk or the scheduler was. A per-writer bound
 // on consecutive drops would not give this: two ranks dropping alternate
 // iterations share no complete one.
+//
+// Log contract. A rank's log has one writer at a time: a fresh Writer
+// (resume nil) truncates it and starts a new chain with the bootstrap record,
+// a resuming Writer appends after the record the caller cut the log at
+// (RunScope.Truncate), and nothing else may write or truncate the file while
+// a Writer is open. Each record is handed to the kernel in one write call and
+// is never rewritten. The log therefore survives the death of the process at
+// any instant, SIGKILL mid-append included: the scan ignores the torn tail,
+// so recovery falls back exactly one capture. It is not fsynced, so it does
+// not survive power loss or a kernel crash; nothing in this package claims
+// otherwise. A failed append (disk full) is rolled back by truncating the log
+// to the last good record; if even that fails the Writer stops writing and
+// counts every later capture as an error, which leaves the chain short but
+// never wrong. There are no temporary files.
 type Writer struct {
-	rank    int
-	rankDir string
-	calls   int64 // Checkpoint calls so far; owned by the calling rank
-	free    chan *State
-	work    chan *State
-	done    chan struct{}
+	rank  int
+	log   *os.File
+	size  int64 // bytes of whole records in the log; writer-goroutine-owned
+	calls int64 // Checkpoint calls so far; owned by the calling rank
+	free  chan *State
+	work  chan *State
+	done  chan struct{}
 
 	segments, bytes, dropped, errs atomic.Int64
 
 	shadow *State        // writer-goroutine-owned after start
+	enc    []byte        // the record being built, reused across captures
 	tr     *trace.Stream // writer-goroutine-owned span stream; nil when tracing is off
 }
 
 // NewWriter builds the writer for rank inside scope. The size arguments fix
 // the capture-buffer geometry. resume, when non-nil, seeds the shadow with
-// the state of the rank's last committed segment (the state a replay
+// the state of the rank's last committed record (the state a replay
 // produced) so post-resume diffs chain correctly; nil means a fresh chain
 // whose first capture must be the bootstrap (Iter -1) state. tr, when
-// non-nil, receives one "commit" span per committed segment; it must be a
+// non-nil, receives one "commit" span per committed record; it must be a
 // stream dedicated to this writer (the writer goroutine is its single
 // writer).
 func NewWriter(sc *RunScope, rank int, hubWords, lWords, hubLen, lLen int, resume *State, tr *trace.Stream) (*Writer, error) {
-	rd := sc.rankDir(rank)
-	if err := os.MkdirAll(rd, 0o755); err != nil {
+	w := &Writer{
+		rank:   rank,
+		free:   make(chan *State, 2),
+		work:   make(chan *State, 2),
+		done:   make(chan struct{}),
+		shadow: NewState(hubWords, lWords, hubLen, lLen),
+		tr:     tr,
+	}
+	flags := os.O_WRONLY | os.O_CREATE | os.O_APPEND
+	if resume == nil {
+		flags |= os.O_TRUNC
+	} else if err := copyState(w.shadow, resume); err != nil {
 		return nil, err
 	}
-	w := &Writer{
-		rank:    rank,
-		rankDir: rd,
-		free:    make(chan *State, 2),
-		work:    make(chan *State, 2),
-		done:    make(chan struct{}),
-		shadow:  NewState(hubWords, lWords, hubLen, lLen),
-		tr:      tr,
+	var err error
+	if w.log, err = os.OpenFile(sc.logPath(rank), flags, 0o644); err != nil {
+		return nil, err
 	}
-	w.free <- NewState(hubWords, lWords, hubLen, lLen)
-	w.free <- NewState(hubWords, lWords, hubLen, lLen)
 	if resume != nil {
-		if err := copyState(w.shadow, resume); err != nil {
+		fi, err := w.log.Stat()
+		if err != nil {
+			w.log.Close()
 			return nil, err
 		}
-		w.shadow.Iter = resume.Iter
+		w.size = fi.Size()
 	}
+	w.free <- NewState(hubWords, lWords, hubLen, lLen)
+	w.free <- NewState(hubWords, lWords, hubLen, lLen)
 	go w.loop()
 	return w, nil
 }
 
 func copyState(dst, src *State) error {
-	if len(dst.HubFrontier) != len(src.HubFrontier) || len(dst.LFrontier) != len(src.LFrontier) ||
+	if len(dst.HubFrontier) != len(src.HubFrontier) || len(dst.HubVisited) != len(src.HubVisited) ||
+		len(dst.LFrontier) != len(src.LFrontier) || len(dst.LVisited) != len(src.LVisited) ||
 		len(dst.ParentHub) != len(src.ParentHub) || len(dst.ParentL) != len(src.ParentL) {
 		return fmt.Errorf("checkpoint: state geometry mismatch")
 	}
+	dst.Iter = src.Iter
 	copy(dst.HubFrontier, src.HubFrontier)
 	copy(dst.HubVisited, src.HubVisited)
 	copy(dst.LFrontier, src.LFrontier)
@@ -109,8 +137,10 @@ func copyState(dst, src *State) error {
 // Checkpoint captures the rank's state as of completing iteration iter and
 // queues it for committing. It returns false if the capture was dropped
 // (both buffers busy, must false, and not a MaxLag-th call). must blocks for
-// a buffer instead — used for the bootstrap segment, without which a chain
-// is worthless.
+// a buffer instead — used for the bootstrap record, without which a chain
+// is worthless. The six slices must have the lengths NewWriter was given: a
+// mismatch is a caller bug that would persist a silently clipped state, so it
+// panics.
 func (w *Writer) Checkpoint(iter int64, must bool,
 	hubFrontier, hubVisited, lFrontier, lVisited []uint64,
 	parentHub, parentL []int64, activeL, visitL int64) bool {
@@ -127,20 +157,18 @@ func (w *Writer) Checkpoint(iter int64, must bool,
 			return false
 		}
 	}
-	buf.Iter = iter
-	copy(buf.HubFrontier, hubFrontier)
-	copy(buf.HubVisited, hubVisited)
-	copy(buf.LFrontier, lFrontier)
-	copy(buf.LVisited, lVisited)
-	copy(buf.ParentHub, parentHub)
-	copy(buf.ParentL, parentL)
-	buf.ActiveL, buf.VisitL = activeL, visitL
+	cur := State{Iter: iter, HubFrontier: hubFrontier, HubVisited: hubVisited, LFrontier: lFrontier,
+		LVisited: lVisited, ParentHub: parentHub, ParentL: parentL, ActiveL: activeL, VisitL: visitL}
+	if err := copyState(buf, &cur); err != nil {
+		w.free <- buf
+		panic(fmt.Sprintf("checkpoint: rank %d capture of iteration %d: slice lengths differ from the writer's geometry", w.rank, iter))
+	}
 	w.work <- buf
 	return true
 }
 
-// Close drains pending captures, stops the writer goroutine and returns the
-// lifetime stats. The Writer must not be used afterwards.
+// Close drains pending captures, stops the writer goroutine, closes the log
+// and returns the lifetime stats. The Writer must not be used afterwards.
 func (w *Writer) Close() WriterStats {
 	close(w.work)
 	<-w.done
@@ -159,24 +187,21 @@ func (w *Writer) loop() {
 		if w.tr != nil {
 			t0 = w.tr.Now()
 		}
-		d := diffStates(w.shadow, buf)
-		data, err := encodeSegment(kindDelta, w.rank, buf.Iter, &d)
-		if err == nil {
-			err = commit(deltaPath(w.rankDir, buf.Iter), data)
-		}
+		iter := buf.Iter
+		n, err := w.commit(buf)
 		if err != nil {
 			// Leave the shadow untouched: the next capture's diff then
-			// re-carries this one's changes, keeping the on-disk chain
-			// consistent (just with a gap, like a dropped capture).
+			// re-carries this one's changes, keeping the chain consistent
+			// (just with a gap, like a dropped capture).
 			w.errs.Add(1)
 		} else {
 			w.segments.Add(1)
-			w.bytes.Add(int64(len(data)))
-			w.shadow.apply(&d)
+			w.bytes.Add(n)
+			w.shadow, buf = buf, w.shadow
 		}
 		if w.tr != nil {
-			sp := trace.Span{Kind: trace.KindCheckpoint, Iter: buf.Iter, Step: -1,
-				Name: "commit", Start: t0, Dur: w.tr.Now() - t0, Bytes: int64(len(data))}
+			sp := trace.Span{Kind: trace.KindCheckpoint, Iter: iter, Step: -1,
+				Name: "commit", Start: t0, Dur: w.tr.Now() - t0, Bytes: n}
 			if err != nil {
 				sp.Err = 1
 			}
@@ -184,38 +209,33 @@ func (w *Writer) loop() {
 		}
 		w.free <- buf
 	}
-}
-
-func diffWords(shadow, cur []uint64) []WordDelta {
-	var out []WordDelta
-	for i, w := range cur {
-		if shadow[i] != w {
-			out = append(out, WordDelta{Idx: int32(i), Word: w})
+	if w.log != nil {
+		if err := w.log.Close(); err != nil {
+			w.errs.Add(1)
 		}
 	}
-	return out
 }
 
-func diffParents(shadow, cur []int64) []ParentDelta {
-	var out []ParentDelta
-	for i, p := range cur {
-		if shadow[i] != p {
-			out = append(out, ParentDelta{Idx: int32(i), Parent: p})
+// errLogAbandoned is what commit returns once a failed append could not be
+// rolled back and the writer gave the log up.
+var errLogAbandoned = errors.New("checkpoint: log abandoned after an append could not be rolled back")
+
+// commit encodes the record that takes the shadow to buf and appends it to
+// the log, returning the record's length.
+func (w *Writer) commit(buf *State) (int64, error) {
+	if w.log == nil {
+		return 0, errLogAbandoned
+	}
+	w.enc = sealFrame(appendDelta(appendHeader(w.enc[:0], kindDelta, w.rank, buf.Iter), w.shadow, buf))
+	if _, err := w.log.Write(w.enc); err != nil {
+		// Part of the record may be on disk. Later records appended behind
+		// it would be unreachable, so cut it off; failing that, stop writing.
+		if terr := w.log.Truncate(w.size); terr != nil {
+			w.log.Close()
+			w.log = nil
 		}
+		return 0, err
 	}
-	return out
-}
-
-func diffStates(shadow, cur *State) Delta {
-	return Delta{
-		Iter:        cur.Iter,
-		HubFrontier: diffWords(shadow.HubFrontier, cur.HubFrontier),
-		HubVisited:  diffWords(shadow.HubVisited, cur.HubVisited),
-		LFrontier:   diffWords(shadow.LFrontier, cur.LFrontier),
-		LVisited:    diffWords(shadow.LVisited, cur.LVisited),
-		ParentHub:   diffParents(shadow.ParentHub, cur.ParentHub),
-		ParentL:     diffParents(shadow.ParentL, cur.ParentL),
-		ActiveL:     cur.ActiveL,
-		VisitL:      cur.VisitL,
-	}
+	w.size += int64(len(w.enc))
+	return int64(len(w.enc)), nil
 }

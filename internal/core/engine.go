@@ -311,7 +311,7 @@ type Engine struct {
 	Opt   Options
 
 	segPull [][]partition.SparseCSR // [rank][segment], built when Segmented
-	lRows   []lRowMasks             // [rank] non-empty-row masks the L-destination pulls scan by word
+	lRows   []lRowMasks             // [rank] word masks over the owned L block: non-empty rows, hub slots
 	hubsAt  [][]int32               // [rank] hub ids whose original vertex the rank owns
 	scratch []rankScratch           // [rank] exchange buffers that outlive the iteration and the run
 
@@ -388,13 +388,15 @@ func NewEngineFromPartition(part *partition.Partitioned, opt Options) (*Engine, 
 	e.lRows = make([]lRowMasks, opt.Ranks)
 	for r, rg := range part.Ranks {
 		per := int(part.Layout.PerRank)
-		e.lRows[r] = lRowMasks{toE: rowMask(rg.LToE.Ptr, per),
-			toH: rowMask(rg.LToH.Ptr, per), toL: rowMask(rg.L2L.Ptr, per)}
+		e.lRows[r] = lRowMasks{toE: rowMask(rg.LToE.Ptr, per), toH: rowMask(rg.LToH.Ptr, per),
+			toL: rowMask(rg.L2L.Ptr, per), isHub: make([]uint64, (per+63)/64)}
 	}
 	e.hubsAt = make([][]int32, opt.Ranks)
 	for h, orig := range part.Hubs.Orig {
 		r := part.Layout.Owner(orig)
 		e.hubsAt[r] = append(e.hubsAt[r], int32(h))
+		li := part.Layout.LocalIdx(orig)
+		e.lRows[r].isHub[li>>6] |= 1 << uint(li&63)
 	}
 	e.scratch = make([]rankScratch, opt.Ranks)
 	if opt.Segmented {

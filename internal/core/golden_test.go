@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/internal/partition"
@@ -75,6 +76,115 @@ func TestSoloGoldenPinned(t *testing.T) {
 			}
 			if got := goldenOf(res); got != tc.want {
 				t.Errorf("Run = %+v\npinned %+v", got, tc.want)
+			}
+		})
+	}
+}
+
+// analyticsGolden pins one ported-workload run. resultFNV, iterations,
+// relaxations and edges are the values the last commit before the
+// delta-proportional iteration work produced (PR 13, 42c4982) and must never
+// move: same labels / membership / distances and parents, same depth, same
+// relaxation sequence, same edges scanned. calls and bytes are pinned to what
+// the touched-delegate sync ships, with the parent's values beside each case:
+// the sync sends (hub, value) records for changed delegates only, and one
+// allgather per mesh axis where WCC and k-core used a reduce-scatter +
+// allgather pair (SSSP's call count moves only where the smaller byte
+// feedback lets SparseAuto batch one more tail iteration).
+type analyticsGolden struct {
+	resultFNV   uint64
+	iterations  int
+	relaxations int64
+	calls       int64 // data-plane collective calls, all kinds, all ranks
+	bytes       int64 // data-plane bytes sent, all kinds, all ranks
+	edges       int64 // Recorder.TotalEdges()
+}
+
+func analyticsGoldenOf(res *WorkloadResult) analyticsGolden {
+	h := fnv.New64a()
+	var le [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(le[:], v)
+		h.Write(le[:])
+	}
+	for _, l := range res.Label {
+		put(uint64(l))
+	}
+	for _, in := range res.InCore {
+		if in {
+			put(1)
+		} else {
+			put(0)
+		}
+	}
+	for _, d := range res.Dist {
+		put(math.Float64bits(d))
+	}
+	for _, p := range res.Parent {
+		put(uint64(p))
+	}
+	vol := res.Recorder.CommBreakdown()
+	g := analyticsGolden{resultFNV: h.Sum64(), iterations: res.Iterations, relaxations: res.Relaxations,
+		bytes: vol.TotalBytes(), edges: res.Recorder.TotalEdges()}
+	for _, c := range vol.Calls {
+		g.calls += c
+	}
+	return g
+}
+
+func TestAnalyticsGoldenPinned(t *testing.T) {
+	cfg := rmat.Config{Scale: 12, Seed: 31}
+	n, edges := cfg.NumVertices(), rmat.Generate(cfg)
+	mesh := topology.Mesh{Rows: 2, Cols: 2}
+	type goldens struct{ wcc, kcore, sssp analyticsGolden }
+	// parent: calls 216 / 72 / 828, bytes 916608 / 226880 / 9821744
+	auto := goldens{
+		wcc:   analyticsGolden{resultFNV: 5520159451202571858, iterations: 5, calls: 136, bytes: 417112, edges: 397008},
+		kcore: analyticsGolden{resultFNV: 1247276083855396261, iterations: 3, calls: 48, bytes: 31712, edges: 1133},
+		sssp:  analyticsGolden{resultFNV: 8807060016549982954, iterations: 32, relaxations: 16873, calls: 820, bytes: 727336, edges: 343219},
+	}
+	// parent: calls 200 / 72 / 764, bytes 1358344 / 231648 / 10492768
+	always := goldens{
+		wcc:   analyticsGolden{resultFNV: 5520159451202571858, iterations: 5, calls: 120, bytes: 849736, edges: 397008},
+		kcore: analyticsGolden{resultFNV: 1247276083855396261, iterations: 3, calls: 48, bytes: 36480, edges: 1133},
+		sssp:  analyticsGolden{resultFNV: 8807060016549982954, iterations: 32, relaxations: 16873, calls: 764, bytes: 1305736, edges: 343219},
+	}
+	cases := []struct {
+		name string
+		opt  Options
+		goldens
+	}{
+		{"default", Options{Mesh: mesh, Thresholds: DefaultThresholds(12)}, auto},
+		// The ported workloads' L2L is always the flat exchange and they have
+		// no pull kernels, so these two options must change nothing.
+		{"hierarchical+segmented", Options{Mesh: mesh, Thresholds: DefaultThresholds(12),
+			Hierarchical: true, Segmented: true}, auto},
+		{"sparse-always", Options{Mesh: mesh, Thresholds: DefaultThresholds(12),
+			SparseTail: SparseAlways}, always},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := NewEngine(n, edges, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root := firstConnectedRootOf(eng)
+			for _, w := range []struct {
+				name string
+				run  func() (*WorkloadResult, error)
+				want analyticsGolden
+			}{
+				{"wcc", eng.RunWCC, tc.wcc},
+				{"kcore", func() (*WorkloadResult, error) { return eng.RunKCore(3) }, tc.kcore},
+				{"sssp", func() (*WorkloadResult, error) { return eng.RunSSSP(root, 7, 0) }, tc.sssp},
+			} {
+				res, err := w.run()
+				if err != nil {
+					t.Fatalf("%s: %v", w.name, err)
+				}
+				if got := analyticsGoldenOf(res); got != w.want {
+					t.Errorf("%s = %+v\npinned %+v", w.name, got, w.want)
+				}
 			}
 		})
 	}

@@ -11,10 +11,11 @@ import (
 // marks the live vertices whose remaining degree fell below the threshold and
 // sends one degree decrement along each of their edges through the six
 // components: hub-sourced and hub-targeted decrements accumulate in a local
-// replicated partial (hubDec) that the epilogue sum-reduces column-then-row
-// (the two-stage sum over the mesh equals the world sum — delegation for
-// additive state), while L-targeted decrements travel as owner-directed
-// messages (dense alltoallv, or sparse triples on small peel rounds).
+// replicated partial (hubDec) whose non-zero slots the epilogue sum-reduces
+// column-then-row (the two-stage sum over the mesh equals the world sum —
+// delegation for additive state), while L-targeted decrements travel as
+// owner-directed messages (dense alltoallv, or sparse triples on small peel
+// rounds).
 //
 // L2H never exchanges: a hub decrement from an owned L vertex lands in the
 // local hubDec partial, so the workload's row batch stays off (rowBatch=false
@@ -33,7 +34,7 @@ type kcoreState struct {
 
 	hubRemoved, hubPeel *bitmap.Bitmap
 	lRemoved, lPeel     *bitmap.Bitmap
-	lIsHub              *bitmap.Bitmap // owner slots shadowed by hub delegation
+	lIsHub              *bitmap.Bitmap // owner slots shadowed by hub delegation (the engine's mask; read-only)
 
 	liveL      int64 // global count of live (unremoved, non-hub) L vertices
 	lastPeeled int64 // previous round's agreed global peel count; -1 first round
@@ -56,7 +57,7 @@ type kcoreSnapshot struct {
 func newKCoreState(e *Engine, r *comm.Rank, kth int64) *kcoreState {
 	per := int(e.Part.Layout.PerRank)
 	k := e.Part.Hubs.K()
-	st := &kcoreState{
+	return &kcoreState{
 		driver:     newWorkloadDriver(e, r),
 		kth:        kth,
 		k:          k,
@@ -69,17 +70,9 @@ func newKCoreState(e *Engine, r *comm.Rank, kth int64) *kcoreState {
 		hubPeel:    bitmap.New(k),
 		lRemoved:   bitmap.New(per),
 		lPeel:      bitmap.New(per),
-		lIsHub:     bitmap.New(per),
+		lIsHub:     bitmap.FromWords(e.lRows[r.ID].isHub, per),
 		lastPeeled: -1,
 	}
-	layout := e.Part.Layout
-	hubs := e.Part.Hubs
-	for li := 0; li < st.rg.LocalN; li++ {
-		if _, isHub := hubs.HubOf(layout.GlobalOf(r.ID, int32(li))); isHub {
-			st.lIsHub.Set(li)
-		}
-	}
-	return st
 }
 
 func (st *kcoreState) drv() *driver { return &st.driver }
@@ -210,7 +203,7 @@ func (st *kcoreState) ehDec() (int64, error) {
 		}
 		for _, dst := range push.Adj[push.Ptr[i]:push.Ptr[i+1]] {
 			edges++
-			st.hubDec[dst]++
+			st.decHub(dst)
 		}
 	}
 	return edges, nil
@@ -232,54 +225,62 @@ func (st *kcoreState) e2lDec() (int64, error) {
 	return edges, nil
 }
 
+// decHub books one decrement of a hub's replicated degree into the local
+// partial.
+func (st *kcoreState) decHub(h int32) {
+	st.scr.touched.add(h)
+	st.hubDec[h]++
+}
+
 // h2lDec: peeled H hubs in this rank's column block send decrements to their
 // L neighbors' owners along the row (lMsg reuses Parent as the decrement).
 func (st *kcoreState) h2lDec() (int64, error) {
 	csr := &st.rg.HToL
+	sparse := st.sparse[partition.CompH2L]
+	ups := st.scr.ups[:0]
+	send := resetParts(&st.scr.lParts, st.e.Opt.Mesh.Cols)
 	var edges int64
-	if st.sparse[partition.CompH2L] {
-		var ups []comm.SparseUpdate
-		for i, hub := range csr.IDs {
-			if !st.hubPeel.Test(int(hub)) {
-				continue
-			}
-			for _, rem := range csr.Adj[csr.Ptr[i]:csr.Ptr[i+1]] {
-				edges++
-				ups = append(ups, comm.SparseUpdate{Dst: int32(rem.Col),
-					Tag: int32(partition.CompH2L), Off: int64(rem.LIdx), Val: 1})
-			}
-		}
-		out, err := comm.AllgatherSparse(st.r.RowC, ups)
-		if err != nil {
-			return edges, err
-		}
-		for _, us := range out {
-			for _, u := range us {
-				st.lDec[u.Off] += u.Val
-			}
-		}
-		return edges, nil
-	}
-	send := make([][]lMsg, st.e.Opt.Mesh.Cols)
 	for i, hub := range csr.IDs {
 		if !st.hubPeel.Test(int(hub)) {
 			continue
 		}
-		for _, rem := range csr.Adj[csr.Ptr[i]:csr.Ptr[i+1]] {
-			edges++
-			send[rem.Col] = append(send[rem.Col], lMsg{LIdx: rem.LIdx, Parent: 1})
+		adj := csr.Adj[csr.Ptr[i]:csr.Ptr[i+1]]
+		edges += int64(len(adj))
+		for _, rem := range adj {
+			if sparse {
+				ups = append(ups, comm.SparseUpdate{Dst: rem.Col,
+					Tag: int32(partition.CompH2L), Off: int64(rem.LIdx), Val: 1})
+			} else {
+				send[rem.Col] = append(send[rem.Col], lMsg{LIdx: rem.LIdx, Parent: 1})
+			}
 		}
 	}
-	recv, err := comm.Alltoallv(st.r.RowC, send)
-	if err != nil {
-		return edges, err
+	if sparse {
+		st.scr.ups = ups
+		return edges, st.flushSparse(st.r.RowC, st.applySparse)
 	}
+	recv, err := comm.Alltoallv(st.r.RowC, send)
 	for _, part := range recv {
 		for _, m := range part {
 			st.lDec[m.LIdx] += m.Parent
 		}
 	}
-	return edges, nil
+	return edges, err
+}
+
+// applySparse books a received sparse flush's decrements in place; H2L
+// addresses by local index, L2L by original vertex id.
+func (st *kcoreState) applySparse(out [][]comm.SparseUpdate) {
+	layout := st.e.Part.Layout
+	for _, us := range out {
+		for _, u := range us {
+			if partition.Component(u.Tag) == partition.CompH2L {
+				st.lDec[u.Off] += u.Val
+			} else {
+				st.lDec[layout.LocalIdx(u.Off)] += u.Val
+			}
+		}
+	}
 }
 
 // l2eDec: peeled owned L vertices decrement E delegates locally.
@@ -289,7 +290,7 @@ func (st *kcoreState) l2eDec() (int64, error) {
 	st.lPeel.ForEach(func(li int) {
 		for _, hub := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
 			edges++
-			st.hubDec[hub]++
+			st.decHub(hub)
 		}
 	})
 	return edges, nil
@@ -304,7 +305,7 @@ func (st *kcoreState) l2hDec() (int64, error) {
 	st.lPeel.ForEach(func(li int) {
 		for _, hub := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
 			edges++
-			st.hubDec[hub]++
+			st.decHub(hub)
 		}
 	})
 	return edges, nil
@@ -315,58 +316,55 @@ func (st *kcoreState) l2hDec() (int64, error) {
 func (st *kcoreState) l2lDec() (int64, error) {
 	csr := &st.rg.L2L
 	layout := st.e.Part.Layout
+	sparse := st.sparse[partition.CompL2L]
+	ups := st.scr.ups[:0]
+	send := resetParts(&st.scr.l2lParts, layout.P)
 	var edges int64
-	if st.sparse[partition.CompL2L] {
-		var ups []comm.SparseUpdate
-		st.lPeel.ForEach(func(li int) {
-			for _, dst := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
-				edges++
-				ups = append(ups, comm.SparseUpdate{Dst: int32(layout.Owner(dst)),
-					Tag: int32(partition.CompL2L), Off: dst, Val: 1})
-			}
-		})
-		out, err := comm.AllgatherSparse(st.r.World, ups)
-		if err != nil {
-			return edges, err
-		}
-		for _, us := range out {
-			for _, u := range us {
-				st.lDec[layout.LocalIdx(u.Off)] += u.Val
-			}
-		}
-		return edges, nil
-	}
-	send := make([][]l2lMsg, layout.P)
 	st.lPeel.ForEach(func(li int) {
-		for _, dst := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
-			edges++
-			send[layout.Owner(dst)] = append(send[layout.Owner(dst)], l2lMsg{Dst: dst, Parent: 1})
+		adj := csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]]
+		edges += int64(len(adj))
+		for _, dst := range adj {
+			owner := layout.Owner(dst)
+			if sparse {
+				ups = append(ups, comm.SparseUpdate{Dst: int32(owner),
+					Tag: int32(partition.CompL2L), Off: dst, Val: 1})
+			} else {
+				send[owner] = append(send[owner], l2lMsg{Dst: dst, Parent: 1})
+			}
 		}
 	})
-	recv, err := comm.Alltoallv(st.r.World, send)
-	if err != nil {
-		return edges, err
+	if sparse {
+		st.scr.ups = ups
+		return edges, st.flushSparse(st.r.World, st.applySparse)
 	}
+	recv, err := comm.Alltoallv(st.r.World, send)
 	for _, part := range recv {
 		for _, m := range part {
 			st.lDec[layout.LocalIdx(m.Dst)] += m.Parent
 		}
 	}
-	return edges, nil
+	return edges, err
 }
 
-// epilogue sum-reduces the replicated hub decrements column-then-row, applies
+// epilogue sum-reduces the non-zero hub decrements column-then-row, applies
 // both decrement arrays, clears the round's marks, and agrees on the global
 // peel count (plus the byte feedback for the sparse tail). Both collectives
 // run unconditionally so every rank keeps the same schedule under faults; a
 // garbled partial merge is discarded by the step retry's snapshot restore.
 func (st *kcoreState) epilogue() error {
 	st.r.SetTag(TagEpilogue)
-	firstErr := syncHubSumInt64(&st.driver, st.hubDec, "deg_sync")
-	for h := 0; h < st.k; h++ {
+	t := &st.scr.touched
+	firstErr := syncTouched(&st.driver, "deg_sync", &st.scr.hubRecs,
+		func(h int32) hubMsg { return hubMsg{Hub: h, Parent: st.hubDec[h]} },
+		func(m hubMsg) (int32, bool) {
+			st.hubDec[m.Hub] += m.Parent
+			return m.Hub, true
+		})
+	for _, h := range t.list {
 		st.hubDeg[h] -= st.hubDec[h]
 		st.hubDec[h] = 0
 	}
+	t.clear()
 	for li := range st.lDec {
 		st.lDeg[li] -= st.lDec[li]
 		st.lDec[li] = 0
@@ -412,6 +410,13 @@ func (st *kcoreState) snapshot(g int) {
 
 func (st *kcoreState) restore(g int) {
 	s := &st.snaps[g]
+	// The touched set names the non-zero slots of hubDec, which this restores.
+	st.scr.touched.clear()
+	for h, dec := range s.hubDec {
+		if dec != 0 {
+			st.scr.touched.add(int32(h))
+		}
+	}
 	copy(st.hubDeg, s.hubDeg)
 	copy(st.lDeg, s.lDeg)
 	copy(st.hubDec, s.hubDec)
@@ -423,21 +428,16 @@ func (st *kcoreState) restore(g int) {
 	st.peeledOwn, st.peeledL = s.peeledOwn, s.peeledL
 }
 
-// writeResult assembles this rank's share of the membership array: owned
-// non-hub L vertices, then the hub vertices whose original IDs it owns
-// (removal decisions are replicated).
+// writeResult assembles this rank's share of the membership array: its owned
+// block, then the hubs whose original IDs it owns overlaid (removal decisions
+// are replicated).
 func (st *kcoreState) writeResult(inCore []bool) {
-	layout := st.e.Part.Layout
-	hubs := st.e.Part.Hubs
-	for li := 0; li < st.rg.LocalN; li++ {
-		v := layout.GlobalOf(st.r.ID, int32(li))
-		if _, isHub := hubs.HubOf(v); !isHub {
-			inCore[v] = !st.lRemoved.Test(li)
-		}
+	lo := st.e.Part.Layout.GlobalOf(st.r.ID, 0)
+	blk := ownedSeg(st.e, st.r.ID, inCore)
+	for li := range blk {
+		blk[li] = !st.lRemoved.Test(li)
 	}
-	for h, orig := range hubs.Orig {
-		if layout.Owner(orig) == st.r.ID {
-			inCore[orig] = !st.hubRemoved.Test(h)
-		}
+	for _, h := range st.e.hubsAt[st.r.ID] {
+		blk[st.e.Part.Hubs.Orig[h]-lo] = !st.hubRemoved.Test(int(h))
 	}
 }

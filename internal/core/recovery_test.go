@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -375,6 +374,43 @@ func TestStepRetryShortCircuitsCleanSteps(t *testing.T) {
 	}
 }
 
+// TestRunLeavesOneLogPerRank pins the delta tier's footprint end to end: a
+// kept run of any workload, whatever its depth, leaves exactly one file per
+// rank in its scope.
+func TestRunLeavesOneLogPerRank(t *testing.T) {
+	cfg := rmat.Config{Scale: 10, Seed: 4}
+	dir := t.TempDir()
+	opt := Options{Mesh: topology.Mesh{Rows: 2, Cols: 2}, Thresholds: DefaultThresholds(10),
+		CheckpointDir: dir, KeepCheckpoints: true}
+	eng, err := NewEngine(cfg.NumVertices(), rmat.Generate(cfg), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.RunSSSP(firstConnectedRootOf(eng), 7, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations < 8 || res.Recovery.CheckpointSegments < int64(res.Iterations) {
+		t.Fatalf("run too shallow to tell: %d iterations, %d records", res.Iterations, res.Recovery.CheckpointSegments)
+	}
+	store, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := store.Scope(res.CheckpointScope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(sc.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != opt.Mesh.Size() {
+		t.Fatalf("scope holds %d files after %d records, want one log per rank (%d)",
+			len(entries), res.Recovery.CheckpointSegments, opt.Mesh.Size())
+	}
+}
+
 // TestEngineTornWriteFallsBackOneIteration corrupts the newest committed
 // segment of a finished (kept) run and resumes a fresh engine from the scope:
 // the store must fall back to the newest iteration still complete on every
@@ -414,14 +450,8 @@ func TestEngineTornWriteFallsBackOneIteration(t *testing.T) {
 	if !ok || m < 1 {
 		t.Fatalf("kept scope reports LatestComplete = (%d, %v)", m, ok)
 	}
-	// Bit-flip rank 0's newest segment (a torn write under CRC).
-	p := filepath.Join(sc.Dir(), "rank-0000", fmt.Sprintf("iter-%08d.ckpt", m))
-	data, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x08
-	if err := os.WriteFile(p, data, 0o644); err != nil {
+	// Tear rank 0's record for that iteration (a process killed mid-append).
+	if err := sc.TearAt(0, m); err != nil {
 		t.Fatal(err)
 	}
 	// The resume point falls back past the tear to the newest iteration every

@@ -2,15 +2,13 @@ package core
 
 import (
 	"math"
-	"time"
+	"unsafe"
 
 	"repro/internal/bitmap"
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/partition"
 	"repro/internal/sssp"
-	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // ssspState is delta-bucketed single-source shortest path on the engine's
@@ -29,6 +27,11 @@ import (
 // (distance bits, then parent) with the same destination/tag/offset; the
 // receiver re-zips pairs in order, so the dense and sparse arms apply the
 // identical relaxation sequence.
+//
+// What an iteration touches is what changed: base distances are latched for
+// the relax set only, a hub re-enters the dirty set at the sync that makes
+// its improvement global, and the epilogue's quiescence test is the
+// iteration's count of successful relaxations.
 type ssspState struct {
 	driver
 
@@ -50,20 +53,24 @@ type ssspState struct {
 	bucket  int64
 	activeL int64 // global dirty-L count (sparse/skip proxy)
 
-	relaxations int64
+	relaxations, relaxBase int64 // successful lowerings so far / as of beginIter
 
 	pendImproved, pendAL, pendNext int64
 
-	dpBuf          []hubDP // gather buffer for the dist+parent hub sync
-	hubPack, lPack []int64 // checkpoint packing: [Float64bits(dist)..., parent...]
+	// hubPack and lPack are the checkpointed form, [Float64bits(dist)... |
+	// parent...], and the only storage: the distance and parent slices above
+	// are views of their two halves, so a capture packs nothing.
+	hubPack, lPack []int64
 
 	snaps [numSteps]ssspSnapshot
 }
 
-// hubDP pairs a hub's tentative distance and parent for the delegation sync.
-type hubDP struct {
-	D float64
-	P int64
+// distMsg relaxes one vertex: To is an L index at a known rank (H2L), a hub
+// id (L2H and the delegate sync) or an original vertex id (L2L).
+type distMsg struct {
+	To     int64
+	Dist   float64
+	Parent int64
 }
 
 // ssspSnapshot rolls back a retried step: distance/parent updates are not
@@ -87,27 +94,32 @@ func snapFloat64(dst *[]float64, src []float64) {
 func newSSSPState(e *Engine, r *comm.Rank, root int64, seed uint64, delta float64) *ssspState {
 	per := int(e.Part.Layout.PerRank)
 	k := e.Part.Hubs.K()
-	return &ssspState{
-		driver:    newWorkloadDriver(e, r),
-		root:      root,
-		seed:      seed,
-		delta:     delta,
-		k:         k,
-		numE:      int64(e.Part.Hubs.NumE),
-		hubDist:   make([]float64, k),
-		hubBaseD:  make([]float64, k),
-		hubParent: make([]int64, k),
-		lDist:     make([]float64, per),
-		lBaseD:    make([]float64, per),
-		lParent:   make([]int64, per),
-		hubDirty:  bitmap.New(k),
-		lDirty:    bitmap.New(per),
-		relaxHub:  bitmap.New(k),
-		relaxL:    bitmap.New(per),
-		dpBuf:     make([]hubDP, k),
-		hubPack:   make([]int64, 2*k),
-		lPack:     make([]int64, 2*per),
+	st := &ssspState{
+		driver:   newWorkloadDriver(e, r),
+		root:     root,
+		seed:     seed,
+		delta:    delta,
+		k:        k,
+		numE:     int64(e.Part.Hubs.NumE),
+		hubBaseD: make([]float64, k),
+		lBaseD:   make([]float64, per),
+		hubDirty: bitmap.New(k),
+		lDirty:   bitmap.New(per),
+		relaxHub: bitmap.New(k),
+		relaxL:   bitmap.New(per),
+		hubPack:  make([]int64, 2*k),
+		lPack:    make([]int64, 2*per),
 	}
+	st.hubDist, st.hubParent = float64View(st.hubPack[:k]), st.hubPack[k:]
+	st.lDist, st.lParent = float64View(st.lPack[:per]), st.lPack[per:]
+	return st
+}
+
+// float64View reinterprets a slice of IEEE-754 bit patterns as the float64s
+// they encode, sharing its memory (int64 and float64 agree in size and
+// alignment).
+func float64View(bits []int64) []float64 {
+	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(bits))), len(bits))
 }
 
 func (st *ssspState) drv() *driver { return &st.driver }
@@ -142,19 +154,10 @@ func (st *ssspState) bootstrap() error {
 	return nil
 }
 
-// ckpt packs (distance, parent) pairs into the writer's int64 arrays; the
-// relax sets are rebuilt by beginIter, so their bitmap slots carry no load.
-// The bucket index rides the VisitL scalar.
+// ckpt hands the writer the packed (distance bits, parent) arrays; the relax
+// sets are rebuilt by beginIter, so their bitmap slots carry no load. The
+// bucket index rides the VisitL scalar.
 func (st *ssspState) ckpt() ckptSlices {
-	for h := 0; h < st.k; h++ {
-		st.hubPack[h] = int64(math.Float64bits(st.hubDist[h]))
-		st.hubPack[st.k+h] = st.hubParent[h]
-	}
-	per := len(st.lDist)
-	for li := 0; li < per; li++ {
-		st.lPack[li] = int64(math.Float64bits(st.lDist[li]))
-		st.lPack[per+li] = st.lParent[li]
-	}
 	return ckptSlices{
 		hubF: st.hubDirty.Words(), hubV: st.relaxHub.Words(),
 		lF: st.lDirty.Words(), lV: st.relaxL.Words(),
@@ -168,36 +171,32 @@ func (st *ssspState) loadState(cs *checkpoint.State) {
 	copy(st.relaxHub.Words(), cs.HubVisited)
 	copy(st.lDirty.Words(), cs.LFrontier)
 	copy(st.relaxL.Words(), cs.LVisited)
-	for h := 0; h < st.k; h++ {
-		st.hubDist[h] = math.Float64frombits(uint64(cs.ParentHub[h]))
-		st.hubParent[h] = cs.ParentHub[st.k+h]
-	}
-	per := len(st.lDist)
-	for li := 0; li < per; li++ {
-		st.lDist[li] = math.Float64frombits(uint64(cs.ParentL[li]))
-		st.lParent[li] = cs.ParentL[per+li]
-	}
+	copy(st.hubPack, cs.ParentHub)
+	copy(st.lPack, cs.ParentL)
 	st.activeL = cs.ActiveL
 	st.bucket = cs.VisitL
 }
 
 // beginIter carves this iteration's relax set out of the dirty sets (dirty
-// vertices inside the current bucket) and latches base distances and the
-// collective schedule. Hub decisions derive from replicated state and the L
-// proxy is the globally agreed dirty count, so every rank latches identically.
+// vertices inside the current bucket), latching their base distances — the
+// only ones a kernel reads — and latches the collective schedule. Hub
+// decisions derive from replicated state and the L proxy is the globally
+// agreed dirty count, so every rank latches identically.
 func (st *ssspState) beginIter(it *IterTrace) {
 	limit := float64(st.bucket+1) * st.delta
 	st.relaxHub.Reset()
-	for h := 0; h < st.k; h++ {
-		if st.hubDirty.Test(h) && st.hubDist[h] < limit {
+	st.hubDirty.ForEach(func(h int) {
+		if st.hubDist[h] < limit {
 			st.relaxHub.Set(h)
+			st.hubBaseD[h] = st.hubDist[h]
 		}
-	}
+	})
 	st.hubDirty.AndNot(st.relaxHub)
 	st.relaxL.Reset()
 	st.lDirty.ForEach(func(li int) {
 		if st.lDist[li] < limit {
 			st.relaxL.Set(li)
+			st.lBaseD[li] = st.lDist[li]
 		}
 	})
 	st.lDirty.AndNot(st.relaxL)
@@ -213,8 +212,7 @@ func (st *ssspState) beginIter(it *IterTrace) {
 	act[partition.CompL2H] = it.ActiveL
 	act[partition.CompL2L] = it.ActiveL
 	st.chooseSchedule(it, act, true, true)
-	copy(st.hubBaseD, st.hubDist)
-	copy(st.lBaseD, st.lDist)
+	st.relaxBase = st.relaxations
 	st.pendImproved, st.pendAL, st.pendNext = 0, 0, 0
 }
 
@@ -232,7 +230,6 @@ func (st *ssspState) step(g int, it *IterTrace) error {
 			firstErr = err
 		}
 	case 1:
-		st.pendRow = st.pendRow[:0]
 		run(partition.CompE2L, st.e2lRelax)
 		run(partition.CompH2L, st.h2lRelax)
 		run(partition.CompL2E, st.l2eRelax)
@@ -248,49 +245,27 @@ func (st *ssspState) step(g int, it *IterTrace) error {
 	return firstErr
 }
 
-// epilogue re-marks the hubs whose replicated distance improved (the diff
-// against base is identical on every rank post-sync), counts improvements
-// owner-side, and runs the agreement pair: the sum-allreduce carries the
-// improvement count, byte feedback and global dirty-L count; the max-allreduce
-// (negated) agrees on the smallest bucket holding a dirty vertex. Both
-// collectives run unconditionally so the schedule matches on every rank.
+// epilogue runs the agreement pair: the sum-allreduce carries this rank's
+// successful relaxations of the iteration (zero everywhere exactly when no
+// distance improved anywhere: a sync only spreads an improvement some rank's
+// lowerHub made), the byte feedback and the global dirty-L count; the
+// max-allreduce (negated) agrees on the smallest bucket holding a dirty vertex.
+// Both collectives run unconditionally so the schedule matches on every rank.
 func (st *ssspState) epilogue() error {
 	st.r.SetTag(TagEpilogue)
-	layout := st.e.Part.Layout
-	hubs := st.e.Part.Hubs
-	var improved int64
-	for h := 0; h < st.k; h++ {
-		if st.hubDist[h] < st.hubBaseD[h] {
-			st.hubDirty.Set(h)
-			if layout.Owner(hubs.Orig[h]) == st.r.ID {
-				improved++
-			}
-		}
-	}
-	for li := 0; li < st.rg.LocalN; li++ {
-		if st.lDist[li] < st.lBaseD[li] {
-			improved++
-		}
-	}
 	next := int64(math.MaxInt64)
-	for h := 0; h < st.k; h++ {
-		if st.hubDirty.Test(h) && !math.IsInf(st.hubDist[h], 1) {
-			if b := int64(st.hubDist[h] / st.delta); b < next {
+	bucketOf := func(d float64) {
+		if !math.IsInf(d, 1) {
+			if b := int64(d / st.delta); b < next {
 				next = b
 			}
 		}
 	}
-	st.lDirty.ForEach(func(li int) {
-		if math.IsInf(st.lDist[li], 1) {
-			return
-		}
-		if b := int64(st.lDist[li] / st.delta); b < next {
-			next = b
-		}
-	})
+	st.hubDirty.ForEach(func(h int) { bucketOf(st.hubDist[h]) })
+	st.lDirty.ForEach(func(li int) { bucketOf(st.lDist[li]) })
 	iterBytes := commBytes(st.rec) - st.iterBytesBase
 	sums, err := comm.AllreduceSumInt64s(st.r.World,
-		[]int64{improved, iterBytes, int64(st.lDirty.Count())})
+		[]int64{st.relaxations - st.relaxBase, iterBytes, int64(st.lDirty.Count())})
 	neg := []int64{-next}
 	err2 := comm.AllreduceMaxInt64(st.r.World, neg)
 	if err == nil {
@@ -337,6 +312,7 @@ func (st *ssspState) snapshot(g int) {
 
 func (st *ssspState) restore(g int) {
 	s := &st.snaps[g]
+	st.scr.touched.clear() // every step starts and ends with it empty
 	copy(st.hubDist, s.hubDist)
 	copy(st.lDist, s.lDist)
 	copy(st.hubParent, s.hubParent)
@@ -350,6 +326,7 @@ func (st *ssspState) lowerHub(h int32, nd float64, parent int64) {
 	if nd < st.hubDist[h] {
 		st.hubDist[h] = nd
 		st.hubParent[h] = parent
+		st.scr.touched.add(h)
 		st.relaxations++
 	}
 }
@@ -363,61 +340,29 @@ func (st *ssspState) lowerL(li int32, nd float64, parent int64) {
 	}
 }
 
-// syncDists min-merges the replicated hub (distance, parent) pairs
-// column-then-row with a deterministic fold (smaller distance wins; equal
-// distance takes the larger parent), the SSSP analogue of the hub-bitmap
-// sync. Both collectives always run.
+// syncDists min-merges the hub (distance, parent) pairs improved since the
+// last sync column-then-row with a deterministic fold (smaller distance wins;
+// equal distance takes the larger parent), the SSSP analogue of the hub-bitmap
+// sync, and re-marks every hub improved anywhere as dirty. A replica the fold
+// changes does not count a relaxation: the rank whose lowerHub found the
+// improvement already did.
 func (st *ssspState) syncDists() error {
-	d := &st.driver
-	t0 := time.Now()
-	var s0 int64
-	if d.tr != nil {
-		s0 = d.tr.Now()
-	}
-	base := d.r.Stats
-	var err error
-	if st.k > 0 {
-		err = st.syncDistsOver(d.r.ColC)
-		if e2 := st.syncDistsOver(d.r.RowC); err == nil {
-			err = e2
-		}
-	}
-	delta := d.r.Stats.Delta(&base)
-	d.rec.Observe(stats.PhaseOther, stats.DirNone, time.Since(t0), delta, 0)
-	if d.tr != nil {
-		intra, inter := delta.Totals()
-		sp := trace.Span{Kind: trace.KindSync, Epoch: d.r.Epoch(),
-			Iter: d.curIter, Step: d.curStep, Attempt: d.curAttempt,
-			Name: "dist_sync", Start: s0, Dur: d.tr.Now() - s0,
-			IntraBytes: intra, InterBytes: inter}
-		if err != nil {
-			sp.Err = 1
-		}
-		d.tr.Emit(sp)
-	}
-	return err
-}
-
-func (st *ssspState) syncDistsOver(c *comm.Comm) error {
-	for h := 0; h < st.k; h++ {
-		st.dpBuf[h] = hubDP{D: st.hubDist[h], P: st.hubParent[h]}
-	}
-	parts, err := comm.Allgatherv(c, st.dpBuf)
-	if err != nil {
-		return err
-	}
-	for h := 0; h < st.k; h++ {
-		best := parts[0][h]
-		for _, p := range parts[1:] {
-			dp := p[h]
-			if dp.D < best.D || (dp.D == best.D && dp.P > best.P) {
-				best = dp
+	t := &st.scr.touched
+	err := syncTouched(&st.driver, "dist_sync", &st.scr.distRecs,
+		func(h int32) distMsg { return distMsg{To: int64(h), Dist: st.hubDist[h], Parent: st.hubParent[h]} },
+		func(m distMsg) (int32, bool) {
+			h := int32(m.To)
+			better := m.Dist < st.hubDist[h] || (m.Dist == st.hubDist[h] && m.Parent > st.hubParent[h])
+			if better {
+				st.hubDist[h], st.hubParent[h] = m.Dist, m.Parent
 			}
-		}
-		st.hubDist[h] = best.D
-		st.hubParent[h] = best.P
+			return h, better
+		})
+	for _, h := range t.list {
+		st.hubDirty.Set(int(h))
 	}
-	return nil
+	t.clear()
+	return err
 }
 
 // ehRelax: in-bucket source hubs relax destination hubs over this rank's 2D
@@ -469,99 +414,70 @@ func (st *ssspState) h2lRelax() (int64, error) {
 	orig := st.e.Part.Hubs.Orig
 	layout := st.e.Part.Layout
 	mesh := st.e.Opt.Mesh
+	sparse := st.sparse[partition.CompH2L]
+	ups := st.scr.ups[:0]
+	send := resetParts(&st.scr.distParts, mesh.Cols)
 	var edges int64
-	if st.sparse[partition.CompH2L] {
-		var ups []comm.SparseUpdate
-		for i, hub := range csr.IDs {
-			if !st.relaxHub.Test(int(hub)) {
-				continue
-			}
-			du := st.hubBaseD[hub]
-			u := orig[hub]
-			for _, rem := range csr.Adj[csr.Ptr[i]:csr.Ptr[i+1]] {
-				edges++
-				v := layout.GlobalOf(mesh.RankAt(st.r.Row, int(rem.Col)), rem.LIdx)
-				nd := du + sssp.WeightOf(u, v, st.seed)
-				ups = append(ups,
-					comm.SparseUpdate{Dst: int32(rem.Col), Tag: int32(partition.CompH2L),
-						Off: int64(rem.LIdx), Val: int64(math.Float64bits(nd))},
-					comm.SparseUpdate{Dst: int32(rem.Col), Tag: int32(partition.CompH2L),
-						Off: int64(rem.LIdx), Val: u})
-			}
-		}
-		if st.batchRow {
-			st.pendRow = append(st.pendRow, ups...)
-			return edges, nil
-		}
-		out, err := comm.AllgatherSparse(st.r.RowC, ups)
-		if err != nil {
-			return edges, err
-		}
-		st.applyLPairs(out)
-		return edges, nil
-	}
-	send := make([][]distLMsg, mesh.Cols)
 	for i, hub := range csr.IDs {
 		if !st.relaxHub.Test(int(hub)) {
 			continue
 		}
 		du := st.hubBaseD[hub]
 		u := orig[hub]
-		for _, rem := range csr.Adj[csr.Ptr[i]:csr.Ptr[i+1]] {
-			edges++
+		adj := csr.Adj[csr.Ptr[i]:csr.Ptr[i+1]]
+		edges += int64(len(adj))
+		for _, rem := range adj {
 			v := layout.GlobalOf(mesh.RankAt(st.r.Row, int(rem.Col)), rem.LIdx)
-			send[rem.Col] = append(send[rem.Col],
-				distLMsg{LIdx: rem.LIdx, Dist: du + sssp.WeightOf(u, v, st.seed), Parent: u})
+			nd := du + sssp.WeightOf(u, v, st.seed)
+			if sparse {
+				ups = appendPair(ups, rem.Col, partition.CompH2L, int64(rem.LIdx), nd, u)
+			} else {
+				send[rem.Col] = append(send[rem.Col], distMsg{To: int64(rem.LIdx), Dist: nd, Parent: u})
+			}
 		}
+	}
+	if sparse {
+		st.scr.ups = ups
+		if st.batchRow {
+			return edges, nil // parked for the L2H flush
+		}
+		return edges, st.flushSparse(st.r.RowC, st.applySparse)
 	}
 	recv, err := comm.Alltoallv(st.r.RowC, send)
-	if err != nil {
-		return edges, err
-	}
 	for _, part := range recv {
 		for _, m := range part {
-			st.lowerL(m.LIdx, m.Dist, m.Parent)
+			st.lowerL(int32(m.To), m.Dist, m.Parent)
 		}
 	}
-	return edges, nil
+	return edges, err
 }
 
-// distLMsg relaxes an L vertex at a known rank by local index.
-type distLMsg struct {
-	LIdx   int32
-	Dist   float64
-	Parent int64
+// appendPair appends one relaxation as its adjacent (distance bits, parent)
+// record pair.
+func appendPair(ups []comm.SparseUpdate, dst int32, c partition.Component, off int64, nd float64, parent int64) []comm.SparseUpdate {
+	return append(ups,
+		comm.SparseUpdate{Dst: dst, Tag: int32(c), Off: off, Val: int64(math.Float64bits(nd))},
+		comm.SparseUpdate{Dst: dst, Tag: int32(c), Off: off, Val: parent})
 }
 
-// distHubMsg relaxes a hub delegate.
-type distHubMsg struct {
-	Hub    int32
-	Dist   float64
-	Parent int64
-}
-
-// distWorldMsg relaxes an L vertex by original ID.
-type distWorldMsg struct {
-	Dst    int64
-	Dist   float64
-	Parent int64
-}
-
-// applyLPairs re-zips received (distance, parent) record pairs and applies
-// them to owned L vertices in per-source order.
-func (st *ssspState) applyLPairs(out [][]comm.SparseUpdate) {
+// applySparse re-zips a received flush's record pairs and applies them in
+// place, in per-source order; the tag names the kernel, hence the addressing.
+// Pairs keep their kernel's tag, so the H2L and L2H streams of a batched flush
+// stay pair-aligned, and they lower disjoint state (L and hub distances), so
+// their interleaving is immaterial.
+func (st *ssspState) applySparse(out [][]comm.SparseUpdate) {
+	layout := st.e.Part.Layout
 	for _, us := range out {
 		for i := 0; i+1 < len(us); i += 2 {
-			st.lowerL(int32(us[i].Off), math.Float64frombits(uint64(us[i].Val)), us[i+1].Val)
-		}
-	}
-}
-
-// applyHubPairs is the hub-delegate analogue (Off carries the hub ID).
-func (st *ssspState) applyHubPairs(out [][]comm.SparseUpdate) {
-	for _, us := range out {
-		for i := 0; i+1 < len(us); i += 2 {
-			st.lowerHub(int32(us[i].Off), math.Float64frombits(uint64(us[i].Val)), us[i+1].Val)
+			off, nd, parent := us[i].Off, math.Float64frombits(uint64(us[i].Val)), us[i+1].Val
+			switch partition.Component(us[i].Tag) {
+			case partition.CompH2L:
+				st.lowerL(int32(off), nd, parent)
+			case partition.CompL2H:
+				st.lowerHub(int32(off), nd, parent)
+			default: // L2L: Off is the original vertex id
+				st.lowerL(layout.LocalIdx(off), nd, parent)
+			}
 		}
 	}
 }
@@ -586,45 +502,22 @@ func (st *ssspState) l2eRelax() (int64, error) {
 // l2hRelax: in-bucket owned L vertices message the row delegate of each H
 // neighbor the relaxation would actually improve (the live check against the
 // replicated distance saves the message and is identical on both exchange
-// arms — nothing between L2E and here touches hub distances).
+// arms — nothing between L2E and here touches hub distances). On the batched
+// row exchange the pairs join the H2L ones parked in the scratch and both ride
+// one flush.
 func (st *ssspState) l2hRelax() (int64, error) {
 	csr := &st.rg.LToH
 	orig := st.e.Part.Hubs.Orig
 	layout := st.e.Part.Layout
 	hubs := st.e.Part.Hubs
 	mesh := st.e.Opt.Mesh
-	var edges int64
-	if st.sparse[partition.CompL2H] {
-		var ups []comm.SparseUpdate
-		st.relaxL.ForEach(func(li int) {
-			du := st.lBaseD[li]
-			u := layout.GlobalOf(st.r.ID, int32(li))
-			for _, hub := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
-				edges++
-				nd := du + sssp.WeightOf(u, orig[hub], st.seed)
-				if nd >= st.hubDist[hub] {
-					continue
-				}
-				col := hubs.ColBlockOf(hub, mesh)
-				ups = append(ups,
-					comm.SparseUpdate{Dst: int32(col), Tag: int32(partition.CompL2H),
-						Off: int64(hub), Val: int64(math.Float64bits(nd))},
-					comm.SparseUpdate{Dst: int32(col), Tag: int32(partition.CompL2H),
-						Off: int64(hub), Val: u})
-			}
-		})
-		if st.batchRow {
-			st.pendRow = append(st.pendRow, ups...)
-			return edges, st.flushRowDists()
-		}
-		out, err := comm.AllgatherSparse(st.r.RowC, ups)
-		if err != nil {
-			return edges, err
-		}
-		st.applyHubPairs(out)
-		return edges, nil
+	sparse := st.sparse[partition.CompL2H]
+	ups := st.scr.ups
+	if !st.batchRow {
+		ups = ups[:0]
 	}
-	send := make([][]distHubMsg, mesh.Cols)
+	send := resetParts(&st.scr.distParts, mesh.Cols)
+	var edges int64
 	st.relaxL.ForEach(func(li int) {
 		du := st.lBaseD[li]
 		u := layout.GlobalOf(st.r.ID, int32(li))
@@ -634,48 +527,25 @@ func (st *ssspState) l2hRelax() (int64, error) {
 			if nd >= st.hubDist[hub] {
 				continue
 			}
-			col := hubs.ColBlockOf(hub, mesh)
-			send[col] = append(send[col], distHubMsg{Hub: hub, Dist: nd, Parent: u})
-		}
-	})
-	recv, err := comm.Alltoallv(st.r.RowC, send)
-	if err != nil {
-		return edges, err
-	}
-	for _, part := range recv {
-		for _, m := range part {
-			st.lowerHub(m.Hub, m.Dist, m.Parent)
-		}
-	}
-	return edges, nil
-}
-
-// flushRowDists runs the batched row exchange carrying both the H2L and L2H
-// relaxation pairs and applies them in the dense schedule's kernel order (all
-// H2L, then all L2H). Pairs keep the tag of their kernel, so the tag split
-// preserves pair adjacency. The buffer clears before the exchange even on
-// error: a retry re-enters at the top of step 1 and regenerates every update.
-func (st *ssspState) flushRowDists() error {
-	ups := st.pendRow
-	st.pendRow = st.pendRow[:0]
-	out, err := comm.AllgatherSparse(st.r.RowC, ups)
-	if err != nil {
-		return err
-	}
-	lParts := make([][]comm.SparseUpdate, len(out))
-	hubParts := make([][]comm.SparseUpdate, len(out))
-	for j, us := range out {
-		for _, u := range us {
-			if u.Tag == int32(partition.CompH2L) {
-				lParts[j] = append(lParts[j], u)
+			col := int32(hubs.ColBlockOf(hub, mesh))
+			if sparse {
+				ups = appendPair(ups, col, partition.CompL2H, int64(hub), nd, u)
 			} else {
-				hubParts[j] = append(hubParts[j], u)
+				send[col] = append(send[col], distMsg{To: int64(hub), Dist: nd, Parent: u})
 			}
 		}
+	})
+	if sparse {
+		st.scr.ups = ups
+		return edges, st.flushSparse(st.r.RowC, st.applySparse)
 	}
-	st.applyLPairs(lParts)
-	st.applyHubPairs(hubParts)
-	return nil
+	recv, err := comm.Alltoallv(st.r.RowC, send)
+	for _, part := range recv {
+		for _, m := range part {
+			st.lowerHub(int32(m.To), m.Dist, m.Parent)
+		}
+	}
+	return edges, err
 }
 
 // l2lRelax: in-bucket owned L vertices relax their L neighbors at the
@@ -683,74 +553,49 @@ func (st *ssspState) flushRowDists() error {
 func (st *ssspState) l2lRelax() (int64, error) {
 	csr := &st.rg.L2L
 	layout := st.e.Part.Layout
+	sparse := st.sparse[partition.CompL2L]
+	ups := st.scr.ups[:0]
+	send := resetParts(&st.scr.distParts, layout.P)
 	var edges int64
-	if st.sparse[partition.CompL2L] {
-		var ups []comm.SparseUpdate
-		st.relaxL.ForEach(func(li int) {
-			du := st.lBaseD[li]
-			u := layout.GlobalOf(st.r.ID, int32(li))
-			for _, dst := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
-				edges++
-				nd := du + sssp.WeightOf(u, dst, st.seed)
-				owner := int32(layout.Owner(dst))
-				ups = append(ups,
-					comm.SparseUpdate{Dst: owner, Tag: int32(partition.CompL2L),
-						Off: dst, Val: int64(math.Float64bits(nd))},
-					comm.SparseUpdate{Dst: owner, Tag: int32(partition.CompL2L),
-						Off: dst, Val: u})
-			}
-		})
-		out, err := comm.AllgatherSparse(st.r.World, ups)
-		if err != nil {
-			return edges, err
-		}
-		for _, us := range out {
-			for i := 0; i+1 < len(us); i += 2 {
-				st.lowerL(layout.LocalIdx(us[i].Off),
-					math.Float64frombits(uint64(us[i].Val)), us[i+1].Val)
-			}
-		}
-		return edges, nil
-	}
-	send := make([][]distWorldMsg, layout.P)
 	st.relaxL.ForEach(func(li int) {
 		du := st.lBaseD[li]
 		u := layout.GlobalOf(st.r.ID, int32(li))
-		for _, dst := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
-			edges++
-			send[layout.Owner(dst)] = append(send[layout.Owner(dst)],
-				distWorldMsg{Dst: dst, Dist: du + sssp.WeightOf(u, dst, st.seed), Parent: u})
+		adj := csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]]
+		edges += int64(len(adj))
+		for _, dst := range adj {
+			nd := du + sssp.WeightOf(u, dst, st.seed)
+			owner := layout.Owner(dst)
+			if sparse {
+				ups = appendPair(ups, int32(owner), partition.CompL2L, dst, nd, u)
+			} else {
+				send[owner] = append(send[owner], distMsg{To: dst, Dist: nd, Parent: u})
+			}
 		}
 	})
-	recv, err := comm.Alltoallv(st.r.World, send)
-	if err != nil {
-		return edges, err
+	if sparse {
+		st.scr.ups = ups
+		return edges, st.flushSparse(st.r.World, st.applySparse)
 	}
+	recv, err := comm.Alltoallv(st.r.World, send)
 	for _, part := range recv {
 		for _, m := range part {
-			st.lowerL(layout.LocalIdx(m.Dst), m.Dist, m.Parent)
+			st.lowerL(layout.LocalIdx(m.To), m.Dist, m.Parent)
 		}
 	}
-	return edges, nil
+	return edges, err
 }
 
 // writeResult assembles this rank's share of the global distance and parent
-// arrays: owned non-hub L vertices, then the hub vertices whose original IDs
-// it owns (hub state is identical on all ranks after the per-iteration syncs).
+// arrays: its owned block as it stands, then the hubs whose original IDs it
+// owns overlaid (hub state is identical on all ranks after the per-iteration
+// syncs).
 func (st *ssspState) writeResult(dist []float64, parent []int64) {
-	layout := st.e.Part.Layout
-	hubs := st.e.Part.Hubs
-	for li := 0; li < st.rg.LocalN; li++ {
-		v := layout.GlobalOf(st.r.ID, int32(li))
-		if _, isHub := hubs.HubOf(v); !isHub {
-			dist[v] = st.lDist[li]
-			parent[v] = st.lParent[li]
-		}
-	}
-	for h, orig := range hubs.Orig {
-		if layout.Owner(orig) == st.r.ID {
-			dist[orig] = st.hubDist[h]
-			parent[orig] = st.hubParent[h]
-		}
+	lo := st.e.Part.Layout.GlobalOf(st.r.ID, 0)
+	dBlk, pBlk := ownedSeg(st.e, st.r.ID, dist), ownedSeg(st.e, st.r.ID, parent)
+	copy(dBlk, st.lDist)
+	copy(pBlk, st.lParent)
+	for _, h := range st.e.hubsAt[st.r.ID] {
+		i := st.e.Part.Hubs.Orig[h] - lo
+		dBlk[i], pBlk[i] = st.hubDist[h], st.hubParent[h]
 	}
 }

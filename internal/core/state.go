@@ -45,7 +45,6 @@ type rankState struct {
 	// pull frontiers, filled by the workload's gathers
 	rowFrontier   *bitmap.Bitmap // row-wide L frontier for L2H pull
 	worldFrontier *bitmap.Bitmap // world-wide L frontier for L2L pull
-	scr           *rankScratch   // the engine's buffers for this rank, reused across runs
 
 	// cached active counts, recomputed after each hub sync / L update
 	activeL int64
@@ -72,11 +71,12 @@ const numSteps = 4
 // step index, and the vote strips it before any step-mask inspection.
 const drainBit uint64 = 1 << 63
 
-// lRowMasks are one rank's "row is non-empty" word masks over its owned L
-// block, one per L-keyed CSR. They are derived from the rank graph at engine
-// construction and kept beside it rather than in it, so the checkpoint graph
-// tier's format does not change.
-type lRowMasks struct{ toE, toH, toL []uint64 }
+// lRowMasks are one rank's word masks over its owned L block: "row is
+// non-empty", one per L-keyed CSR, and isHub, the owned vertices that are hubs
+// (their L slots are shadowed by the delegates). They are derived from the
+// rank graph at engine construction and kept beside it rather than in it, so
+// the checkpoint graph tier's format does not change.
+type lRowMasks struct{ toE, toH, toL, isHub []uint64 }
 
 // rowMask marks the rows of a dense CSR row-pointer array that hold at least
 // one edge, as the words of an n-bit bitmap.
@@ -94,14 +94,20 @@ func rowMask(ptr []int64, n int) []uint64 {
 // iteration or run grew the next reuses: every user re-slices to [:0] before
 // filling. Reuse right after a collective returns is safe because receivers
 // copy a sender's buffer before the collective's closing barrier. The planes
-// of a batch share their rank's scratch; they run one at a time.
+// of a batch share their rank's scratch; they run one at a time, and so do
+// the workloads of successive runs.
 type rankScratch struct {
 	active               []int32             // ehPush: active source positions
 	ups                  []comm.SparseUpdate // sparse pushes parked until their flush
 	lParts               [][]lMsg            // dense send buffers
 	hubParts             [][]hubMsg
 	l2lParts             [][]l2lMsg
+	distParts            [][]distMsg
 	sendWords, recvWords []uint64 // pull-frontier gathers
+
+	touched  touchedHubs // delegates changed since the last syncTouched
+	hubRecs  []hubMsg    // syncTouched's packed records
+	distRecs []distMsg
 }
 
 // resetParts returns *buf resized to n empty parts, each keeping its capacity.

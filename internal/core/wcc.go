@@ -12,13 +12,14 @@ import (
 // like BFS hub state — replicated per rank and min-merged column-then-row
 // after each hub-lowering step — while L labels live only at their owner.
 //
-// The per-iteration discipline: beginIter latches base copies of both label
-// arrays; every kernel reads source labels from the base (so the batched row
-// exchange can defer its applies without changing any kernel's input) and
-// lowers live labels; the epilogue diffs live against base to build the next
-// dirty sets and agree on the global change count. Min-folding is
-// order-independent, so the dense and sparse exchange arms produce
-// bit-identical label streams.
+// The per-iteration discipline: beginIter latches base copies of the dirty
+// vertices' labels; every kernel reads source labels from the base (so the
+// batched row exchange can defer its applies without changing any kernel's
+// input) and lowers live labels, staging each lowered vertex in the next
+// dirty sets as it goes (L at the lowering, hubs at the sync that makes the
+// lowering global); the epilogue only counts them and agrees on the global
+// change count. Min-folding is order-independent, so the dense and sparse
+// exchange arms produce bit-identical label streams.
 type wccState struct {
 	driver
 
@@ -71,23 +72,16 @@ func (st *wccState) drv() *driver { return &st.driver }
 // everything dirty; the global dirty-L count rides the control plane.
 func (st *wccState) bootstrap() error {
 	layout := st.e.Part.Layout
-	hubs := st.e.Part.Hubs
-	for h := 0; h < st.k; h++ {
-		st.hubLabel[h] = hubs.Orig[h]
-		st.hubDirty.Set(h)
-	}
+	copy(st.hubLabel, st.e.Part.Hubs.Orig)
+	st.hubDirty.Fill()
 	for li := range st.lLabel {
 		st.lLabel[li] = layout.GlobalOf(st.r.ID, int32(li))
 	}
-	var al int64
 	for li := 0; li < st.rg.LocalN; li++ {
-		v := layout.GlobalOf(st.r.ID, int32(li))
-		if _, isHub := hubs.HubOf(v); !isHub {
-			st.lDirty.Set(li)
-			al++
-		}
+		st.lDirty.Set(li)
 	}
-	st.activeL = comm.ControlSumInt64(st.r.World, al)
+	st.lDirty.AndNot(bitmap.FromWords(st.e.lRows[st.r.ID].isHub, st.lDirty.Len()))
+	st.activeL = comm.ControlSumInt64(st.r.World, int64(st.lDirty.Count()))
 	return nil
 }
 
@@ -125,8 +119,8 @@ func (st *wccState) beginIter(it *IterTrace) {
 	act[partition.CompL2H] = it.ActiveL
 	act[partition.CompL2L] = it.ActiveL
 	st.chooseSchedule(it, act, true, true)
-	copy(st.hubBase, st.hubLabel)
-	copy(st.lBase, st.lLabel)
+	latch(st.hubBase, st.hubLabel, st.hubDirty)
+	latch(st.lBase, st.lLabel, st.lDirty)
 	st.pendChanged, st.pendAL = 0, 0
 }
 
@@ -144,7 +138,6 @@ func (st *wccState) step(g int, it *IterTrace) error {
 			firstErr = err
 		}
 	case 1:
-		st.pendRow = st.pendRow[:0]
 		run(partition.CompE2L, st.e2lProp)
 		run(partition.CompH2L, st.h2lProp)
 		run(partition.CompL2E, st.l2eProp)
@@ -160,24 +153,20 @@ func (st *wccState) step(g int, it *IterTrace) error {
 	return firstErr
 }
 
-// epilogue diffs live labels against the iteration's base to stage the next
-// dirty sets and agrees on the global change count. Hub lowers are counted by
-// the owner of the hub's original vertex only (the diff is replicated); the
-// allreduce triple also carries the byte feedback for the sparse tail and the
-// next iteration's global dirty-L count.
+// epilogue agrees on the global change count. The staged hub set is
+// replicated, so each lowered hub is counted by the owner of its original
+// vertex only; the allreduce triple also carries the byte feedback for the
+// sparse tail and the next iteration's global dirty-L count.
 func (st *wccState) epilogue() error {
 	st.r.SetTag(TagEpilogue)
 	layout := st.e.Part.Layout
-	hubs := st.e.Part.Hubs
+	orig := st.e.Part.Hubs.Orig
 	var changed int64
-	for h := 0; h < st.k; h++ {
-		if st.hubLabel[h] < st.hubBase[h] {
-			st.hubNext.Set(h)
-			if layout.Owner(hubs.Orig[h]) == st.r.ID {
-				changed++
-			}
+	st.hubNext.ForEach(func(h int) {
+		if layout.Owner(orig[h]) == st.r.ID {
+			changed++
 		}
-	}
+	})
 	lChanged := int64(st.lNext.Count())
 	iterBytes := commBytes(st.rec) - st.iterBytesBase
 	sums, err := comm.AllreduceSumInt64s(st.r.World,
@@ -217,6 +206,7 @@ func (st *wccState) snapshot(g int) {
 
 func (st *wccState) restore(g int) {
 	s := &st.snaps[g]
+	st.scr.touched.clear() // every step starts and ends with it empty
 	copy(st.hubLabel, s.hubLabel)
 	copy(st.lLabel, s.lLabel)
 	copy(st.hubNext.Words(), s.hubNext)
@@ -226,6 +216,7 @@ func (st *wccState) restore(g int) {
 func (st *wccState) lowerHub(h int32, lbl int64) {
 	if lbl < st.hubLabel[h] {
 		st.hubLabel[h] = lbl
+		st.scr.touched.add(h)
 	}
 }
 
@@ -236,10 +227,25 @@ func (st *wccState) lowerL(li int32, lbl int64) {
 	}
 }
 
-// syncLabels min-merges the replicated hub labels column-then-row, the
-// label-carrying analogue of the BFS hub-bitmap sync.
+// syncLabels min-merges the hub labels lowered since the last sync
+// column-then-row, the label-carrying analogue of the BFS hub-bitmap sync, and
+// stages every hub lowered anywhere for the next iteration.
 func (st *wccState) syncLabels() error {
-	return syncHubMinInt64(&st.driver, st.hubLabel, "label_sync")
+	t := &st.scr.touched
+	err := syncTouched(&st.driver, "label_sync", &st.scr.hubRecs,
+		func(h int32) hubMsg { return hubMsg{Hub: h, Parent: st.hubLabel[h]} },
+		func(m hubMsg) (int32, bool) {
+			low := m.Parent < st.hubLabel[m.Hub]
+			if low {
+				st.hubLabel[m.Hub] = m.Parent
+			}
+			return m.Hub, low
+		})
+	for _, h := range t.list {
+		st.hubNext.Set(int(h))
+	}
+	t.clear()
+	return err
 }
 
 // ehProp: dirty source hubs lower their destination hubs' replicated labels
@@ -283,54 +289,59 @@ func (st *wccState) e2lProp() (int64, error) {
 // reuses Parent as the label payload).
 func (st *wccState) h2lProp() (int64, error) {
 	csr := &st.rg.HToL
+	sparse := st.sparse[partition.CompH2L]
+	ups := st.scr.ups[:0]
+	send := resetParts(&st.scr.lParts, st.e.Opt.Mesh.Cols)
 	var edges int64
-	if st.sparse[partition.CompH2L] {
-		var ups []comm.SparseUpdate
-		for i, hub := range csr.IDs {
-			if !st.hubDirty.Test(int(hub)) {
-				continue
-			}
-			lbl := st.hubBase[hub]
-			for _, rem := range csr.Adj[csr.Ptr[i]:csr.Ptr[i+1]] {
-				edges++
-				ups = append(ups, comm.SparseUpdate{Dst: int32(rem.Col),
-					Tag: int32(partition.CompH2L), Off: int64(rem.LIdx), Val: lbl})
-			}
-		}
-		if st.batchRow {
-			st.pendRow = append(st.pendRow, ups...)
-			return edges, nil
-		}
-		out, err := comm.AllgatherSparse(st.r.RowC, ups)
-		if err != nil {
-			return edges, err
-		}
-		st.applyLLabels(lPartsOf(make([][]lMsg, len(out)), out))
-		return edges, nil
-	}
-	send := make([][]lMsg, st.e.Opt.Mesh.Cols)
 	for i, hub := range csr.IDs {
 		if !st.hubDirty.Test(int(hub)) {
 			continue
 		}
 		lbl := st.hubBase[hub]
-		for _, rem := range csr.Adj[csr.Ptr[i]:csr.Ptr[i+1]] {
-			edges++
-			send[rem.Col] = append(send[rem.Col], lMsg{LIdx: rem.LIdx, Parent: lbl})
+		adj := csr.Adj[csr.Ptr[i]:csr.Ptr[i+1]]
+		edges += int64(len(adj))
+		for _, rem := range adj {
+			if sparse {
+				ups = append(ups, comm.SparseUpdate{Dst: rem.Col,
+					Tag: int32(partition.CompH2L), Off: int64(rem.LIdx), Val: lbl})
+			} else {
+				send[rem.Col] = append(send[rem.Col], lMsg{LIdx: rem.LIdx, Parent: lbl})
+			}
 		}
 	}
-	recv, err := comm.Alltoallv(st.r.RowC, send)
-	if err != nil {
-		return edges, err
+	if sparse {
+		st.scr.ups = ups
+		if st.batchRow {
+			return edges, nil // parked for the L2H flush
+		}
+		return edges, st.flushSparse(st.r.RowC, st.applySparse)
 	}
-	st.applyLLabels(recv)
-	return edges, nil
-}
-
-func (st *wccState) applyLLabels(parts [][]lMsg) {
-	for _, part := range parts {
+	recv, err := comm.Alltoallv(st.r.RowC, send)
+	for _, part := range recv {
 		for _, m := range part {
 			st.lowerL(m.LIdx, m.Parent)
+		}
+	}
+	return edges, err
+}
+
+// applySparse applies a received sparse flush in place: the tag names the
+// kernel, hence the addressing. Walking sources in member order gives each
+// kernel's stream the order its dense exchange delivers, and the H2L and L2H
+// streams of a batched flush lower disjoint state (L labels, hub labels), so
+// their interleaving is immaterial.
+func (st *wccState) applySparse(out [][]comm.SparseUpdate) {
+	layout := st.e.Part.Layout
+	for _, us := range out {
+		for _, u := range us {
+			switch partition.Component(u.Tag) {
+			case partition.CompH2L:
+				st.lowerL(int32(u.Off), u.Val)
+			case partition.CompL2H:
+				st.lowerHub(int32(u.Off), u.Val)
+			default: // L2L: Off is the original vertex id
+				st.lowerL(layout.LocalIdx(u.Off), u.Val)
+			}
 		}
 	}
 }
@@ -352,38 +363,21 @@ func (st *wccState) l2eProp() (int64, error) {
 // l2hProp: dirty owned L vertices message the row delegate of each H
 // neighbor whose replicated label is not already as low (delegation knowledge
 // saves the message — the live check is identical on the dense and sparse
-// arms because nothing between L2E and here touches hub labels).
+// arms because nothing between L2E and here touches hub labels). On the
+// batched row exchange the updates join the H2L ones parked in the scratch and
+// both ride one flush; deferring the H2L applies is safe because the kernels
+// in between read only base labels and hub labels, never live L labels.
 func (st *wccState) l2hProp() (int64, error) {
 	csr := &st.rg.LToH
 	hubs := st.e.Part.Hubs
 	mesh := st.e.Opt.Mesh
-	var edges int64
-	if st.sparse[partition.CompL2H] {
-		var ups []comm.SparseUpdate
-		st.lDirty.ForEach(func(li int) {
-			lbl := st.lBase[li]
-			for _, hub := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
-				edges++
-				if lbl >= st.hubLabel[hub] {
-					continue
-				}
-				col := hubs.ColBlockOf(hub, mesh)
-				ups = append(ups, comm.SparseUpdate{Dst: int32(col),
-					Tag: int32(partition.CompL2H), Off: int64(hub), Val: lbl})
-			}
-		})
-		if st.batchRow {
-			st.pendRow = append(st.pendRow, ups...)
-			return edges, st.flushRowLabels()
-		}
-		out, err := comm.AllgatherSparse(st.r.RowC, ups)
-		if err != nil {
-			return edges, err
-		}
-		st.applyHubLabels(hubPartsOf(make([][]hubMsg, len(out)), out))
-		return edges, nil
+	sparse := st.sparse[partition.CompL2H]
+	ups := st.scr.ups
+	if !st.batchRow {
+		ups = ups[:0]
 	}
-	send := make([][]hubMsg, mesh.Cols)
+	send := resetParts(&st.scr.hubParts, mesh.Cols)
+	var edges int64
 	st.lDirty.ForEach(func(li int) {
 		lbl := st.lBase[li]
 		for _, hub := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
@@ -392,52 +386,25 @@ func (st *wccState) l2hProp() (int64, error) {
 				continue
 			}
 			col := hubs.ColBlockOf(hub, mesh)
-			send[col] = append(send[col], hubMsg{Hub: hub, Parent: lbl})
+			if sparse {
+				ups = append(ups, comm.SparseUpdate{Dst: int32(col),
+					Tag: int32(partition.CompL2H), Off: int64(hub), Val: lbl})
+			} else {
+				send[col] = append(send[col], hubMsg{Hub: hub, Parent: lbl})
+			}
 		}
 	})
-	recv, err := comm.Alltoallv(st.r.RowC, send)
-	if err != nil {
-		return edges, err
+	if sparse {
+		st.scr.ups = ups
+		return edges, st.flushSparse(st.r.RowC, st.applySparse)
 	}
-	st.applyHubLabels(recv)
-	return edges, nil
-}
-
-func (st *wccState) applyHubLabels(parts [][]hubMsg) {
-	for _, part := range parts {
+	recv, err := comm.Alltoallv(st.r.RowC, send)
+	for _, part := range recv {
 		for _, m := range part {
 			st.lowerHub(m.Hub, m.Parent)
 		}
 	}
-}
-
-// flushRowLabels runs the batched row exchange carrying both the H2L and L2H
-// label payloads and applies them in the dense schedule's kernel order (all
-// H2L lowers, then all L2H lowers). Deferring the H2L applies is safe because
-// the kernels between generation and flush read only base labels and hub
-// labels, never live L labels. The buffer clears before the exchange even on
-// error: a retry re-enters at the top of step 1 and regenerates every update.
-func (st *wccState) flushRowLabels() error {
-	ups := st.pendRow
-	st.pendRow = st.pendRow[:0]
-	out, err := comm.AllgatherSparse(st.r.RowC, ups)
-	if err != nil {
-		return err
-	}
-	lParts := make([][]lMsg, len(out))
-	hubParts := make([][]hubMsg, len(out))
-	for j, us := range out {
-		for _, u := range us {
-			if u.Tag == int32(partition.CompH2L) {
-				lParts[j] = append(lParts[j], lMsg{LIdx: int32(u.Off), Parent: u.Val})
-			} else {
-				hubParts[j] = append(hubParts[j], hubMsg{Hub: int32(u.Off), Parent: u.Val})
-			}
-		}
-	}
-	st.applyLLabels(lParts)
-	st.applyHubLabels(hubParts)
-	return nil
+	return edges, err
 }
 
 // l2lProp: dirty owned L vertices message their L neighbors' owners; one
@@ -446,86 +413,45 @@ func (st *wccState) flushRowLabels() error {
 func (st *wccState) l2lProp() (int64, error) {
 	csr := &st.rg.L2L
 	layout := st.e.Part.Layout
+	sparse := st.sparse[partition.CompL2L]
+	ups := st.scr.ups[:0]
+	send := resetParts(&st.scr.l2lParts, layout.P)
 	var edges int64
-	if st.sparse[partition.CompL2L] {
-		var ups []comm.SparseUpdate
-		st.lDirty.ForEach(func(li int) {
-			lbl := st.lBase[li]
-			for _, dst := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
-				edges++
-				ups = append(ups, comm.SparseUpdate{Dst: int32(layout.Owner(dst)),
-					Tag: int32(partition.CompL2L), Off: dst, Val: lbl})
-			}
-		})
-		out, err := comm.AllgatherSparse(st.r.World, ups)
-		if err != nil {
-			return edges, err
-		}
-		for _, us := range out {
-			for _, u := range us {
-				st.lowerL(layout.LocalIdx(u.Off), u.Val)
-			}
-		}
-		return edges, nil
-	}
-	send := make([][]l2lMsg, layout.P)
 	st.lDirty.ForEach(func(li int) {
 		lbl := st.lBase[li]
-		for _, dst := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
-			edges++
-			send[layout.Owner(dst)] = append(send[layout.Owner(dst)], l2lMsg{Dst: dst, Parent: lbl})
+		adj := csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]]
+		edges += int64(len(adj))
+		for _, dst := range adj {
+			owner := layout.Owner(dst)
+			if sparse {
+				ups = append(ups, comm.SparseUpdate{Dst: int32(owner),
+					Tag: int32(partition.CompL2L), Off: dst, Val: lbl})
+			} else {
+				send[owner] = append(send[owner], l2lMsg{Dst: dst, Parent: lbl})
+			}
 		}
 	})
-	recv, err := comm.Alltoallv(st.r.World, send)
-	if err != nil {
-		return edges, err
+	if sparse {
+		st.scr.ups = ups
+		return edges, st.flushSparse(st.r.World, st.applySparse)
 	}
+	recv, err := comm.Alltoallv(st.r.World, send)
 	for _, part := range recv {
 		for _, m := range part {
 			st.lowerL(layout.LocalIdx(m.Dst), m.Parent)
 		}
 	}
-	return edges, nil
+	return edges, err
 }
 
-// writeResult assembles this rank's share of the global label array: owned
-// non-hub L vertices, then the hub vertices whose original IDs it owns (hub
-// labels are identical on all ranks after the per-iteration syncs).
+// writeResult assembles this rank's share of the global label array: its
+// owned block as it stands, then the hubs whose original IDs it owns overlaid
+// (hub labels are identical on all ranks after the per-iteration syncs).
 func (st *wccState) writeResult(label []int64) {
-	layout := st.e.Part.Layout
-	hubs := st.e.Part.Hubs
-	for li := 0; li < st.rg.LocalN; li++ {
-		v := layout.GlobalOf(st.r.ID, int32(li))
-		if _, isHub := hubs.HubOf(v); !isHub {
-			label[v] = st.lLabel[li]
-		}
+	lo := st.e.Part.Layout.GlobalOf(st.r.ID, 0)
+	blk := ownedSeg(st.e, st.r.ID, label)
+	copy(blk, st.lLabel)
+	for _, h := range st.e.hubsAt[st.r.ID] {
+		blk[st.e.Part.Hubs.Orig[h]-lo] = st.hubLabel[h]
 	}
-	for h, orig := range hubs.Orig {
-		if layout.Owner(orig) == st.r.ID {
-			label[orig] = st.hubLabel[h]
-		}
-	}
-}
-
-// lPartsOf reshapes received sparse updates into the dense exchange's
-// per-source lMsg parts (Off is the destination-local L index), appending
-// onto the len(out) parts the caller supplies.
-func lPartsOf(parts [][]lMsg, out [][]comm.SparseUpdate) [][]lMsg {
-	for j, us := range out {
-		for _, u := range us {
-			parts[j] = append(parts[j], lMsg{LIdx: int32(u.Off), Parent: u.Val})
-		}
-	}
-	return parts
-}
-
-// hubPartsOf reshapes received sparse updates into the dense exchange's
-// per-source hubMsg parts (Off is the hub id).
-func hubPartsOf(parts [][]hubMsg, out [][]comm.SparseUpdate) [][]hubMsg {
-	for j, us := range out {
-		for _, u := range us {
-			parts[j] = append(parts[j], hubMsg{Hub: int32(u.Off), Parent: u.Val})
-		}
-	}
-	return parts
 }

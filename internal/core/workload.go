@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"time"
 
+	"repro/internal/bitmap"
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/partition"
@@ -65,12 +66,13 @@ type ckptSlices struct {
 // driver is the per-rank engine substrate shared by every workload. It is
 // embedded by value in each workload's rank state (and by pointer in each
 // plane of the BFS workload), so kernels reach its fields (r, rg, sparse,
-// pendRow, ...) via promotion.
+// scr, ...) via promotion.
 type driver struct {
 	e   *Engine
 	r   *comm.Rank
 	rg  *partition.RankGraph
 	rec *stats.Recorder
+	scr *rankScratch // the engine's exchange buffers for this rank, reused across runs
 
 	// tr is the rank's span stream (nil when tracing is off); curIter,
 	// curStep and curAttempt are the coordinates stamped on emitted spans.
@@ -94,13 +96,12 @@ type driver struct {
 	// bytes, fed back by the epilogue allreduce (-1 = unknown: the first
 	// iteration, and the first after a checkpoint resume — identically on
 	// every rank, which keeps the adaptive choice in lockstep). iterBytesBase
-	// is the recorder's byte total at iteration start; pendRow buffers
-	// batched updates between the H2L and L2H kernels.
+	// is the recorder's byte total at iteration start. Batched updates wait in
+	// scr.ups between the H2L and L2H kernels.
 	sparse        [partition.NumComponents]bool
 	batchRow      bool
 	lastIterBytes int64
 	iterBytesBase int64
-	pendRow       []comm.SparseUpdate
 
 	// resilience bookkeeping (only exercised under a fault transport)
 	retries  int64
@@ -128,6 +129,7 @@ func newDriver(e *Engine, r *comm.Rank, maxIter int) driver {
 		r:             r,
 		rg:            e.Part.Ranks[r.ID],
 		rec:           &stats.Recorder{},
+		scr:           &e.scratch[r.ID],
 		tr:            r.Trace(),
 		curIter:       -1,
 		curStep:       -1,
@@ -145,7 +147,9 @@ func newDriver(e *Engine, r *comm.Rank, maxIter int) driver {
 const workloadIterScale = 32
 
 func newWorkloadDriver(e *Engine, r *comm.Rank) driver {
-	return newDriver(e, r, e.Opt.MaxIterations*workloadIterScale)
+	d := newDriver(e, r, e.Opt.MaxIterations*workloadIterScale)
+	d.scr.touched.reset(e.Part.Hubs.K())
+	return d
 }
 
 // commBytes is the recorder's total observed data-plane traffic; deltas of it
@@ -164,34 +168,48 @@ func firstErr(errs []error) error {
 	return nil
 }
 
-// reduceMaxParents max-reduces a replicated int64 array across all ranks —
-// the delayed-reduction collective (BFS parents, and any workload-final
-// replicated fold), observed as PhaseReduce.
-func reduceMaxParents(d *driver, vals []int64) error {
+// observed runs fn — a kernel, or the collectives of one sync or reduce point
+// — timing it and attributing its traffic delta and edge touches to phase on
+// the recorder and, when tracing, to sp: the caller fills in what names the
+// span (Kind, Name, Tag, Dir, Args), observed the coordinates and measurements.
+func (d *driver) observed(phase stats.Phase, dir stats.Direction, sp trace.Span, fn func() (int64, error)) error {
 	t0 := time.Now()
-	var s0 int64
 	if d.tr != nil {
-		s0 = d.tr.Now()
+		sp.Start = d.tr.Now()
 	}
 	base := d.r.Stats
-	var err error
-	if len(vals) > 0 {
-		err = comm.AllreduceMaxInt64(d.r.World, vals)
-	}
+	edges, err := fn()
 	delta := d.r.Stats.Delta(&base)
-	d.rec.Observe(stats.PhaseReduce, stats.DirNone, time.Since(t0), delta, 0)
+	d.rec.Observe(phase, dir, time.Since(t0), delta, edges)
 	if d.tr != nil {
-		intra, inter := delta.Totals()
-		sp := trace.Span{Kind: trace.KindReduce, Epoch: d.r.Epoch(),
-			Iter: d.curIter, Step: d.curStep, Attempt: d.curAttempt,
-			Name: "reduce_parents", Start: s0, Dur: d.tr.Now() - s0,
-			IntraBytes: intra, InterBytes: inter}
+		sp.Epoch, sp.Iter, sp.Step, sp.Attempt = d.r.Epoch(), d.curIter, d.curStep, d.curAttempt
+		sp.Dur, sp.Edges = d.tr.Now()-sp.Start, edges
+		sp.IntraBytes, sp.InterBytes = delta.Totals()
 		if err != nil {
 			sp.Err = 1
 		}
 		d.tr.Emit(sp)
 	}
 	return err
+}
+
+// observeCollective is observed for a sync or reduce point, which touches no
+// edges and has no direction.
+func (d *driver) observeCollective(phase stats.Phase, kind trace.Kind, name string, fn func() error) error {
+	return d.observed(phase, stats.DirNone, trace.Span{Kind: kind, Name: name},
+		func() (int64, error) { return 0, fn() })
+}
+
+// reduceMaxParents max-reduces a replicated int64 array across all ranks —
+// the delayed-reduction collective (BFS parents, and any workload-final
+// replicated fold), observed as PhaseReduce.
+func reduceMaxParents(d *driver, vals []int64) error {
+	return d.observeCollective(stats.PhaseReduce, trace.KindReduce, "reduce_parents", func() error {
+		if len(vals) == 0 {
+			return nil
+		}
+		return comm.AllreduceMaxInt64(d.r.World, vals)
+	})
 }
 
 // syncHubWords merges replicated hub words globally: allreduce-OR down the
@@ -201,33 +219,119 @@ func reduceMaxParents(d *driver, vals []int64) error {
 // communicator's collective schedule matches on every rank. Observed as
 // PhaseOther under the given span name.
 func syncHubWords(d *driver, words []uint64, name string) error {
-	t0 := time.Now()
-	var s0 int64
-	if d.tr != nil {
-		s0 = d.tr.Now()
-	}
-	base := d.r.Stats
-	var err error
-	if len(words) > 0 {
-		err = comm.AllreduceOr(d.r.ColC, words)
+	return d.observeCollective(stats.PhaseOther, trace.KindSync, name, func() error {
+		if len(words) == 0 {
+			return nil
+		}
+		err := comm.AllreduceOr(d.r.ColC, words)
 		if e2 := comm.AllreduceOr(d.r.RowC, words); err == nil {
 			err = e2
 		}
+		return err
+	})
+}
+
+// touchedHubs is the set of replicated hub slots a rank has changed since the
+// last delegate sync: a mark per hub so a slot enters the list once, and the
+// list so that clearing and shipping cost what changed, not K.
+type touchedHubs struct {
+	mark []uint64
+	list []int32
+}
+
+// reset empties the set and sizes it for k hubs. A run that aborted between
+// a kernel and its sync leaves marks behind; the list names them.
+func (t *touchedHubs) reset(k int) {
+	if len(t.mark) != (k+63)/64 {
+		t.mark, t.list = make([]uint64, (k+63)/64), t.list[:0]
 	}
-	delta := d.r.Stats.Delta(&base)
-	d.rec.Observe(stats.PhaseOther, stats.DirNone, time.Since(t0), delta, 0)
-	if d.tr != nil {
-		intra, inter := delta.Totals()
-		sp := trace.Span{Kind: trace.KindSync, Epoch: d.r.Epoch(),
-			Iter: d.curIter, Step: d.curStep, Attempt: d.curAttempt,
-			Name: name, Start: s0, Dur: d.tr.Now() - s0,
-			IntraBytes: intra, InterBytes: inter}
-		if err != nil {
-			sp.Err = 1
+	t.clear()
+}
+
+func (t *touchedHubs) add(h int32) {
+	if w, b := h>>6, uint64(1)<<uint(h&63); t.mark[w]&b == 0 {
+		t.mark[w] |= b
+		t.list = append(t.list, h)
+	}
+}
+
+func (t *touchedHubs) clear() {
+	for _, h := range t.list {
+		t.mark[h>>6] = 0
+	}
+	t.list = t.list[:0]
+}
+
+// syncTouched is the ported workloads' delegate sync: the paper's delayed
+// reduction of replicated hub state, shipping only what changed. Every rank
+// packs the hub slots it changed since the last sync (d.scr.touched) as
+// (hub, value) records, allgathers them down its column and folds the other
+// members' records into its replica; whatever that changed joins the touched
+// set, which then travels along the row the same way. fold applies one
+// received record and reports whether the rank must pass that hub on (a
+// min-fold passes on what it lowered, a sum-fold everything); folds are
+// commutative and associative, so every replica ends identical whatever the
+// member order. On return the touched set is the hubs changed anywhere in the
+// world, for the caller to consume and clear. Both allgathers always run —
+// with empty records where nothing changed, and after a column failure — so
+// every rank keeps the same per-communicator schedule; a failed merge leaves
+// garbage the step retry's snapshot restore discards. Observed as PhaseOther.
+func syncTouched[T any](d *driver, name string, recs *[]T, pack func(h int32) T, fold func(m T) (int32, bool)) error {
+	t := &d.scr.touched
+	axis := func(c *comm.Comm) error {
+		send := (*recs)[:0]
+		for _, h := range t.list {
+			send = append(send, pack(h))
 		}
-		d.tr.Emit(sp)
+		*recs = send
+		parts, err := comm.Allgatherv(c, send)
+		for j, part := range parts {
+			if j == c.Rank() {
+				continue
+			}
+			for _, m := range part {
+				if h, pass := fold(m); pass {
+					t.add(h)
+				}
+			}
+		}
+		return err
+	}
+	return d.observeCollective(stats.PhaseOther, trace.KindSync, name, func() error {
+		if d.e.Part.Hubs.K() == 0 {
+			return nil
+		}
+		err := axis(d.r.ColC)
+		if e2 := axis(d.r.RowC); err == nil {
+			err = e2
+		}
+		return err
+	})
+}
+
+// flushSparse ships the sparse updates parked in the rank's scratch in one
+// allgather over c and hands what this rank received to apply. The buffer is
+// emptied before the exchange even on error: a retry re-enters at the top of
+// the step and regenerates every update.
+func (d *driver) flushSparse(c *comm.Comm, apply func(out [][]comm.SparseUpdate)) error {
+	ups := d.scr.ups
+	d.scr.ups = ups[:0]
+	out, err := comm.AllgatherSparse(c, ups)
+	if err == nil {
+		apply(out)
 	}
 	return err
+}
+
+// latch copies live into base for the members of set — the only slots the
+// iteration's kernels read a base value of — or wholesale when most slots are
+// members and one memcpy beats the walk.
+func latch[T any](base, live []T, set *bitmap.Bitmap) {
+	if set.Count()*8 > len(live) {
+		copy(base, live)
+		return
+	}
+	set.ForEach(func(i int) { base[i] = live[i] })
 }
 
 // snapInt64 copies src into a reusable snapshot buffer, mirroring snapWords
@@ -238,81 +342,6 @@ func snapInt64(dst *[]int64, src []int64) {
 	}
 	*dst = (*dst)[:len(src)]
 	copy(*dst, src)
-}
-
-// syncHubMinInt64 min-reduces a replicated int64 array with the delegation
-// traffic pattern (column then row), via negated max-allreduces. Both
-// collectives always run so every rank keeps the same per-communicator
-// schedule under faults; a failed merge leaves locally negated-back values
-// whose garbage the step retry's snapshot restore discards.
-func syncHubMinInt64(d *driver, vals []int64, name string) error {
-	t0 := time.Now()
-	var s0 int64
-	if d.tr != nil {
-		s0 = d.tr.Now()
-	}
-	base := d.r.Stats
-	var err error
-	if len(vals) > 0 {
-		for i := range vals {
-			vals[i] = -vals[i]
-		}
-		err = comm.AllreduceMaxInt64(d.r.ColC, vals)
-		if e2 := comm.AllreduceMaxInt64(d.r.RowC, vals); err == nil {
-			err = e2
-		}
-		for i := range vals {
-			vals[i] = -vals[i]
-		}
-	}
-	delta := d.r.Stats.Delta(&base)
-	d.rec.Observe(stats.PhaseOther, stats.DirNone, time.Since(t0), delta, 0)
-	if d.tr != nil {
-		intra, inter := delta.Totals()
-		sp := trace.Span{Kind: trace.KindSync, Epoch: d.r.Epoch(),
-			Iter: d.curIter, Step: d.curStep, Attempt: d.curAttempt,
-			Name: name, Start: s0, Dur: d.tr.Now() - s0,
-			IntraBytes: intra, InterBytes: inter}
-		if err != nil {
-			sp.Err = 1
-		}
-		d.tr.Emit(sp)
-	}
-	return err
-}
-
-// syncHubSumInt64 sum-reduces replicated per-hub partials (k-core's degree
-// decrements) column-then-row: the two-stage sum over the mesh equals the
-// world sum, in the delegation traffic pattern. Same always-both-collectives
-// discipline as the other hub syncs.
-func syncHubSumInt64(d *driver, vals []int64, name string) error {
-	t0 := time.Now()
-	var s0 int64
-	if d.tr != nil {
-		s0 = d.tr.Now()
-	}
-	base := d.r.Stats
-	var err error
-	if len(vals) > 0 {
-		err = comm.AllreduceSumInt64Vec(d.r.ColC, vals)
-		if e2 := comm.AllreduceSumInt64Vec(d.r.RowC, vals); err == nil {
-			err = e2
-		}
-	}
-	delta := d.r.Stats.Delta(&base)
-	d.rec.Observe(stats.PhaseOther, stats.DirNone, time.Since(t0), delta, 0)
-	if d.tr != nil {
-		intra, inter := delta.Totals()
-		sp := trace.Span{Kind: trace.KindSync, Epoch: d.r.Epoch(),
-			Iter: d.curIter, Step: d.curStep, Attempt: d.curAttempt,
-			Name: name, Start: s0, Dur: d.tr.Now() - s0,
-			IntraBytes: intra, InterBytes: inter}
-		if err != nil {
-			sp.Err = 1
-		}
-		d.tr.Emit(sp)
-	}
-	return err
 }
 
 // vote is the retry-boundary agreement over the reliable control plane.
@@ -347,28 +376,8 @@ func (d *driver) vote(stepMask uint64, errs ...error) (uint64, []int) {
 
 // observe times a kernel and attributes its traffic delta and edge touches.
 func (d *driver) observe(c partition.Component, dir stats.Direction, fn func() (int64, error)) error {
-	t0 := time.Now()
-	var s0 int64
-	if d.tr != nil {
-		s0 = d.tr.Now()
-	}
-	base := d.r.Stats
-	edges, err := fn()
-	delta := d.r.Stats.Delta(&base)
-	d.rec.Observe(stats.PhaseOfComponent(c), dir, time.Since(t0), delta, edges)
-	if d.tr != nil {
-		intra, inter := delta.Totals()
-		sp := trace.Span{Kind: trace.KindKernel, Epoch: d.r.Epoch(),
-			Iter: d.curIter, Step: d.curStep, Attempt: d.curAttempt,
-			Tag: int(c), Name: c.String(), Dir: dir.String(),
-			Start: s0, Dur: d.tr.Now() - s0, Edges: edges,
-			IntraBytes: intra, InterBytes: inter, Args: d.kernelArgs}
-		if err != nil {
-			sp.Err = 1
-		}
-		d.tr.Emit(sp)
-	}
-	return err
+	return d.observed(stats.PhaseOfComponent(c), dir, trace.Span{Kind: trace.KindKernel,
+		Tag: int(c), Name: c.String(), Dir: dir.String(), Args: d.kernelArgs}, fn)
 }
 
 // runComp tags and runs one component kernel under the iteration's chosen
@@ -451,8 +460,8 @@ func (d *driver) chooseSchedule(it *IterTrace, act [partition.NumComponents]int6
 // chain up to resumeIter. A replaced rank slot (its predecessor fail-stopped
 // last epoch) additionally reloads and verifies its graph-tier partition —
 // the read a rejoining replacement pays, and the bulk of BytesRestored.
-// Segments beyond the resume point are truncated: the re-executed iterations
-// rewrite them, and a stale or torn tail must not shadow the rewrite.
+// The log is cut after the resume point's record: the re-executed iterations
+// append theirs again, and a stale or torn tail must not sit in between.
 func (d *driver) loadCheckpoint(wl workload) error {
 	geo := wl.ckpt()
 	cs, n, err := d.scope.Replay(d.r.ID, d.resumeIter,
@@ -556,12 +565,10 @@ func (d *driver) runLoop(wl workload) ([]IterTrace, error) {
 		}
 		startIter = int(d.resumeIter) + 1
 	} else {
+		// A fresh start over an existing scope (e.g. a chain too torn to
+		// resume) needs no clearing: a Writer without a resume state restarts
+		// the rank's log from byte zero.
 		initErr = wl.bootstrap()
-		if d.scope != nil && initErr == nil {
-			// A fresh start over an existing scope (e.g. a chain too torn to
-			// resume) must clear any stale tail before rewriting it.
-			initErr = d.scope.Truncate(d.r.ID, -1)
-		}
 	}
 	if d.scope != nil && initErr == nil {
 		// The async writer goroutine records on its own forked stream: a

@@ -1,0 +1,118 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/comm"
+)
+
+// BenchmarkHubSync times one touched-delegate sync (column allgather, fold,
+// row allgather, fold) on the 2x2 bench world with every rank having lowered
+// 0.1% / 10% / 100% of the K hub labels since the last sync — the layer the
+// per-iteration sync cost of WCC, k-core and SSSP is pinned to. bytes/op is
+// what one rank ships per sync.
+func BenchmarkHubSync(b *testing.B) {
+	e := benchEngine(b)
+	k := e.Part.Hubs.K()
+	for _, frac := range []float64{0.001, 0.10, 1} {
+		n := max(1, int(frac*float64(k)))
+		b.Run(fmt.Sprintf("touched=%g%%", 100*frac), func(b *testing.B) {
+			b.ReportAllocs()
+			var sent int64
+			e.World.Run(func(r *comm.Rank) {
+				st := newWCCState(e, r)
+				for h := range st.hubLabel {
+					st.hubLabel[h] = int64(b.N) + 1
+				}
+				// Set-up is per rank and inside Run; time from here, all ranks
+				// held between the two barriers while rank 0 resets the clock.
+				_ = r.World.Barrier()
+				if r.ID == 0 {
+					b.ResetTimer()
+				}
+				_ = r.World.Barrier()
+				base := r.Stats
+				for i := 0; i < b.N; i++ {
+					for j := 0; j < n; j++ {
+						// Ranks overlap on most hubs and differ on some, so the
+						// fold both agrees and lowers.
+						st.lowerHub(int32((j*(k/n)+r.ID)%k), int64(b.N-i))
+					}
+					if err := st.syncLabels(); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+				if r.ID == 0 {
+					delta := r.Stats.Delta(&base)
+					sent = delta.TotalBytes()
+				}
+			})
+			b.ReportMetric(float64(sent)/float64(b.N), "bytes/op")
+		})
+	}
+}
+
+// scratchBytes is the capacity the engine's retained exchange buffers hold,
+// over all ranks. It grows exactly when a send buffer had to be reallocated.
+func scratchBytes(e *Engine) (total int) {
+	for i := range e.scratch {
+		s := &e.scratch[i]
+		total += cap(s.ups)*24 + cap(s.hubRecs)*16 + cap(s.distRecs)*24 + cap(s.touched.list)*4
+		for _, p := range s.lParts {
+			total += cap(p) * 16
+		}
+		for _, p := range s.hubParts {
+			total += cap(p) * 16
+		}
+		for _, p := range s.l2lParts {
+			total += cap(p) * 16
+		}
+		for _, p := range s.distParts {
+			total += cap(p) * 24
+		}
+	}
+	return total
+}
+
+// BenchmarkWorkloadExchangeAllocs runs warm WCC and SSSP runs on one engine
+// and pins the exchange layer's claim: once a first run has grown them, the
+// dense send buffers, the sparse update buffer and the delegate-sync records
+// come out of Engine.scratch and no iteration allocates one (sendbuf_B/op is
+// the growth of their capacity per run and must be 0). allocs/op is what is
+// left: the receive-side copies comm makes, result arrays and per-run state.
+func BenchmarkWorkloadExchangeAllocs(b *testing.B) {
+	e := benchEngine(b)
+	root := firstConnectedRootOf(e)
+	for _, w := range []struct {
+		name string
+		run  func() (*WorkloadResult, error)
+	}{
+		{"wcc", e.RunWCC},
+		{"sssp", func() (*WorkloadResult, error) { return e.RunSSSP(root, 7, 0) }},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			if _, err := w.run(); err != nil { // warm: grows the scratch once
+				b.Fatal(err)
+			}
+			warm := scratchBytes(e)
+			b.ReportAllocs()
+			b.ResetTimer()
+			iters := 0
+			for i := 0; i < b.N; i++ {
+				res, err := w.run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				iters += res.Iterations
+			}
+			grown := scratchBytes(e) - warm
+			b.ReportMetric(float64(grown)/float64(b.N), "sendbuf_B/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(iters), "ns/iter")
+			if grown != 0 {
+				b.Fatalf("warm runs grew the retained send buffers by %d bytes", grown)
+			}
+		})
+	}
+}

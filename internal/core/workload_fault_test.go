@@ -137,7 +137,10 @@ func TestWorkloadChaosMatrix(t *testing.T) {
 		for wi, wl := range workloads {
 			for ki, k := range kinds {
 				wl, k := wl, k
-				seed := uint64(9100 + 97*mi + 13*wi + ki)
+				// Re-picked (was 9100) when the delegate sync became one allgather
+				// per axis: the plans draw per (rank, kind, sequence number), and
+				// four WCC cells' draws no longer landed on a collective.
+				seed := uint64(9104 + 97*mi + 13*wi + ki)
 				name := fmt.Sprintf("%s/%dx%d/%s", wl, mesh.Rows, mesh.Cols, k.name)
 				t.Run(name, func(t *testing.T) {
 					if testing.Short() && (mi+wi+ki)%3 != 0 {
