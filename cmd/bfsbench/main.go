@@ -22,6 +22,10 @@
 //
 //	bfsbench -scale 16 -ranks 4 -ranks-per-proc 2 -checkpoint-dir /shared/ckpt \
 //	    -listen unix:/tmp/g0.sock -join unix:/tmp/g0.sock,unix:/tmp/g1.sock
+//
+// The graph, mesh, engine, resilience and socket flags are the shared world
+// flags of internal/world (README "World flags"); only the run-selection and
+// output flags are declared here.
 package main
 
 import (
@@ -32,62 +36,46 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/comm"
-	"repro/internal/edgeio"
-	"repro/internal/faultinject"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/wire"
+	"repro/internal/world"
 )
 
 func main() {
+	spec := world.Default()
+	spec.Scale, spec.Ranks = 16, 16
+	spec.GraphFlags(flag.CommandLine)
+	spec.EngineFlags(flag.CommandLine)
+	spec.SocketFlags(flag.CommandLine)
+	spec.JoinFlags(flag.CommandLine)
 	var (
-		scale      = flag.Int("scale", 16, "graph SCALE: 2^scale vertices, 16*2^scale edges")
-		input      = flag.String("input", "", "load edge list from file instead of generating")
-		informat   = flag.String("informat", "bin", "input format: text or bin")
-		ranks      = flag.Int("ranks", 16, "simulated node count (R x C mesh derived)")
-		rows       = flag.Int("rows", 0, "mesh rows (0 = squarest)")
-		cols       = flag.Int("cols", 0, "mesh cols (0 = squarest)")
-		roots      = flag.Int("roots", 16, "number of sampled roots (Graph 500 uses 64)")
-		batchRoots = flag.Int("batch-roots", 0, "offline batched-BFS mode: run ONE multi-source sweep over this many roots and A/B its collective calls against solo runs (bfs only)")
-		seed       = flag.Uint64("seed", 42, "generator seed")
-		workload   = flag.String("workload", "bfs", "comma-separated workloads to run: bfs, wcc, kcore, sssp")
-		kcoreK     = flag.Int64("kcore-k", 2, "peeling threshold for the kcore workload")
-		eThresh    = flag.Int64("ethreshold", 0, "E degree threshold (0 = scale default)")
-		hThresh    = flag.Int64("hthreshold", 0, "H degree threshold (0 = scale default)")
-		segmented  = flag.Bool("segmented", false, "enable CG-aware core subgraph segmenting")
-		hier       = flag.Bool("hierarchical", false, "forward L2L messages via mesh intersections")
-		sparse     = flag.String("sparse", "auto", "sparse tail collective policy: auto, off or always")
-		workers    = flag.Int("rankworkers", 1, "intra-rank kernel workers (edge-aware vertex cut)")
-		breakdown  = flag.Bool("breakdown", true, "print per-subgraph time breakdown (bfs only)")
-		official   = flag.Bool("official", false, "print the Graph 500 official statistics block (bfs only)")
-		faults     = flag.String("faults", "", "fault-injection plan, e.g. \"seed=42,delay=0.01,fail=0.001\" or \"kill@rank=3,iter=2\" (bfs only)")
-		deadline   = flag.Duration("deadline", 0, "per-collective deadline under fault injection (0 = off)")
-		retries    = flag.Int("maxretries", 0, "max consecutive retries of a failed iteration (0 = default 4)")
-		ckptDir    = flag.String("checkpoint-dir", "", "durable checkpoint store directory (empty = checkpointing off)")
-		ckptEvery  = flag.Int("checkpoint-every", 1, "iterations between traversal checkpoints")
-		recovery   = flag.String("recovery", "shrink", "world rebuild after a fail-stop: shrink or restore")
-		rpp        = flag.Int("ranks-per-proc", 0, "hybrid mode: ranks this process hosts in a -join world (0 = ranks/processes)")
-		listen     = flag.String("listen", "", "this process's socket address, unix:PATH or tcp:HOST:PORT (requires -join)")
-		join       = flag.String("join", "", "comma-separated addresses of every process in the world, in process order (must contain -listen)")
-		secret     = flag.String("secret", "", "shared world secret authenticating the socket handshake (or BFS_WORLD_SECRET; empty = unauthenticated)")
-		jsonOut    = flag.String("json", "", "write the machine-readable benchmark report (JSON) to this file (bfs only)")
-		traceOut   = flag.String("trace", "", "record per-iteration spans and write the merged timeline (JSONL) to this file (bfs only)")
-		chromeOut  = flag.String("trace-chrome", "", "record spans and write a Chrome trace_event file for chrome://tracing (bfs only)")
+		roots     = flag.Int("roots", 16, "number of sampled roots (Graph 500 uses 64)")
+		workload  = flag.String("workload", "bfs", "comma-separated workloads to run: bfs, wcc, kcore, sssp")
+		kcoreK    = flag.Int64("kcore-k", 2, "peeling threshold for the kcore workload")
+		breakdown = flag.Bool("breakdown", true, "print per-subgraph time breakdown (bfs only)")
+		official  = flag.Bool("official", false, "print the Graph 500 official statistics block (bfs only)")
+		jsonOut   = flag.String("json", "", "write the machine-readable benchmark report (JSON) to this file (bfs only)")
+		traceOut  = flag.String("trace", "", "record per-iteration spans and write the merged timeline (JSONL) to this file (bfs only)")
+		chromeOut = flag.String("trace-chrome", "", "record spans and write a Chrome trace_event file for chrome://tracing (bfs only)")
 	)
 	flag.Parse()
 
-	if *secret == "" {
-		*secret = os.Getenv("BFS_WORLD_SECRET")
+	names, err := graph500.ParseWorkloads(*workload)
+	if err == nil {
+		err = spec.Validate()
 	}
-	dist, err := joinWorld(*listen, *join, *ranks, *rpp, *secret)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bfsbench:", err)
+		os.Exit(2)
+	}
+	group, err := spec.Join(nil)
 	if err != nil {
 		fatal(err)
 	}
-	if dist != nil {
-		defer dist.group.Close()
-		if dist.group.Proc() != 0 {
+	if group != nil {
+		defer group.Close()
+		if group.Proc() != 0 {
 			// Follower processes run the identical SPMD schedule but stay
 			// quiet: the leader owns the human output and every artifact.
 			null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
@@ -98,115 +86,29 @@ func main() {
 			*jsonOut, *traceOut, *chromeOut = "", "", ""
 		}
 		fmt.Printf("joined socket world: process %d of %d, %d ranks each\n",
-			dist.group.Proc(), dist.procs, dist.rpp)
+			group.Proc(), group.Procs(), spec.RanksPerProc)
 	}
 
-	var g graph500.Graph
 	t0 := time.Now()
-	if *input != "" {
-		format, err := edgeio.ParseFormat(*informat)
-		if err != nil {
-			fatal(err)
-		}
-		n, edges, err := edgeio.ReadFile(*input, format)
-		if err != nil {
-			fatal(err)
-		}
-		g = graph500.FromEdges(n, edges)
-		fmt.Printf("loaded %s: %d vertices, %d edges in %v\n",
-			*input, g.NumVertices, len(g.Edges), time.Since(t0).Round(time.Millisecond))
-	} else {
-		fmt.Printf("generating SCALE %d graph (%d vertices, %d edges)...\n",
-			*scale, int64(1)<<uint(*scale), int64(16)<<uint(*scale))
-		g = graph500.Generate(graph500.GenConfig{Scale: *scale, Seed: *seed})
-		fmt.Printf("  generated in %v\n", time.Since(t0).Round(time.Millisecond))
+	g, err := spec.LoadGraph(os.Stdout)
+	if err != nil {
+		fatal(err)
 	}
 	genSeconds := time.Since(t0).Seconds()
 
-	cfg := graph500.Config{
-		Ranks:        *ranks,
-		Segmented:    *segmented,
-		Hierarchical: *hier,
-		RankWorkers:  *workers,
+	cfg, err := spec.Config(group)
+	if err != nil {
+		fatal(err)
 	}
-	if *rows > 0 && *cols > 0 {
-		cfg.Mesh = graph500.Mesh{Rows: *rows, Cols: *cols}
+	if cfg.Faults != nil {
+		fmt.Printf("fault injection active: %s\n", cfg.Faults)
 	}
-	switch *sparse {
-	case "auto":
-		cfg.SparseTail = graph500.SparseAuto
-	case "off":
-		cfg.SparseTail = graph500.SparseOff
-	case "always":
-		cfg.SparseTail = graph500.SparseAlways
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -sparse %q (want auto, off or always)\n", *sparse)
-		os.Exit(2)
+	if cfg.CheckpointDir != "" {
+		fmt.Printf("checkpointing to %s every %d iteration(s)\n", cfg.CheckpointDir, cfg.CheckpointEvery)
 	}
-	if *eThresh > 0 && *hThresh > 0 {
-		cfg.Thresholds = graph500.Thresholds{E: *eThresh, H: *hThresh}
-	}
-	if *faults != "" {
-		plan, err := faultinject.Parse(*faults)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Faults = plan
-		cfg.CollectiveDeadline = *deadline
-		cfg.MaxRetries = *retries
-		fmt.Printf("fault injection active: %s\n", plan)
-	}
-	if *ckptDir != "" {
-		cfg.CheckpointDir = *ckptDir
-		cfg.CheckpointEvery = *ckptEvery
-		fmt.Printf("checkpointing to %s every %d iteration(s)\n", *ckptDir, *ckptEvery)
-	}
-	switch *recovery {
-	case "shrink":
-		cfg.Recovery = graph500.ShrinkRecovery
-	case "restore":
-		cfg.Recovery = graph500.RestoreRecovery
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -recovery %q (want shrink or restore)\n", *recovery)
-		os.Exit(2)
-	}
-	if dist != nil {
-		cfg.Dist = dist.cfg
-	}
-
-	out := outputs{json: *jsonOut, trace: *traceOut, chrome: *chromeOut}
-	if out.trace != "" || out.chrome != "" {
+	if *traceOut != "" || *chromeOut != "" {
 		cfg.Trace = trace.New()
 	}
-	out.cfgReport = report.RunConfig{
-		Scale:        *scale,
-		EdgeFactor:   16,
-		NumVertices:  g.NumVertices,
-		NumEdges:     int64(len(g.Edges)),
-		Roots:        *roots,
-		Seed:         *seed,
-		Direction:    "sub-iteration",
-		Segmented:    *segmented,
-		Hierarchical: *hier,
-		RankWorkers:  *workers,
-		Faults:       *faults,
-		Checkpoints:  *ckptDir != "",
-	}
-	if *sparse != "auto" {
-		// Only a non-default policy marks the report: keeps config-equality
-		// checks against pre-sparse baselines working.
-		out.cfgReport.Sparse = *sparse
-	}
-	if *input != "" {
-		out.cfgReport.Scale, out.cfgReport.EdgeFactor = 0, 0
-	}
-
-	names, err := graph500.ParseWorkloads(*workload)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	out.cfgReport.Workload = strings.Join(names, ",")
 
 	r, err := graph500.New(g, cfg)
 	if err != nil {
@@ -220,24 +122,15 @@ func main() {
 		r.Engine.PartitionSeconds+r.Engine.ConstructSeconds,
 		ps.DegreesSeconds, ps.HubDirSeconds, ps.DistributeSeconds,
 		ps.AssembleSeconds, ps.SortSeconds, r.Engine.ConstructSeconds)
-	out.cfgReport.Ranks = r.Engine.Opt.Ranks
-	out.cfgReport.MeshRows = r.Engine.Opt.Mesh.Rows
-	out.cfgReport.MeshCols = r.Engine.Opt.Mesh.Cols
-
-	if *batchRoots > 0 {
-		if dist != nil {
-			fatal(fmt.Errorf("-batch-roots runs the in-process backend only"))
-		}
-		runBatchBench(r, *batchRoots, *seed, out)
-		writeTraces(cfg.Trace, out)
-		return
-	}
+	cfgReport := spec.RunConfig(r)
+	cfgReport.Roots = *roots
+	cfgReport.Workload = strings.Join(names, ",")
 
 	var entries []report.WorkloadEntry
 	var sum *graph500.BenchmarkSummary
 	for _, name := range names {
 		if name == "bfs" {
-			sum = runBFS(r, cfg, *roots, *seed, *breakdown, *official, time.Since(t0))
+			sum = runBFS(r, cfg, *roots, spec.Seed, *breakdown, *official, time.Since(t0))
 			if sum == nil { // -official printed its block and owns the output
 				return
 			}
@@ -245,7 +138,7 @@ func main() {
 			continue
 		}
 		t2 := time.Now()
-		entry, err := r.BenchWorkload(name, *kcoreK, *seed)
+		entry, err := r.BenchWorkload(name, *kcoreK, spec.Seed)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", name, err))
 		}
@@ -263,9 +156,9 @@ func main() {
 		entries = append(entries, entry)
 	}
 
-	if dist != nil {
-		ws := dist.group.WireStats()
-		fmt.Printf("\nwire transport (process %d of %d):\n", dist.group.Proc(), dist.procs)
+	if group != nil {
+		ws := group.WireStats()
+		fmt.Printf("\nwire transport (process %d of %d):\n", group.Proc(), group.Procs())
 		fmt.Printf("  heartbeats:  %d sent, %d received\n", ws.HeartbeatsSent, ws.HeartbeatsRecv)
 		fmt.Printf("  reconnects:  %d  (%d frames resent)\n", ws.Reconnects, ws.FramesResent)
 		fmt.Printf("  peers lost:  %d\n", ws.PeersLost)
@@ -274,117 +167,23 @@ func main() {
 				ws.AuthRejects, ws.HandshakeTimeouts)
 		}
 		fmt.Printf("  traffic:     %d bytes sent, %d bytes received\n", ws.BytesSent, ws.BytesRecv)
-		if dead := dist.group.DeadProcs(); len(dead) > 0 {
+		if dead := group.DeadProcs(); len(dead) > 0 {
 			fmt.Printf("  dead procs:  %v\n", dead)
 		}
 	}
 
-	if out.json != "" {
-		in := report.Inputs{Config: out.cfgReport, Workloads: entries,
-			Setup: setupReport(genSeconds, r, cfg.Trace)}
-		if dist != nil {
-			ws := dist.group.WireStats()
-			in.Wire = &report.WireResilience{
-				Procs:             dist.procs,
-				RanksPerProc:      dist.rpp,
-				HeartbeatsSent:    ws.HeartbeatsSent,
-				HeartbeatsRecv:    ws.HeartbeatsRecv,
-				Reconnects:        ws.Reconnects,
-				PeersLost:         ws.PeersLost,
-				FramesResent:      ws.FramesResent,
-				BytesSent:         ws.BytesSent,
-				BytesRecv:         ws.BytesRecv,
-				AuthRejects:       ws.AuthRejects,
-				HandshakeTimeouts: ws.HandshakeTimeouts,
-			}
-		}
+	if *jsonOut != "" {
+		in := report.Inputs{Config: cfgReport, Workloads: entries,
+			Setup: setupReport(genSeconds, r, cfg.Trace), Wire: spec.WireResilience(group)}
 		if sum != nil {
-			in.HarmonicTEPS = sum.HarmonicTEPS
-			in.MeanTEPS = sum.MeanTEPS
-			in.MinTEPS = sum.MinTEPS
-			in.MaxTEPS = sum.MaxTEPS
-			in.MeanSeconds = sum.MeanSeconds
-			in.Traversed = sum.TotalTraversed
-			in.Iterations = sum.Iterations
-			in.Recorder = &sum.Recorder
-			in.Directions = sum.Directions
-			in.Faults = sum.Faults
-			in.Retries = sum.Retries
-			in.RecoveryWall = sum.RecoveryTime
-			in.Recovery = sum.Recovery
+			sum.Fill(&in)
 		}
-		if err := report.Build(in).WriteFile(out.json); err != nil {
+		if err := report.Build(in).WriteFile(*jsonOut); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote benchmark report to %s\n", out.json)
+		fmt.Printf("wrote benchmark report to %s\n", *jsonOut)
 	}
-	writeTraces(cfg.Trace, out)
-}
-
-// distWorld is the socket world this process joined: the comm group plus
-// the hybrid split it was derived from.
-type distWorld struct {
-	group *comm.Group
-	cfg   *comm.DistConfig
-	procs int
-	rpp   int
-}
-
-// joinWorld binds this process into the multi-process socket world named by
-// -listen/-join, or returns nil when both are empty (the in-process
-// backend). Every process of the world runs the identical bfsbench command
-// line except for -listen; the process index is the position of -listen in
-// the -join list, and process p hosts ranks [p*rpp, (p+1)*rpp).
-func joinWorld(listen, join string, ranks, rpp int, secret string) (*distWorld, error) {
-	if listen == "" && join == "" {
-		if rpp != 0 {
-			return nil, fmt.Errorf("-ranks-per-proc needs a socket world (-listen and -join)")
-		}
-		return nil, nil
-	}
-	if listen == "" || join == "" {
-		return nil, fmt.Errorf("-listen and -join must be set together")
-	}
-	addrs := strings.Split(join, ",")
-	proc := -1
-	for i, a := range addrs {
-		if a == listen {
-			proc = i
-			break
-		}
-	}
-	if proc < 0 {
-		return nil, fmt.Errorf("-listen %s does not appear in -join %s", listen, join)
-	}
-	procs := len(addrs)
-	if rpp == 0 {
-		if ranks%procs != 0 {
-			return nil, fmt.Errorf("%d ranks do not divide over %d processes; set -ranks-per-proc", ranks, procs)
-		}
-		rpp = ranks / procs
-	}
-	if (ranks+rpp-1)/rpp != procs {
-		return nil, fmt.Errorf("%d ranks at %d per process need %d processes, -join names %d",
-			ranks, rpp, (ranks+rpp-1)/rpp, procs)
-	}
-	g, err := comm.NewGroup(wire.Config{Proc: proc, Addrs: addrs, Secret: secret})
-	if err != nil {
-		return nil, err
-	}
-	return &distWorld{
-		group: g,
-		cfg:   &comm.DistConfig{Group: g, ProcOf: comm.ContiguousProcOf(ranks, rpp)},
-		procs: procs,
-		rpp:   rpp,
-	}, nil
-}
-
-// outputs collects the machine-readable emission targets.
-type outputs struct {
-	json      string
-	trace     string
-	chrome    string
-	cfgReport report.RunConfig
+	writeTraces(cfg.Trace, *traceOut, *chromeOut)
 }
 
 // runBFS benchmarks BFS on the shared runner and returns the summary for the
@@ -483,7 +282,7 @@ func firstKernelGap(spans []trace.Span) float64 {
 
 // writeTraces dumps the recorded span timeline in the requested formats.
 // Called after the runs complete, when every recording goroutine has exited.
-func writeTraces(tr *trace.Tracer, out outputs) {
+func writeTraces(tr *trace.Tracer, jsonl, chrome string) {
 	if tr == nil {
 		return
 	}
@@ -501,11 +300,11 @@ func writeTraces(tr *trace.Tracer, out outputs) {
 		}
 		fmt.Printf("wrote trace to %s\n", path)
 	}
-	if out.trace != "" {
-		write(out.trace, func(f *os.File) error { return tr.WriteJSONL(f) })
+	if jsonl != "" {
+		write(jsonl, func(f *os.File) error { return tr.WriteJSONL(f) })
 	}
-	if out.chrome != "" {
-		write(out.chrome, func(f *os.File) error { return tr.WriteChrome(f) })
+	if chrome != "" {
+		write(chrome, func(f *os.File) error { return tr.WriteChrome(f) })
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -35,27 +36,19 @@ import (
 
 	graph500 "repro"
 	"repro/internal/bfsd"
-	"repro/internal/edgeio"
-	"repro/internal/faultinject"
 	"repro/internal/perfmodel"
+	"repro/internal/world"
 )
 
 func main() {
+	// The graph, mesh, engine and resilience flags are the shared world
+	// flags (README "World flags"). bfsd serves an in-process world, so it
+	// registers no socket flags.
+	spec := world.Default()
+	spec.Scale, spec.Ranks = 14, 4
+	spec.GraphFlags(flag.CommandLine)
+	spec.EngineFlags(flag.CommandLine)
 	var (
-		scale     = flag.Int("scale", 14, "graph SCALE: 2^scale vertices, 16*2^scale edges")
-		input     = flag.String("input", "", "load edge list from file instead of generating")
-		informat  = flag.String("informat", "bin", "input format: text or bin")
-		ranks     = flag.Int("ranks", 4, "simulated node count (R x C mesh derived)")
-		rows      = flag.Int("rows", 0, "mesh rows (0 = squarest)")
-		cols      = flag.Int("cols", 0, "mesh cols (0 = squarest)")
-		seed      = flag.Uint64("seed", 42, "generator seed")
-		eThresh   = flag.Int64("ethreshold", 0, "E degree threshold (0 = scale default)")
-		hThresh   = flag.Int64("hthreshold", 0, "H degree threshold (0 = scale default)")
-		segmented = flag.Bool("segmented", false, "enable CG-aware core subgraph segmenting")
-		hier      = flag.Bool("hierarchical", false, "forward L2L messages via mesh intersections")
-		workers   = flag.Int("rankworkers", 1, "intra-rank kernel workers")
-		faults    = flag.String("faults", "", "fault-injection plan (chaos soak), e.g. \"seed=42,delay=0.01\"")
-		ckptDir   = flag.String("checkpoint-dir", "", "durable checkpoint store directory")
 		addr      = flag.String("addr", ":8080", "HTTP listen address")
 		window    = flag.Duration("window", 2*time.Millisecond, "batching window: max wait for the first query of a batch")
 		maxBatch  = flag.Int("max-batch", 8, "max queries per batched sweep (clamped by -mem-budget)")
@@ -63,50 +56,21 @@ func main() {
 		memBudget = flag.String("mem-budget", "", "per-rank memory budget for batch state, e.g. 64MiB (empty = no clamp)")
 	)
 	flag.Parse()
-
-	var g graph500.Graph
-	t0 := time.Now()
-	if *input != "" {
-		format, err := edgeio.ParseFormat(*informat)
-		if err != nil {
-			fatal(err)
-		}
-		n, edges, err := edgeio.ReadFile(*input, format)
-		if err != nil {
-			fatal(err)
-		}
-		g = graph500.FromEdges(n, edges)
-		fmt.Printf("loaded %s: %d vertices, %d edges in %v\n",
-			*input, g.NumVertices, len(g.Edges), time.Since(t0).Round(time.Millisecond))
-	} else {
-		fmt.Printf("generating SCALE %d graph (%d vertices, %d edges)...\n",
-			*scale, int64(1)<<uint(*scale), int64(16)<<uint(*scale))
-		g = graph500.Generate(graph500.GenConfig{Scale: *scale, Seed: *seed})
-		fmt.Printf("  generated in %v\n", time.Since(t0).Round(time.Millisecond))
+	if err := spec.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "bfsd:", err)
+		os.Exit(2)
 	}
 
-	cfg := graph500.Config{
-		Ranks:        *ranks,
-		Segmented:    *segmented,
-		Hierarchical: *hier,
-		RankWorkers:  *workers,
+	g, err := spec.LoadGraph(os.Stdout)
+	if err != nil {
+		fatal(err)
 	}
-	if *rows > 0 && *cols > 0 {
-		cfg.Mesh = graph500.Mesh{Rows: *rows, Cols: *cols}
+	cfg, err := spec.Config(nil)
+	if err != nil {
+		fatal(err)
 	}
-	if *eThresh > 0 && *hThresh > 0 {
-		cfg.Thresholds = graph500.Thresholds{E: *eThresh, H: *hThresh}
-	}
-	if *faults != "" {
-		plan, err := faultinject.Parse(*faults)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Faults = plan
-		fmt.Printf("fault injection active: %s\n", plan)
-	}
-	if *ckptDir != "" {
-		cfg.CheckpointDir = *ckptDir
+	if cfg.Faults != nil {
+		fmt.Printf("fault injection active: %s\n", cfg.Faults)
 	}
 
 	r, err := graph500.New(g, cfg)
@@ -188,7 +152,7 @@ func parseBytes(s string) (int64, error) {
 		}
 	}
 	v, err := strconv.ParseInt(strings.TrimSpace(t), 10, 64)
-	if err != nil || v < 0 {
+	if err != nil || v < 0 || v > math.MaxInt64/mult {
 		return 0, fmt.Errorf("bad size %q", s)
 	}
 	return v * mult, nil

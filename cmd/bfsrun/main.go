@@ -8,17 +8,23 @@
 // restore path, and draining the fleet gracefully on SIGTERM.
 //
 //	bfsrun -procs 3 -spares 2 -scale 16 -roots 4 -json run.json
-//	bfsrun -procs 3 -scale 16 -fault-plan "sigkill@proc=1,iter=2"
+//	bfsrun -procs 3 -scale 16 -faults "sigkill@proc=1,iter=2"
 //
-// The worker side is this same binary re-executed with BFSRUN_WORKER=1: each
-// worker joins the wire world with the per-run shared secret, runs the SPMD
-// BFS schedule, and reports liveness over the supervise control pipe. A
-// worker SIGKILLed by the fault plan is replaced by a spare that replays the
-// shared checkpoint store; the killed slot's restarted process learns from
-// the sealed handshake verdict that the world moved on and parks (exit 3).
-// An authentication failure is reported, not retried (exit 4). A drained
-// worker commits a checkpoint and exits 5; rerunning with the same
-// -checkpoint-dir resumes where the drain stopped.
+// The graph, mesh, engine, resilience and socket flags are the shared world
+// flags of internal/world (README "World flags"); an empty -checkpoint-dir
+// here means a fresh temp dir, because a supervised world always checkpoints.
+//
+// The worker side is this same binary re-executed with its whole world spec
+// as one JSON value in BFSRUN_SPEC: each worker joins the wire world with the
+// per-run shared secret, runs the SPMD BFS schedule, and reports liveness
+// over the supervise control pipe. A worker SIGKILLed by the fault plan is
+// replaced by a spare that replays the shared checkpoint store; the killed
+// slot's restarted process learns from the sealed handshake verdict — or,
+// when no live peer is left to deliver one, from a peer-dead window of
+// silence — that the world moved on and parks (exit 3) before it touches the
+// shared checkpoint store. An authentication failure is reported, not
+// retried (exit 4). A drained worker commits a checkpoint and exits 5;
+// rerunning with the same -checkpoint-dir resumes where the drain stopped.
 package main
 
 import (
@@ -26,14 +32,15 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -47,41 +54,38 @@ import (
 	"repro/internal/supervise"
 	"repro/internal/trace"
 	"repro/internal/wire"
+	"repro/internal/world"
 )
 
 // Worker exit codes, classified by the parent's OnExit hook.
 const (
 	exitOK      = 0 // all roots traversed, artifacts written
 	exitFatal   = 1 // unrecoverable worker error: restart
+	exitSpec    = 2 // the spec from the parent did not decode or validate: give up
 	exitSealed  = 3 // a peer holds a final dead verdict for this proc id: park
 	exitAuth    = 4 // handshake authentication failed: give up, do not retry
 	exitDrained = 5 // graceful drain completed with a committed checkpoint
 )
 
-// The parent→worker environment protocol. BFSRUN_WORKER selects worker mode
-// in the re-executed binary; the rest carries the world spec so every worker
-// derives the identical graph, partition and root schedule.
-const (
-	envWorker   = "BFSRUN_WORKER"
-	envProc     = "BFSRUN_PROC"
-	envAddrs    = "BFSRUN_ADDRS"
-	envSecret   = "BFSRUN_SECRET"
-	envScale    = "BFSRUN_SCALE"
-	envSeed     = "BFSRUN_SEED"
-	envRanks    = "BFSRUN_RANKS"
-	envRPP      = "BFSRUN_RPP"
-	envRoots    = "BFSRUN_ROOTS"
-	envCkpt     = "BFSRUN_CKPT"
-	envOut      = "BFSRUN_OUT"
-	envPlan     = "BFSRUN_PLAN"
-	envRecovery = "BFSRUN_RECOVERY"
-	envPeerDead = "BFSRUN_PEER_DEAD"
-	envGen      = "BFSRUN_GEN"
-)
+// envSpec carries the parent→worker protocol: one JSON workerSpec. Its
+// presence selects worker mode in the re-executed binary.
+const envSpec = "BFSRUN_SPEC"
+
+// workerSpec is everything one worker incarnation is told: the world (with
+// Listen naming its own slot and Faults already stripped of the sigkills
+// earlier incarnations executed), the root count, the artifact directory,
+// and whether this incarnation replaces one that died.
+type workerSpec struct {
+	world.Spec
+	Roots     int
+	Out       string
+	Restarted bool
+	WorldGen  int
+}
 
 func main() {
-	if os.Getenv(envWorker) == "1" {
-		os.Exit(workerMain())
+	if env, ok := os.LookupEnv(envSpec); ok {
+		os.Exit(workerMain(env))
 	}
 	os.Exit(parentMain(os.Args[1:]))
 }
@@ -91,23 +95,20 @@ func main() {
 
 func parentMain(args []string) int {
 	fs := flag.NewFlagSet("bfsrun", flag.ContinueOnError)
+	spec := world.Default()
+	spec.Scale, spec.RanksPerProc, spec.Spares = 14, 2, 1
+	spec.Recovery, spec.PeerDead = "restore", 2*time.Second
+	spec.GraphFlags(fs)
+	spec.EngineFlags(fs)
+	spec.SocketFlags(fs)
+	fs.IntVar(&spec.Spares, "spares", spec.Spares, "spare worker processes (zero ranks until they adopt a dead process's)")
 	var (
 		procs    = fs.Int("procs", 2, "rank-hosting worker processes")
-		spares   = fs.Int("spares", 1, "spare worker processes (zero ranks until they adopt a dead process's)")
-		scale    = fs.Int("scale", 14, "graph SCALE: 2^scale vertices, 16*2^scale edges")
-		seed     = fs.Uint64("seed", 42, "generator seed")
-		rpp      = fs.Int("ranks-per-proc", 2, "ranks each rank-hosting process serves")
-		ranks    = fs.Int("ranks", 0, "total simulated node count (0 = procs * ranks-per-proc)")
 		roots    = fs.Int("roots", 4, "number of sampled BFS roots")
-		ckptDir  = fs.String("checkpoint-dir", "", "shared durable checkpoint store (empty = fresh temp dir)")
 		outDir   = fs.String("out", "", "artifact directory for parents files and per-worker reports (empty = fresh temp dir)")
 		sockDir  = fs.String("sock-dir", "", "directory for the world's unix sockets (empty = fresh temp dir)")
-		secret   = fs.String("secret", "", "shared world secret authenticating every wire handshake (empty = fresh random secret; or BFS_WORLD_SECRET)")
-		plan     = fs.String("fault-plan", "", "fault-injection plan, e.g. \"sigkill@proc=1,iter=2\" (see internal/faultinject)")
-		recovery = fs.String("recovery", "restore", "world rebuild after a fail-stop: shrink or restore")
 		jsonOut  = fs.String("json", "", "write the merged machine-readable report (worker run + supervisor resilience) here")
 		traceOut = fs.String("trace", "", "write the supervisor's lifecycle event timeline (JSONL) here")
-		peerDead = fs.Duration("peer-dead", 2*time.Second, "wire silence budget before a peer is declared dead")
 		backoff  = fs.Duration("restart-backoff", 0, "base restart backoff (0 = 2*peer-dead + 1s, so a restarted proc always meets the sealed verdict, never a stale session)")
 		backCap  = fs.Duration("backoff-cap", 10*time.Second, "restart backoff cap")
 		loopK    = fs.Int("crashloop-k", 4, "crash-loop breaker: give up on a slot after K failures inside -crashloop-window")
@@ -121,35 +122,27 @@ func parentMain(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *ranks == 0 {
-		*ranks = *procs * *rpp
-	}
-	if *procs < 1 || *spares < 0 || *ranks%*rpp != 0 || *ranks / *rpp != *procs {
-		fmt.Fprintf(os.Stderr, "bfsrun: %d ranks at %d per process need exactly %d rank-hosting processes\n",
-			*ranks, *rpp, (*ranks + *rpp - 1) / *rpp)
+	if *procs < 1 || spec.Spares < 0 || spec.PeerDead <= 0 {
+		fmt.Fprintln(os.Stderr, "bfsrun: need -procs >= 1, -spares >= 0 and a positive -peer-dead")
 		return 2
 	}
-	if *secret == "" {
-		*secret = os.Getenv("BFS_WORLD_SECRET")
+	// Validate needs only the process count; the addresses are named once
+	// -sock-dir exists.
+	spec.Addrs = make([]string, *procs+spec.Spares)
+	if err := spec.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "bfsrun:", err)
+		return 2
 	}
-	if *secret == "" {
+	plan, _ := spec.FaultPlan() // Validate parsed it
+	if spec.Secret == "" {
 		var b [16]byte
 		if _, err := rand.Read(b[:]); err != nil {
 			fmt.Fprintln(os.Stderr, "bfsrun:", err)
 			return 1
 		}
-		*secret = hex.EncodeToString(b[:])
+		spec.Secret = hex.EncodeToString(b[:])
 	}
-	var retired *faultinject.Plan
-	if *plan != "" {
-		p, err := faultinject.Parse(*plan)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bfsrun:", err)
-			return 2
-		}
-		retired = p
-	}
-	for _, d := range []*string{ckptDir, outDir, sockDir} {
+	for _, d := range []*string{&spec.CheckpointDir, outDir, sockDir} {
 		if *d == "" {
 			t, err := os.MkdirTemp("", "bfsrun-")
 			if err != nil {
@@ -168,17 +161,16 @@ func parentMain(args []string) int {
 		// keeps even the earliest restart behind the verdict. A too-early
 		// restart would resume the old session with reset frame sequence
 		// numbers instead of meeting the sealed reject.
-		*backoff = 2**peerDead + time.Second
+		*backoff = 2*spec.PeerDead + time.Second
 	}
 
-	world := *procs + *spares
-	addrs := make([]string, world)
+	addrs := spec.Addrs
 	for i := range addrs {
 		addrs[i] = "unix:" + filepath.Join(*sockDir, fmt.Sprintf("w%d.sock", i))
 	}
 	fmt.Printf("bfsrun: %d workers + %d spares, scale %d, %d ranks (%d per process)\n",
-		*procs, *spares, *scale, *ranks, *rpp)
-	fmt.Printf("bfsrun: checkpoints %s, artifacts %s\n", *ckptDir, *outDir)
+		*procs, spec.Spares, spec.Scale, spec.Ranks, spec.RanksPerProc)
+	fmt.Printf("bfsrun: checkpoints %s, artifacts %s\n", spec.CheckpointDir, *outDir)
 
 	var tr *trace.Tracer
 	var spans *trace.Stream
@@ -203,30 +195,19 @@ func parentMain(args []string) int {
 		if err != nil {
 			return nil, err
 		}
-		planMu.Lock()
-		spec := ""
-		if retired != nil {
-			spec = retired.DropSigKills(consumed).String()
+		ws := workerSpec{Spec: spec, Roots: *roots, Out: *outDir, Restarted: gen > 1, WorldGen: worldGen}
+		ws.Listen = addrs[slot]
+		if plan != nil {
+			planMu.Lock()
+			ws.Faults = plan.DropSigKills(consumed).String()
+			planMu.Unlock()
 		}
-		planMu.Unlock()
+		env, err := json.Marshal(ws)
+		if err != nil {
+			return nil, err
+		}
 		cmd := exec.Command(exe)
-		cmd.Env = append(os.Environ(),
-			envWorker+"=1",
-			envProc+"="+strconv.Itoa(slot),
-			envAddrs+"="+strings.Join(addrs, ","),
-			envSecret+"="+*secret,
-			envScale+"="+strconv.Itoa(*scale),
-			envSeed+"="+strconv.FormatUint(*seed, 10),
-			envRanks+"="+strconv.Itoa(*ranks),
-			envRPP+"="+strconv.Itoa(*rpp),
-			envRoots+"="+strconv.Itoa(*roots),
-			envCkpt+"="+*ckptDir,
-			envOut+"="+*outDir,
-			envPlan+"="+spec,
-			envRecovery+"="+*recovery,
-			envPeerDead+"="+peerDead.String(),
-			envGen+"="+strconv.Itoa(worldGen),
-		)
+		cmd.Env = append(os.Environ(), envSpec+"="+string(env))
 		if *verbose {
 			cmd.Stderr = os.Stderr
 		}
@@ -249,7 +230,7 @@ func parentMain(args []string) int {
 			return supervise.DecideDone
 		case exitSealed:
 			return supervise.DecidePark
-		case exitAuth:
+		case exitAuth, exitSpec:
 			return supervise.DecideGiveUp
 		}
 		return supervise.DecideRestart
@@ -296,14 +277,13 @@ func parentMain(args []string) int {
 		}
 	}()
 
-	var total supervise.Stats
-	var crashLoopGiveUps int64
-	generations := 0
+	// sr accumulates every generation's babysitting record for the report.
+	sr := &report.SupervisorResilience{Workers: *procs, Spares: spec.Spares}
 	for gen := 1; ; gen++ {
-		generations = gen
+		sr.Generations = gen
 		worldGen = gen
 		sup, err := supervise.New(supervise.Config{
-			Workers:          world,
+			Workers:          len(addrs),
 			Start:            start,
 			OnExit:           onExit,
 			OnEvent:          onEvent,
@@ -327,19 +307,18 @@ func parentMain(args []string) int {
 		runErr := sup.Run()
 		cur.Store(nil)
 		st := sup.Stats()
-		total.Spawns += st.Spawns
-		total.Restarts += st.Restarts
-		total.Crashes += st.Crashes
-		total.Hangs += st.Hangs
-		total.Parked += st.Parked
-		total.Done += st.Done
-		total.Drained += st.Drained
+		sr.Spawns += st.Spawns
+		sr.Restarts += st.Restarts
+		sr.Crashes += st.Crashes
+		sr.Hangs += st.Hangs
+		sr.Parked += st.Parked
+		sr.Drained += st.Drained
 		if runErr == nil {
 			break
 		}
 		var cl *supervise.CrashLoopError
 		if errors.As(runErr, &cl) && gen < *maxGen {
-			crashLoopGiveUps++
+			sr.CrashLoopGiveUps++
 			fmt.Fprintf(os.Stderr, "bfsrun: generation %d crash-looped (%v); relaunching the world\n", gen, cl)
 			continue
 		}
@@ -349,10 +328,19 @@ func parentMain(args []string) int {
 	}
 
 	fmt.Printf("bfsrun: world retired after %d generation(s): %d spawns, %d restarts, %d crashes, %d parked, %d drained\n",
-		generations, total.Spawns, total.Restarts, total.Crashes, total.Parked, total.Drained)
+		sr.Generations, sr.Spawns, sr.Restarts, sr.Crashes, sr.Parked, sr.Drained)
+	if plan != nil {
+		// A chaos run must not inject nothing silently. A clause stays unfired
+		// when its process never entered the iteration with a rank: the run
+		// was shorter, or the world evacuated the process first (the outcome
+		// revoke votes an early leaver's ranks dead, DESIGN.md §14).
+		for _, k := range plan.DropSigKills(consumed).SigKills {
+			fmt.Fprintf(os.Stderr, "bfsrun: fault plan: sigkill@proc=%d,iter=%d never fired\n", k.Proc, k.Iter)
+		}
+	}
 
 	chosen := -1
-	for p := 0; p < world; p++ {
+	for p := range addrs {
 		if _, err := os.Stat(parentsPath(*outDir, p)); err == nil {
 			chosen = p
 			break
@@ -360,8 +348,8 @@ func parentMain(args []string) int {
 	}
 	writeParentTrace(tr, *traceOut)
 	if chosen < 0 {
-		if total.Drained > 0 {
-			fmt.Printf("bfsrun: drained before completion; rerun with -checkpoint-dir %s to resume\n", *ckptDir)
+		if sr.Drained > 0 {
+			fmt.Printf("bfsrun: drained before completion; rerun with -checkpoint-dir %s to resume\n", spec.CheckpointDir)
 			return 0
 		}
 		fmt.Fprintln(os.Stderr, "bfsrun: no worker produced a complete parents artifact")
@@ -370,18 +358,6 @@ func parentMain(args []string) int {
 	fmt.Printf("bfsrun: parents artifact %s\n", parentsPath(*outDir, chosen))
 
 	if *jsonOut != "" {
-		sr := &report.SupervisorResilience{
-			Workers:          *procs,
-			Spares:           *spares,
-			Generations:      generations,
-			Spawns:           total.Spawns,
-			Restarts:         total.Restarts,
-			Crashes:          total.Crashes,
-			Hangs:            total.Hangs,
-			Parked:           total.Parked,
-			Drained:          total.Drained,
-			CrashLoopGiveUps: crashLoopGiveUps,
-		}
 		if err := mergeReport(reportPath(*outDir, chosen), *jsonOut, sr); err != nil {
 			fmt.Fprintln(os.Stderr, "bfsrun:", err)
 			return 1
@@ -394,12 +370,7 @@ func parentMain(args []string) int {
 // mergeReport loads the chosen worker's run report and republishes it with
 // the parent's supervisor-resilience block attached.
 func mergeReport(workerReport, dst string, sr *report.SupervisorResilience) error {
-	f, err := os.Open(workerReport)
-	if err != nil {
-		return err
-	}
-	r, err := report.Read(f)
-	f.Close()
+	r, err := report.ReadFile(workerReport)
 	if err != nil {
 		return err
 	}
@@ -451,7 +422,7 @@ func (t *sigkillTransport) Intercept(c comm.Call) comm.FaultAction {
 	return t.plan.Intercept(c)
 }
 
-func workerMain() int {
+func workerMain(env string) int {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "bfsrun-worker: "+format+"\n", args...)
 	}
@@ -459,19 +430,18 @@ func workerMain() int {
 	stopHB := rep.StartHeartbeat(500 * time.Millisecond)
 	defer stopHB()
 
-	proc, err := strconv.Atoi(os.Getenv(envProc))
-	if err != nil {
-		logf("bad %s: %v", envProc, err)
-		return exitFatal
+	var ws workerSpec
+	err := world.Decode(env, &ws)
+	if err == nil {
+		err = ws.Validate()
 	}
-	addrs := strings.Split(os.Getenv(envAddrs), ",")
-	scale := envInt(envScale, 14)
-	seed := envUint(envSeed, 42)
-	ranks := envInt(envRanks, 4)
-	rpp := envInt(envRPP, 2)
-	roots := envInt(envRoots, 4)
-	outDir := os.Getenv(envOut)
-	peerDead, _ := time.ParseDuration(os.Getenv(envPeerDead))
+	if err == nil && ws.Listen == "" {
+		err = errors.New("world spec: a worker needs its own socket address (Listen)")
+	}
+	if err != nil {
+		logf("%v", err)
+		return exitSpec
+	}
 
 	var draining atomic.Bool
 	sigc := make(chan os.Signal, 1)
@@ -489,47 +459,48 @@ func workerMain() int {
 		switch {
 		case errors.Is(err, wire.ErrSealed):
 			rep.Sendf("sealed", "peer=%d", peer)
-			logf("proc %d: world moved on while we were dead (peer %d): parking", proc, peer)
+			logf("%s: world moved on while we were dead (peer %d): parking", ws.Listen, peer)
 			os.Exit(exitSealed)
 		case errors.Is(err, wire.ErrAuth):
 			rep.Sendf("auth", "peer=%d", peer)
-			logf("proc %d: handshake authentication failed (peer %d): %v", proc, peer, err)
+			logf("%s: handshake authentication failed (peer %d): %v", ws.Listen, peer, err)
 			os.Exit(exitAuth)
 		}
 	}
 
-	g, err := comm.NewGroup(wire.Config{
-		Proc:          proc,
-		Addrs:         addrs,
-		Secret:        os.Getenv(envSecret),
-		PeerDeadAfter: peerDead,
-		OnReject:      onReject,
-	})
+	g, err := ws.Join(onReject)
 	if err != nil {
 		logf("join: %v", err)
 		return exitFatal
 	}
 	defer g.Close()
-	rep.Sendf("joined", "proc=%d of %d gen=%s", proc, len(addrs), os.Getenv(envGen))
+	proc := g.Proc()
+	rep.Sendf("joined", "proc=%d of %d gen=%d", proc, g.Procs(), ws.WorldGen)
 
-	graph := graph500.Generate(graph500.GenConfig{Scale: scale, Seed: seed})
-	cfg := graph500.Config{
-		Ranks:           ranks,
-		Dist:            &comm.DistConfig{Group: g, ProcOf: comm.ContiguousProcOf(ranks, rpp)},
-		CheckpointDir:   os.Getenv(envCkpt),
-		CheckpointEvery: 1,
-		Recovery:        graph500.RestoreRecovery,
-		Drain:           draining.Load,
+	// A restarted incarnation replaces a process the world has already
+	// written off, and only lower-numbered peers ever get dialed by it: if
+	// they are gone too, no sealed verdict can reach it and every collective
+	// would time out into a solo run that resumes — and on success prunes —
+	// the live world's checkpoint scopes. So it must hear a live peer (any
+	// frame; a sealed reject exits above) before it touches shared storage.
+	if ws.Restarted && !heardPeer(g, ws.PeerDead) {
+		rep.Send("orphaned", "")
+		logf("proc %d: restarted into %v of silence; the world moved on: parking", proc, ws.PeerDead)
+		return exitSealed
 	}
-	if os.Getenv(envRecovery) == "shrink" {
-		cfg.Recovery = graph500.ShrinkRecovery
+
+	graph, err := ws.LoadGraph(io.Discard)
+	if err != nil {
+		logf("graph: %v", err)
+		return exitFatal
 	}
-	if spec := os.Getenv(envPlan); spec != "" {
-		plan, err := faultinject.Parse(spec)
-		if err != nil {
-			logf("fault plan: %v", err)
-			return exitFatal
-		}
+	cfg, err := ws.Config(g)
+	if err != nil {
+		logf("config: %v", err)
+		return exitFatal
+	}
+	cfg.Drain = draining.Load
+	if plan, ok := cfg.Faults.(*faultinject.Plan); ok {
 		cfg.Faults = &sigkillTransport{plan: plan, proc: proc}
 	}
 	r, err := graph500.New(graph, cfg)
@@ -537,12 +508,13 @@ func workerMain() int {
 		logf("partition: %v", err)
 		return exitFatal
 	}
-	rootList, err := r.SampleRoots(roots, seed+1)
+	rootList, err := r.SampleRoots(ws.Roots, ws.Seed+1)
 	if err != nil {
 		logf("roots: %v", err)
 		return exitFatal
 	}
 
+	var sum graph500.BenchmarkSummary
 	results := make([]*graph500.Result, len(rootList))
 	for i, root := range rootList {
 		// Deterministic per-root scope names survive the process: a relaunched
@@ -551,13 +523,13 @@ func workerMain() int {
 		r.Engine.SetResumeFrom(fmt.Sprintf("bfsrun-root%03d", i))
 		rep.Sendf("run", "root=%d (%d/%d)", root, i+1, len(rootList))
 		res, err := r.Run(root)
-		if ws := g.WireStats(); len(addrs) > 1 && ws.BytesRecv == 0 {
-			// Not one frame ever arrived: the world finished (or moved on)
-			// before this restarted process came up, and there was no live
-			// peer left to hand us the sealed verdict. Whether the solo run
-			// "succeeded" (every peer voted dead, all ranks re-homed onto us)
-			// or exhausted its epochs, it was never part of the real world —
-			// park instead of crash-looping or redoing the fleet's work alone.
+		if g.Procs() > 1 && g.WireStats().BytesRecv == 0 {
+			// Not one frame ever arrived, to a first incarnation (a restarted
+			// one was gated above): every peer was gone before it spoke.
+			// Whether the solo run "succeeded" (every peer voted dead, all
+			// ranks re-homed onto us) or exhausted its epochs, it was never
+			// part of a world — park instead of crash-looping or publishing
+			// the fleet's work alone.
 			rep.Send("orphaned", "")
 			logf("proc %d: no peer ever spoke to us; the world moved on: parking", proc)
 			return exitSealed
@@ -572,6 +544,7 @@ func workerMain() int {
 			return exitFatal
 		}
 		results[i] = res
+		sum.Add(root, res)
 	}
 
 	// Only a process whose final epoch hosts ranks assembles real parent
@@ -585,18 +558,33 @@ func workerMain() int {
 		}
 	}
 	if complete {
-		if err := writeParents(parentsPath(outDir, proc), scale, seed, rootList, results); err != nil {
+		if err := writeParents(parentsPath(ws.Out, proc), ws.Scale, ws.Seed, rootList, results); err != nil {
 			logf("artifact: %v", err)
 			return exitFatal
 		}
-		if err := writeWorkerReport(reportPath(outDir, proc), g, graph, scale, seed, ranks, rpp, len(addrs), rootList, results, r); err != nil {
+		in := report.Inputs{Config: ws.RunConfig(r), Wire: ws.WireResilience(g)}
+		in.Config.Roots, in.Config.Workload = len(rootList), "bfs"
+		sum.Fill(&in)
+		if err := report.Build(in).WriteFile(reportPath(ws.Out, proc)); err != nil {
 			logf("report: %v", err)
 			return exitFatal
 		}
-		rep.Send("artifact", parentsPath(outDir, proc))
+		rep.Send("artifact", parentsPath(ws.Out, proc))
 	}
-	rep.Send("finished", "")
+	rep.Sendf("finished", "hosting ranks %v", r.Engine.World.LocalRanks())
 	return exitOK
+}
+
+// heardPeer waits up to within for the first frame from any peer.
+func heardPeer(g *comm.Group, within time.Duration) bool {
+	deadline := time.Now().Add(within)
+	for g.WireStats().BytesRecv == 0 {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	return true
 }
 
 // writeParents publishes the worker's parent arrays as one deterministic
@@ -632,80 +620,4 @@ func writeParents(path string, scale int, seed uint64, roots []int64, results []
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// writeWorkerReport emits this process's machine-readable run report; the
-// parent merges the chosen one with its supervisor-resilience block.
-func writeWorkerReport(path string, g *comm.Group, graph graph500.Graph, scale int, seed uint64, ranks, rpp, procs int, roots []int64, results []*graph500.Result, r *graph500.Runner) error {
-	in := report.Inputs{Config: report.RunConfig{
-		Scale:       scale,
-		EdgeFactor:  16,
-		NumVertices: graph.NumVertices,
-		NumEdges:    int64(len(graph.Edges)),
-		Ranks:       r.Engine.Opt.Ranks,
-		MeshRows:    r.Engine.Opt.Mesh.Rows,
-		MeshCols:    r.Engine.Opt.Mesh.Cols,
-		Roots:       len(roots),
-		Seed:        seed,
-		Direction:   "sub-iteration",
-		Workload:    "bfs",
-		Faults:      os.Getenv(envPlan),
-		Checkpoints: true,
-	}}
-	in.Recovery.LastResumeIter = -2
-	var invSum float64
-	for _, res := range results {
-		teps := float64(res.TraversedEdges) / res.Time.Seconds()
-		in.MeanTEPS += teps
-		invSum += 1 / teps
-		in.MeanSeconds += res.Time.Seconds()
-		in.Traversed += res.TraversedEdges
-		in.Iterations += int64(res.Iterations)
-		if in.MinTEPS == 0 || teps < in.MinTEPS {
-			in.MinTEPS = teps
-		}
-		if teps > in.MaxTEPS {
-			in.MaxTEPS = teps
-		}
-		in.Faults.Add(&res.Faults)
-		in.Recovery.Add(&res.Recovery)
-		if res.Recovery.LastResumeIter != -2 {
-			in.Recovery.LastResumeIter = res.Recovery.LastResumeIter
-		}
-		in.Retries += res.Retries
-		in.RecoveryWall += res.RecoveryTime
-	}
-	n := float64(len(results))
-	in.MeanTEPS /= n
-	in.MeanSeconds /= n
-	in.HarmonicTEPS = n / invSum
-	ws := g.WireStats()
-	in.Wire = &report.WireResilience{
-		Procs:             procs,
-		RanksPerProc:      rpp,
-		HeartbeatsSent:    ws.HeartbeatsSent,
-		HeartbeatsRecv:    ws.HeartbeatsRecv,
-		Reconnects:        ws.Reconnects,
-		PeersLost:         ws.PeersLost,
-		FramesResent:      ws.FramesResent,
-		BytesSent:         ws.BytesSent,
-		BytesRecv:         ws.BytesRecv,
-		AuthRejects:       ws.AuthRejects,
-		HandshakeTimeouts: ws.HandshakeTimeouts,
-	}
-	return report.Build(in).WriteFile(path)
-}
-
-func envInt(key string, def int) int {
-	if v, err := strconv.Atoi(os.Getenv(key)); err == nil {
-		return v
-	}
-	return def
-}
-
-func envUint(key string, def uint64) uint64 {
-	if v, err := strconv.ParseUint(os.Getenv(key), 10, 64); err == nil {
-		return v
-	}
-	return def
 }

@@ -310,10 +310,51 @@ type BenchmarkSummary struct {
 	Directions [partition.NumComponents][stats.NumDirections]int64
 	// Iterations totals traversal iterations across runs.
 	Iterations int64
+
+	sumTEPS, invSumTEPS, sumSeconds float64 // running sums behind the means
 }
 
 // GTEPS returns the harmonic-mean TEPS in giga units.
 func (b BenchmarkSummary) GTEPS() float64 { return b.HarmonicTEPS / 1e9 }
+
+// Add folds one root's run into the summary and refreshes the derived
+// statistics. It is the one aggregator: Benchmark and cmd/bfsrun's workers
+// (which run their roots under resumable checkpoint scopes) both use it.
+func (b *BenchmarkSummary) Add(root int64, res *Result) {
+	if len(b.Roots) == 0 {
+		b.Recovery.LastResumeIter = -2
+	}
+	b.Roots = append(b.Roots, root)
+	b.Faults.Add(&res.Faults)
+	b.Recovery.Add(&res.Recovery)
+	if res.Recovery.LastResumeIter != -2 {
+		b.Recovery.LastResumeIter = res.Recovery.LastResumeIter
+	}
+	b.Retries += res.Retries
+	b.RecoveryTime += res.RecoveryTime
+	b.Recorder.Merge(res.Recorder)
+	b.Iterations += int64(res.Iterations)
+	for _, it := range res.Trace {
+		for c := 0; c < int(partition.NumComponents); c++ {
+			b.Directions[c][it.Directions[c]]++
+		}
+	}
+	teps := float64(res.TraversedEdges) / res.Time.Seconds()
+	b.sumTEPS += teps
+	b.invSumTEPS += 1 / teps
+	b.sumSeconds += res.Time.Seconds()
+	b.TotalTraversed += res.TraversedEdges
+	if len(b.Roots) == 1 || teps < b.MinTEPS {
+		b.MinTEPS = teps
+	}
+	if teps > b.MaxTEPS {
+		b.MaxTEPS = teps
+	}
+	n := float64(len(b.Roots))
+	b.MeanTEPS = b.sumTEPS / n
+	b.MeanSeconds = b.sumSeconds / n
+	b.HarmonicTEPS = n / b.invSumTEPS
+}
 
 // Benchmark runs BFS from count sampled roots (validating each) and returns
 // Graph 500 statistics. The spec samples 64 roots; tests use fewer.
@@ -322,44 +363,14 @@ func (r *Runner) Benchmark(count int, seed uint64) (*BenchmarkSummary, error) {
 	if err != nil {
 		return nil, err
 	}
-	sum := &BenchmarkSummary{Roots: roots, MinTEPS: -1,
-		Recovery: stats.RecoveryStats{LastResumeIter: -2}}
-	var invSum float64
+	sum := &BenchmarkSummary{}
 	for _, root := range roots {
 		res, err := r.RunValidated(root)
 		if err != nil {
 			return nil, fmt.Errorf("root %d: %w", root, err)
 		}
-		sum.Faults.Add(&res.Faults)
-		sum.Recovery.Add(&res.Recovery)
-		if res.Recovery.LastResumeIter != -2 {
-			sum.Recovery.LastResumeIter = res.Recovery.LastResumeIter
-		}
-		sum.Retries += res.Retries
-		sum.RecoveryTime += res.RecoveryTime
-		sum.Recorder.Merge(res.Recorder)
-		sum.Iterations += int64(res.Iterations)
-		for _, it := range res.Trace {
-			for c := 0; c < int(partition.NumComponents); c++ {
-				sum.Directions[c][it.Directions[c]]++
-			}
-		}
-		teps := float64(res.TraversedEdges) / res.Time.Seconds()
-		sum.MeanTEPS += teps
-		invSum += 1 / teps
-		sum.MeanSeconds += res.Time.Seconds()
-		sum.TotalTraversed += res.TraversedEdges
-		if sum.MinTEPS < 0 || teps < sum.MinTEPS {
-			sum.MinTEPS = teps
-		}
-		if teps > sum.MaxTEPS {
-			sum.MaxTEPS = teps
-		}
+		sum.Add(root, res)
 	}
-	n := float64(len(roots))
-	sum.MeanTEPS /= n
-	sum.MeanSeconds /= n
-	sum.HarmonicTEPS = n / invSum
 	return sum, nil
 }
 

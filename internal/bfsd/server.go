@@ -3,10 +3,10 @@ package bfsd
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
+	"sort"
 	"sync/atomic"
-
-	"repro/internal/report"
 )
 
 // Server is the HTTP front end: POST /query against the batcher, GET
@@ -125,25 +125,61 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(s.BatchReport())
+	_ = json.NewEncoder(w).Encode(s.StatsBlock())
 }
 
-// BatchReport renders the service-level stats as the report schema v3 batch
-// block, so the daemon's /stats and the offline bench artifact share one
-// shape.
-func (s *Server) BatchReport() *report.BatchReport {
+// StatsBlock is the GET /stats document: sweep occupancy (live queries per
+// iteration — MaxBatch at full amortization, 1.0 when batching bought
+// nothing) and per-query latency percentiles as the service sees them.
+type StatsBlock struct {
+	Batches       int64   `json:"batches"`
+	Queries       int64   `json:"queries"`
+	MaxBatch      int     `json:"max_batch"`
+	MeanOccupancy float64 `json:"mean_occupancy"`
+	MaxOccupancy  float64 `json:"max_occupancy"`
+
+	LatencyP50Seconds float64 `json:"latency_p50_seconds"`
+	LatencyP90Seconds float64 `json:"latency_p90_seconds"`
+	LatencyP99Seconds float64 `json:"latency_p99_seconds"`
+	LatencyMaxSeconds float64 `json:"latency_max_seconds"`
+}
+
+// StatsBlock renders the batcher's service-level stats.
+func (s *Server) StatsBlock() *StatsBlock {
 	st := s.b.Snapshot()
-	br := &report.BatchReport{
+	sb := &StatsBlock{
 		Batches:      st.Batches,
 		Queries:      st.Queries,
 		MaxBatch:     st.MaxBatch,
 		MaxOccupancy: st.MaxOccupancy,
 	}
 	if st.Batches > 0 {
-		br.MeanOccupancy = st.OccupancySum / float64(st.Batches)
+		sb.MeanOccupancy = st.OccupancySum / float64(st.Batches)
 	}
-	br.SetLatencies(st.Latencies)
-	return br
+	sb.setLatencies(st.Latencies)
+	return sb
+}
+
+// setLatencies fills the latency percentile fields from per-query latencies
+// in seconds (order irrelevant; the slice is not modified). Percentiles use
+// the nearest-rank method on the sorted samples.
+func (b *StatsBlock) setLatencies(seconds []float64) {
+	if len(seconds) == 0 {
+		return
+	}
+	s := append([]float64(nil), seconds...)
+	sort.Float64s(s)
+	rank := func(p float64) float64 {
+		i := int(math.Ceil(p*float64(len(s)))) - 1
+		if i < 0 {
+			i = 0
+		}
+		return s[i]
+	}
+	b.LatencyP50Seconds = rank(0.50)
+	b.LatencyP90Seconds = rank(0.90)
+	b.LatencyP99Seconds = rank(0.99)
+	b.LatencyMaxSeconds = s[len(s)-1]
 }
 
 // distanceOf climbs the parent chain from target to root: in a valid BFS

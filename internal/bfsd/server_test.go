@@ -214,3 +214,28 @@ func TestServerDrain(t *testing.T) {
 		t.Fatalf("draining /query: %d, want 503", resp.StatusCode)
 	}
 }
+
+func TestStatsLatencies(t *testing.T) {
+	var b StatsBlock
+	b.setLatencies(nil) // no samples: all fields stay zero
+	if b.LatencyMaxSeconds != 0 {
+		t.Fatal("empty sample set moved the percentiles")
+	}
+	samples := make([]float64, 100)
+	for i := range samples {
+		samples[i] = float64(100-i) * 0.001 // 0.001..0.100, reversed
+	}
+	b.setLatencies(samples)
+	if b.LatencyP50Seconds != 0.050 || b.LatencyP90Seconds != 0.090 ||
+		b.LatencyP99Seconds != 0.099 || b.LatencyMaxSeconds != 0.100 {
+		t.Fatalf("percentiles: %+v", b)
+	}
+	if samples[0] != 0.100 {
+		t.Fatal("setLatencies mutated its input")
+	}
+	one := StatsBlock{}
+	one.setLatencies([]float64{0.25})
+	if one.LatencyP50Seconds != 0.25 || one.LatencyMaxSeconds != 0.25 {
+		t.Fatalf("single sample: %+v", one)
+	}
+}

@@ -83,8 +83,7 @@ func (st *rankState) pickSparse(it IterTrace, dirs [partition.NumComponents]stat
 		if mode == SparseAlways {
 			return true
 		}
-		return activeSrc <= st.e.Opt.SparseCutoff &&
-			(st.lastIterBytes < 0 || st.lastIterBytes <= st.e.Opt.SparseMaxBytes)
+		return st.e.sparseTail(activeSrc, st.lastIterBytes)
 	}
 	sp[partition.CompH2L] = eligible(partition.CompH2L, it.ActiveH)
 	sp[partition.CompL2H] = eligible(partition.CompL2H, it.ActiveL)
@@ -132,7 +131,7 @@ func (st *rankState) pickDirections(it IterTrace) [partition.NumComponents]stats
 		// density (the Figure 15 baseline).
 		totalActive := it.ActiveE + it.ActiveH + it.ActiveL
 		d := stats.DirPush
-		if frac(totalActive, st.e.Part.Layout.N) > st.e.Opt.PullThreshold {
+		if frac(totalActive, st.e.Part.Layout.N) > pullThreshold {
 			d = stats.DirPull
 		}
 		for c := range dirs {
@@ -141,7 +140,7 @@ func (st *rankState) pickDirections(it IterTrace) [partition.NumComponents]stats
 		return dirs
 	}
 
-	alpha := st.e.Opt.PullThreshold
+	alpha := pullThreshold
 	beta := st.e.Opt.PullRatio
 	pick := func(skip bool, pull bool) stats.Direction {
 		if skip {

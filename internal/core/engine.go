@@ -50,8 +50,9 @@ type SparseMode int
 const (
 	// SparseAuto switches per component per iteration: a remote push
 	// component goes sparse when its global active-source count is at or
-	// below SparseCutoff and the previous iteration's globally observed
-	// data-plane bytes fit under SparseMaxBytes. The default.
+	// below sparseCutoffPerRank per rank and the previous iteration's
+	// globally observed data-plane bytes fit under sparseMaxBytesPerRank per
+	// rank (see Engine.sparseTail). The default.
 	SparseAuto SparseMode = iota
 	// SparseOff forces the dense exchanges everywhere (the pre-sparse
 	// schedule, and the differential corpus's reference arm).
@@ -59,6 +60,21 @@ const (
 	// SparseAlways forces the sparse exchange for every eligible remote push
 	// component regardless of frontier size (stress/verification aid).
 	SparseAlways
+)
+
+// Direction and sparse-tail policy constants. None of them is an option: no
+// caller ever set a second value.
+const (
+	// pullThreshold is the active-source fraction above which node-local
+	// components (EH2EH, E2L, L2E) switch to pull.
+	pullThreshold = 0.05
+	// sparseCutoffPerRank is, per rank, the largest global active-source
+	// count at which SparseAuto picks the sparse path for a component.
+	sparseCutoffPerRank = 64
+	// sparseMaxBytesPerRank is, per rank, the largest previous-iteration
+	// global data-plane byte count at which SparseAuto keeps choosing sparse
+	// (hysteresis against a collapsing-then-exploding frontier).
+	sparseMaxBytesPerRank = 32 << 10
 )
 
 // Options configures an Engine.
@@ -81,9 +97,6 @@ type Options struct {
 	// source column and destination row (two alltoallvs on sub-communicators)
 	// instead of one world alltoallv, as the paper's forwarding does.
 	Hierarchical bool
-	// PullThreshold is the active-source fraction above which node-local
-	// components (EH2EH, E2L, L2E) switch to pull. 0 means 0.05.
-	PullThreshold float64
 	// PullRatio scales the push/pull comparison for remote components (H2L,
 	// L2H, L2L): pull wins when unvisitedDstFrac < activeSrcFrac*PullRatio.
 	// 0 means 16, tuned like Beamer's bottom-up switch factor: scanning an
@@ -99,21 +112,12 @@ type Options struct {
 	// forwarding is the point of that mode and its apply order differs from a
 	// flat exchange. The zero value is SparseAuto (adaptive, on).
 	SparseTail SparseMode
-	// SparseCutoff is the largest global active-source count at which
-	// SparseAuto picks the sparse path for a component. 0 means 64 per rank.
-	SparseCutoff int64
-	// SparseMaxBytes is the largest previous-iteration global data-plane
-	// byte count at which SparseAuto keeps choosing sparse (hysteresis
-	// against a collapsing-then-exploding frontier). 0 means 32KiB per rank.
-	SparseMaxBytes int64
 	// ImmediateParentReduction reduces the delegated parent array after
 	// every iteration instead of once after the run — the traditional scheme
 	// the paper's delayed reduction (Section 5) replaces. Exists for the
 	// ablation benchmark; the measured reduce-scatter volume difference is
 	// the technique's claimed saving.
 	ImmediateParentReduction bool
-	// BuildWorkers caps partitioning parallelism. 0 means GOMAXPROCS.
-	BuildWorkers int
 	// MaxIterations aborts runs that fail to converge. 0 means 2*64
 	// (a small-world graph's diameter is far below this). Exhausting it
 	// returns an error satisfying errors.Is(err, ErrNoConvergence).
@@ -247,20 +251,11 @@ func (o Options) withDefaults() (Options, error) {
 	if o.RankWorkers <= 0 {
 		o.RankWorkers = 1
 	}
-	if o.PullThreshold == 0 {
-		o.PullThreshold = 0.05
-	}
 	if o.PullRatio == 0 {
 		o.PullRatio = 16.0
 	}
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 128
-	}
-	if o.SparseCutoff <= 0 {
-		o.SparseCutoff = 64 * int64(o.Ranks)
-	}
-	if o.SparseMaxBytes <= 0 {
-		o.SparseMaxBytes = 32 * 1024 * int64(o.Ranks)
 	}
 	switch {
 	case o.MaxRetries == 0:
@@ -345,7 +340,7 @@ func NewEngine(n int64, edges []Edge, opt Options) (*Engine, error) {
 		opt.Thresholds = th
 	}
 	t0 := time.Now()
-	part, err := partition.Build(n, edges, opt.Mesh, th, opt.BuildWorkers)
+	part, err := partition.Build(n, edges, opt.Mesh, th, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -406,6 +401,17 @@ func NewEngineFromPartition(part *partition.Partitioned, opt Options) (*Engine, 
 		}
 	}
 	return e, nil
+}
+
+// sparseCutoff is the SparseAuto active-source bound for this world size.
+func (e *Engine) sparseCutoff() int64 { return sparseCutoffPerRank * int64(e.Opt.Ranks) }
+
+// sparseTail is the SparseAuto decision for one remote push component:
+// activeSrc is its global active-source count, lastIterBytes the previous
+// iteration's global data-plane bytes (negative when unknown).
+func (e *Engine) sparseTail(activeSrc, lastIterBytes int64) bool {
+	return activeSrc <= e.sparseCutoff() &&
+		(lastIterBytes < 0 || lastIterBytes <= sparseMaxBytesPerRank*int64(e.Opt.Ranks))
 }
 
 // SetResumeFrom arms the next Run call to execute under the named checkpoint

@@ -129,7 +129,7 @@ func (st *kcoreState) beginIter(it *IterTrace) {
 	it.ActiveL = st.liveL
 	proxy := st.lastPeeled
 	if proxy < 0 {
-		proxy = st.e.Opt.SparseCutoff + 1
+		proxy = st.e.sparseCutoff() + 1
 	}
 	var act [partition.NumComponents]int64
 	for c := range act {

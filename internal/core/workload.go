@@ -429,8 +429,7 @@ func (d *driver) chooseSchedule(it *IterTrace, act [partition.NumComponents]int6
 		if mode == SparseAlways {
 			return true
 		}
-		return act[c] <= d.e.Opt.SparseCutoff &&
-			(d.lastIterBytes < 0 || d.lastIterBytes <= d.e.Opt.SparseMaxBytes)
+		return d.e.sparseTail(act[c], d.lastIterBytes)
 	}
 	it.Sparse[partition.CompH2L] = eligible(partition.CompH2L)
 	it.Sparse[partition.CompL2H] = rowBatch && eligible(partition.CompL2H)

@@ -1,54 +1,35 @@
 // Package report defines the versioned machine-readable output of the
-// benchmark pipeline: one JSON document per bfsbench invocation carrying the
+// launchers: one JSON document per bfsbench or bfsrun invocation carrying the
 // Graph 500 headline statistics plus the paper's evaluation breakdowns —
 // per-phase time/edges/volume (Figure 10), per-collective traffic
 // (Figure 11), per-component direction decisions (Figure 15) and the
-// resilience/recovery accounting. CI commits a baseline document and gates
-// merges on the harmonic-mean GTEPS of a fresh run against it (see
-// cmd/benchcmp).
+// resilience/recovery accounting.
 //
 // The schema is versioned: any field removal or meaning change bumps
 // SchemaVersion; additions are backward compatible within a version. The
 // golden-file test pins the encoding so schema drift is an explicit,
-// reviewed change.
+// reviewed change. Read accepts exactly the current version: the only
+// reader is cmd/bfsrun merging the report its own worker just wrote.
 package report
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"sort"
 	"time"
 
 	"repro/internal/comm"
 	"repro/internal/partition"
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
-// Schema identifies the document type; SchemaVersion its revision.
-//
-// Version history:
-//
-//	v1: BFS-only document (summary, phases, collectives, directions,
-//	    resilience).
-//	v2: adds Config.Workload (the benchmarked workload list) and the
-//	    Workloads section (one per-workload summary entry each for wcc,
-//	    kcore, sssp and the bfs headline), all additive — v1 documents
-//	    still decode. Later additions within v2 (also additive):
-//	    Resilience.Wire, the socket backend's transport counters, absent
-//	    for in-process runs; the Setup block (run_start→first-kernel gap
-//	    plus the partitioning sort breakdown), absent in older documents.
-//	    (Config.SegAdaptive, once part of v2, left with the option it marked;
-//	    documents that carry it still decode.)
-//	v3: adds the Batch block (batched multi-source sweeps: occupancy,
-//	    per-query latency percentiles, batched throughput, and the
-//	    batch-vs-solo collective-call amortization) and Config.BatchRoots.
-//	    Additive — v2 and v1 documents still decode.
+// Schema identifies the document type; SchemaVersion its revision. Version 4
+// dropped the batch block and Config.BatchRoots of version 3.
 const (
 	Schema        = "graph500-bench"
-	SchemaVersion = 3
+	SchemaVersion = 4
 )
 
 // Report is the top-level document.
@@ -69,73 +50,15 @@ type Report struct {
 	// iterations chose push, pull or skip, in component order.
 	Directions []DirectionEntry `json:"directions"`
 
-	// Workloads (schema v2) holds one summary entry per benchmarked
-	// workload, in the order run. Absent in v1 documents and in BFS-only
-	// runs that predate the workload flag.
+	// Workloads holds one summary entry per benchmarked workload, in the
+	// order run.
 	Workloads []WorkloadEntry `json:"workloads,omitempty"`
 
-	// Setup (schema v2, additive) surfaces setup time as a first-class
-	// metric: where the wall time before the first kernel went. Absent in
-	// documents from before the block existed; benchcmp treats absence as
-	// "no setup gate possible".
+	// Setup surfaces setup time as a first-class metric: where the wall time
+	// before the first kernel went. Absent in bfsrun worker reports.
 	Setup *SetupReport `json:"setup,omitempty"`
 
-	// Batch (schema v3, additive) is the batched multi-source block: how
-	// well concurrent traversals amortized the machine. Absent for solo-only
-	// runs and in pre-v3 documents; benchcmp treats absence as "no batch
-	// gate possible".
-	Batch *BatchReport `json:"batch,omitempty"`
-
 	Resilience Resilience `json:"resilience"`
-}
-
-// BatchReport (schema v3) summarizes batched multi-source execution: sweep
-// occupancy (live queries per iteration — len(roots) at full amortization,
-// 1.0 when batching bought nothing), per-query latency percentiles as the
-// service sees them, the batch's aggregate throughput, and the headline
-// amortization evidence — data-plane collective calls for one batch of
-// Queries roots next to the calls the same roots cost run solo.
-type BatchReport struct {
-	Batches       int64   `json:"batches"`
-	Queries       int64   `json:"queries"`
-	MaxBatch      int     `json:"max_batch"`
-	MeanOccupancy float64 `json:"mean_occupancy"`
-	MaxOccupancy  float64 `json:"max_occupancy"`
-	// BatchGTEPS is total traversed edges across all batched queries over
-	// total sweep wall time.
-	BatchGTEPS float64 `json:"batch_gteps"`
-
-	LatencyP50Seconds float64 `json:"latency_p50_seconds"`
-	LatencyP90Seconds float64 `json:"latency_p90_seconds"`
-	LatencyP99Seconds float64 `json:"latency_p99_seconds"`
-	LatencyMaxSeconds float64 `json:"latency_max_seconds"`
-
-	// Collective-call amortization, trace-span counted when available:
-	// omitted (zero) when the run had no solo arm to compare against.
-	BatchCollectiveCalls int64 `json:"batch_collective_calls,omitempty"`
-	SoloCollectiveCalls  int64 `json:"solo_collective_calls,omitempty"`
-}
-
-// SetLatencies fills the latency percentile fields from per-query latencies
-// in seconds (order irrelevant; the slice is not modified). Percentiles use
-// the nearest-rank method on the sorted samples.
-func (b *BatchReport) SetLatencies(seconds []float64) {
-	if len(seconds) == 0 {
-		return
-	}
-	s := append([]float64(nil), seconds...)
-	sort.Float64s(s)
-	rank := func(p float64) float64 {
-		i := int(math.Ceil(p*float64(len(s)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		return s[i]
-	}
-	b.LatencyP50Seconds = rank(0.50)
-	b.LatencyP90Seconds = rank(0.90)
-	b.LatencyP99Seconds = rank(0.99)
-	b.LatencyMaxSeconds = s[len(s)-1]
 }
 
 // SetupReport breaks down the time between process start and the first
@@ -180,12 +103,9 @@ type RunConfig struct {
 	Sparse       string `json:"sparse,omitempty"`
 	Faults       string `json:"faults,omitempty"`
 	Checkpoints  bool   `json:"checkpoints,omitempty"`
-	// Workload (schema v2) is the comma-joined workload list of the run
-	// ("bfs,wcc,kcore,sssp"); empty means a pre-v2 BFS-only document.
+	// Workload is the comma-joined workload list of the run
+	// ("bfs,wcc,kcore,sssp").
 	Workload string `json:"workload,omitempty"`
-	// BatchRoots (schema v3, additive) is the batch width of a batched
-	// multi-source run; 0 means solo-only.
-	BatchRoots int `json:"batch_roots,omitempty"`
 }
 
 // Summary is the Graph 500 headline block.
@@ -201,11 +121,9 @@ type Summary struct {
 	Iterations        int64   `json:"iterations"`
 }
 
-// WorkloadEntry is one per-workload summary row (schema v2). GTEPS is the
-// workload's throughput — edges touched per second for the iterative
-// workloads, the harmonic-mean traversal rate for bfs — and is the statistic
-// the per-workload CI gate compares (cmd/benchcmp), so its definition may
-// only change together with a regenerated baseline.
+// WorkloadEntry is one per-workload summary row. GTEPS is the workload's
+// throughput — edges touched per second for the iterative workloads, the
+// harmonic-mean traversal rate for bfs.
 type WorkloadEntry struct {
 	Workload   string  `json:"workload"`
 	GTEPS      float64 `json:"gteps"`
@@ -271,14 +189,13 @@ type Resilience struct {
 	CheckpointDropped  int64   `json:"checkpoint_dropped"`
 	CheckpointErrors   int64   `json:"checkpoint_errors"`
 
-	// Wire (schema v2, additive) snapshots the socket transport when the run
-	// used the cross-process backend: heartbeat traffic, reconnects and
-	// peers declared dead become a committed artifact next to the epoch
-	// counts they triggered. Absent for in-process runs, so v2 documents
-	// from either backend decode identically.
+	// Wire snapshots the socket transport when the run used the
+	// cross-process backend: heartbeat traffic, reconnects and peers declared
+	// dead become a committed artifact next to the epoch counts they
+	// triggered. Absent for in-process runs.
 	Wire *WireResilience `json:"wire,omitempty"`
 
-	// Supervisor (schema v2, additive) is the cluster supervisor's process
+	// Supervisor is the cluster supervisor's process
 	// babysitting record when the run was launched by cmd/bfsrun: spawns,
 	// restarts, crash-loop give-ups and drains across all world generations.
 	// Absent for unsupervised runs.
@@ -289,21 +206,9 @@ type Resilience struct {
 // the leader process's endpoint (every process keeps its own counters; the
 // leader's view is the one archived).
 type WireResilience struct {
-	Procs          int    `json:"procs"`
-	RanksPerProc   int    `json:"ranks_per_proc"`
-	HeartbeatsSent uint64 `json:"heartbeats_sent"`
-	HeartbeatsRecv uint64 `json:"heartbeats_recv"`
-	Reconnects     uint64 `json:"reconnects"`
-	PeersLost      uint64 `json:"peers_lost"`
-	FramesResent   uint64 `json:"frames_resent"`
-	BytesSent      uint64 `json:"bytes_sent"`
-	BytesRecv      uint64 `json:"bytes_recv"`
-	// AuthRejects and HandshakeTimeouts (additive) count peers turned away
-	// by the authenticated hello: failed or missing HMAC proofs, and
-	// connections dropped for handshake silence. Zero (omitted) on worlds
-	// without a shared secret.
-	AuthRejects       uint64 `json:"auth_rejects,omitempty"`
-	HandshakeTimeouts uint64 `json:"handshake_timeouts,omitempty"`
+	Procs        int `json:"procs"`
+	RanksPerProc int `json:"ranks_per_proc"`
+	wire.Stats
 }
 
 // SupervisorResilience is cmd/bfsrun's babysitting record: what the cluster
@@ -321,7 +226,7 @@ type SupervisorResilience struct {
 	Drained     int64 `json:"drained,omitempty"`
 	// CrashLoopGiveUps counts generations abandoned by the crash-loop
 	// circuit breaker. Nonzero means the run needed more than restart-level
-	// recovery; cmd/benchcmp fails a candidate that records one.
+	// recovery.
 	CrashLoopGiveUps int64 `json:"crash_loop_give_ups,omitempty"`
 }
 
@@ -357,15 +262,11 @@ type Inputs struct {
 	// unsupervised runs.
 	Supervisor *SupervisorResilience
 
-	// Workloads passes through the per-workload summary rows (schema v2).
+	// Workloads passes through the per-workload summary rows.
 	Workloads []WorkloadEntry
 
 	// Setup passes through the setup-time block; nil omits it.
 	Setup *SetupReport
-
-	// Batch passes through the batched multi-source block (schema v3); nil
-	// omits it.
-	Batch *BatchReport
 }
 
 // Build assembles the versioned document from the benchmark's measurements.
@@ -426,7 +327,6 @@ func Build(in Inputs) *Report {
 
 	r.Workloads = append(r.Workloads, in.Workloads...)
 	r.Setup = in.Setup
-	r.Batch = in.Batch
 
 	r.Resilience = Resilience{
 		FaultsInjected:     in.Faults.Injected(),
@@ -468,8 +368,7 @@ func (r *Report) WriteFile(path string) error {
 	return f.Close()
 }
 
-// Read decodes a document and checks its schema identity. A document from a
-// newer SchemaVersion is rejected: the reader cannot know what changed.
+// Read decodes a document and checks its schema identity and version.
 func Read(rd io.Reader) (*Report, error) {
 	var r Report
 	dec := json.NewDecoder(rd)
@@ -479,9 +378,8 @@ func Read(rd io.Reader) (*Report, error) {
 	if r.Schema != Schema {
 		return nil, fmt.Errorf("report: schema %q, want %q", r.Schema, Schema)
 	}
-	if r.SchemaVersion > SchemaVersion {
-		return nil, fmt.Errorf("report: schema version %d is newer than supported %d",
-			r.SchemaVersion, SchemaVersion)
+	if r.SchemaVersion != SchemaVersion {
+		return nil, fmt.Errorf("report: schema version %d, want %d", r.SchemaVersion, SchemaVersion)
 	}
 	return &r, nil
 }

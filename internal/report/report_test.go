@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden report document")
@@ -54,12 +55,11 @@ func syntheticInputs() Inputs {
 			AssembleSeconds: 0.25, SortSeconds: 0.2, EngineSeconds: 0.1,
 			FirstKernelGapSeconds: 0.6,
 		},
-		Wire: &WireResilience{
-			Procs: 2, RanksPerProc: 2,
+		Wire: &WireResilience{Procs: 2, RanksPerProc: 2, Stats: wire.Stats{
 			HeartbeatsSent: 7, HeartbeatsRecv: 7, Reconnects: 1, PeersLost: 1,
 			FramesResent: 3, BytesSent: 65536, BytesRecv: 65024,
 			AuthRejects: 1, HandshakeTimeouts: 1,
-		},
+		}},
 		Supervisor: &SupervisorResilience{
 			Workers: 3, Spares: 2, Generations: 1,
 			Spawns: 7, Restarts: 2, Crashes: 2, Parked: 2,
@@ -70,16 +70,7 @@ func syntheticInputs() Inputs {
 			{Workload: "kcore", GTEPS: 0.6, Seconds: 0.015, Iterations: 12, CommBytes: 2048, K: 2, CoreSize: 900},
 			{Workload: "sssp", GTEPS: 0.1, Seconds: 0.04, Iterations: 33, CommBytes: 6144, Retries: 1, Root: 5, Relaxations: 70000},
 		},
-		Batch: &BatchReport{
-			Batches: 2, Queries: 16, MaxBatch: 8,
-			MeanOccupancy: 6.5, MaxOccupancy: 8,
-			BatchGTEPS:        0.9,
-			LatencyP50Seconds: 0.004, LatencyP90Seconds: 0.009,
-			LatencyP99Seconds: 0.012, LatencyMaxSeconds: 0.012,
-			BatchCollectiveCalls: 148, SoloCollectiveCalls: 792,
-		},
 	}
-	in.Config.BatchRoots = 8
 	for c := range in.Directions {
 		in.Directions[c][stats.DirPush] = int64(3 + c)
 		in.Directions[c][stats.DirPull] = int64(2 * c)
@@ -89,17 +80,15 @@ func syntheticInputs() Inputs {
 }
 
 // TestGoldenDocument pins the JSON encoding: any schema change shows up as a
-// reviewed diff of testdata/report_v3.golden (regenerate with
+// reviewed diff of testdata/report.golden (regenerate with
 // `go test ./internal/report -run TestGoldenDocument -update-golden`), and a
-// meaning change must bump SchemaVersion. testdata/report_v1.golden and
-// report_v2.golden stay frozen — they are the compatibility fixtures for
-// TestReadAcceptsV1/V2, never regenerated.
+// field removal or meaning change must bump SchemaVersion.
 func TestGoldenDocument(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Build(syntheticInputs()).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "report_v3.golden")
+	golden := filepath.Join("testdata", "report.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -144,88 +133,15 @@ func TestRoundTrip(t *testing.T) {
 	if got.Resilience.Supervisor == nil || *got.Resilience.Supervisor != *r.Resilience.Supervisor {
 		t.Fatalf("supervisor block lost in round trip: %+v vs %+v", got.Resilience.Supervisor, r.Resilience.Supervisor)
 	}
-	if got.Batch == nil || *got.Batch != *r.Batch {
-		t.Fatalf("batch block lost in round trip: %+v vs %+v", got.Batch, r.Batch)
-	}
-}
-
-// TestReadAcceptsV1 pins backward compatibility: a committed v1 document
-// (written before the workload sections existed) must still decode, with the
-// v2-only fields at their zero values.
-func TestReadAcceptsV1(t *testing.T) {
-	r, err := ReadFile(filepath.Join("testdata", "report_v1.golden"))
-	if err != nil {
-		t.Fatalf("v1 document rejected: %v", err)
-	}
-	if r.SchemaVersion != 1 {
-		t.Fatalf("schema version = %d, want 1", r.SchemaVersion)
-	}
-	if r.Summary.HarmonicMeanGTEPS <= 0 {
-		t.Fatalf("v1 summary lost: %+v", r.Summary)
-	}
-	if len(r.Phases) == 0 || len(r.Collectives) == 0 {
-		t.Fatalf("v1 sections lost: %d phases, %d collectives", len(r.Phases), len(r.Collectives))
-	}
-	if len(r.Workloads) != 0 || r.Config.Workload != "" {
-		t.Fatalf("v1 document grew v2 fields: workloads=%v workload=%q", r.Workloads, r.Config.Workload)
-	}
-	if r.Setup != nil {
-		t.Fatalf("v1 document grew a setup block: %+v", r.Setup)
-	}
-}
-
-// TestReadAcceptsV2 pins backward compatibility across the v3 bump: a
-// committed v2 document (written before the batch block existed) must still
-// decode, with the v3-only fields at their zero values.
-func TestReadAcceptsV2(t *testing.T) {
-	r, err := ReadFile(filepath.Join("testdata", "report_v2.golden"))
-	if err != nil {
-		t.Fatalf("v2 document rejected: %v", err)
-	}
-	if r.SchemaVersion != 2 {
-		t.Fatalf("schema version = %d, want 2", r.SchemaVersion)
-	}
-	if r.Summary.HarmonicMeanGTEPS <= 0 || len(r.Phases) == 0 || len(r.Workloads) == 0 {
-		t.Fatalf("v2 content lost: %+v", r.Summary)
-	}
-	if r.Setup == nil || r.Resilience.Wire == nil {
-		t.Fatal("v2 setup/wire blocks lost")
-	}
-	if r.Batch != nil || r.Config.BatchRoots != 0 {
-		t.Fatalf("v2 document grew v3 fields: batch=%+v batch_roots=%d", r.Batch, r.Config.BatchRoots)
-	}
-}
-
-func TestSetLatencies(t *testing.T) {
-	var b BatchReport
-	b.SetLatencies(nil) // no samples: all fields stay zero
-	if b.LatencyMaxSeconds != 0 {
-		t.Fatal("empty sample set moved the percentiles")
-	}
-	samples := make([]float64, 100)
-	for i := range samples {
-		samples[i] = float64(100-i) * 0.001 // 0.001..0.100, reversed
-	}
-	b.SetLatencies(samples)
-	if b.LatencyP50Seconds != 0.050 || b.LatencyP90Seconds != 0.090 ||
-		b.LatencyP99Seconds != 0.099 || b.LatencyMaxSeconds != 0.100 {
-		t.Fatalf("percentiles: %+v", b)
-	}
-	if samples[0] != 0.100 {
-		t.Fatal("SetLatencies mutated its input")
-	}
-	one := BatchReport{}
-	one.SetLatencies([]float64{0.25})
-	if one.LatencyP50Seconds != 0.25 || one.LatencyMaxSeconds != 0.25 {
-		t.Fatalf("single sample: %+v", one)
-	}
 }
 
 func TestReadRejectsForeignSchema(t *testing.T) {
 	if _, err := Read(bytes.NewReader([]byte(`{"schema":"other","schema_version":1}`))); err == nil {
 		t.Fatal("foreign schema accepted")
 	}
-	if _, err := Read(bytes.NewReader([]byte(`{"schema":"graph500-bench","schema_version":99}`))); err == nil {
-		t.Fatal("newer schema version accepted")
+	for _, v := range []string{"1", "3", "99"} { // retired and future versions alike
+		if _, err := Read(bytes.NewReader([]byte(`{"schema":"graph500-bench","schema_version":` + v + `}`))); err == nil {
+			t.Fatalf("schema version %s accepted", v)
+		}
 	}
 }

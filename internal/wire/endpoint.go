@@ -55,18 +55,21 @@ type ConnFault struct {
 	Drop bool
 }
 
-// Stats is a snapshot of the endpoint's transport counters, surfaced into
-// the report's resilience section.
+// Stats is a snapshot of the endpoint's transport counters. The report's
+// resilience section embeds it, so the JSON names are schema.
 type Stats struct {
-	HeartbeatsSent    uint64
-	HeartbeatsRecv    uint64
-	Reconnects        uint64
-	PeersLost         uint64
-	FramesResent      uint64
-	BytesSent         uint64
-	BytesRecv         uint64
-	AuthRejects       uint64 // handshakes refused (or refused to us) over the shared secret
-	HandshakeTimeouts uint64 // accepted conns dropped for handshake silence
+	HeartbeatsSent uint64 `json:"heartbeats_sent"`
+	HeartbeatsRecv uint64 `json:"heartbeats_recv"`
+	Reconnects     uint64 `json:"reconnects"`
+	PeersLost      uint64 `json:"peers_lost"`
+	FramesResent   uint64 `json:"frames_resent"`
+	BytesSent      uint64 `json:"bytes_sent"`
+	BytesRecv      uint64 `json:"bytes_recv"`
+	// AuthRejects counts handshakes refused (or refused to us) over the
+	// shared secret, HandshakeTimeouts accepted conns dropped for handshake
+	// silence. Zero (omitted) on worlds without a shared secret.
+	AuthRejects       uint64 `json:"auth_rejects,omitempty"`
+	HandshakeTimeouts uint64 `json:"handshake_timeouts,omitempty"`
 }
 
 // Config wires up an Endpoint. Proc indexes Addrs; Addrs holds every
@@ -281,10 +284,10 @@ func (ep *Endpoint) SetEpoch(e uint32) {
 // Stats snapshots the transport counters.
 func (ep *Endpoint) Stats() Stats {
 	return Stats{
-		HeartbeatsSent: ep.heartbeatsSent.Load(),
-		HeartbeatsRecv: ep.heartbeatsRecv.Load(),
-		Reconnects:     ep.reconnects.Load(),
-		PeersLost:      ep.peersLost.Load(),
+		HeartbeatsSent:    ep.heartbeatsSent.Load(),
+		HeartbeatsRecv:    ep.heartbeatsRecv.Load(),
+		Reconnects:        ep.reconnects.Load(),
+		PeersLost:         ep.peersLost.Load(),
 		FramesResent:      ep.framesResent.Load(),
 		BytesSent:         ep.bytesSent.Load(),
 		BytesRecv:         ep.bytesRecv.Load(),

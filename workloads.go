@@ -70,11 +70,28 @@ func (b *BenchmarkSummary) WorkloadEntry() report.WorkloadEntry {
 	}
 }
 
+// Fill copies the BFS benchmark summary into the report's headline, breakdown
+// and resilience inputs.
+func (b *BenchmarkSummary) Fill(in *report.Inputs) {
+	in.HarmonicTEPS = b.HarmonicTEPS
+	in.MeanTEPS = b.MeanTEPS
+	in.MinTEPS = b.MinTEPS
+	in.MaxTEPS = b.MaxTEPS
+	in.MeanSeconds = b.MeanSeconds
+	in.Traversed = b.TotalTraversed
+	in.Iterations = b.Iterations
+	in.Recorder = &b.Recorder
+	in.Directions = b.Directions
+	in.Faults = b.Faults
+	in.Retries = b.Retries
+	in.RecoveryWall = b.RecoveryTime
+	in.Recovery = b.Recovery
+}
+
 // BenchWorkload runs one ported analytics workload (wcc, kcore or sssp) once
 // over the runner's partition on the engine's fast path and returns its
 // report entry. GTEPS is edges touched per second — the iterative workloads
-// have no Graph 500 traversal statistic, but edge-scan throughput is
-// deterministic for a fixed configuration, which is all the CI gate needs.
+// have no Graph 500 traversal statistic.
 // The SSSP result is checked against the shortest-path optimality conditions
 // before it is reported; kcoreK is the peeling threshold and weightSeed keys
 // the deterministic SSSP edge weights (the root is the first vertex with an
@@ -131,8 +148,8 @@ func (r *Runner) BenchWorkload(name string, kcoreK int64, weightSeed uint64) (re
 
 // benchRate measures a workload's edge-scan throughput, repeating runs that
 // finish under 50ms (k-core settles in a couple of peel rounds at bench
-// scales) until enough wall time accumulates for the rate to gate on; the
-// first run's result carries the reported outputs — the workloads are
+// scales) until enough wall time accumulates for the rate to mean something;
+// the first run's result carries the reported outputs — the workloads are
 // deterministic, so the repeats change nothing but the clock.
 func benchRate(run func() (*core.WorkloadResult, error)) (*core.WorkloadResult, float64, error) {
 	first, err := run()
