@@ -148,7 +148,15 @@ func TestBFSRunKillStormBitIdentical(t *testing.T) {
 // bit-identical to an undisturbed world.
 func TestBFSRunDrainThenResume(t *testing.T) {
 	refDir, dir := t.TempDir(), t.TempDir()
-	ref := runWorld(t, refDir)
+	ref := runWorld(t, refDir, "-json", filepath.Join(refDir, "run.json"))
+	// A fault-free world keeps every connection it opened. A session torn
+	// down on a spurious read timeout heals silently — the replay hides it —
+	// and costs a stall of three heartbeat intervals, so it has to be caught
+	// from the counters.
+	if w := readReport(t, filepath.Join(refDir, "run.json")).Resilience.Wire; w == nil ||
+		w.Reconnects != 0 || w.FramesResent != 0 {
+		t.Fatalf("fault-free wire block %+v, want no reconnects and nothing resent", w)
+	}
 
 	args := []string{
 		"-procs", "3", "-spares", "2",

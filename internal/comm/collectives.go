@@ -1,6 +1,9 @@
 package comm
 
-import "unsafe"
+import (
+	"hash/crc32"
+	"unsafe"
+)
 
 // elemSize returns the in-memory size of T for traffic accounting.
 func elemSize[T any]() int64 {
@@ -8,28 +11,17 @@ func elemSize[T any]() int64 {
 	return int64(unsafe.Sizeof(z))
 }
 
-// sumSlice folds a slice's raw bytes into an FNV-1a checksum. The element
-// types exchanged by the collectives are plain data (integers, floats, small
-// structs), so the byte view is well defined; sender and receivers hash the
-// same memory, which is all checksum agreement needs. On the socket backend
-// the wire ships exactly these bytes, so a receiver hashing the raw frame
-// payload computes the same sum the sender declared.
+// sumSlice folds a slice's raw bytes into the envelope checksum: CRC-32C
+// (hash/crc32's hardware path), chained across a contribution's parts from a
+// zero seed. The element types exchanged by the collectives are plain data
+// (integers, floats, small structs), so the byte view is well defined; on the
+// socket backend the wire ships exactly these bytes, so a receiver summing
+// the raw frame payload computes the same sum the sender declared.
 func sumSlice[T any](h uint64, s []T) uint64 {
-	if len(s) == 0 {
-		return h
-	}
-	es := int(unsafe.Sizeof(s[0]))
-	if es == 0 {
-		return h
-	}
-	b := unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*es)
-	for _, x := range b {
-		h = (h ^ uint64(x)) * 1099511628211
-	}
-	return h
+	return uint64(crc32.Update(uint32(h), castagnoli, sliceBytes(s)))
 }
 
-const fnvOffset = 14695981039346656037
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // sliceBytes returns the native-endian byte view of s (nil for empty or
 // zero-sized elements). The view aliases s; the wire layer copies at
@@ -45,15 +37,25 @@ func sliceBytes[T any](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*es)
 }
 
-// bytesToSlice reassembles received raw parts into a fresh []T.
+// bytesToSlice reads received raw parts as a []T: in place when one part sits
+// at T's alignment in its frame (a single-buffer payload starts 72 bytes into
+// an 8-aligned buffer, so it does), reassembled into a fresh slice otherwise.
+// The in-place view is shared by every local member that reads the slot and
+// keeps the whole frame alive, so collectives copy out what they return.
 func bytesToSlice[T any](parts [][]byte) []T {
-	es := int(elemSize[T]())
+	var z T
+	es := int(unsafe.Sizeof(z))
 	total := 0
 	for _, p := range parts {
 		total += len(p)
 	}
 	if es == 0 || total == 0 {
 		return nil
+	}
+	if len(parts) == 1 {
+		if p := unsafe.Pointer(&parts[0][0]); uintptr(p)%unsafe.Alignof(z) == 0 {
+			return unsafe.Slice((*T)(p), total/es)
+		}
 	}
 	out := make([]T, total/es)
 	dst := unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), total)
@@ -128,15 +130,17 @@ func contribute1[T any](c *Comm, kind Kind, seq uint64, send []T) {
 	if !ctr.failed && !ctr.withheld && !ctr.dead {
 		post := send
 		if c.faulty() {
-			ctr.declared = sumSlice[T](fnvOffset, send)
+			ctr.declared = sumSlice(0, send)
+			ctr.posted = ctr.declared
+			c.rank.sums++
 			if act.Corrupt {
 				if cp, ok := corruptCopy(send); ok {
 					post = cp
+					ctr.posted = sumSlice(0, cp)
+					c.rank.sums++
 					c.rank.Faults.Corruptions++
 				}
 			}
-			p := post
-			ctr.resum = func() uint64 { return sumSlice[T](fnvOffset, p) }
 		}
 		ctr.payload = post
 		if c.sh.dist != nil {
@@ -145,6 +149,15 @@ func contribute1[T any](c *Comm, kind Kind, seq uint64, send []T) {
 	}
 	c.sh.slots[c.me] = ctr
 	c.distSend(seq, wireData, &ctr, parts)
+}
+
+// sumParts is the envelope checksum of a per-destination buffer list.
+func sumParts[T any](bufs [][]T) uint64 {
+	var h uint64
+	for _, buf := range bufs {
+		h = sumSlice(h, buf)
+	}
+	return h
 }
 
 // contribute2 is contribute1 for per-destination buffer lists (alltoallv).
@@ -156,28 +169,20 @@ func contribute2[T any](c *Comm, kind Kind, seq uint64, send [][]T) {
 	if !ctr.failed && !ctr.withheld && !ctr.dead {
 		post := send
 		if c.faulty() {
-			h := uint64(fnvOffset)
-			for _, buf := range send {
-				h = sumSlice[T](h, buf)
-			}
-			ctr.declared = h
+			ctr.declared = sumParts(send)
+			ctr.posted = ctr.declared
+			c.rank.sums++
 			if act.Corrupt {
 				for j, buf := range send {
 					if cp, ok := corruptCopy(buf); ok {
 						post = append([][]T(nil), send...)
 						post[j] = cp
+						ctr.posted = sumParts(post)
+						c.rank.sums++
 						c.rank.Faults.Corruptions++
 						break
 					}
 				}
-			}
-			p := post
-			ctr.resum = func() uint64 {
-				h := uint64(fnvOffset)
-				for _, buf := range p {
-					h = sumSlice[T](h, buf)
-				}
-				return h
 			}
 		}
 		ctr.payload = post
@@ -566,9 +571,10 @@ func ControlOrWords(c *Comm, words []uint64) []uint64 {
 // it — after a run succeeds each process holds only its local ranks' owned
 // segments of the global result arrays, and one control gather ships the rest
 // without re-opening the data-plane schedule to injected faults. out[j] is
-// member j's slice; a dead process's members contribute nil. Local members'
-// slices alias the sender's buffer (nothing is copied in-process); callers
-// must copy before mutating.
+// member j's slice; a dead process's members contribute nil. Nothing is
+// copied: a local member's slice aliases the sender's buffer and a remote
+// member's the received frame, which every local caller shares; callers must
+// copy before mutating.
 func ControlGatherSlices[T any](c *Comm, send []T) [][]T {
 	seq := c.nextSeq()
 	ctr := contribution{payload: send}

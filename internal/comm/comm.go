@@ -136,12 +136,14 @@ func (b *barrier) wait() {
 // which keeps all members in lockstep even while they agree on an error.
 type contribution struct {
 	payload any
-	// declared is the checksum of the data the sender meant to post; resum
-	// recomputes the checksum of the data actually posted. A corrupted copy
-	// makes them disagree on every receiver identically. Both are only used
-	// when a transport is installed.
+	// declared is the checksum of the data the sender meant to post, posted
+	// the checksum of the data it actually posted: computed once per process,
+	// by the poster for a local member and at decode for a remote one, and
+	// compared by every member in verify. A corrupted copy makes them
+	// disagree on every receiver identically. Both stay zero when nothing is
+	// verified (in-process backend with no transport, control plane).
 	declared uint64
-	resum    func() uint64
+	posted   uint64
 	delay    time.Duration // injected delay the sender slept before posting
 	withheld bool          // stalled: no payload this collective
 	failed   bool          // contribution failed outright
@@ -561,6 +563,7 @@ type Rank struct {
 	w    *World
 	tr   *trace.Stream // nil unless WorldOptions.Trace is installed
 	seq  int64         // collectives this rank has entered (transport keying)
+	sums int64         // envelope checksums this rank has computed
 	dead bool          // fail-stop latch: set by the first Kill action, never cleared
 	iter int64         // engine-declared iteration label (-1 outside an iteration)
 	tag  int           // engine-declared schedule-position label (-1 untagged)
@@ -787,7 +790,7 @@ func (c *Comm) verify(kind Kind, members []int) error {
 		}
 	}
 	for i := 0; i < n; i++ {
-		if j, ct := at(i); ct.resum != nil && ct.resum() != ct.declared {
+		if j, ct := at(i); ct.posted != ct.declared {
 			return fail(j, ErrPayloadCorrupted)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/wire"
@@ -82,11 +83,12 @@ type runKey struct {
 }
 
 // arrival buffers remote contributions for one collective until the local
-// leader consumes them. update is closed and replaced on every change so
-// waiters can block without polling.
+// leader consumes them. missing is how many the parked leader still lacks
+// (zero when nobody is parked): deliver wakes it when the last one lands,
+// not once per frame.
 type arrival struct {
-	ctrs   map[int]*contribution // sender world rank (process id for fences)
-	update chan struct{}
+	ctrs    map[int]*contribution // sender world rank (process id for fences)
+	missing int
 }
 
 // Group is one process's durable membership in a multi-process world
@@ -95,10 +97,11 @@ type arrival struct {
 type Group struct {
 	ep *wire.Endpoint
 
-	mu         sync.Mutex
-	arrivals   map[arrKey]*arrival
-	marks      map[wmKey]uint64
-	deadProcs  map[int]bool
+	mu        sync.Mutex
+	cond      *sync.Cond // on mu: router state changed in a way a waiter must re-check
+	arrivals  map[arrKey]*arrival
+	marks     map[wmKey]uint64
+	deadProcs map[int]bool
 	// departed records, per (epoch, run generation), the processes whose
 	// epoch-outcome announcement has arrived. An outcome frame doubles as an
 	// epoch revoke: its sender has left that epoch's collective schedule for
@@ -114,6 +117,7 @@ type Group struct {
 	gen        uint32
 	fenceSeq   uint64
 	outcomeSeq uint64
+	sums       atomic.Int64 // envelope checksums computed over remote contributions
 }
 
 // NewGroup binds a wire endpoint for this process and starts routing frames.
@@ -126,6 +130,7 @@ func NewGroup(cfg wire.Config) (*Group, error) {
 		deadProcs: make(map[int]bool),
 		departed:  make(map[runKey]map[int]bool),
 	}
+	g.cond = sync.NewCond(&g.mu)
 	cfg.OnFrame = g.deliver
 	cfg.OnPeerDead = g.peerDead
 	ep, err := wire.Listen(cfg)
@@ -163,27 +168,32 @@ func (g *Group) Close() error { return g.ep.Close() }
 // declare this process dead, exactly as after a SIGKILL.
 func (g *Group) Abort() error { return g.ep.Abort() }
 
-// beginRun opens a new run generation: advance the counter, prune state from
-// completed epochs, and let the endpoint drop stale replay frames. Every
-// process calls Run in the same global order (the engine is SPMD), so the
-// generation counters stay aligned without any exchange.
+// beginRun opens a new run generation: advance the counter, prune the router
+// state of earlier generations, and let the endpoint drop stale replay
+// frames. A Run that returned has completed or abandoned every collective
+// it entered, so nothing keyed by an earlier generation is read again and the
+// maps stay bounded by the communicator count however long the world lives.
+// Fence and outcome arrivals carry no generation and retire themselves; they
+// are pruned by epoch only. Every process calls Run in the same global order
+// (the engine is SPMD), so the generation counters stay aligned without any
+// exchange.
 func (g *Group) beginRun(epoch int) uint32 {
 	e := uint32(epoch)
 	g.mu.Lock()
 	g.gen++
 	gen := g.gen
 	for k := range g.arrivals {
-		if k.epoch < e {
+		if k.epoch < e || (k.gen < gen && k.comm < outcomeComm) {
 			delete(g.arrivals, k)
 		}
 	}
 	for k := range g.marks {
-		if k.epoch < e {
+		if k.epoch < e || k.gen < gen {
 			delete(g.marks, k)
 		}
 	}
 	for k := range g.departed {
-		if k.epoch < e {
+		if k.epoch < e || k.gen < gen {
 			delete(g.departed, k)
 		}
 	}
@@ -197,16 +207,10 @@ func (g *Group) beginRun(epoch int) uint32 {
 func (g *Group) arrivalLocked(key arrKey) *arrival {
 	arr := g.arrivals[key]
 	if arr == nil {
-		arr = &arrival{ctrs: make(map[int]*contribution), update: make(chan struct{})}
+		arr = &arrival{ctrs: make(map[int]*contribution)}
 		g.arrivals[key] = arr
 	}
 	return arr
-}
-
-// bumpLocked wakes everyone blocked on arr. Caller holds g.mu.
-func bumpLocked(arr *arrival) {
-	close(arr.update)
-	arr.update = make(chan struct{})
 }
 
 // deliver is the wire endpoint's frame callback (reader goroutines).
@@ -217,15 +221,27 @@ func (g *Group) deliver(peer int, f *wire.Frame) {
 		if err != nil {
 			return // CRC-clean but malformed envelope: drop, sender is buggy
 		}
+		// The one pass this process makes over the payload to check it,
+		// taken here so it overlaps the ranks' wait. The control plane is
+		// never verified and so never summed.
+		if rp, ok := ctr.payload.(remoteParts); ok && f.Type == wire.TypeData {
+			ctr.posted = sumParts(rp.parts)
+			g.sums.Add(1)
+		}
 		key := arrKey{f.Epoch, f.Gen, f.Comm, f.Seq}
 		g.mu.Lock()
-		if f.Seq <= g.marks[wmKey{f.Epoch, f.Gen, f.Comm}] {
-			g.mu.Unlock() // completed collective: stale retransmit
+		if f.Gen < g.gen || f.Seq <= g.marks[wmKey{f.Epoch, f.Gen, f.Comm}] {
+			// A run this process has left, or a completed collective.
+			g.mu.Unlock()
 			return
 		}
 		arr := g.arrivalLocked(key)
 		arr.ctrs[int(f.Rank)] = ctr
-		bumpLocked(arr)
+		if arr.missing > 0 {
+			if arr.missing--; arr.missing == 0 {
+				g.cond.Broadcast()
+			}
+		}
 		g.mu.Unlock()
 	case wire.TypeFence:
 		// Fence-shaped frames key by their reserved communicator id so the
@@ -249,12 +265,8 @@ func (g *Group) deliver(peer int, f *wire.Frame) {
 				g.departed[rk] = dep
 			}
 			dep[peer] = true
-			for _, a := range g.arrivals {
-				bumpLocked(a)
-			}
-		} else {
-			bumpLocked(arr)
 		}
+		g.cond.Broadcast()
 		g.mu.Unlock()
 	}
 }
@@ -264,9 +276,7 @@ func (g *Group) deliver(peer int, f *wire.Frame) {
 func (g *Group) peerDead(peer int) {
 	g.mu.Lock()
 	g.deadProcs[peer] = true
-	for _, arr := range g.arrivals {
-		bumpLocked(arr)
-	}
+	g.cond.Broadcast()
 	g.mu.Unlock()
 }
 
@@ -317,11 +327,11 @@ func (sh *shared) fill(seq uint64, members []int) {
 	key := arrKey{uint32(d.w.epoch), d.w.gen, d.id, seq}
 	rk := runKey{uint32(d.w.epoch), d.w.gen}
 	filled := make([]bool, len(need))
-	done := 0
+	g.mu.Lock()
+	arr := g.arrivalLocked(key)
 	for {
-		g.mu.Lock()
-		arr := g.arrivalLocked(key)
 		dep := g.departed[rk]
+		arr.missing = 0
 		for i, m := range need {
 			if filled[i] {
 				continue
@@ -330,7 +340,6 @@ func (sh *shared) fill(seq uint64, members []int) {
 			if ctr := arr.ctrs[wr]; ctr != nil {
 				sh.slots[m] = *ctr
 				filled[i] = true
-				done++
 			} else if p := d.w.procOf[wr]; g.deadProcs[p] || dep[p] {
 				// Hosting process dead, or it announced this epoch's outcome
 				// and so will contribute nothing more (delivery is in-order:
@@ -339,16 +348,16 @@ func (sh *shared) fill(seq uint64, members []int) {
 				// envelope so the collective fails typed instead of hanging.
 				sh.slots[m] = contribution{dead: true}
 				filled[i] = true
-				done++
+			} else {
+				arr.missing++
 			}
 		}
-		ch := arr.update
-		g.mu.Unlock()
-		if done == len(need) {
-			return
+		if arr.missing == 0 {
+			break
 		}
-		<-ch
+		g.cond.Wait()
 	}
+	g.mu.Unlock()
 }
 
 func containsMember(members []int, m int) bool {
@@ -395,13 +404,14 @@ func (c *Comm) complete(seq uint64) {
 // distSend ships this member's contribution to every remote process with
 // members in the communicator. A send to a dead peer is dropped — its ranks
 // will be synthesized dead on every survivor anyway. Payload bytes are
-// copied at enqueue, so callers may reuse their buffers immediately.
+// copied once, at enqueue, straight into the wire frame, so callers may reuse
+// their buffers immediately.
 func (c *Comm) distSend(seq uint64, typ uint8, ctr *contribution, parts [][]byte) {
 	d := c.sh.dist
 	if d == nil || len(d.remoteProcs) == 0 {
 		return
 	}
-	payload := encodeContribution(ctr, parts)
+	head := envelopeHead(ctr, parts)
 	var flags uint8
 	if ctr.withheld {
 		flags |= wire.FlagWithheld
@@ -421,9 +431,9 @@ func (c *Comm) distSend(seq uint64, typ uint8, ctr *contribution, parts [][]byte
 			Comm:    d.id,
 			Seq:     seq,
 			Rank:    int32(c.sh.members[c.me]),
-			Payload: payload,
+			Payload: head,
 		}
-		_ = d.w.dist.Group.ep.Send(p, f)
+		_ = d.w.dist.Group.ep.SendParts(p, f, parts)
 	}
 }
 
@@ -431,21 +441,15 @@ func (c *Comm) distSend(seq uint64, typ uint8, ctr *contribution, parts [][]byte
 // declared checksum, part count, part lengths, raw part bytes. Parts are the
 // native-endian byte views of the contribution's buffers — the same bytes
 // the in-process checksum folds over, so corruption injected before the
-// send is detected identically on local and remote members.
-func encodeContribution(ctr *contribution, parts [][]byte) []byte {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	b := make([]byte, 0, 20+4*len(parts)+total)
+// send is detected identically on local and remote members. envelopeHead
+// builds everything up to the raw bytes, which the wire layer appends.
+func envelopeHead(ctr *contribution, parts [][]byte) []byte {
+	b := make([]byte, 0, 20+4*16) // constant, so it stays on the caller's stack up to 16 parts
 	b = binary.LittleEndian.AppendUint64(b, uint64(ctr.delay))
 	b = binary.LittleEndian.AppendUint64(b, ctr.declared)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(parts)))
 	for _, p := range parts {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(p)))
-	}
-	for _, p := range parts {
-		b = append(b, p...)
 	}
 	return b
 }
@@ -490,13 +494,6 @@ func decodeContribution(f *wire.Frame) (*contribution, error) {
 		return nil, fmt.Errorf("comm: contribution envelope has %d trailing bytes", len(b)-pos)
 	}
 	ctr.payload = remoteParts{parts}
-	ctr.resum = func() uint64 {
-		h := uint64(fnvOffset)
-		for _, p := range parts {
-			h = sumSlice(h, p)
-		}
-		return h
-	}
 	return ctr, nil
 }
 
@@ -529,9 +526,9 @@ func (w *World) Fence() {
 	arrived := make([]bool, g.Procs())
 	arrived[me] = true
 	n := 1
+	g.mu.Lock()
+	arr := g.arrivalLocked(key)
 	for {
-		g.mu.Lock()
-		arr := g.arrivalLocked(key)
 		for p := 0; p < g.Procs(); p++ {
 			if arrived[p] {
 				continue
@@ -541,15 +538,13 @@ func (w *World) Fence() {
 				n++
 			}
 		}
-		ch := arr.update
 		if n == g.Procs() {
-			delete(g.arrivals, key)
-			g.mu.Unlock()
-			return
+			break
 		}
-		g.mu.Unlock()
-		<-ch
+		g.cond.Wait()
 	}
+	delete(g.arrivals, key)
+	g.mu.Unlock()
 }
 
 // ExchangeOutcome is a process-level allgather of one epoch's verdict: every
@@ -599,9 +594,9 @@ func (w *World) ExchangeOutcome(dead []int, code uint8) ([]int, uint8) {
 	arrived := make([]bool, g.Procs())
 	arrived[me] = true
 	n := 1
+	g.mu.Lock()
+	arr := g.arrivalLocked(key)
 	for {
-		g.mu.Lock()
-		arr := g.arrivalLocked(key)
 		for p := 0; p < g.Procs(); p++ {
 			if arrived[p] {
 				continue
@@ -623,20 +618,19 @@ func (w *World) ExchangeOutcome(dead []int, code uint8) ([]int, uint8) {
 				n++
 			}
 		}
-		ch := arr.update
 		if n == g.Procs() {
-			delete(g.arrivals, key)
-			g.mu.Unlock()
-			merged := make([]int, 0, len(deadSet))
-			for d := range deadSet {
-				merged = append(merged, d)
-			}
-			sortInts(merged)
-			return merged, maxCode
+			break
 		}
-		g.mu.Unlock()
-		<-ch
+		g.cond.Wait()
 	}
+	delete(g.arrivals, key)
+	g.mu.Unlock()
+	merged := make([]int, 0, len(deadSet))
+	for d := range deadSet {
+		merged = append(merged, d)
+	}
+	sortInts(merged)
+	return merged, maxCode
 }
 
 // encodeOutcome packs an outcome payload: code, dead-rank count, ranks.

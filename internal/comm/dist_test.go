@@ -15,7 +15,7 @@ import (
 // temp dir, with timings tightened for test latency. Groups are closed
 // gracefully at cleanup (tests that Abort do so explicitly first; shutdown is
 // idempotent).
-func distGroups(t *testing.T, procs int) []*Group {
+func distGroups(t testing.TB, procs int) []*Group {
 	t.Helper()
 	dir := t.TempDir()
 	addrs := make([]string, procs)
@@ -46,7 +46,7 @@ func distGroups(t *testing.T, procs int) []*Group {
 // distWorlds builds one world per process of a fresh group, splitting the
 // mesh's ranks contiguously across the processes. mkOpt fills the non-Dist
 // options per process (transport, deadline); it may be nil.
-func distWorlds(t *testing.T, procs int, mesh topology.Mesh, mkOpt func(proc int) WorldOptions) ([]*World, []*Group) {
+func distWorlds(t testing.TB, procs int, mesh topology.Mesh, mkOpt func(proc int) WorldOptions) ([]*World, []*Group) {
 	t.Helper()
 	n := mesh.Size()
 	if n%procs != 0 {
@@ -481,5 +481,42 @@ func TestDistRunsBackToBack(t *testing.T) {
 				t.Errorf("round %d rank %d: sum %d, want %d", round, r.ID, sum, want)
 			}
 		})
+	}
+}
+
+// TestDistRouterStateBoundedByRun is the regression test for the marks leak:
+// a long-lived socket world gained one watermark per communicator per Run
+// (and one departed set per outcome exchange) and shed them only when the
+// epoch advanced, so beginRun walked O(runs) entries under the router lock.
+// State of a generation is dead once its Run has returned; after a thousand
+// runs the maps hold what the live generation needs and nothing more.
+func TestDistRouterStateBoundedByRun(t *testing.T) {
+	mesh := topology.Mesh{Rows: 2, Cols: 2}
+	ws, gs := distWorlds(t, 2, mesh, nil)
+	const comms = 1 + 2 + 2 // world, rows, columns
+	for round := 0; round < 1000; round++ {
+		var wg sync.WaitGroup
+		for _, w := range ws {
+			wg.Add(1)
+			go func(w *World) {
+				defer wg.Done()
+				w.Run(func(r *Rank) {
+					Must(AllreduceSumInt64(r.World, 1))
+					Must(AllreduceSumInt64(r.RowC, 1))
+					Must(AllreduceSumInt64(r.ColC, 1))
+				})
+				w.ExchangeOutcome(nil, 0)
+			}(w)
+		}
+		wg.Wait()
+	}
+	for p, g := range gs {
+		g.mu.Lock()
+		marks, arrivals, departed := len(g.marks), len(g.arrivals), len(g.departed)
+		g.mu.Unlock()
+		if marks > comms || arrivals > comms || departed > comms {
+			t.Errorf("proc %d after 1000 runs: %d marks, %d arrivals, %d departed sets; want each <= %d",
+				p, marks, arrivals, departed, comms)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"crypto/hmac"
 	crand "crypto/rand"
 	"crypto/sha256"
@@ -172,7 +173,8 @@ type Endpoint struct {
 	handshakeTimeouts atomic.Uint64
 }
 
-// outFrame is a numbered frame parked in the replay buffer until acked.
+// outFrame is an encoded, numbered frame parked in the replay buffer until
+// acked.
 type outFrame struct {
 	seq   uint64
 	epoch uint32
@@ -184,13 +186,16 @@ type session struct {
 	peer   int
 	dialer bool
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	conn        net.Conn
-	connected   bool // conn non-nil and past the hello exchange
-	everConn    bool
-	pending     []uint64 // netseqs queued for (re)transmission, in order
-	frames      map[uint64]*outFrame
+	mu        sync.Mutex
+	cond      *sync.Cond
+	conn      net.Conn
+	connected bool // conn non-nil and past the hello exchange
+	everConn  bool
+	// queue is the replay buffer: every unacked frame, in NetSeq order. The
+	// live conn has been handed the first sent of them; the rest wait for
+	// the next flush.
+	queue       []outFrame
+	sent        int
 	nextNetSeq  uint64
 	lastDeliv   uint64 // highest in-order NetSeq delivered to OnFrame
 	peerAcked   uint64
@@ -200,7 +205,11 @@ type session struct {
 	authFailed  bool // handshake auth rejected: permanent, stops the dial loop
 	dataSent    uint64
 
-	writeMu sync.Mutex // serializes writes to conn (pump vs heartbeats)
+	// writeMu serializes writes to conn (flushes vs heartbeats). A flush
+	// holds it across taking frames off the queue and writing them, so frames
+	// reach the socket in NetSeq order whoever flushes.
+	writeMu sync.Mutex
+	iov     net.Buffers // flush's scratch, guarded by writeMu
 }
 
 // Listen binds cfg.Addrs[cfg.Proc], starts the accept loop, and begins
@@ -229,7 +238,6 @@ func Listen(cfg Config) (*Endpoint, error) {
 			ep:          ep,
 			peer:        p,
 			dialer:      cfg.Proc > p,
-			frames:      make(map[uint64]*outFrame),
 			lastContact: time.Now(),
 		}
 		s.cond = sync.NewCond(&s.mu)
@@ -263,20 +271,18 @@ func (ep *Endpoint) SetEpoch(e uint32) {
 			continue
 		}
 		s.mu.Lock()
-		live := s.pending[:0]
-		for _, seq := range s.pending {
-			if of := s.frames[seq]; of != nil && of.epoch >= e {
-				live = append(live, seq)
-			} else {
-				delete(s.frames, seq)
+		live, sent := s.queue[:0], s.sent
+		for i, of := range s.queue {
+			if of.epoch >= e {
+				live = append(live, of)
+				continue
+			}
+			if i < sent {
+				s.sent--
 			}
 		}
-		s.pending = live
-		for seq, of := range s.frames {
-			if of.epoch < e {
-				delete(s.frames, seq)
-			}
-		}
+		clear(s.queue[len(live):])
+		s.queue = live
 		s.mu.Unlock()
 	}
 }
@@ -301,7 +307,13 @@ func (ep *Endpoint) Stats() Stats {
 // replay-pruning counter has not advanced to yet). The frame is retained in
 // the replay buffer until the peer acks it, surviving reconnects. Returns
 // ErrPeerDead once the peer is declared dead.
-func (ep *Endpoint) Send(peer int, f *Frame) error {
+func (ep *Endpoint) Send(peer int, f *Frame) error { return ep.SendParts(peer, f, nil) }
+
+// SendParts is Send for a payload given in pieces: f.Payload followed by
+// parts, each copied exactly once, into the frame's replay buffer. On a
+// connected session the caller then writes whatever is queued itself (see
+// flush); the pump only covers the cases where it cannot.
+func (ep *Endpoint) SendParts(peer int, f *Frame, parts [][]byte) error {
 	s := ep.sessions[peer]
 	if s == nil {
 		return fmt.Errorf("wire: send to self (proc %d)", peer)
@@ -309,6 +321,11 @@ func (ep *Endpoint) Send(peer int, f *Frame) error {
 	if f.Type != TypeData && f.Type != TypeControl && f.Type != TypeFence {
 		return fmt.Errorf("wire: Send only carries data/control/fence frames, got type %d", f.Type)
 	}
+	total := headerLen + len(f.Payload)
+	for _, p := range parts {
+		total += len(p)
+	}
+	buf := make([]byte, 0, total)
 	s.mu.Lock()
 	if s.dead {
 		s.mu.Unlock()
@@ -316,11 +333,16 @@ func (ep *Endpoint) Send(peer int, f *Frame) error {
 	}
 	s.nextNetSeq++
 	f.NetSeq = s.nextNetSeq
-	of := &outFrame{seq: f.NetSeq, epoch: f.Epoch, buf: AppendFrame(nil, f)}
-	s.frames[of.seq] = of
-	s.pending = append(s.pending, of.seq)
-	s.cond.Broadcast()
+	s.queue = append(s.queue, outFrame{seq: f.NetSeq, epoch: f.Epoch, buf: appendFrame(buf, f, parts)})
+	// The fault hook may sleep, so its frames stay on the pump's goroutine.
+	inline := s.connected && ep.cfg.Fault == nil
+	if !inline {
+		s.cond.Broadcast()
+	}
 	s.mu.Unlock()
+	if inline {
+		s.flush(false)
+	}
 	return nil
 }
 
@@ -412,7 +434,7 @@ func (ep *Endpoint) drain(deadline time.Time) {
 				continue
 			}
 			s.mu.Lock()
-			if len(s.frames) > 0 && s.everConn && !s.dead && !s.peerClosed {
+			if len(s.queue) > 0 && s.everConn && !s.dead && !s.peerClosed {
 				busy = true
 			}
 			s.mu.Unlock()
@@ -792,7 +814,7 @@ func (s *session) adopt(c net.Conn, theirHello *Frame, theirNonce []byte) {
 }
 
 // install makes c the session's live connection: prune acked replay entries,
-// re-enqueue everything the peer has not seen, spawn the reader.
+// rewind the queue to everything the peer has not seen, spawn the reader.
 func (s *session) install(c net.Conn, theirHello *Frame, accepted bool) {
 	s.mu.Lock()
 	if s.dead || s.ep.closed.Load() {
@@ -811,114 +833,114 @@ func (s *session) install(c net.Conn, theirHello *Frame, accepted bool) {
 	}
 	s.everConn = true
 	s.ackTo(theirHello.Seq)
-	// Session resumption: rebuild the pending queue as every unacked frame,
-	// oldest first. The receiver dedupes on NetSeq, so frames that were
-	// in flight when the old conn died are retransmitted harmlessly.
-	resent := uint64(0)
-	inPending := make(map[uint64]bool, len(s.pending))
-	for _, seq := range s.pending {
-		inPending[seq] = true
-	}
-	for seq := range s.frames {
-		if !inPending[seq] {
-			s.pending = append(s.pending, seq)
-			resent++
-		}
-	}
-	if resent > 0 {
-		sortSeqs(s.pending)
-		s.ep.framesResent.Add(resent)
-	}
+	// Session resumption: the new conn has carried nothing, so every unacked
+	// frame goes out again, oldest first. The receiver dedupes on NetSeq, so
+	// frames that were in flight when the old conn died are retransmitted
+	// harmlessly.
+	s.ep.framesResent.Add(uint64(s.sent))
+	s.sent = 0
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.ep.wg.Add(1)
 	go s.readLoop(c)
 }
 
-// ackTo prunes replay state the peer has confirmed. Caller holds s.mu.
+// ackTo prunes replay state the peer has confirmed: a prefix of the queue.
+// Caller holds s.mu.
 func (s *session) ackTo(acked uint64) {
 	if acked <= s.peerAcked {
 		return
 	}
 	s.peerAcked = acked
-	for seq := range s.frames {
-		if seq <= acked {
-			delete(s.frames, seq)
-		}
+	n := 0
+	for n < len(s.queue) && s.queue[n].seq <= acked {
+		n++
 	}
-	live := s.pending[:0]
-	for _, seq := range s.pending {
-		if seq > acked {
-			live = append(live, seq)
-		}
-	}
-	s.pending = live
+	live := copy(s.queue, s.queue[n:])
+	clear(s.queue[live:])
+	s.queue = s.queue[:live]
+	s.sent = max(s.sent-n, 0)
 }
 
-func sortSeqs(a []uint64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-// sendLoop is the session's write pump: pop the next pending netseq, apply
-// the fault hook, write with a deadline. A write failure tears the conn down
-// (the dial loop or the peer's redial recovers it) and leaves the frame in
-// the replay buffer for retransmission.
-func (s *session) sendLoop() {
-	defer s.ep.wg.Done()
+// flush hands the live conn every queued frame it has not yet carried, as
+// one vectored write per round: frames queued by different senders share a
+// syscall. Whoever queues a frame on a connected session calls it (blocking
+// on writeMu, then re-checking the queue, so no frame is ever left without a
+// writer); sendLoop calls it after a (re)connect and whenever a fault hook is
+// installed. The hook sees every data frame in order: a Drop verdict on
+// frame K writes the frames before K, then closes the conn with K still
+// queued for replay; a Hang verdict likewise stops before K and is returned
+// for the caller to sleep out, after which flush(true) resumes at K without
+// consulting the hook for it again.
+func (s *session) flush(verdictTaken bool) (hang time.Duration) {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	for {
 		s.mu.Lock()
-		for (len(s.pending) == 0 || !s.connected) && !s.dead && !s.ep.closed.Load() {
-			s.cond.Wait()
-		}
-		if s.dead || s.ep.closed.Load() {
+		if !s.connected || s.dead || s.sent == len(s.queue) {
 			s.mu.Unlock()
-			return
+			return 0
 		}
-		seq := s.pending[0]
-		s.pending = s.pending[1:]
-		of := s.frames[seq]
 		c := s.conn
 		var fault ConnFault
-		if of != nil && s.ep.cfg.Fault != nil && of.buf[4] == TypeData {
-			idx := s.dataSent
-			s.dataSent++
-			fault = s.ep.cfg.Fault.OnConnSend(s.ep.cfg.Proc, s.peer, idx)
+		iov, n := s.iov[:0], 0
+		for ; s.sent < len(s.queue); s.sent++ {
+			buf := s.queue[s.sent].buf
+			if hook := s.ep.cfg.Fault; hook != nil && buf[4] == TypeData {
+				if !verdictTaken {
+					fault = hook.OnConnSend(s.ep.cfg.Proc, s.peer, s.dataSent)
+					s.dataSent++
+					if fault.Drop || fault.Hang > 0 {
+						break
+					}
+				}
+				verdictTaken = false
+			}
+			iov = append(iov, buf)
+			n += len(buf)
 		}
 		s.mu.Unlock()
-		if of == nil { // acked while queued
-			continue
-		}
-		if fault.Hang > 0 {
-			time.Sleep(fault.Hang)
+		if n > 0 {
+			s.iov = iov // WriteTo consumes its receiver; keep the array
+			c.SetWriteDeadline(time.Now().Add(s.ep.cfg.WriteTimeout))
+			if _, err := iov.WriteTo(c); err != nil {
+				s.teardown(c)
+				return 0
+			}
+			s.ep.bytesSent.Add(uint64(n))
 		}
 		if fault.Drop {
 			s.teardown(c)
-			// The frame stays unacked; requeue it for after reconnect.
-			s.mu.Lock()
-			if _, live := s.frames[seq]; live {
-				s.pending = append([]uint64{seq}, s.pending...)
-			}
-			s.mu.Unlock()
-			continue
+			return 0
 		}
-		s.writeMu.Lock()
-		c.SetWriteDeadline(time.Now().Add(s.ep.cfg.WriteTimeout))
-		_, err := c.Write(of.buf)
-		s.writeMu.Unlock()
-		if err != nil {
-			s.teardown(c)
-			s.mu.Lock()
-			if _, live := s.frames[seq]; live {
-				s.pending = append([]uint64{seq}, s.pending...)
-			}
-			s.mu.Unlock()
-			continue
+		if fault.Hang > 0 {
+			return fault.Hang
 		}
-		s.ep.bytesSent.Add(uint64(len(of.buf)))
+	}
+}
+
+// sendLoop is the session's write pump for the frames no sender can write
+// itself: those queued while disconnected, the replay after a reconnect, and
+// everything when a fault hook is installed (its hangs sleep here, with
+// writeMu released so heartbeats keep flowing). A write failure tears the
+// conn down (the dial loop or the peer's redial recovers it) and leaves the
+// frames in the replay buffer for retransmission.
+func (s *session) sendLoop() {
+	defer s.ep.wg.Done()
+	verdictTaken := false
+	for {
+		s.mu.Lock()
+		for (s.sent == len(s.queue) || !s.connected) && !s.dead && !s.ep.closed.Load() {
+			s.cond.Wait()
+		}
+		stop := s.dead || s.ep.closed.Load()
+		s.mu.Unlock()
+		if stop {
+			return
+		}
+		hang := s.flush(verdictTaken)
+		time.Sleep(hang)
+		verdictTaken = hang > 0
 	}
 }
 
@@ -942,10 +964,9 @@ func (s *session) teardown(c net.Conn) {
 // (reconnect, not death; the monitor issues dead verdicts on total silence).
 func (s *session) readLoop(c net.Conn) {
 	defer s.ep.wg.Done()
-	readTO := 3 * s.ep.cfg.HeartbeatEvery
+	br := bufio.NewReaderSize(deadlineReader{c, 3 * s.ep.cfg.HeartbeatEvery}, 64<<10)
 	for {
-		c.SetReadDeadline(time.Now().Add(readTO))
-		f, err := ReadFrame(c)
+		f, err := ReadFrame(br)
 		if err != nil {
 			s.teardown(c)
 			return
@@ -991,6 +1012,19 @@ func (s *session) readLoop(c net.Conn) {
 			s.mu.Unlock()
 		}
 	}
+}
+
+// deadlineReader re-arms the read deadline before every read that reaches
+// the socket — the only reads that can block. Frames served from the
+// buffered reader above it cost no deadline update.
+type deadlineReader struct {
+	c       net.Conn
+	timeout time.Duration
+}
+
+func (d deadlineReader) Read(p []byte) (int, error) {
+	d.c.SetReadDeadline(time.Now().Add(d.timeout))
+	return d.c.Read(p)
 }
 
 // monitor is the session's heartbeat pump and failure detector: ping every

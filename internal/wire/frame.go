@@ -128,9 +128,17 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // AppendFrame appends f's canonical encoding to dst and returns the extended
 // slice.
-func AppendFrame(dst []byte, f *Frame) []byte {
-	if len(f.Payload) > MaxPayload {
-		panic(fmt.Sprintf("wire: frame payload %d exceeds MaxPayload", len(f.Payload)))
+func AppendFrame(dst []byte, f *Frame) []byte { return appendFrame(dst, f, nil) }
+
+// appendFrame is AppendFrame for a payload given in pieces: f.Payload
+// followed by parts, each copied once, straight into the frame.
+func appendFrame(dst []byte, f *Frame, parts [][]byte) []byte {
+	plen := len(f.Payload)
+	for _, p := range parts {
+		plen += len(p)
+	}
+	if plen > MaxPayload {
+		panic(fmt.Sprintf("wire: frame payload %d exceeds MaxPayload", plen))
 	}
 	base := len(dst)
 	dst = append(dst, frameMagic...)
@@ -141,11 +149,16 @@ func AppendFrame(dst []byte, f *Frame) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, f.Seq)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.Rank))
 	dst = binary.LittleEndian.AppendUint64(dst, f.NetSeq)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(plen))
+	dst = append(dst, 0, 0, 0, 0) // CRC, patched below
+	dst = append(dst, f.Payload...)
+	for _, p := range parts {
+		dst = append(dst, p...)
+	}
 	crc := crc32.Update(0, castagnoli, dst[base:base+crcOff])
-	crc = crc32.Update(crc, castagnoli, f.Payload)
-	dst = binary.LittleEndian.AppendUint32(dst, crc)
-	return append(dst, f.Payload...)
+	crc = crc32.Update(crc, castagnoli, dst[base+headerLen:])
+	binary.LittleEndian.PutUint32(dst[base+crcOff:], crc)
+	return dst
 }
 
 // DecodeFrame parses one frame from the front of b, returning the frame and
