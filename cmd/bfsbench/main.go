@@ -118,7 +118,7 @@ func main() {
 		time.Duration(r.Engine.PartitionSeconds*float64(time.Second)).Round(time.Millisecond),
 		r.Engine.Part.Hubs.NumE, r.Engine.Part.Hubs.NumH, r.Engine.Opt.Ranks)
 	ps := r.Engine.Part.Stats
-	fmt.Printf("  setup %.3fs: degrees %.3fs, hubdir %.3fs, distribute %.3fs, assemble %.3fs (sort %.3fs), engine %.3fs\n",
+	fmt.Printf("  setup %.3fs: degrees %.3fs, hubdir %.3fs, distribute %.3fs, assemble %.3fs (counting passes %.3fs), engine %.3fs\n",
 		r.Engine.PartitionSeconds+r.Engine.ConstructSeconds,
 		ps.DegreesSeconds, ps.HubDirSeconds, ps.DistributeSeconds,
 		ps.AssembleSeconds, ps.SortSeconds, r.Engine.ConstructSeconds)

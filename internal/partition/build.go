@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/psort"
 	"repro/internal/rmat"
 	"repro/internal/topology"
 )
@@ -92,7 +91,8 @@ type Partitioned struct {
 }
 
 // BuildStats is the wall-time breakdown of Build. SortSeconds is the
-// aggregate time inside the per-component grouping sorts summed across the
+// aggregate time inside the per-component counting passes (count, prefix
+// sum, stable scatter, and the EHPull transpose) summed across the
 // concurrently assembled ranks, so it can exceed AssembleSeconds wall time.
 type BuildStats struct {
 	DegreesSeconds    float64
@@ -102,32 +102,63 @@ type BuildStats struct {
 	SortSeconds       float64
 }
 
-// edge placement record types, accumulated per destination rank during the
-// distribution pass.
-type hubHubRec struct{ src, dst int32 }
-type hubLocRec struct{ hub, lidx int32 }
-type locHubRec struct{ lidx, hub int32 }
-type hubRemRec struct {
-	hub int32
-	dst RemoteL
-}
-type locLocRec struct {
-	lidx int32
-	dst  int64
+// rec is one placement record: the key its component groups by (a hub ID
+// for the hub-keyed components, a local index for the dense ones) and the
+// adjacency payload stored under it.
+type rec[V any] struct {
+	key int32
+	val V
 }
 
-type rankBuf struct {
-	eh  []hubHubRec
-	e2l []hubLocRec
-	h2l []hubRemRec
-	l2e []locHubRec
-	l2h []locHubRec
-	l2l []locLocRec
+// recList is an append-only record stream kept in blocks that never move,
+// so distribution never copies a record on growth. Block capacity doubles
+// from minBlock to maxBlock, which bounds the unused tail of a list.
+type recList[V any] struct {
+	full [][]rec[V]
+	tail []rec[V]
 }
+
+const (
+	minBlock = 1 << 8
+	maxBlock = 1 << 16
+)
+
+func (l *recList[V]) add(x rec[V]) {
+	if len(l.tail) == cap(l.tail) {
+		l.grow()
+	}
+	l.tail = append(l.tail, x)
+}
+
+func (l *recList[V]) grow() {
+	if l.tail != nil {
+		l.full = append(l.full, l.tail)
+	}
+	l.tail = make([]rec[V], 0, min(minBlock<<len(l.full), maxBlock))
+}
+
+// segs appends the list's blocks, in order, to dst.
+func (l *recList[V]) segs(dst [][]rec[V]) [][]rec[V] {
+	return append(append(dst, l.full...), l.tail)
+}
+
+// rankBuf holds one distributor's records for one destination rank, per
+// component, in edge order. EH2EH records are keyed by source hub.
+type rankBuf struct {
+	eh, e2l, l2e, l2h recList[int32]
+	h2l               recList[RemoteL]
+	l2l               recList[int64]
+}
+
+// censusShards is the number of private histograms the degree census
+// counts into. It is fixed rather than the worker count, so the census
+// holds censusShards×N counters on any host.
+const censusShards = 4
 
 // Build partitions the undirected edge list over the mesh with the given
 // thresholds. Self loops are dropped; duplicate edges are kept (the Graph 500
-// generator emits them and the kernels tolerate them).
+// generator emits them and the kernels tolerate them). The result does not
+// depend on workers.
 func Build(n int64, edges []rmat.Edge, mesh topology.Mesh, th Thresholds, workers int) (*Partitioned, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -143,56 +174,36 @@ func Build(n int64, edges []rmat.Edge, mesh topology.Mesh, th Thresholds, worker
 	t2 := time.Now()
 	p := mesh.Size()
 
-	// Distribution pass: workers scan disjoint edge chunks, appending
-	// placement records into per-worker per-rank buffers.
+	// Distribution pass: workers scan contiguous edge chunks, each filling
+	// its own per-rank buffers, so worker w's records follow worker w-1's
+	// in edge order.
 	bufs := make([][]rankBuf, workers)
-	var wg sync.WaitGroup
-	chunk := (len(edges) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(edges) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(edges) {
-			hi = len(edges)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			rb := make([]rankBuf, p)
-			for _, e := range edges[lo:hi] {
-				if e.U == e.V {
-					continue
-				}
-				placeDirected(e.U, e.V, layout, hubs, rb)
-				placeDirected(e.V, e.U, layout, hubs, rb)
-			}
-			bufs[w] = rb
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	forChunks(len(edges), workers, func(w, lo, hi int) {
+		bufs[w] = make([]rankBuf, p)
+		distribute(edges[lo:hi], layout, hubs, bufs[w])
+	})
 	t3 := time.Now()
 
-	// Assembly pass: one goroutine per rank builds its CSRs from all
-	// workers' buffers for that rank.
+	// Assembly pass: one goroutine per rank reads every worker's records
+	// for that rank in place, in worker order.
 	ranks := make([]*RankGraph, p)
 	sem := make(chan struct{}, workers)
-	var sortNanos int64
+	var wg sync.WaitGroup
+	var sortNanos atomic.Int64
 	for r := 0; r < p; r++ {
+		var parts []rankBuf
+		for _, b := range bufs {
+			if b != nil {
+				parts = append(parts, b[r])
+			}
+		}
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(r int) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			var parts []rankBuf
-			for w := range bufs {
-				if bufs[w] != nil {
-					parts = append(parts, bufs[w][r])
-				}
-			}
-			ranks[r] = assembleRank(r, layout, parts, &sortNanos)
-		}(r)
+			ranks[r] = assembleRank(r, layout, hubs.K(), parts, &sortNanos)
+		}()
 	}
 	wg.Wait()
 	t4 := time.Now()
@@ -201,216 +212,202 @@ func Build(n int64, edges []rmat.Edge, mesh topology.Mesh, th Thresholds, worker
 		HubDirSeconds:     t2.Sub(t1).Seconds(),
 		DistributeSeconds: t3.Sub(t2).Seconds(),
 		AssembleSeconds:   t4.Sub(t3).Seconds(),
-		SortSeconds:       float64(atomic.LoadInt64(&sortNanos)) / 1e9,
+		SortSeconds:       float64(sortNanos.Load()) / 1e9,
 	}}, nil
 }
 
-func computeDegrees(n int64, edges []rmat.Edge, workers int) []int64 {
-	shards := make([][]int64, workers)
+// forChunks splits [0, n) into at most parts contiguous chunks and runs
+// fn(i, lo, hi) on each concurrently, chunk i covering [lo, hi).
+func forChunks(n, parts int, fn func(i, lo, hi int)) {
 	var wg sync.WaitGroup
-	chunk := (len(edges) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(edges) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(edges) {
-			hi = len(edges)
-		}
+	chunk := (n + parts - 1) / parts
+	for i := 0; i*chunk < n; i++ {
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			local := make([]int64, n)
-			for _, e := range edges[lo:hi] {
-				if e.U == e.V {
-					continue
-				}
-				local[e.U]++
-				local[e.V]++
-			}
-			shards[w] = local
-		}(w, lo, hi)
+			fn(i, i*chunk, min(i*chunk+chunk, n))
+		}()
 	}
 	wg.Wait()
-	deg := make([]int64, n)
-	for _, s := range shards {
-		if s == nil {
-			continue
+}
+
+// computeDegrees counts every vertex's non-loop edge ends into
+// censusShards private histograms, then sums them into the first with the
+// vertex range split over the workers.
+func computeDegrees(n int64, edges []rmat.Edge, workers int) []int64 {
+	shards := make([][]int64, censusShards)
+	forChunks(len(edges), censusShards, func(s, lo, hi int) {
+		h := make([]int64, n)
+		for _, e := range edges[lo:hi] {
+			if e.U != e.V {
+				h[e.U]++
+				h[e.V]++
+			}
 		}
-		for i := range deg {
-			deg[i] += s[i]
-		}
+		shards[s] = h
+	})
+	deg := shards[0]
+	if deg == nil {
+		return make([]int64, n)
 	}
+	forChunks(int(n), workers, func(_, lo, hi int) {
+		d := deg[lo:hi]
+		for _, h := range shards[1:] {
+			if h != nil {
+				for i, c := range h[lo:hi] {
+					d[i] += c
+				}
+			}
+		}
+	})
 	return deg
 }
 
-// placeDirected routes the directed edge src→dst to its component and rank.
-func placeDirected(src, dst int64, layout Layout, hubs *HubDir, rb []rankBuf) {
-	hs, srcHub := hubs.HubOf(src)
-	hd, dstHub := hubs.HubOf(dst)
+// distribute places both orientations of every non-loop edge into rb,
+// classifying each endpoint once.
+func distribute(edges []rmat.Edge, layout Layout, hubs *HubDir, rb []rankBuf) {
+	for _, e := range edges {
+		if e.U == e.V {
+			continue
+		}
+		hu, hv := hubs.hubID(e.U), hubs.hubID(e.V)
+		place(e.U, e.V, hu, hv, layout, hubs, rb)
+		place(e.V, e.U, hv, hu, layout, hubs, rb)
+	}
+}
+
+// place routes the directed edge src→dst, whose hub IDs (-1 for L) the
+// caller looked up, to its component and rank.
+func place(src, dst int64, hs, hd int32, layout Layout, hubs *HubDir, rb []rankBuf) {
 	mesh := layout.Mesh
 	switch {
-	case srcHub && dstHub:
+	case hs >= 0 && hd >= 0:
 		q := mesh.RankAt(hubs.RowBlockOf(hd, mesh), hubs.ColBlockOf(hs, mesh))
-		rb[q].eh = append(rb[q].eh, hubHubRec{src: hs, dst: hd})
-	case srcHub && !dstHub:
-		owner := layout.Owner(dst)
-		lidx := layout.LocalIdx(dst)
+		rb[q].eh.add(rec[int32]{hs, hd})
+	case hs >= 0:
+		owner, lidx := layout.Owner(dst), layout.LocalIdx(dst)
 		if hubs.IsE(hs) {
-			rb[owner].e2l = append(rb[owner].e2l, hubLocRec{hub: hs, lidx: lidx})
+			rb[owner].e2l.add(rec[int32]{hs, lidx})
 		} else {
 			q := mesh.RankAt(mesh.RowOf(owner), hubs.ColBlockOf(hs, mesh))
-			rb[q].h2l = append(rb[q].h2l, hubRemRec{hub: hs, dst: RemoteL{Col: int32(mesh.ColOf(owner)), LIdx: lidx}})
+			rb[q].h2l.add(rec[RemoteL]{hs, RemoteL{Col: int32(mesh.ColOf(owner)), LIdx: lidx}})
 		}
-	case !srcHub && dstHub:
-		owner := layout.Owner(src)
-		lidx := layout.LocalIdx(src)
+	case hd >= 0:
+		owner, lidx := layout.Owner(src), layout.LocalIdx(src)
 		if hubs.IsE(hd) {
-			rb[owner].l2e = append(rb[owner].l2e, locHubRec{lidx: lidx, hub: hd})
+			rb[owner].l2e.add(rec[int32]{lidx, hd})
 		} else {
-			rb[owner].l2h = append(rb[owner].l2h, locHubRec{lidx: lidx, hub: hd})
+			rb[owner].l2h.add(rec[int32]{lidx, hd})
 		}
 	default:
 		owner := layout.Owner(src)
-		rb[owner].l2l = append(rb[owner].l2l, locLocRec{lidx: layout.LocalIdx(src), dst: dst})
+		rb[owner].l2l.add(rec[int64]{layout.LocalIdx(src), dst})
 	}
 }
 
-func assembleRank(r int, layout Layout, parts []rankBuf, sortNanos *int64) *RankGraph {
+// assembleRank builds rank r's CSRs from its records, read in place from
+// parts in order. Each component is one stable counting pass, so every
+// group keeps its records in distribution order; EHPull is the transpose
+// of the finished EHPush. k is the hub count.
+func assembleRank(r int, layout Layout, k int, parts []rankBuf, sortNanos *atomic.Int64) *RankGraph {
+	st := time.Now()
+	var eh, e2l, l2e, l2h [][]rec[int32]
+	var h2l [][]rec[RemoteL]
+	var l2l [][]rec[int64]
+	for _, b := range parts {
+		eh, e2l, l2e, l2h = b.eh.segs(eh), b.e2l.segs(e2l), b.l2e.segs(l2e), b.l2h.segs(l2h)
+		h2l, l2l = b.h2l.segs(h2l), b.l2l.segs(l2l)
+	}
 	g := &RankGraph{Rank: r, LocalN: layout.LocalCount(r)}
-	// EH2EH: the same record set oriented both ways.
-	var eh []hubHubRec
-	for _, p := range parts {
-		eh = append(eh, p.eh...)
+	g.EHPush.IDs, g.EHPush.Ptr, g.EHPush.Adj = groupSparse(eh, k)
+	g.EHPull = transpose(&g.EHPush, k)
+	g.EToL.IDs, g.EToL.Ptr, g.EToL.Adj = groupSparse(e2l, k)
+	g.HToL.IDs, g.HToL.Ptr, g.HToL.Adj = groupSparse(h2l, k)
+	g.LToE.Ptr, g.LToE.Adj = groupDense(l2e, g.LocalN)
+	g.LToH.Ptr, g.LToH.Adj = groupDense(l2h, g.LocalN)
+	g.L2L.Ptr, g.L2L.Adj = groupDense(l2l, g.LocalN)
+	g.CompEdges = [NumComponents]int64{
+		CompEH2EH: g.EHPush.NumEdges(), CompE2L: g.EToL.NumEdges(), CompH2L: g.HToL.NumEdges(),
+		CompL2E: g.LToE.NumEdges(), CompL2H: g.LToH.NumEdges(), CompL2L: g.L2L.NumEdges(),
 	}
-	g.EHPush = buildSparse(eh, sortNanos, func(x hubHubRec) (int32, int32) { return x.src, x.dst })
-	g.EHPull = buildSparse(eh, sortNanos, func(x hubHubRec) (int32, int32) { return x.dst, x.src })
-	g.CompEdges[CompEH2EH] = int64(len(eh))
-
-	var e2l []hubLocRec
-	for _, p := range parts {
-		e2l = append(e2l, p.e2l...)
-	}
-	g.EToL = buildSparse(e2l, sortNanos, func(x hubLocRec) (int32, int32) { return x.hub, x.lidx })
-	g.CompEdges[CompE2L] = int64(len(e2l))
-
-	var h2l []hubRemRec
-	for _, p := range parts {
-		h2l = append(h2l, p.h2l...)
-	}
-	g.HToL = buildHubRemote(h2l, sortNanos)
-	g.CompEdges[CompH2L] = int64(len(h2l))
-
-	var l2e, l2h []locHubRec
-	for _, p := range parts {
-		l2e = append(l2e, p.l2e...)
-		l2h = append(l2h, p.l2h...)
-	}
-	g.LToE = buildDense32(g.LocalN, l2e)
-	g.LToH = buildDense32(g.LocalN, l2h)
-	g.CompEdges[CompL2E] = int64(len(l2e))
-	g.CompEdges[CompL2H] = int64(len(l2h))
-
-	var l2l []locLocRec
-	for _, p := range parts {
-		l2l = append(l2l, p.l2l...)
-	}
-	g.L2L = buildDense64(g.LocalN, l2l)
-	g.CompEdges[CompL2L] = int64(len(l2l))
+	sortNanos.Add(time.Since(st).Nanoseconds())
 	return g
 }
 
-// buildSparse groups records by key into a SparseCSR with sorted IDs. The
-// grouping sort is the LSD radix path in psort (hub IDs and local indices
-// are dense small integers, so one or two scatter passes group them);
-// single-worker because the assembly pass already runs one goroutine per
-// rank. The stable sort keeps adjacency in distribution order within each
-// group, so the build is deterministic for a fixed worker count.
-func buildSparse[T any](recs []T, sortNanos *int64, kv func(T) (key, val int32)) SparseCSR {
-	if len(recs) == 0 {
-		return SparseCSR{Ptr: []int64{0}}
-	}
-	st := time.Now()
-	psort.Sorter[T]{Key: func(x T) uint64 {
-		k, _ := kv(x)
-		return uint64(uint32(k))
-	}}.Sort(recs, 1)
-	atomic.AddInt64(sortNanos, time.Since(st).Nanoseconds())
-	var csr SparseCSR
-	csr.Adj = make([]int32, len(recs))
-	last := int32(-1)
-	for i, rec := range recs {
-		k, v := kv(rec)
-		if k != last {
-			csr.IDs = append(csr.IDs, k)
-			csr.Ptr = append(csr.Ptr, int64(i))
-			last = k
-		}
-		csr.Adj[i] = v
-	}
-	csr.Ptr = append(csr.Ptr, int64(len(recs)))
-	return csr
-}
-
-func buildHubRemote(recs []hubRemRec, sortNanos *int64) HubToRemoteCSR {
-	if len(recs) == 0 {
-		return HubToRemoteCSR{Ptr: []int64{0}}
-	}
-	st := time.Now()
-	psort.Sorter[hubRemRec]{Key: func(x hubRemRec) uint64 {
-		return uint64(uint32(x.hub))
-	}}.Sort(recs, 1)
-	atomic.AddInt64(sortNanos, time.Since(st).Nanoseconds())
-	var csr HubToRemoteCSR
-	csr.Adj = make([]RemoteL, len(recs))
-	last := int32(-1)
-	for i, rec := range recs {
-		if rec.hub != last {
-			csr.IDs = append(csr.IDs, rec.hub)
-			csr.Ptr = append(csr.Ptr, int64(i))
-			last = rec.hub
-		}
-		csr.Adj[i] = rec.dst
-	}
-	csr.Ptr = append(csr.Ptr, int64(len(recs)))
-	return csr
-}
-
-func buildDense32(n int, recs []locHubRec) DenseCSR32 {
+// groupDense lays out records keyed in [0, n) as a CSR with a row for
+// every key: count per key over every segment in order, prefix-sum, then
+// scatter the payloads in the same order, which keeps each row stable.
+func groupDense[V any](segs [][]rec[V], n int) ([]int64, []V) {
 	ptr := make([]int64, n+1)
-	for _, rec := range recs {
-		ptr[rec.lidx+1]++
+	for _, s := range segs {
+		for _, x := range s {
+			ptr[x.key+1]++
+		}
 	}
 	for i := 0; i < n; i++ {
 		ptr[i+1] += ptr[i]
 	}
-	adj := make([]int32, len(recs))
-	cursor := make([]int64, n)
-	copy(cursor, ptr[:n])
-	for _, rec := range recs {
-		adj[cursor[rec.lidx]] = rec.hub
-		cursor[rec.lidx]++
+	adj := make([]V, ptr[n])
+	cur := append([]int64(nil), ptr[:n]...)
+	for _, s := range segs {
+		for _, x := range s {
+			adj[cur[x.key]] = x.val
+			cur[x.key]++
+		}
 	}
-	return DenseCSR32{Ptr: ptr, Adj: adj}
+	return ptr, adj
 }
 
-func buildDense64(n int, recs []locLocRec) DenseCSR64 {
-	ptr := make([]int64, n+1)
-	for _, rec := range recs {
-		ptr[rec.lidx+1]++
+// groupSparse is groupDense over hub IDs [0, k) keeping only the hubs
+// that have records. An empty component has nil IDs and Adj, as in
+// referenceBuild's output.
+func groupSparse[V any](segs [][]rec[V], k int) ([]int32, []int64, []V) {
+	dense, adj := groupDense(segs, k)
+	ids, ptr := compact(dense)
+	if ids == nil {
+		return nil, ptr, nil
 	}
-	for i := 0; i < n; i++ {
-		ptr[i+1] += ptr[i]
+	return ids, ptr, adj
+}
+
+// transpose groups the push CSR's edges by destination. Walking the push
+// side in source order leaves every destination's sources ascending, ties
+// in distribution order.
+func transpose(push *SparseCSR, k int) SparseCSR {
+	dense := make([]int64, k+1)
+	for _, d := range push.Adj {
+		dense[d+1]++
 	}
-	adj := make([]int64, len(recs))
-	cursor := make([]int64, n)
-	copy(cursor, ptr[:n])
-	for _, rec := range recs {
-		adj[cursor[rec.lidx]] = rec.dst
-		cursor[rec.lidx]++
+	for h := 0; h < k; h++ {
+		dense[h+1] += dense[h]
 	}
-	return DenseCSR64{Ptr: ptr, Adj: adj}
+	var pull SparseCSR
+	if pull.IDs, pull.Ptr = compact(dense); pull.IDs == nil {
+		return pull
+	}
+	pull.Adj = make([]int32, len(push.Adj))
+	cur := dense[:k]
+	for i, src := range push.IDs {
+		for _, d := range push.Adj[push.Ptr[i]:push.Ptr[i+1]] {
+			pull.Adj[cur[d]] = src
+			cur[d]++
+		}
+	}
+	return pull
+}
+
+// compact returns the non-empty rows of a dense CSR offset array and their
+// offsets.
+func compact(dense []int64) ([]int32, []int64) {
+	var ids []int32
+	var ptr []int64
+	for h := 0; h+1 < len(dense); h++ {
+		if dense[h+1] > dense[h] {
+			ids = append(ids, int32(h))
+			ptr = append(ptr, dense[h])
+		}
+	}
+	return ids, append(ptr, dense[len(dense)-1])
 }
 
 // TotalEdges sums stored directed edges over all ranks and components.

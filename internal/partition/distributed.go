@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/comm"
 	"repro/internal/rmat"
@@ -12,9 +13,11 @@ import (
 // sort"): each rank starts from only its own shard of the edge list, degrees
 // are combined with one vector sum-reduce, placement records route straight
 // to their destination rank with one alltoallv per component, and each rank
-// sorts and assembles only what it will own. No rank ever materializes the
-// whole edge list — the property that lets the real system preprocess a
-// graph occupying nearly all of main memory.
+// assembles only what it will own, with Build's counting passes. No rank
+// ever materializes the whole edge list — the property that lets the real
+// system preprocess a graph occupying nearly all of main memory. When shard
+// cuts the edge list contiguously in rank order, the result equals Build's
+// byte for byte.
 //
 // All ranks of the world must call it collectively, each with its shard;
 // every rank returns the full Partitioned handle (rank graphs are shared
@@ -56,18 +59,12 @@ func BuildDistributed(world *comm.World, n int64, shard func(rank int) []rmat.Ed
 		// destination ranks.
 		rb := make([]rankBuf, p)
 		if errs[r.ID] == nil {
-			for _, e := range edges {
-				if e.U == e.V {
-					continue
-				}
-				placeDirected(e.U, e.V, layout, hubs, rb)
-				placeDirected(e.V, e.U, layout, hubs, rb)
-			}
+			distribute(edges, layout, hubs, rb)
 		}
-		mine := exchangeRecords(r, rb, p)
+		got := exchangeRecords(r, rb)
 		// Phase 4: assemble this rank's CSRs from its received records.
 		if errs[r.ID] == nil {
-			ranks[r.ID] = assembleRank(r.ID, layout, []rankBuf{mine}, new(int64))
+			ranks[r.ID] = assembleRank(r.ID, layout, hubs.K(), got, new(atomic.Int64))
 		}
 	})
 	for _, err := range errs {
@@ -86,62 +83,28 @@ func BuildDistributed(world *comm.World, n int64, shard func(rank int) []rmat.Ed
 }
 
 // exchangeRecords alltoallvs each component's placement records and returns
-// the concatenated records destined for this rank.
-func exchangeRecords(r *comm.Rank, rb []rankBuf, p int) rankBuf {
-	var mine rankBuf
-	{
-		send := make([][]hubHubRec, p)
-		for q := range send {
-			send[q] = rb[q].eh
-		}
-		for _, part := range comm.Must(comm.Alltoallv(r.World, send)) {
-			mine.eh = append(mine.eh, part...)
-		}
-	}
-	{
-		send := make([][]hubLocRec, p)
-		for q := range send {
-			send[q] = rb[q].e2l
-		}
-		for _, part := range comm.Must(comm.Alltoallv(r.World, send)) {
-			mine.e2l = append(mine.e2l, part...)
-		}
-	}
-	{
-		send := make([][]hubRemRec, p)
-		for q := range send {
-			send[q] = rb[q].h2l
-		}
-		for _, part := range comm.Must(comm.Alltoallv(r.World, send)) {
-			mine.h2l = append(mine.h2l, part...)
+// what every rank sent this one, indexed by sender, for the assembler to
+// read in place in sender order.
+func exchangeRecords(r *comm.Rank, rb []rankBuf) []rankBuf {
+	got := make([]rankBuf, len(rb))
+	exchange(r, rb, got, func(b *rankBuf) *recList[int32] { return &b.eh })
+	exchange(r, rb, got, func(b *rankBuf) *recList[int32] { return &b.e2l })
+	exchange(r, rb, got, func(b *rankBuf) *recList[RemoteL] { return &b.h2l })
+	exchange(r, rb, got, func(b *rankBuf) *recList[int32] { return &b.l2e })
+	exchange(r, rb, got, func(b *rankBuf) *recList[int32] { return &b.l2h })
+	exchange(r, rb, got, func(b *rankBuf) *recList[int64] { return &b.l2l })
+	return got
+}
+
+// exchange alltoallvs one component, selected by comp, from send to recv.
+func exchange[V any](r *comm.Rank, send, recv []rankBuf, comp func(*rankBuf) *recList[V]) {
+	out := make([][]rec[V], len(send))
+	for q := range send {
+		for _, b := range comp(&send[q]).segs(nil) {
+			out[q] = append(out[q], b...)
 		}
 	}
-	{
-		send := make([][]locHubRec, p)
-		for q := range send {
-			send[q] = rb[q].l2e
-		}
-		for _, part := range comm.Must(comm.Alltoallv(r.World, send)) {
-			mine.l2e = append(mine.l2e, part...)
-		}
+	for q, part := range comm.Must(comm.Alltoallv(r.World, out)) {
+		comp(&recv[q]).tail = part
 	}
-	{
-		send := make([][]locHubRec, p)
-		for q := range send {
-			send[q] = rb[q].l2h
-		}
-		for _, part := range comm.Must(comm.Alltoallv(r.World, send)) {
-			mine.l2h = append(mine.l2h, part...)
-		}
-	}
-	{
-		send := make([][]locLocRec, p)
-		for q := range send {
-			send[q] = rb[q].l2l
-		}
-		for _, part := range comm.Must(comm.Alltoallv(r.World, send)) {
-			mine.l2l = append(mine.l2l, part...)
-		}
-	}
-	return mine
 }

@@ -1,7 +1,7 @@
 package partition
 
 import (
-	"sort"
+	"fmt"
 	"testing"
 
 	"repro/internal/comm"
@@ -43,66 +43,13 @@ func buildBoth(t *testing.T, scale int, mesh topology.Mesh, th Thresholds) (*Par
 	return ref, dist
 }
 
-func sortedCopy32(s []int32) []int32 {
-	c := append([]int32(nil), s...)
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-	return c
-}
-
 func TestBuildDistributedMatchesBuild(t *testing.T) {
-	mesh := topology.Mesh{Rows: 2, Cols: 2}
-	ref, dist := buildBoth(t, 10, mesh, Thresholds{E: 256, H: 32})
-	if ref.Hubs.K() != dist.Hubs.K() || ref.Hubs.NumE != dist.Hubs.NumE {
-		t.Fatalf("hub directories differ: %d/%d vs %d/%d",
-			ref.Hubs.NumE, ref.Hubs.NumH, dist.Hubs.NumE, dist.Hubs.NumH)
-	}
-	for i := range ref.Degrees {
-		if ref.Degrees[i] != dist.Degrees[i] {
-			t.Fatalf("degree[%d] differs", i)
-		}
-	}
-	for r := range ref.Ranks {
-		a, b := ref.Ranks[r], dist.Ranks[r]
-		for c := Component(0); c < NumComponents; c++ {
-			if a.CompEdges[c] != b.CompEdges[c] {
-				t.Fatalf("rank %d %v: %d vs %d edges", r, c, a.CompEdges[c], b.CompEdges[c])
-			}
-		}
-		// Spot-check structural equality of the EH component: same IDs and,
-		// per ID, the same multiset of neighbors.
-		if len(a.EHPush.IDs) != len(b.EHPush.IDs) {
-			t.Fatalf("rank %d: EHPush ID counts differ", r)
-		}
-		for i := range a.EHPush.IDs {
-			if a.EHPush.IDs[i] != b.EHPush.IDs[i] {
-				t.Fatalf("rank %d: EHPush IDs differ at %d", r, i)
-			}
-			x := sortedCopy32(a.EHPush.Adj[a.EHPush.Ptr[i]:a.EHPush.Ptr[i+1]])
-			y := sortedCopy32(b.EHPush.Adj[b.EHPush.Ptr[i]:b.EHPush.Ptr[i+1]])
-			if len(x) != len(y) {
-				t.Fatalf("rank %d hub %d: adjacency sizes differ", r, a.EHPush.IDs[i])
-			}
-			for j := range x {
-				if x[j] != y[j] {
-					t.Fatalf("rank %d hub %d: adjacency differs", r, a.EHPush.IDs[i])
-				}
-			}
-		}
-		// L2L dense CSR: same per-vertex neighbor multisets.
-		for li := 0; li < a.LocalN; li++ {
-			x := append([]int64(nil), a.L2L.Adj[a.L2L.Ptr[li]:a.L2L.Ptr[li+1]]...)
-			y := append([]int64(nil), b.L2L.Adj[b.L2L.Ptr[li]:b.L2L.Ptr[li+1]]...)
-			sort.Slice(x, func(i, j int) bool { return x[i] < x[j] })
-			sort.Slice(y, func(i, j int) bool { return y[i] < y[j] })
-			if len(x) != len(y) {
-				t.Fatalf("rank %d lidx %d: L2L sizes differ", r, li)
-			}
-			for j := range x {
-				if x[j] != y[j] {
-					t.Fatalf("rank %d lidx %d: L2L differs", r, li)
-				}
-			}
-		}
+	for _, c := range []struct {
+		scale int
+		mesh  topology.Mesh
+	}{{10, topology.Mesh{Rows: 2, Cols: 2}}, {11, topology.Mesh{Rows: 2, Cols: 3}}} {
+		ref, dist := buildBoth(t, c.scale, c.mesh, Thresholds{E: 256, H: 32})
+		samePartition(t, fmt.Sprintf("scale %d mesh %dx%d", c.scale, c.mesh.Rows, c.mesh.Cols), dist, ref)
 	}
 }
 

@@ -120,7 +120,11 @@ type HubDir struct {
 	NumE, NumH int
 	Orig       []int64 // hub id -> original vertex
 	Deg        []int64 // hub id -> degree
-	hubOf      map[int64]int32
+	// index maps every original vertex to its hub id, -1 for L (N×4 bytes,
+	// beside the N×8 degree vector Partitioned already keeps); isHub is the
+	// same classification as an N-bit set, small enough to stay in L2.
+	index []int32
+	isHub []uint64
 }
 
 // BuildHubDir classifies all vertices by the thresholds; degrees[v] is the
@@ -129,13 +133,14 @@ func BuildHubDir(degrees []int64, th Thresholds) (*HubDir, error) {
 	if err := th.Validate(); err != nil {
 		return nil, err
 	}
-	d := &HubDir{Thresholds: th, hubOf: make(map[int64]int32)}
+	d := &HubDir{Thresholds: th, index: make([]int32, len(degrees))}
 	type cand struct {
 		v   int64
 		deg int64
 	}
 	var es, hs []cand
 	for v, deg := range degrees {
+		d.index[v] = -1
 		switch th.ClassOf(deg) {
 		case ClassE:
 			es = append(es, cand{int64(v), deg})
@@ -156,13 +161,10 @@ func BuildHubDir(degrees []int64, th Thresholds) (*HubDir, error) {
 	d.NumE, d.NumH = len(es), len(hs)
 	d.Orig = make([]int64, 0, d.NumE+d.NumH)
 	d.Deg = make([]int64, 0, d.NumE+d.NumH)
-	for _, c := range es {
-		d.hubOf[c.v] = int32(len(d.Orig))
-		d.Orig = append(d.Orig, c.v)
-		d.Deg = append(d.Deg, c.deg)
-	}
-	for _, c := range hs {
-		d.hubOf[c.v] = int32(len(d.Orig))
+	d.isHub = make([]uint64, (len(degrees)+63)/64)
+	for _, c := range append(es, hs...) {
+		d.isHub[c.v>>6] |= 1 << (c.v & 63)
+		d.index[c.v] = int32(len(d.Orig))
 		d.Orig = append(d.Orig, c.v)
 		d.Deg = append(d.Deg, c.deg)
 	}
@@ -172,10 +174,24 @@ func BuildHubDir(degrees []int64, th Thresholds) (*HubDir, error) {
 // K returns the total hub count.
 func (d *HubDir) K() int { return d.NumE + d.NumH }
 
-// HubOf returns the hub ID of original vertex v, if v is a hub.
+// HubOf returns the hub ID of original vertex v, if v is a hub. Ids outside
+// [0, N) are not hubs.
 func (d *HubDir) HubOf(v int64) (int32, bool) {
-	h, ok := d.hubOf[v]
-	return h, ok
+	if uint64(v) < uint64(len(d.index)) {
+		if h := d.index[v]; h >= 0 {
+			return h, true
+		}
+	}
+	return 0, false
+}
+
+// hubID is HubOf for v in [0, N), with -1 for L. The bitmap answers the L
+// lookups, so only hub endpoints touch the N-entry index.
+func (d *HubDir) hubID(v int64) int32 {
+	if d.isHub[v>>6]&(1<<(v&63)) == 0 {
+		return -1
+	}
+	return d.index[v]
 }
 
 // IsE reports whether hub id h is extremely heavy.
@@ -183,7 +199,7 @@ func (d *HubDir) IsE(h int32) bool { return int(h) < d.NumE }
 
 // ClassOfVertex returns the class of original vertex v.
 func (d *HubDir) ClassOfVertex(v int64) Class {
-	h, ok := d.hubOf[v]
+	h, ok := d.HubOf(v)
 	if !ok {
 		return ClassL
 	}

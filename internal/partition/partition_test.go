@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -388,27 +390,120 @@ func TestBuildWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(cfg.NumVertices(), edges, mesh, Thresholds{E: 128, H: 16}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := range a.Ranks {
-		for c := Component(0); c < NumComponents; c++ {
-			if a.Ranks[r].CompEdges[c] != b.Ranks[r].CompEdges[c] {
-				t.Fatalf("rank %d %v: %d vs %d edges", r, c, a.Ranks[r].CompEdges[c], b.Ranks[r].CompEdges[c])
+	for _, workers := range []int{2, 3, 8} {
+		b, err := Build(cfg.NumVertices(), edges, mesh, Thresholds{E: 128, H: 16}, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range a.Ranks {
+			if !reflect.DeepEqual(a.Ranks[r], b.Ranks[r]) {
+				t.Fatalf("rank %d: graph built with %d workers differs from 1 worker", r, workers)
 			}
 		}
 	}
 }
 
-func BenchmarkBuildScale16(b *testing.B) {
-	cfg := rmat.Config{Scale: 16, Seed: 1}
-	edges := rmat.Generate(cfg)
-	mesh := topology.Mesh{Rows: 4, Cols: 4}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Build(cfg.NumVertices(), edges, mesh, Thresholds{E: 4096, H: 256}, 0); err != nil {
-			b.Fatal(err)
+func TestHubOfBoundaries(t *testing.T) {
+	degrees := []int64{5, 200, 50, 300, 7, 50, 0, 49}
+	d, err := BuildHubDir(degrees, Thresholds{E: 100, H: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		v    int64
+		hub  int32
+		isHb bool
+	}{
+		{-1, 0, false}, {-1 << 40, 0, false}, {int64(len(degrees)), 0, false}, {1 << 40, 0, false},
+		{3, 0, true}, {1, 1, true}, {2, 2, true}, {5, 3, true},
+		{0, 0, false}, {4, 0, false}, {6, 0, false}, {7, 0, false},
+	}
+	for _, c := range cases {
+		h, ok := d.HubOf(c.v)
+		if h != c.hub || ok != c.isHb {
+			t.Errorf("HubOf(%d) = %d,%v, want %d,%v", c.v, h, ok, c.hub, c.isHb)
+		}
+		if c.v >= 0 && c.v < int64(len(degrees)) {
+			want := int32(-1)
+			if c.isHb {
+				want = c.hub
+			}
+			if got := d.hubID(c.v); got != want {
+				t.Errorf("hubID(%d) = %d, want %d", c.v, got, want)
+			}
 		}
 	}
+	if (&HubDir{}).ClassOfVertex(0) != ClassL {
+		t.Error("empty directory classifies a vertex as a hub")
+	}
+}
+
+// TestDegreeCensusMemoryFlat checks that the census's transient memory
+// does not grow with the worker count.
+func TestDegreeCensusMemoryFlat(t *testing.T) {
+	cfg := rmat.Config{Scale: 14, Seed: 5}
+	edges := rmat.Generate(cfg)
+	n := cfg.NumVertices()
+	alloc := func(workers int) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		computeDegrees(n, edges, workers)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	one, sixteen := alloc(1), alloc(16)
+	if sixteen > one+16<<10 {
+		t.Fatalf("census allocated %d bytes with 16 workers, %d with 1", sixteen, one)
+	}
+	if limit := uint64(censusShards+1) * uint64(n) * 8; one > limit {
+		t.Fatalf("census allocated %d bytes, more than %d", one, limit)
+	}
+	want := make([]int64, n)
+	for _, e := range edges {
+		if e.U != e.V {
+			want[e.U]++
+			want[e.V]++
+		}
+	}
+	for _, workers := range []int{1, 3, 16} {
+		if !reflect.DeepEqual(computeDegrees(n, edges, workers), want) {
+			t.Fatalf("census with %d workers miscounts", workers)
+		}
+	}
+}
+
+// BenchmarkBuildScale16 is Kernel 1 on a 4x4 mesh; besides ns/op it
+// reports allocations and each stage's mean wall time from BuildStats.
+func BenchmarkBuildScale16(b *testing.B) {
+	benchmarkBuild(b, 16, topology.Mesh{Rows: 4, Cols: 4}, Thresholds{E: 4096, H: 256})
+}
+
+// BenchmarkBuildScale18 is the analytics workload's shape: SCALE 18 on a
+// 2x2 mesh with the engine's default thresholds for that scale.
+func BenchmarkBuildScale18(b *testing.B) {
+	benchmarkBuild(b, 18, topology.Mesh{Rows: 2, Cols: 2}, Thresholds{E: 2048, H: 128})
+}
+
+func benchmarkBuild(b *testing.B, scale int, mesh topology.Mesh, th Thresholds) {
+	cfg := rmat.Config{Scale: scale, Seed: 1}
+	edges := rmat.Generate(cfg)
+	var st BuildStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := Build(cfg.NumVertices(), edges, mesh, th, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st.DegreesSeconds += p.Stats.DegreesSeconds
+		st.HubDirSeconds += p.Stats.HubDirSeconds
+		st.DistributeSeconds += p.Stats.DistributeSeconds
+		st.AssembleSeconds += p.Stats.AssembleSeconds
+	}
+	perOp := 1e9 / float64(b.N)
+	b.ReportMetric(st.DegreesSeconds*perOp, "degrees-ns/op")
+	b.ReportMetric(st.HubDirSeconds*perOp, "hubdir-ns/op")
+	b.ReportMetric(st.DistributeSeconds*perOp, "distribute-ns/op")
+	b.ReportMetric(st.AssembleSeconds*perOp, "assemble-ns/op")
 }

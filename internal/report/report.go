@@ -67,8 +67,9 @@ type Report struct {
 // first-class scaling problem; graph generation is reported alongside but
 // excluded from the gate because it is benchmark harness cost, not setup the
 // system controls. The partition sub-fields come from partition.BuildStats;
-// SortSeconds sums the grouping sorts across concurrently assembled ranks,
-// so it can exceed AssembleSeconds wall time. FirstKernelGapSeconds is
+// SortSeconds (the JSON name predates the counting-pass assembly) sums the
+// per-component counting passes across concurrently assembled ranks, so it
+// can exceed AssembleSeconds wall time. FirstKernelGapSeconds is
 // measured from the trace: the gap between the first run's run_start event
 // and its first kernel span (0 when the run was not traced).
 type SetupReport struct {
