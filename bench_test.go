@@ -16,7 +16,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/framework"
 	"repro/internal/partition"
 	"repro/internal/perfmodel"
 	"repro/internal/rmat"
@@ -336,16 +335,13 @@ func BenchmarkExtension_SSSP(b *testing.B) {
 	}
 }
 
-// BenchmarkExtension_PageRank measures the framework's PageRank.
+// BenchmarkExtension_PageRank measures PageRank on the core driver.
 func BenchmarkExtension_PageRank(b *testing.B) {
 	n, edges := benchGraph(b, 14)
-	eng, err := framework.New(n, edges, framework.Options{Ranks: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng := benchEngine(b, n, edges, core.Options{Ranks: 4})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.PageRank(0.85, 1e-6, 30); err != nil {
+		if _, err := eng.RunPageRank(0.85, 1e-6, 30); err != nil {
 			b.Fatal(err)
 		}
 	}

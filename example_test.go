@@ -49,18 +49,18 @@ func ExampleNew_thresholds() {
 
 // SSSP runs the Graph 500 second kernel over the same partitioning with
 // deterministic uniform edge weights.
-func ExampleNewSSSP() {
+func ExampleRunner_SSSPValidated() {
 	g := graph500.FromEdges(4, []graph500.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
-	ss, err := graph500.NewSSSP(g, graph500.Config{Ranks: 2, Thresholds: graph500.Thresholds{E: 99, H: 9}}, 5)
+	r, err := graph500.New(g, graph500.Config{Ranks: 2, Thresholds: graph500.Thresholds{E: 99, H: 9}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := ss.RunValidated(0)
+	res, err := r.SSSPValidated(0, 5)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// The path distance accumulates the three edge weights exactly.
-	want := ss.EdgeWeight(0, 1) + ss.EdgeWeight(1, 2) + ss.EdgeWeight(2, 3)
+	want := r.EdgeWeight(0, 1, 5) + r.EdgeWeight(1, 2, 5) + r.EdgeWeight(2, 3, 5)
 	fmt.Println("additive:", res.Dist[3] == want)
 	// Output: additive: true
 }

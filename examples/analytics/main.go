@@ -1,8 +1,8 @@
 // Analytics beyond BFS: the paper's Discussion section argues its techniques
 // generalize ("One of our future work will be designing and implementing the
 // next-generation ShenTu ... upon the proposed techniques"). This example
-// runs the three additional algorithms this repository builds on the same
-// 1.5D partitioning: single-source shortest path (the Graph 500 second
+// runs three of the additional algorithms the engine's driver carries on the
+// same 1.5D partitioning: single-source shortest path (the Graph 500 second
 // kernel), PageRank, and connected components.
 package main
 
@@ -17,14 +17,13 @@ import (
 func main() {
 	g := graph500.Generate(graph500.GenConfig{Scale: 13, Seed: 4})
 	fmt.Printf("graph: %d vertices, %d edges, 4 ranks\n\n", g.NumVertices, len(g.Edges))
-	cfg := graph500.Config{Ranks: 4}
-
-	// 1. SSSP with Graph 500 uniform [0,1) weights, validated.
-	ss, err := graph500.NewSSSP(g, cfg, 7)
+	r, err := graph500.New(g, graph500.Config{Ranks: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := ss.RunValidated(0)
+
+	// 1. SSSP with Graph 500 uniform [0,1) weights, validated.
+	res, err := r.SSSPValidated(0, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,14 +37,10 @@ func main() {
 		}
 	}
 	fmt.Printf("SSSP from 0: %d vertices reached in %d rounds; eccentricity %.4f; %d relaxations\n",
-		reached, res.Rounds, far, res.Relaxations)
+		reached, res.Iterations, far, res.Relaxations)
 
 	// 2. PageRank to convergence.
-	an, err := graph500.NewAnalytics(g, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	pr, err := an.PageRank(0.85, 1e-9, 200)
+	pr, err := r.PageRank(0.85, 1e-9, 200)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +59,7 @@ func main() {
 	}
 
 	// 3. Connected components.
-	wcc, err := an.ConnectedComponents()
+	wcc, err := r.ConnectedComponents()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 // at the Graph 500 edge factor have one giant component plus many isolated
 // vertices and small fragments. This example enumerates them, demonstrating
 // that the engine composes into higher-level graph algorithms (the paper's
-// Section 8 sketches a general-purpose framework on the same techniques).
+// Section 8 sketches general-purpose graph processing on the same techniques).
 package main
 
 import (

@@ -618,8 +618,8 @@ func Bcast[T any](c *Comm, v T, root int) (T, error) {
 
 // AllreduceSumFloat64 sums the members' float64 vectors element-wise in
 // place on every member. Summation order is member order, so every member
-// computes bit-identical results — the property the framework package relies
-// on to keep replicated hub values consistent without re-broadcasting.
+// computes bit-identical results — the property PageRank's hub sum relies on
+// to keep replicated hub values consistent without re-broadcasting.
 // On error vals is left untouched.
 func AllreduceSumFloat64(c *Comm, vals []float64) error {
 	seq := c.nextSeq()

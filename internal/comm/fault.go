@@ -165,7 +165,7 @@ func (s *FaultStats) Injected() int64 {
 }
 
 // Must unwraps a collective result, panicking on error. The fault-oblivious
-// packages (baseline, framework, sssp, psort, partition) construct worlds
+// packages (baseline, psort, partition) construct worlds
 // without a Transport, where collectives cannot fail, and use Must at their
 // call sites; fault-aware callers (the core engine) handle the error.
 func Must[T any](v T, err error) T {

@@ -202,6 +202,19 @@ func TestDistWorkloadDifferential(t *testing.T) {
 				}
 			}
 		})
+		t.Run(fmt.Sprintf("pagerank/seed%d", seed), func(t *testing.T) {
+			want, err := ref.RunPageRank(0.85, 0, 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := runDistEngines(t, n, edges, distCoreOpts(t, 2, base),
+				func(e *Engine) (*WorkloadResult, error) { return e.RunPageRank(0.85, 0, 20) })
+			for proc, res := range got {
+				if !slices.Equal(res.Rank, want.Rank) || res.Delta != want.Delta {
+					t.Errorf("proc %d: PageRank differs from in-process", proc)
+				}
+			}
+		})
 	}
 }
 

@@ -123,6 +123,9 @@ func analyticsGoldenOf(res *WorkloadResult) analyticsGolden {
 	for _, p := range res.Parent {
 		put(uint64(p))
 	}
+	for _, r := range res.Rank {
+		put(math.Float64bits(r))
+	}
 	vol := res.Recorder.CommBreakdown()
 	g := analyticsGolden{resultFNV: h.Sum64(), iterations: res.Iterations, relaxations: res.Relaxations,
 		bytes: vol.TotalBytes(), edges: res.Recorder.TotalEdges()}
@@ -136,18 +139,24 @@ func TestAnalyticsGoldenPinned(t *testing.T) {
 	cfg := rmat.Config{Scale: 12, Seed: 31}
 	n, edges := cfg.NumVertices(), rmat.Generate(cfg)
 	mesh := topology.Mesh{Rows: 2, Cols: 2}
-	type goldens struct{ wcc, kcore, sssp analyticsGolden }
+	type goldens struct{ wcc, kcore, sssp, pagerank analyticsGolden }
+	// PageRank is dense by nature: every case ships the same schedule.
+	pagerankGolden := analyticsGolden{resultFNV: 3806934413877753863, iterations: 30, calls: 720, bytes: 3810240, edges: 3920220}
 	// parent: calls 216 / 72 / 828, bytes 916608 / 226880 / 9821744
 	auto := goldens{
 		wcc:   analyticsGolden{resultFNV: 5520159451202571858, iterations: 5, calls: 136, bytes: 417112, edges: 397008},
 		kcore: analyticsGolden{resultFNV: 1247276083855396261, iterations: 3, calls: 48, bytes: 31712, edges: 1133},
 		sssp:  analyticsGolden{resultFNV: 8807060016549982954, iterations: 32, relaxations: 16873, calls: 820, bytes: 727336, edges: 343219},
+
+		pagerank: pagerankGolden,
 	}
 	// parent: calls 200 / 72 / 764, bytes 1358344 / 231648 / 10492768
 	always := goldens{
 		wcc:   analyticsGolden{resultFNV: 5520159451202571858, iterations: 5, calls: 120, bytes: 849736, edges: 397008},
 		kcore: analyticsGolden{resultFNV: 1247276083855396261, iterations: 3, calls: 48, bytes: 36480, edges: 1133},
 		sssp:  analyticsGolden{resultFNV: 8807060016549982954, iterations: 32, relaxations: 16873, calls: 764, bytes: 1305736, edges: 343219},
+
+		pagerank: pagerankGolden,
 	}
 	cases := []struct {
 		name string
@@ -177,6 +186,7 @@ func TestAnalyticsGoldenPinned(t *testing.T) {
 				{"wcc", eng.RunWCC, tc.wcc},
 				{"kcore", func() (*WorkloadResult, error) { return eng.RunKCore(3) }, tc.kcore},
 				{"sssp", func() (*WorkloadResult, error) { return eng.RunSSSP(root, 7, 0) }, tc.sssp},
+				{"pagerank", func() (*WorkloadResult, error) { return eng.RunPageRank(0.85, 1e-9, 0) }, tc.pagerank},
 			} {
 				res, err := w.run()
 				if err != nil {

@@ -181,8 +181,7 @@ func (st *wccState) epilogue() error {
 }
 
 // endIter swaps the staged dirty sets in; convergence is the zero-change
-// round, which counts toward Iterations — the same semantics as the generic
-// framework RunProgram.
+// round, which counts toward Iterations.
 func (st *wccState) endIter(it *IterTrace) bool {
 	st.hubDirty.CopyFrom(st.hubNext)
 	st.hubNext.Reset()

@@ -11,15 +11,13 @@ import (
 	"repro/internal/rmat"
 	"repro/internal/sssp"
 	"repro/internal/topology"
-
-	"repro/internal/framework"
 )
 
 // --- Per-workload differential corpora ------------------------------------
 //
-// Each ported workload (WCC, k-core, SSSP) runs the shared case table below
-// against an independent reference: the framework's vertex programs for WCC
-// and k-core, the sequential Dijkstra for SSSP. The table spans both degree
+// Each ported workload (WCC, k-core, SSSP, PageRank) runs the shared case
+// table below against an independent sequential reference (reference_test.go
+// for WCC, k-core and PageRank, Dijkstra for SSSP). The table spans both degree
 // profiles (R-MAT hubs vs uniform), tail-heavy topologies (grids, combs,
 // paths, stringy trees) that force the sparse exchange, several mesh shapes,
 // and low-threshold classifications that push spines into H. More than a
@@ -118,27 +116,19 @@ func TestDifferentialWCC(t *testing.T) {
 			if err != nil {
 				t.Fatalf("RunWCC: %v", err)
 			}
-			fw, err := framework.New(n, edges, framework.Options{Mesh: tc.mesh})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := fw.ConnectedComponents()
-			if err != nil {
-				t.Fatalf("reference: %v", err)
-			}
+			ref := unionFind(n, edges)
 			for v := int64(0); v < n; v++ {
-				if res.Label[v] != ref.Label[v] {
-					t.Fatalf("label[%d] = %d, reference %d", v, res.Label[v], ref.Label[v])
+				if res.Label[v] != ref[v] {
+					t.Fatalf("label[%d] = %d, reference %d", v, res.Label[v], ref[v])
 				}
 			}
-			if res.Components != ref.Components {
-				t.Fatalf("components = %d, reference %d", res.Components, ref.Components)
+			if want := componentCount(n, edges, ref); res.Components != want {
+				t.Fatalf("components = %d, reference %d", res.Components, want)
 			}
-			// Both loops count the final zero-change round that proves
-			// convergence (the accounting the retired hand-rolled framework
-			// WCC drifted from), so the counts must agree exactly.
-			if res.Iterations != ref.Iterations {
-				t.Fatalf("iterations = %d, reference %d", res.Iterations, ref.Iterations)
+			// The driver counts the final zero-change round that proves
+			// convergence, as the synchronous reference does.
+			if want := sequentialWCCRounds(n, edges); res.Iterations != want {
+				t.Fatalf("iterations = %d, reference %d", res.Iterations, want)
 			}
 			if !tc.sparseBoth {
 				return
@@ -187,21 +177,18 @@ func TestDifferentialKCore(t *testing.T) {
 			if err != nil {
 				t.Fatalf("RunKCore: %v", err)
 			}
-			fw, err := framework.New(n, edges, framework.Options{Mesh: tc.mesh})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := fw.KCore(k)
-			if err != nil {
-				t.Fatalf("reference: %v", err)
-			}
+			ref := sequentialKCore(n, edges, k)
+			var size int64
 			for v := int64(0); v < n; v++ {
-				if res.InCore[v] != ref.InCore[v] {
-					t.Fatalf("inCore[%d] = %v, reference %v", v, res.InCore[v], ref.InCore[v])
+				if res.InCore[v] != ref[v] {
+					t.Fatalf("inCore[%d] = %v, reference %v", v, res.InCore[v], ref[v])
+				}
+				if ref[v] {
+					size++
 				}
 			}
-			if res.CoreSize != ref.CoreSize {
-				t.Fatalf("coreSize = %d, reference %d", res.CoreSize, ref.CoreSize)
+			if res.CoreSize != size {
+				t.Fatalf("coreSize = %d, reference %d", res.CoreSize, size)
 			}
 			if !tc.sparseBoth {
 				return
@@ -310,6 +297,70 @@ func TestDifferentialSSSP(t *testing.T) {
 	}
 }
 
+// TestDifferentialPageRank runs a fixed round budget (tol = 0) on every case
+// and demands agreement with the sequential power iteration to 1e-12. A
+// faulted case must also be bit-identical to the fault-free run of the same
+// partition, and a sparseBoth case bit-identical between forced-dense and
+// forced-sparse engines, neither of which may ship a sparse exchange: the
+// workload is dense by nature.
+func TestDifferentialPageRank(t *testing.T) {
+	const rounds = 30
+	for i, tc := range workloadDiffCases {
+		i, tc := i, tc
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && i%4 != 0 {
+				t.Skip("subset in -short mode")
+			}
+			t.Parallel()
+			seed := uint64(6000 + i)
+			n, edges := tc.build(seed)
+			eng, err := NewEngine(n, edges, tc.options(SparseAuto, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.RunPageRank(0.85, 0, rounds)
+			if err != nil {
+				t.Fatalf("RunPageRank: %v", err)
+			}
+			if res.Iterations != rounds {
+				t.Fatalf("ran %d rounds, want the budget of %d", res.Iterations, rounds)
+			}
+			ref := sequentialPageRank(n, edges, 0.85, rounds)
+			for v := int64(0); v < n; v++ {
+				if math.Abs(res.Rank[v]-ref[v]) > 1e-12 {
+					t.Fatalf("rank[%d] = %.17g, reference %.17g", v, res.Rank[v], ref[v])
+				}
+			}
+			bitIdentical := func(label string, opt Options) {
+				t.Helper()
+				other, err := NewEngineFromPartition(eng.Part, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ores, err := other.RunPageRank(0.85, 0, rounds)
+				if err != nil {
+					t.Fatalf("%s RunPageRank: %v", label, err)
+				}
+				for v := range ores.Rank {
+					if math.Float64bits(ores.Rank[v]) != math.Float64bits(res.Rank[v]) {
+						t.Fatalf("%s: rank[%d] = %.17g, first run %.17g", label, v, ores.Rank[v], res.Rank[v])
+					}
+				}
+				if c := workloadSparseCalls(ores); c != 0 {
+					t.Fatalf("%s: %d sparse exchanges", label, c)
+				}
+			}
+			if tc.faulty {
+				bitIdentical("fault-free", Options{Mesh: tc.mesh, Thresholds: tc.th})
+			}
+			if tc.sparseBoth {
+				bitIdentical("dense", tc.options(SparseOff, seed))
+				bitIdentical("always-sparse", tc.options(SparseAlways, seed))
+			}
+		})
+	}
+}
+
 // TestWorkloadArgumentValidation pins the entry-point error contracts.
 func TestWorkloadArgumentValidation(t *testing.T) {
 	n, edges := gridEdges(8, 8)
@@ -325,5 +376,8 @@ func TestWorkloadArgumentValidation(t *testing.T) {
 	}
 	if _, err := eng.RunSSSP(n, 1, 0); err == nil {
 		t.Fatal("out-of-range root accepted")
+	}
+	if _, err := eng.RunPageRank(0.85, 0, eng.Opt.MaxIterations*workloadIterScale+1); err == nil {
+		t.Fatal("PageRank budget above the driver's bound accepted")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -14,8 +15,8 @@ import (
 )
 
 // runNamedWorkload dispatches one of the ported workloads by name with fixed
-// per-workload parameters (k=2 cores, weight seed 9, default delta) so the
-// fault tests can sweep workloads uniformly.
+// per-workload parameters (k=2 cores, weight seed 9, default delta, 120
+// PageRank rounds) so the fault tests can sweep workloads uniformly.
 func runNamedWorkload(eng *Engine, wl string, root int64) (*WorkloadResult, error) {
 	switch wl {
 	case "wcc":
@@ -24,6 +25,8 @@ func runNamedWorkload(eng *Engine, wl string, root int64) (*WorkloadResult, erro
 		return eng.RunKCore(2)
 	case "sssp":
 		return eng.RunSSSP(root, 9, 0)
+	case "pagerank":
+		return eng.RunPageRank(0.85, 0, 120)
 	}
 	panic("unknown workload " + wl)
 }
@@ -55,6 +58,16 @@ func compareWorkloadResults(t *testing.T, label string, got, want *WorkloadResul
 				t.Fatalf("%s: vertex %d (%g,%d), fault-free (%g,%d)",
 					label, v, got.Dist[v], got.Parent[v], want.Dist[v], want.Parent[v])
 			}
+		}
+	case "pagerank":
+		for v := range want.Rank {
+			if math.Float64bits(got.Rank[v]) != math.Float64bits(want.Rank[v]) {
+				t.Fatalf("%s: rank[%d] = %.17g, fault-free %.17g", label, v, got.Rank[v], want.Rank[v])
+			}
+		}
+		if got.Delta != want.Delta || got.Iterations != want.Iterations {
+			t.Fatalf("%s: delta %g after %d rounds, fault-free %g after %d",
+				label, got.Delta, got.Iterations, want.Delta, want.Iterations)
 		}
 	default:
 		t.Fatalf("unknown workload %q", want.Workload)
@@ -104,7 +117,7 @@ func TestWorkloadChaosMatrix(t *testing.T) {
 			p.StallLen = 3
 		}},
 	}
-	workloads := []string{"wcc", "kcore", "sssp"}
+	workloads := []string{"wcc", "kcore", "sssp", "pagerank"}
 	for mi, mesh := range meshes {
 		mesh := mesh
 		base := Options{Mesh: mesh, Thresholds: partition.Thresholds{E: 64, H: 8}}
@@ -178,7 +191,8 @@ func TestWorkloadChaosMatrix(t *testing.T) {
 // each ported workload and recovers from the newest complete checkpoint. The
 // replayed tail must ride the sparse exchange again and the final output must
 // be bit-identical to a fault-free forced-dense run — the BFS kill-recovery
-// acceptance, per workload.
+// acceptance, per workload. PageRank is dense by nature: it is killed mid-run
+// and must never ship a sparse exchange.
 func TestWorkloadKillRecoverySparseTail(t *testing.T) {
 	const n = 256
 	edges := pathEdges(n)
@@ -189,6 +203,7 @@ func TestWorkloadKillRecoverySparseTail(t *testing.T) {
 		{"wcc", 100},
 		{"kcore", 50},
 		{"sssp", 100},
+		{"pagerank", 100},
 	}
 	base := Options{
 		Mesh:       topology.Mesh{Rows: 2, Cols: 2},
@@ -219,7 +234,11 @@ func TestWorkloadKillRecoverySparseTail(t *testing.T) {
 				t.Fatalf("fault-free sparse %s: %v", tc.wl, err)
 			}
 			compareWorkloadResults(t, tc.wl+"/fault-free-sparse", sres, dres)
-			if workloadSparseCalls(sres) == 0 {
+			denseOnly := tc.wl == "pagerank"
+			if denseOnly && workloadSparseCalls(sres) != 0 {
+				t.Fatalf("dense %s shipped a sparse exchange", tc.wl)
+			}
+			if !denseOnly && workloadSparseCalls(sres) == 0 {
 				t.Fatalf("fault-free %s tail never went sparse", tc.wl)
 			}
 
@@ -252,10 +271,13 @@ func TestWorkloadKillRecoverySparseTail(t *testing.T) {
 				t.Fatalf("resumed at iteration %d, want >= %d (checkpoint.MaxLag)",
 					res.Recovery.LastResumeIter, want)
 			}
-			if workloadSparseCalls(res) == 0 {
+			if denseOnly && workloadSparseCalls(res) != 0 {
+				t.Fatalf("recovered dense %s run shipped a sparse exchange", tc.wl)
+			}
+			if !denseOnly && workloadSparseCalls(res) == 0 {
 				t.Fatalf("recovered %s run never used the sparse exchange", tc.wl)
 			}
-			if frac := workloadSparseIterFraction(res.Trace); frac < 0.5 {
+			if frac := workloadSparseIterFraction(res.Trace); !denseOnly && frac < 0.5 {
 				t.Fatalf("only %.0f%% of recovered %s iterations went sparse", 100*frac, tc.wl)
 			}
 			compareWorkloadResults(t, tc.wl+"/"+mode.String(), res, dres)

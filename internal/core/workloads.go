@@ -10,17 +10,16 @@ import (
 )
 
 // WorkloadResult is the shared result envelope of the ported analytics
-// workloads (RunWCC, RunKCore, RunSSSP). Workload names the kernel; only the
-// fields of that workload's section are populated. The accounting fields
-// mirror Result: the ported workloads run the same driver loop as BFS, so
-// recorder breakdowns, fault/retry counters and fail-stop recovery state all
-// carry the same meaning.
+// workloads (RunWCC, RunKCore, RunSSSP, RunPageRank). Workload names the
+// kernel; only the fields of that workload's section are populated. The
+// accounting fields mirror Result: the ported workloads run the same driver
+// loop as BFS, so recorder breakdowns, fault/retry counters and fail-stop
+// recovery state all carry the same meaning.
 type WorkloadResult struct {
 	Workload string
 
 	// WCC: Label[v] is the smallest original vertex ID in v's component;
-	// Components counts distinct labels among vertices with nonzero degree
-	// (matching framework.ConnectedComponents).
+	// Components counts distinct labels among vertices with nonzero degree.
 	Label      []int64
 	Components int64
 
@@ -39,6 +38,11 @@ type WorkloadResult struct {
 	Dist        []float64
 	Parent      []int64
 	Relaxations int64
+
+	// PageRank: Rank[v] is v's damped PageRank (the ranks sum to one);
+	// Delta is the last round's global L1 change.
+	Rank  []float64
+	Delta float64
 
 	Iterations      int
 	Time            time.Duration
@@ -198,6 +202,46 @@ func (e *Engine) RunSSSP(root int64, weightSeed uint64, delta float64) (*Workloa
 			})
 			res.Relaxations = total
 		}
+	}
+	return res, rc.err
+}
+
+// RunPageRank computes damped PageRank by power iteration on the fast path
+// until a round's global L1 change is at most tol or maxIter rounds have run
+// (maxIter <= 0 means 100; tol = 0 runs exactly maxIter rounds). Dangling mass
+// is spread uniformly, hub contributions are delegated and sum-reduced
+// column-then-row, and the loop inherits retry and checkpoint/recovery from
+// the driver. damping must lie in (0,1), and maxIter may not exceed the
+// driver's bound of 32 × Options.MaxIterations.
+func (e *Engine) RunPageRank(damping, tol float64, maxIter int) (*WorkloadResult, error) {
+	if damping <= 0 || damping >= 1 {
+		return nil, fmt.Errorf("core: damping %g out of (0,1)", damping)
+	}
+	if maxIter <= 0 {
+		maxIter = 100
+	}
+	if limit := e.Opt.MaxIterations * workloadIterScale; maxIter > limit {
+		return nil, fmt.Errorf("core: PageRank budget of %d rounds exceeds the driver's %d", maxIter, limit)
+	}
+	rc, err := e.execute("pagerank", nil,
+		func(e *Engine, r *comm.Rank) workload { return newPageRankState(e, r, damping, tol, maxIter) })
+	if err != nil {
+		return nil, err
+	}
+	res := newWorkloadResult("pagerank", rc)
+	res.Rank = make([]float64, e.Part.Layout.N)
+	if rc.err == nil {
+		for _, wl := range rc.states {
+			if wl == nil {
+				continue
+			}
+			st := wl.(*pagerankState)
+			st.writeResult(res.Rank)
+			res.Delta = st.delta
+		}
+		e.distAssemble(func(r *comm.Rank, lead bool) {
+			gatherOwned(e, r, lead, res.Rank)
+		})
 	}
 	return res, rc.err
 }

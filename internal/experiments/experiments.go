@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/framework"
 	"repro/internal/partition"
 	"repro/internal/perfmodel"
 	"repro/internal/rmat"
@@ -390,24 +389,24 @@ func Capacity() Report {
 	return rep
 }
 
-// Extensions summarizes the beyond-the-paper systems built on the same
-// partitioning: SSSP (Graph 500 kernel 2) with push-pull selection,
-// PageRank, connected components, and bit-parallel reachability.
+// Extensions summarizes the beyond-the-paper workloads the core driver runs
+// on the same partitioning: SSSP (Graph 500 kernel 2), PageRank, connected
+// components, and reachability from the SSSP root.
 func Extensions(scale, ranks int) (Report, error) {
-	rep := Report{ID: "extensions", Title: "Beyond the paper: kernel 2 and the Section 8 framework direction"}
+	rep := Report{ID: "extensions", Title: "Beyond the paper: kernel 2 and the Section 8 analytics direction"}
 	n, edges := genGraph(scale, 42)
-	ss, err := core.NewEngine(n, edges, core.Options{Ranks: ranks})
+	eng, err := core.NewEngine(n, edges, core.Options{Ranks: ranks})
 	if err != nil {
 		return rep, err
 	}
 	root := int64(0)
-	for v, d := range ss.Part.Degrees {
+	for v, d := range eng.Part.Degrees {
 		if d > 0 {
 			root = int64(v)
 			break
 		}
 	}
-	sres, err := ss.RunSSSP(root, 7, 0)
+	sres, err := eng.RunSSSP(root, 7, 0)
 	if err != nil {
 		return rep, err
 	}
@@ -418,31 +417,27 @@ func Extensions(scale, ranks int) (Report, error) {
 	}
 	rep.addf("SSSP (kernel 2): %d rounds, %d relaxations, %v (validated against optimality conditions)",
 		sres.Iterations, sres.Relaxations, sres.Time.Round(time.Millisecond))
-	fw, err := framework.New(n, edges, framework.Options{Ranks: ranks})
-	if err != nil {
-		return rep, err
-	}
-	pr, err := fw.PageRank(0.85, 1e-8, 200)
+	pr, err := eng.RunPageRank(0.85, 1e-8, 200)
 	if err != nil {
 		return rep, err
 	}
 	rep.addf("PageRank: converged in %d iterations (delta %.1e) in %v", pr.Iterations, pr.Delta, pr.Time.Round(time.Millisecond))
-	wcc, err := fw.ConnectedComponents()
+	wcc, err := eng.RunWCC()
 	if err != nil {
 		return rep, err
 	}
 	rep.addf("connected components: %d components in %d label rounds, %v", wcc.Components, wcc.Iterations, wcc.Time.Round(time.Millisecond))
-	reach, err := fw.Reachability([]int64{root})
+	reach, err := eng.Run(root)
 	if err != nil {
 		return rep, err
 	}
 	covered := 0
-	for _, m := range reach.Values {
-		if m != 0 {
+	for _, p := range reach.Parent {
+		if p >= 0 {
 			covered++
 		}
 	}
-	rep.addf("bit-parallel reachability: %d vertices reached from root %d in %d rounds", covered, root, reach.Iterations)
+	rep.addf("reachability: %d vertices reached from root %d in %d rounds", covered, root, reach.Iterations)
 	return rep, nil
 }
 
