@@ -97,7 +97,7 @@ func TestPageRankMeshInvariance(t *testing.T) {
 
 func TestPageRankRejectsBadDamping(t *testing.T) {
 	eng, _, _ := rmatEngine(t, 6, 1, 2)
-	for _, d := range []float64{0, 1, -0.5, 1.5} {
+	for _, d := range []float64{0, 1, -0.5, 1.5, math.NaN()} {
 		if _, err := eng.RunPageRank(d, 1e-6, 10); err == nil {
 			t.Fatalf("damping %g accepted", d)
 		}

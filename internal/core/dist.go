@@ -4,7 +4,7 @@ import "repro/internal/comm"
 
 // Distributed result assembly. On the socket backend each process hosts only
 // a subset of ranks, so after a successful run the per-rank writers
-// (assembleOwned, writeResult) have filled only the local ranks' owned
+// (assembleOwned, writeOwned) have filled only the local ranks' owned
 // segments of the global result arrays. One extra control-plane gather pass
 // per array ships every rank's owned contiguous block —
 // [rank*PerRank, min((rank+1)*PerRank, N)) in partition.Layout terms, which

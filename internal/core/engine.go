@@ -272,11 +272,11 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
-// ErrNoConvergence marks a BFS run that ended without draining its frontier:
-// either MaxIterations elapsed with vertices still being discovered, or a
-// failing iteration exhausted MaxRetries (in which case the returned error
-// also wraps the comm sentinel that kept firing, e.g. comm.ErrRankStalled).
-var ErrNoConvergence = errors.New("core: BFS did not converge")
+// ErrNoConvergence marks a run of any workload that ended without converging:
+// either the iteration bound elapsed with work still pending, or a failing
+// iteration exhausted MaxRetries (in which case the returned error also wraps
+// the comm sentinel that kept firing, e.g. comm.ErrRankStalled).
+var ErrNoConvergence = errors.New("core: run did not converge")
 
 // ErrDrained marks a run stopped by a graceful drain request (Options.Drain):
 // the workload state was checkpointed at the stop iteration and the run scope

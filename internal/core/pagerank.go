@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/bitmap"
-	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/partition"
 	"repro/internal/stats"
@@ -18,9 +17,10 @@ import (
 // the ranks keep summing to one.
 //
 // PageRank is dense by nature: every vertex sends every round. beginIter
-// therefore latches DirPush on every component and never marks one sparse,
-// and the workload has no sparse arm; Hierarchical and Segmented change
-// nothing either (its L2L is the flat exchange and it has no pull kernel).
+// therefore latches DirPush on every component and never marks one sparse, so
+// its exchanges always take ship's dense arm; Hierarchical and Segmented
+// change nothing either (its L2L is the flat exchange and it has no pull
+// kernel).
 //
 // Hub contributions are delegated additively, like k-core's degree
 // decrements: every rank accumulates into its replicated hubAcc locally
@@ -36,12 +36,11 @@ import (
 // ErrNoConvergence: endIter reports convergence at delta <= tol or on the
 // budget's last round, so tol = 0 runs exactly the budget.
 type pagerankState struct {
-	driver
+	valueBase
 
 	damping, tol float64
 	budget       int // the caller's round budget
 
-	k      int
 	lIsHub *bitmap.Bitmap // owner slots shadowed by hub delegation (the engine's mask; read-only)
 	deg    []int64        // the owned block of the degree table
 
@@ -55,37 +54,40 @@ type pagerankState struct {
 	delta    float64 // the last round's global L1 change
 
 	pendDelta, pendDangling float64 // epilogue's agreed sums, committed by endIter
-
-	snaps [numSteps]pagerankSnapshot
 }
 
-// pagerankSnapshot rolls back a retried step: the accumulators are additive
-// across kernels and the epilogue overwrites the ranks in place.
-type pagerankSnapshot struct {
-	hubVal, lVal, hubAcc, lAcc []float64
-}
-
+// newPageRankState declares the ranks as the persisted state, with the
+// dangling mass riding the ActiveL scalar as its bit pattern (the bitmap
+// slots are unused). The accumulators are additive across kernels and the
+// epilogue overwrites the ranks in place, so a retried step rolls back both;
+// the accumulators are views of bit-pattern arrays so they can be declared.
 func newPageRankState(e *Engine, r *comm.Rank, damping, tol float64, budget int) *pagerankState {
 	per := int(e.Part.Layout.PerRank)
 	k := e.Part.Hubs.K()
+	hubAccBits, lAccBits := make([]int64, k), make([]int64, per)
 	st := &pagerankState{
-		driver:  newWorkloadDriver(e, r),
-		damping: damping,
-		tol:     tol,
-		budget:  budget,
-		k:       k,
-		lIsHub:  bitmap.FromWords(e.lRows[r.ID].isHub, per),
-		deg:     ownedSeg(e, r.ID, e.Part.Degrees),
-		hubBits: make([]int64, k),
-		lBits:   make([]int64, per),
-		hubAcc:  make([]float64, k),
-		lAcc:    make([]float64, per),
+		valueBase: newValueBase(e, r),
+		damping:   damping,
+		tol:       tol,
+		budget:    budget,
+		lIsHub:    bitmap.FromWords(e.lRows[r.ID].isHub, per),
+		deg:       ownedSeg(e, r.ID, e.Part.Degrees),
+		hubBits:   make([]int64, k),
+		lBits:     make([]int64, per),
+		hubAcc:    float64View(hubAccBits),
+		lAcc:      float64View(lAccBits),
 	}
 	st.hubVal, st.lVal = float64View(st.hubBits), float64View(st.lBits)
+	st.declare(valueSpec{
+		kernels: [partition.NumComponents]func() (int64, error){
+			st.ehPush, st.e2lPush, st.h2lPush, st.lToHubs(&st.rg.LToE), st.lToHubs(&st.rg.LToH), st.l2lPush},
+		epilogue: st.epilogue,
+		pHub:     st.hubBits, pL: st.lBits,
+		activeL: bitsOf(&st.dangling),
+		vals:    [][]int64{hubAccBits, lAccBits},
+	})
 	return st
 }
-
-func (st *pagerankState) drv() *driver { return &st.driver }
 
 // bootstrap starts from the uniform distribution. Only L vertices can dangle
 // (a hub's degree is at least the H threshold, which is positive), so the
@@ -109,18 +111,6 @@ func (st *pagerankState) bootstrap() error {
 	return nil
 }
 
-// ckpt persists the ranks; the dangling mass rides the ActiveL scalar as its
-// bit pattern. The bitmap slots are unused.
-func (st *pagerankState) ckpt() ckptSlices {
-	return ckptSlices{pHub: st.hubBits, pL: st.lBits, activeL: int64(math.Float64bits(st.dangling))}
-}
-
-func (st *pagerankState) loadState(cs *checkpoint.State) {
-	copy(st.hubBits, cs.ParentHub)
-	copy(st.lBits, cs.ParentL)
-	st.dangling = math.Float64frombits(uint64(cs.ActiveL))
-}
-
 // beginIter latches the all-push dense schedule and clears the accumulators.
 func (st *pagerankState) beginIter(it *IterTrace) {
 	hubs := st.e.Part.Hubs
@@ -133,29 +123,6 @@ func (st *pagerankState) beginIter(it *IterTrace) {
 	clear(st.lAcc)
 }
 
-func (st *pagerankState) step(g int, it *IterTrace) error {
-	var firstErr error
-	run := func(c partition.Component, fn func() (int64, error)) {
-		if err := st.runComp(c, it.Directions[c], fn); firstErr == nil {
-			firstErr = err
-		}
-	}
-	switch g {
-	case 0:
-		run(partition.CompEH2EH, st.ehPush)
-	case 1:
-		run(partition.CompE2L, st.e2lPush)
-		run(partition.CompH2L, st.h2lPush)
-		run(partition.CompL2E, func() (int64, error) { return st.lToHubs(&st.rg.LToE), nil })
-		run(partition.CompL2H, func() (int64, error) { return st.lToHubs(&st.rg.LToH), nil })
-	case 2:
-		run(partition.CompL2L, st.l2lPush)
-	case 3:
-		return st.epilogue()
-	}
-	return firstErr
-}
-
 // hubShare is what hub h sends along each of its edges.
 func (st *pagerankState) hubShare(h int32) float64 {
 	return st.hubVal[h] / float64(st.e.Part.Hubs.Deg[h])
@@ -165,31 +132,23 @@ func (st *pagerankState) hubShare(h int32) float64 {
 // rank's 2D core-subgraph block, into the local replicated partial.
 func (st *pagerankState) ehPush() (int64, error) {
 	push := &st.rg.EHPush
-	var edges int64
-	for i, src := range push.IDs {
+	return hubRows(push.IDs, push.Ptr, push.Adj, nil, func(src int32, row []int32) {
 		share := st.hubShare(src)
-		adj := push.Adj[push.Ptr[i]:push.Ptr[i+1]]
-		edges += int64(len(adj))
-		for _, dst := range adj {
+		for _, dst := range row {
 			st.hubAcc[dst] += share
 		}
-	}
-	return edges, nil
+	}), nil
 }
 
 // e2lPush: E hubs contribute to owned L vertices locally.
 func (st *pagerankState) e2lPush() (int64, error) {
 	csr := &st.rg.EToL
-	var edges int64
-	for i, hub := range csr.IDs {
+	return hubRows(csr.IDs, csr.Ptr, csr.Adj, nil, func(hub int32, row []int32) {
 		share := st.hubShare(hub)
-		adj := csr.Adj[csr.Ptr[i]:csr.Ptr[i+1]]
-		edges += int64(len(adj))
-		for _, li := range adj {
+		for _, li := range row {
 			st.lAcc[li] += share
 		}
-	}
-	return edges, nil
+	}), nil
 }
 
 // h2lPush: H hubs in this rank's column block send their share to their L
@@ -197,41 +156,34 @@ func (st *pagerankState) e2lPush() (int64, error) {
 func (st *pagerankState) h2lPush() (int64, error) {
 	csr := &st.rg.HToL
 	send := resetParts(&st.scr.lParts, st.e.Opt.Mesh.Cols)
-	var edges int64
-	for i, hub := range csr.IDs {
+	edges := hubRows(csr.IDs, csr.Ptr, csr.Adj, nil, func(hub int32, row []partition.RemoteL) {
 		bits := int64(math.Float64bits(st.hubShare(hub)))
-		adj := csr.Adj[csr.Ptr[i]:csr.Ptr[i+1]]
-		edges += int64(len(adj))
-		for _, rem := range adj {
+		for _, rem := range row {
 			send[rem.Col] = append(send[rem.Col], lMsg{LIdx: rem.LIdx, Parent: bits})
 		}
-	}
-	recv, err := comm.Alltoallv(st.r.RowC, send)
-	for _, part := range recv {
-		for _, m := range part {
-			st.lAcc[m.LIdx] += math.Float64frombits(uint64(m.Parent))
+	})
+	return edges, ship(&st.valueBase, partition.CompH2L, send, func(recv [][]lMsg) {
+		for _, part := range recv {
+			for _, m := range part {
+				st.lAcc[m.LIdx] += math.Float64frombits(uint64(m.Parent))
+			}
 		}
-	}
-	return edges, err
+	})
 }
 
-// lToHubs: owned L vertices contribute to their E (L2E) or H (L2H) neighbors
-// in the local replicated partial — additive delegation needs no message; the
-// epilogue's two-stage sum carries it.
-func (st *pagerankState) lToHubs(csr *partition.DenseCSR32) int64 {
-	var edges int64
-	for li, d := range st.deg {
-		adj := csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]]
-		if len(adj) == 0 {
-			continue
-		}
-		share := st.lVal[li] / float64(d)
-		edges += int64(len(adj))
-		for _, hub := range adj {
-			st.hubAcc[hub] += share
-		}
+// lToHubs is L2E (csr = LToE) and L2H (csr = LToH): owned L vertices
+// contribute to their E or H neighbors in the local replicated partial —
+// additive delegation needs no message; the epilogue's two-stage sum carries
+// it.
+func (st *pagerankState) lToHubs(csr *partition.DenseCSR32) func() (int64, error) {
+	return func() (int64, error) {
+		return lRows(csr.Ptr, csr.Adj, nil, func(li int, row []int32) {
+			share := st.lVal[li] / float64(st.deg[li])
+			for _, hub := range row {
+				st.hubAcc[hub] += share
+			}
+		}), nil
 	}
-	return edges
 }
 
 // l2lPush: owned L vertices send their share to their L neighbors' owners in
@@ -240,26 +192,20 @@ func (st *pagerankState) l2lPush() (int64, error) {
 	csr := &st.rg.L2L
 	layout := st.e.Part.Layout
 	send := resetParts(&st.scr.l2lParts, layout.P)
-	var edges int64
-	for li, d := range st.deg {
-		adj := csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]]
-		if len(adj) == 0 {
-			continue
-		}
-		bits := int64(math.Float64bits(st.lVal[li] / float64(d)))
-		edges += int64(len(adj))
-		for _, dst := range adj {
+	edges := lRows(csr.Ptr, csr.Adj, nil, func(li int, row []int64) {
+		bits := int64(math.Float64bits(st.lVal[li] / float64(st.deg[li])))
+		for _, dst := range row {
 			owner := layout.Owner(dst)
 			send[owner] = append(send[owner], l2lMsg{Dst: dst, Parent: bits})
 		}
-	}
-	recv, err := comm.Alltoallv(st.r.World, send)
-	for _, part := range recv {
-		for _, m := range part {
-			st.lAcc[layout.LocalIdx(m.Dst)] += math.Float64frombits(uint64(m.Parent))
+	})
+	return edges, ship(&st.valueBase, partition.CompL2L, send, func(recv [][]l2lMsg) {
+		for _, part := range recv {
+			for _, m := range part {
+				st.lAcc[layout.LocalIdx(m.Dst)] += math.Float64frombits(uint64(m.Parent))
+			}
 		}
-	}
-	return edges, err
+	})
 }
 
 // epilogue sums the hub partials column-then-row, applies the new ranks (the
@@ -269,7 +215,6 @@ func (st *pagerankState) l2lPush() (int64, error) {
 // unconditionally so every rank keeps the same schedule under faults; a
 // garbled sum is discarded by the step retry's snapshot restore.
 func (st *pagerankState) epilogue() error {
-	st.r.SetTag(TagEpilogue)
 	firstErr := st.observeCollective(stats.PhaseOther, trace.KindSync, "pagerank_sync", func() error {
 		if st.k == 0 {
 			return nil
@@ -319,33 +264,4 @@ func (st *pagerankState) epilogue() error {
 func (st *pagerankState) endIter(it *IterTrace) bool {
 	st.delta, st.dangling = st.pendDelta, st.pendDangling
 	return st.delta <= st.tol || int(st.curIter)+1 >= st.budget
-}
-
-func (st *pagerankState) finalize() error { return nil }
-
-func (st *pagerankState) snapshot(g int) {
-	s := &st.snaps[g]
-	snapFloat64(&s.hubVal, st.hubVal)
-	snapFloat64(&s.lVal, st.lVal)
-	snapFloat64(&s.hubAcc, st.hubAcc)
-	snapFloat64(&s.lAcc, st.lAcc)
-}
-
-func (st *pagerankState) restore(g int) {
-	s := &st.snaps[g]
-	copy(st.hubVal, s.hubVal)
-	copy(st.lVal, s.lVal)
-	copy(st.hubAcc, s.hubAcc)
-	copy(st.lAcc, s.lAcc)
-}
-
-// writeResult assembles this rank's share of the global rank array: its
-// owned block, then the hubs whose original IDs it owns overlaid.
-func (st *pagerankState) writeResult(rank []float64) {
-	lo := st.e.Part.Layout.GlobalOf(st.r.ID, 0)
-	blk := ownedSeg(st.e, st.r.ID, rank)
-	copy(blk, st.lVal)
-	for _, h := range st.e.hubsAt[st.r.ID] {
-		blk[st.e.Part.Hubs.Orig[h]-lo] = st.hubVal[h]
-	}
 }

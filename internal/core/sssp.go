@@ -2,10 +2,8 @@ package core
 
 import (
 	"math"
-	"unsafe"
 
 	"repro/internal/bitmap"
-	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/partition"
 	"repro/internal/sssp"
@@ -23,24 +21,16 @@ import (
 // nothing, the bucket advances to the smallest bucket holding a dirty vertex;
 // the run converges when nothing improved and nothing is dirty.
 //
-// On the sparse tail each relaxation ships as two adjacent update records
-// (distance bits, then parent) with the same destination/tag/offset; the
-// receiver re-zips pairs in order, so the dense and sparse arms apply the
-// identical relaxation sequence.
-//
 // What an iteration touches is what changed: base distances are latched for
 // the relax set only, a hub re-enters the dirty set at the sync that makes
 // its improvement global, and the epilogue's quiescence test is the
 // iteration's count of successful relaxations.
 type ssspState struct {
-	driver
+	valueBase
 
 	root  int64
 	seed  uint64
 	delta float64
-
-	k    int
-	numE int64
 
 	hubDist, hubBaseD []float64
 	hubParent         []int64
@@ -61,68 +51,67 @@ type ssspState struct {
 	// parent...], and the only storage: the distance and parent slices above
 	// are views of their two halves, so a capture packs nothing.
 	hubPack, lPack []int64
-
-	snaps [numSteps]ssspSnapshot
 }
 
 // distMsg relaxes one vertex: To is an L index at a known rank (H2L), a hub
-// id (L2H and the delegate sync) or an original vertex id (L2L).
+// id (L2H and the delegate sync) or an original vertex id (L2L). On the
+// sparse tail it travels as two adjacent records with the same destination,
+// tag and offset — the distance bits, then the parent — and the receiver
+// re-zips them in order, so the dense and sparse arms apply the identical
+// relaxation sequence.
 type distMsg struct {
 	To     int64
 	Dist   float64
 	Parent int64
 }
 
-// ssspSnapshot rolls back a retried step: distance/parent updates are not
-// monotone across a failed partial merge, the L dirty set grows during
-// kernels, and the relaxation counter re-observes re-executed applies.
-type ssspSnapshot struct {
-	hubDist, lDist     []float64
-	hubParent, lParent []int64
-	hubDirty, lDirty   []uint64
-	relaxations        int64
+func (m distMsg) put(ups []comm.SparseUpdate, dst, tag int32) []comm.SparseUpdate {
+	return append(ups,
+		comm.SparseUpdate{Dst: dst, Tag: tag, Off: m.To, Val: int64(math.Float64bits(m.Dist))},
+		comm.SparseUpdate{Dst: dst, Tag: tag, Off: m.To, Val: m.Parent})
 }
 
-func snapFloat64(dst *[]float64, src []float64) {
-	if cap(*dst) < len(src) {
-		*dst = make([]float64, len(src))
-	}
-	*dst = (*dst)[:len(src)]
-	copy(*dst, src)
+func (distMsg) get(us []comm.SparseUpdate) (distMsg, int) {
+	return distMsg{To: us[0].Off, Dist: math.Float64frombits(uint64(us[0].Val)), Parent: us[1].Val}, 2
 }
 
+// newSSSPState declares the dirty sets, the packed (distance bits, parent)
+// arrays, the dirty-L count and the bucket (on the VisitL scalar) as the
+// persisted state; the relax sets are rebuilt by beginIter, so their bitmap
+// slots carry no load. A retried step also rolls back the relaxation counter,
+// which re-executed applies would count again.
 func newSSSPState(e *Engine, r *comm.Rank, root int64, seed uint64, delta float64) *ssspState {
 	per := int(e.Part.Layout.PerRank)
 	k := e.Part.Hubs.K()
 	st := &ssspState{
-		driver:   newWorkloadDriver(e, r),
-		root:     root,
-		seed:     seed,
-		delta:    delta,
-		k:        k,
-		numE:     int64(e.Part.Hubs.NumE),
-		hubBaseD: make([]float64, k),
-		lBaseD:   make([]float64, per),
-		hubDirty: bitmap.New(k),
-		lDirty:   bitmap.New(per),
-		relaxHub: bitmap.New(k),
-		relaxL:   bitmap.New(per),
-		hubPack:  make([]int64, 2*k),
-		lPack:    make([]int64, 2*per),
+		valueBase: newValueBase(e, r),
+		root:      root,
+		seed:      seed,
+		delta:     delta,
+		hubBaseD:  make([]float64, k),
+		lBaseD:    make([]float64, per),
+		hubDirty:  bitmap.New(k),
+		lDirty:    bitmap.New(per),
+		relaxHub:  bitmap.New(k),
+		relaxL:    bitmap.New(per),
+		hubPack:   make([]int64, 2*k),
+		lPack:     make([]int64, 2*per),
 	}
 	st.hubDist, st.hubParent = float64View(st.hubPack[:k]), st.hubPack[k:]
 	st.lDist, st.lParent = float64View(st.lPack[:per]), st.lPack[per:]
+	st.declare(valueSpec{
+		kernels: [partition.NumComponents]func() (int64, error){
+			st.ehRelax, st.e2lRelax, st.h2lRelax, st.l2eRelax, st.l2hRelax, st.l2lRelax},
+		hubSync:  st.syncDists,
+		epilogue: st.epilogue,
+		hubF:     st.hubDirty.Words(), hubV: st.relaxHub.Words(),
+		lF: st.lDirty.Words(), lV: st.relaxL.Words(),
+		pHub: st.hubPack, pL: st.lPack,
+		activeL: &st.activeL, visitL: &st.bucket,
+		scalars: []*int64{&st.relaxations},
+	})
 	return st
 }
-
-// float64View reinterprets a slice of IEEE-754 bit patterns as the float64s
-// they encode, sharing its memory (int64 and float64 agree in size and
-// alignment).
-func float64View(bits []int64) []float64 {
-	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(bits))), len(bits))
-}
-
-func (st *ssspState) drv() *driver { return &st.driver }
 
 // bootstrap seeds infinite distances everywhere and the root at zero in
 // bucket zero; the root's placement is replicated (hub) or owner-local (L).
@@ -154,29 +143,6 @@ func (st *ssspState) bootstrap() error {
 	return nil
 }
 
-// ckpt hands the writer the packed (distance bits, parent) arrays; the relax
-// sets are rebuilt by beginIter, so their bitmap slots carry no load. The
-// bucket index rides the VisitL scalar.
-func (st *ssspState) ckpt() ckptSlices {
-	return ckptSlices{
-		hubF: st.hubDirty.Words(), hubV: st.relaxHub.Words(),
-		lF: st.lDirty.Words(), lV: st.relaxL.Words(),
-		pHub: st.hubPack, pL: st.lPack,
-		activeL: st.activeL, visitL: st.bucket,
-	}
-}
-
-func (st *ssspState) loadState(cs *checkpoint.State) {
-	copy(st.hubDirty.Words(), cs.HubFrontier)
-	copy(st.relaxHub.Words(), cs.HubVisited)
-	copy(st.lDirty.Words(), cs.LFrontier)
-	copy(st.relaxL.Words(), cs.LVisited)
-	copy(st.hubPack, cs.ParentHub)
-	copy(st.lPack, cs.ParentL)
-	st.activeL = cs.ActiveL
-	st.bucket = cs.VisitL
-}
-
 // beginIter carves this iteration's relax set out of the dirty sets (dirty
 // vertices inside the current bucket), latching their base distances — the
 // only ones a kernel reads — and latches the collective schedule. Hub
@@ -200,59 +166,18 @@ func (st *ssspState) beginIter(it *IterTrace) {
 		}
 	})
 	st.lDirty.AndNot(st.relaxL)
-
-	it.ActiveE = int64(st.relaxHub.CountRange(0, int(st.numE)))
-	it.ActiveH = int64(st.relaxHub.CountRange(int(st.numE), st.k))
-	it.ActiveL = st.activeL
-	var act [partition.NumComponents]int64
-	act[partition.CompEH2EH] = it.ActiveE + it.ActiveH
-	act[partition.CompE2L] = it.ActiveE
-	act[partition.CompH2L] = it.ActiveH
-	act[partition.CompL2E] = it.ActiveL
-	act[partition.CompL2H] = it.ActiveL
-	act[partition.CompL2L] = it.ActiveL
-	st.chooseSchedule(it, act, true, true)
+	st.frontierSchedule(it, st.relaxHub, st.activeL)
 	st.relaxBase = st.relaxations
 	st.pendImproved, st.pendAL, st.pendNext = 0, 0, 0
-}
-
-func (st *ssspState) step(g int, it *IterTrace) error {
-	var firstErr error
-	run := func(c partition.Component, fn func() (int64, error)) {
-		if err := st.runComp(c, it.Directions[c], fn); firstErr == nil {
-			firstErr = err
-		}
-	}
-	switch g {
-	case 0:
-		run(partition.CompEH2EH, st.ehRelax)
-		if err := st.syncDists(); firstErr == nil {
-			firstErr = err
-		}
-	case 1:
-		run(partition.CompE2L, st.e2lRelax)
-		run(partition.CompH2L, st.h2lRelax)
-		run(partition.CompL2E, st.l2eRelax)
-		run(partition.CompL2H, st.l2hRelax)
-		if err := st.syncDists(); firstErr == nil {
-			firstErr = err
-		}
-	case 2:
-		run(partition.CompL2L, st.l2lRelax)
-	case 3:
-		return st.epilogue()
-	}
-	return firstErr
 }
 
 // epilogue runs the agreement pair: the sum-allreduce carries this rank's
 // successful relaxations of the iteration (zero everywhere exactly when no
 // distance improved anywhere: a sync only spreads an improvement some rank's
-// lowerHub made), the byte feedback and the global dirty-L count; the
-// max-allreduce (negated) agrees on the smallest bucket holding a dirty vertex.
-// Both collectives run unconditionally so the schedule matches on every rank.
+// lowerHub made) and the global dirty-L count; the max-allreduce (negated)
+// agrees on the smallest bucket holding a dirty vertex. Both collectives run
+// unconditionally so the schedule matches on every rank.
 func (st *ssspState) epilogue() error {
-	st.r.SetTag(TagEpilogue)
 	next := int64(math.MaxInt64)
 	bucketOf := func(d float64) {
 		if !math.IsInf(d, 1) {
@@ -263,16 +188,10 @@ func (st *ssspState) epilogue() error {
 	}
 	st.hubDirty.ForEach(func(h int) { bucketOf(st.hubDist[h]) })
 	st.lDirty.ForEach(func(li int) { bucketOf(st.lDist[li]) })
-	iterBytes := commBytes(st.rec) - st.iterBytesBase
-	sums, err := comm.AllreduceSumInt64s(st.r.World,
-		[]int64{st.relaxations - st.relaxBase, iterBytes, int64(st.lDirty.Count())})
+	var err error
+	st.pendImproved, st.pendAL, err = st.agree(st.relaxations-st.relaxBase, int64(st.lDirty.Count()))
 	neg := []int64{-next}
 	err2 := comm.AllreduceMaxInt64(st.r.World, neg)
-	if err == nil {
-		st.pendImproved = sums[0]
-		st.lastIterBytes = sums[1]
-		st.pendAL = sums[2]
-	}
 	if err2 == nil {
 		st.pendNext = -neg[0]
 	}
@@ -295,31 +214,6 @@ func (st *ssspState) endIter(it *IterTrace) bool {
 		st.bucket = st.pendNext
 	}
 	return false
-}
-
-func (st *ssspState) finalize() error { return nil }
-
-func (st *ssspState) snapshot(g int) {
-	s := &st.snaps[g]
-	snapFloat64(&s.hubDist, st.hubDist)
-	snapFloat64(&s.lDist, st.lDist)
-	snapInt64(&s.hubParent, st.hubParent)
-	snapInt64(&s.lParent, st.lParent)
-	snapWords(&s.hubDirty, st.hubDirty)
-	snapWords(&s.lDirty, st.lDirty)
-	s.relaxations = st.relaxations
-}
-
-func (st *ssspState) restore(g int) {
-	s := &st.snaps[g]
-	st.scr.touched.clear() // every step starts and ends with it empty
-	copy(st.hubDist, s.hubDist)
-	copy(st.lDist, s.lDist)
-	copy(st.hubParent, s.hubParent)
-	copy(st.lParent, s.lParent)
-	copy(st.hubDirty.Words(), s.hubDirty)
-	copy(st.lDirty.Words(), s.lDirty)
-	st.relaxations = s.relaxations
 }
 
 func (st *ssspState) lowerHub(h int32, nd float64, parent int64) {
@@ -370,19 +264,12 @@ func (st *ssspState) syncDists() error {
 func (st *ssspState) ehRelax() (int64, error) {
 	push := &st.rg.EHPush
 	orig := st.e.Part.Hubs.Orig
-	var edges int64
-	for i, src := range push.IDs {
-		if !st.relaxHub.Test(int(src)) {
-			continue
-		}
-		du := st.hubBaseD[src]
-		u := orig[src]
-		for _, dst := range push.Adj[push.Ptr[i]:push.Ptr[i+1]] {
-			edges++
+	return hubRows(push.IDs, push.Ptr, push.Adj, st.relaxHub, func(src int32, row []int32) {
+		du, u := st.hubBaseD[src], orig[src]
+		for _, dst := range row {
 			st.lowerHub(dst, du+sssp.WeightOf(u, orig[dst], st.seed), u)
 		}
-	}
-	return edges, nil
+	}), nil
 }
 
 // e2lRelax: in-bucket E hubs relax owned L vertices locally.
@@ -390,96 +277,38 @@ func (st *ssspState) e2lRelax() (int64, error) {
 	csr := &st.rg.EToL
 	orig := st.e.Part.Hubs.Orig
 	layout := st.e.Part.Layout
-	var edges int64
-	for i, hub := range csr.IDs {
-		if !st.relaxHub.Test(int(hub)) {
-			continue
-		}
-		du := st.hubBaseD[hub]
-		u := orig[hub]
-		for _, li := range csr.Adj[csr.Ptr[i]:csr.Ptr[i+1]] {
-			edges++
+	return hubRows(csr.IDs, csr.Ptr, csr.Adj, st.relaxHub, func(hub int32, row []int32) {
+		du, u := st.hubBaseD[hub], orig[hub]
+		for _, li := range row {
 			v := layout.GlobalOf(st.r.ID, li)
 			st.lowerL(li, du+sssp.WeightOf(u, v, st.seed), u)
 		}
-	}
-	return edges, nil
+	}), nil
 }
 
 // h2lRelax: in-bucket H hubs in this rank's column block relax their L
-// neighbors across the row. Dense messages carry (LIdx, dist, parent); the
-// sparse arm ships each relaxation as an adjacent record pair.
+// neighbors across the row.
 func (st *ssspState) h2lRelax() (int64, error) {
 	csr := &st.rg.HToL
 	orig := st.e.Part.Hubs.Orig
 	layout := st.e.Part.Layout
 	mesh := st.e.Opt.Mesh
-	sparse := st.sparse[partition.CompH2L]
-	ups := st.scr.ups[:0]
 	send := resetParts(&st.scr.distParts, mesh.Cols)
-	var edges int64
-	for i, hub := range csr.IDs {
-		if !st.relaxHub.Test(int(hub)) {
-			continue
-		}
-		du := st.hubBaseD[hub]
-		u := orig[hub]
-		adj := csr.Adj[csr.Ptr[i]:csr.Ptr[i+1]]
-		edges += int64(len(adj))
-		for _, rem := range adj {
+	edges := hubRows(csr.IDs, csr.Ptr, csr.Adj, st.relaxHub, func(hub int32, row []partition.RemoteL) {
+		du, u := st.hubBaseD[hub], orig[hub]
+		for _, rem := range row {
 			v := layout.GlobalOf(mesh.RankAt(st.r.Row, int(rem.Col)), rem.LIdx)
 			nd := du + sssp.WeightOf(u, v, st.seed)
-			if sparse {
-				ups = appendPair(ups, rem.Col, partition.CompH2L, int64(rem.LIdx), nd, u)
-			} else {
-				send[rem.Col] = append(send[rem.Col], distMsg{To: int64(rem.LIdx), Dist: nd, Parent: u})
+			send[rem.Col] = append(send[rem.Col], distMsg{To: int64(rem.LIdx), Dist: nd, Parent: u})
+		}
+	})
+	return edges, ship(&st.valueBase, partition.CompH2L, send, func(recv [][]distMsg) {
+		for _, part := range recv {
+			for _, m := range part {
+				st.lowerL(int32(m.To), m.Dist, m.Parent)
 			}
 		}
-	}
-	if sparse {
-		st.scr.ups = ups
-		if st.batchRow {
-			return edges, nil // parked for the L2H flush
-		}
-		return edges, st.flushSparse(st.r.RowC, st.applySparse)
-	}
-	recv, err := comm.Alltoallv(st.r.RowC, send)
-	for _, part := range recv {
-		for _, m := range part {
-			st.lowerL(int32(m.To), m.Dist, m.Parent)
-		}
-	}
-	return edges, err
-}
-
-// appendPair appends one relaxation as its adjacent (distance bits, parent)
-// record pair.
-func appendPair(ups []comm.SparseUpdate, dst int32, c partition.Component, off int64, nd float64, parent int64) []comm.SparseUpdate {
-	return append(ups,
-		comm.SparseUpdate{Dst: dst, Tag: int32(c), Off: off, Val: int64(math.Float64bits(nd))},
-		comm.SparseUpdate{Dst: dst, Tag: int32(c), Off: off, Val: parent})
-}
-
-// applySparse re-zips a received flush's record pairs and applies them in
-// place, in per-source order; the tag names the kernel, hence the addressing.
-// Pairs keep their kernel's tag, so the H2L and L2H streams of a batched flush
-// stay pair-aligned, and they lower disjoint state (L and hub distances), so
-// their interleaving is immaterial.
-func (st *ssspState) applySparse(out [][]comm.SparseUpdate) {
-	layout := st.e.Part.Layout
-	for _, us := range out {
-		for i := 0; i+1 < len(us); i += 2 {
-			off, nd, parent := us[i].Off, math.Float64frombits(uint64(us[i].Val)), us[i+1].Val
-			switch partition.Component(us[i].Tag) {
-			case partition.CompH2L:
-				st.lowerL(int32(off), nd, parent)
-			case partition.CompL2H:
-				st.lowerHub(int32(off), nd, parent)
-			default: // L2L: Off is the original vertex id
-				st.lowerL(layout.LocalIdx(off), nd, parent)
-			}
-		}
-	}
+	})
 }
 
 // l2eRelax: in-bucket owned L vertices relax E delegates locally.
@@ -487,115 +316,61 @@ func (st *ssspState) l2eRelax() (int64, error) {
 	csr := &st.rg.LToE
 	orig := st.e.Part.Hubs.Orig
 	layout := st.e.Part.Layout
-	var edges int64
-	st.relaxL.ForEach(func(li int) {
-		du := st.lBaseD[li]
-		u := layout.GlobalOf(st.r.ID, int32(li))
-		for _, hub := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
-			edges++
+	return lRows(csr.Ptr, csr.Adj, st.relaxL, func(li int, row []int32) {
+		du, u := st.lBaseD[li], layout.GlobalOf(st.r.ID, int32(li))
+		for _, hub := range row {
 			st.lowerHub(hub, du+sssp.WeightOf(u, orig[hub], st.seed), u)
 		}
-	})
-	return edges, nil
+	}), nil
 }
 
 // l2hRelax: in-bucket owned L vertices message the row delegate of each H
 // neighbor the relaxation would actually improve (the live check against the
 // replicated distance saves the message and is identical on both exchange
-// arms — nothing between L2E and here touches hub distances). On the batched
-// row exchange the pairs join the H2L ones parked in the scratch and both ride
-// one flush.
+// arms — nothing between L2E and here touches hub distances).
 func (st *ssspState) l2hRelax() (int64, error) {
 	csr := &st.rg.LToH
 	orig := st.e.Part.Hubs.Orig
 	layout := st.e.Part.Layout
 	hubs := st.e.Part.Hubs
 	mesh := st.e.Opt.Mesh
-	sparse := st.sparse[partition.CompL2H]
-	ups := st.scr.ups
-	if !st.batchRow {
-		ups = ups[:0]
-	}
 	send := resetParts(&st.scr.distParts, mesh.Cols)
-	var edges int64
-	st.relaxL.ForEach(func(li int) {
-		du := st.lBaseD[li]
-		u := layout.GlobalOf(st.r.ID, int32(li))
-		for _, hub := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
-			edges++
-			nd := du + sssp.WeightOf(u, orig[hub], st.seed)
-			if nd >= st.hubDist[hub] {
-				continue
-			}
-			col := int32(hubs.ColBlockOf(hub, mesh))
-			if sparse {
-				ups = appendPair(ups, col, partition.CompL2H, int64(hub), nd, u)
-			} else {
+	edges := lRows(csr.Ptr, csr.Adj, st.relaxL, func(li int, row []int32) {
+		du, u := st.lBaseD[li], layout.GlobalOf(st.r.ID, int32(li))
+		for _, hub := range row {
+			if nd := du + sssp.WeightOf(u, orig[hub], st.seed); nd < st.hubDist[hub] {
+				col := hubs.ColBlockOf(hub, mesh)
 				send[col] = append(send[col], distMsg{To: int64(hub), Dist: nd, Parent: u})
 			}
 		}
 	})
-	if sparse {
-		st.scr.ups = ups
-		return edges, st.flushSparse(st.r.RowC, st.applySparse)
-	}
-	recv, err := comm.Alltoallv(st.r.RowC, send)
-	for _, part := range recv {
-		for _, m := range part {
-			st.lowerHub(int32(m.To), m.Dist, m.Parent)
-		}
-	}
-	return edges, err
-}
-
-// l2lRelax: in-bucket owned L vertices relax their L neighbors at the
-// owners; one world alltoallv, or paired sparse records on tail iterations.
-func (st *ssspState) l2lRelax() (int64, error) {
-	csr := &st.rg.L2L
-	layout := st.e.Part.Layout
-	sparse := st.sparse[partition.CompL2L]
-	ups := st.scr.ups[:0]
-	send := resetParts(&st.scr.distParts, layout.P)
-	var edges int64
-	st.relaxL.ForEach(func(li int) {
-		du := st.lBaseD[li]
-		u := layout.GlobalOf(st.r.ID, int32(li))
-		adj := csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]]
-		edges += int64(len(adj))
-		for _, dst := range adj {
-			nd := du + sssp.WeightOf(u, dst, st.seed)
-			owner := layout.Owner(dst)
-			if sparse {
-				ups = appendPair(ups, int32(owner), partition.CompL2L, dst, nd, u)
-			} else {
-				send[owner] = append(send[owner], distMsg{To: dst, Dist: nd, Parent: u})
+	return edges, ship(&st.valueBase, partition.CompL2H, send, func(recv [][]distMsg) {
+		for _, part := range recv {
+			for _, m := range part {
+				st.lowerHub(int32(m.To), m.Dist, m.Parent)
 			}
 		}
 	})
-	if sparse {
-		st.scr.ups = ups
-		return edges, st.flushSparse(st.r.World, st.applySparse)
-	}
-	recv, err := comm.Alltoallv(st.r.World, send)
-	for _, part := range recv {
-		for _, m := range part {
-			st.lowerL(layout.LocalIdx(m.To), m.Dist, m.Parent)
-		}
-	}
-	return edges, err
 }
 
-// writeResult assembles this rank's share of the global distance and parent
-// arrays: its owned block as it stands, then the hubs whose original IDs it
-// owns overlaid (hub state is identical on all ranks after the per-iteration
-// syncs).
-func (st *ssspState) writeResult(dist []float64, parent []int64) {
-	lo := st.e.Part.Layout.GlobalOf(st.r.ID, 0)
-	dBlk, pBlk := ownedSeg(st.e, st.r.ID, dist), ownedSeg(st.e, st.r.ID, parent)
-	copy(dBlk, st.lDist)
-	copy(pBlk, st.lParent)
-	for _, h := range st.e.hubsAt[st.r.ID] {
-		i := st.e.Part.Hubs.Orig[h] - lo
-		dBlk[i], pBlk[i] = st.hubDist[h], st.hubParent[h]
-	}
+// l2lRelax: in-bucket owned L vertices relax their L neighbors at the owners
+// over the world.
+func (st *ssspState) l2lRelax() (int64, error) {
+	csr := &st.rg.L2L
+	layout := st.e.Part.Layout
+	send := resetParts(&st.scr.distParts, layout.P)
+	edges := lRows(csr.Ptr, csr.Adj, st.relaxL, func(li int, row []int64) {
+		du, u := st.lBaseD[li], layout.GlobalOf(st.r.ID, int32(li))
+		for _, dst := range row {
+			owner := layout.Owner(dst)
+			send[owner] = append(send[owner], distMsg{To: dst, Dist: du + sssp.WeightOf(u, dst, st.seed), Parent: u})
+		}
+	})
+	return edges, ship(&st.valueBase, partition.CompL2L, send, func(recv [][]distMsg) {
+		for _, part := range recv {
+			for _, m := range part {
+				st.lowerL(layout.LocalIdx(m.To), m.Dist, m.Parent)
+			}
+		}
+	})
 }

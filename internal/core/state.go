@@ -122,8 +122,6 @@ func resetParts[T any](buf *[][]T, n int) [][]T {
 	return parts
 }
 
-func snapWords(dst *[]uint64, src *bitmap.Bitmap) { snapRaw(dst, src.Words()) }
-
 func snapRaw(dst *[]uint64, w []uint64) {
 	if cap(*dst) < len(w) {
 		*dst = make([]uint64, len(w))

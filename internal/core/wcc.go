@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/bitmap"
-	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/partition"
 )
@@ -21,10 +20,7 @@ import (
 // change count. Min-folding is order-independent, so the dense and sparse
 // exchange arms produce bit-identical label streams.
 type wccState struct {
-	driver
-
-	k    int
-	numE int64
+	valueBase
 
 	hubLabel, hubBase []int64
 	lLabel, lBase     []int64
@@ -34,39 +30,37 @@ type wccState struct {
 
 	activeL             int64 // global count of dirty L vertices
 	pendChanged, pendAL int64 // epilogue's agreed counts, committed by endIter
-
-	snaps [numSteps]wccSnapshot
 }
 
-// wccSnapshot is the state a retried step must roll back: label lowering is
-// not monotone across a failed collective (a partially merged sync can leave
-// garbage), so both live label arrays are captured alongside the staged dirty
-// sets. The base arrays are latched once per iteration and never written by
-// steps, so they need no capture.
-type wccSnapshot struct {
-	hubLabel, lLabel []int64
-	hubNext, lNext   []uint64
-}
-
+// newWCCState declares the dirty and staged sets, the live labels and the
+// dirty-L count, which is also all a retried step must roll back: the base
+// arrays are latched once per iteration and never written by steps.
 func newWCCState(e *Engine, r *comm.Rank) *wccState {
 	per := int(e.Part.Layout.PerRank)
 	k := e.Part.Hubs.K()
-	return &wccState{
-		driver:   newWorkloadDriver(e, r),
-		k:        k,
-		numE:     int64(e.Part.Hubs.NumE),
-		hubLabel: make([]int64, k),
-		hubBase:  make([]int64, k),
-		lLabel:   make([]int64, per),
-		lBase:    make([]int64, per),
-		hubDirty: bitmap.New(k),
-		hubNext:  bitmap.New(k),
-		lDirty:   bitmap.New(per),
-		lNext:    bitmap.New(per),
+	st := &wccState{
+		valueBase: newValueBase(e, r),
+		hubLabel:  make([]int64, k),
+		hubBase:   make([]int64, k),
+		lLabel:    make([]int64, per),
+		lBase:     make([]int64, per),
+		hubDirty:  bitmap.New(k),
+		hubNext:   bitmap.New(k),
+		lDirty:    bitmap.New(per),
+		lNext:     bitmap.New(per),
 	}
+	st.declare(valueSpec{
+		kernels: [partition.NumComponents]func() (int64, error){
+			st.ehProp, st.e2lProp, st.h2lProp, st.l2eProp, st.l2hProp, st.l2lProp},
+		hubSync:  st.syncLabels,
+		epilogue: st.epilogue,
+		hubF:     st.hubDirty.Words(), hubV: st.hubNext.Words(),
+		lF: st.lDirty.Words(), lV: st.lNext.Words(),
+		pHub: st.hubLabel, pL: st.lLabel,
+		activeL: &st.activeL,
+	})
+	return st
 }
-
-func (st *wccState) drv() *driver { return &st.driver }
 
 // bootstrap seeds every vertex with its own original ID as label and marks
 // everything dirty; the global dirty-L count rides the control plane.
@@ -85,80 +79,21 @@ func (st *wccState) bootstrap() error {
 	return nil
 }
 
-func (st *wccState) ckpt() ckptSlices {
-	return ckptSlices{
-		hubF: st.hubDirty.Words(), hubV: st.hubNext.Words(),
-		lF: st.lDirty.Words(), lV: st.lNext.Words(),
-		pHub: st.hubLabel, pL: st.lLabel,
-		activeL: st.activeL, visitL: 0,
-	}
-}
-
-func (st *wccState) loadState(cs *checkpoint.State) {
-	copy(st.hubDirty.Words(), cs.HubFrontier)
-	copy(st.hubNext.Words(), cs.HubVisited)
-	copy(st.lDirty.Words(), cs.LFrontier)
-	copy(st.lNext.Words(), cs.LVisited)
-	copy(st.hubLabel, cs.ParentHub)
-	copy(st.lLabel, cs.ParentL)
-	st.activeL = cs.ActiveL
-}
-
-// beginIter latches the iteration's base labels and collective schedule. The
+// beginIter latches the iteration's collective schedule and base labels. The
 // active counts derive from replicated hub dirty state plus the globally
 // agreed L count, so every rank latches identically.
 func (st *wccState) beginIter(it *IterTrace) {
-	it.ActiveE = int64(st.hubDirty.CountRange(0, int(st.numE)))
-	it.ActiveH = int64(st.hubDirty.CountRange(int(st.numE), st.k))
-	it.ActiveL = st.activeL
-	var act [partition.NumComponents]int64
-	act[partition.CompEH2EH] = it.ActiveE + it.ActiveH
-	act[partition.CompE2L] = it.ActiveE
-	act[partition.CompH2L] = it.ActiveH
-	act[partition.CompL2E] = it.ActiveL
-	act[partition.CompL2H] = it.ActiveL
-	act[partition.CompL2L] = it.ActiveL
-	st.chooseSchedule(it, act, true, true)
+	st.frontierSchedule(it, st.hubDirty, st.activeL)
 	latch(st.hubBase, st.hubLabel, st.hubDirty)
 	latch(st.lBase, st.lLabel, st.lDirty)
 	st.pendChanged, st.pendAL = 0, 0
 }
 
-func (st *wccState) step(g int, it *IterTrace) error {
-	var firstErr error
-	run := func(c partition.Component, fn func() (int64, error)) {
-		if err := st.runComp(c, it.Directions[c], fn); firstErr == nil {
-			firstErr = err
-		}
-	}
-	switch g {
-	case 0:
-		run(partition.CompEH2EH, st.ehProp)
-		if err := st.syncLabels(); firstErr == nil {
-			firstErr = err
-		}
-	case 1:
-		run(partition.CompE2L, st.e2lProp)
-		run(partition.CompH2L, st.h2lProp)
-		run(partition.CompL2E, st.l2eProp)
-		run(partition.CompL2H, st.l2hProp)
-		if err := st.syncLabels(); firstErr == nil {
-			firstErr = err
-		}
-	case 2:
-		run(partition.CompL2L, st.l2lProp)
-	case 3:
-		return st.epilogue()
-	}
-	return firstErr
-}
-
 // epilogue agrees on the global change count. The staged hub set is
 // replicated, so each lowered hub is counted by the owner of its original
-// vertex only; the allreduce triple also carries the byte feedback for the
-// sparse tail and the next iteration's global dirty-L count.
+// vertex only; the agreement also carries the next iteration's global
+// dirty-L count.
 func (st *wccState) epilogue() error {
-	st.r.SetTag(TagEpilogue)
 	layout := st.e.Part.Layout
 	orig := st.e.Part.Hubs.Orig
 	var changed int64
@@ -168,16 +103,9 @@ func (st *wccState) epilogue() error {
 		}
 	})
 	lChanged := int64(st.lNext.Count())
-	iterBytes := commBytes(st.rec) - st.iterBytesBase
-	sums, err := comm.AllreduceSumInt64s(st.r.World,
-		[]int64{changed + lChanged, iterBytes, lChanged})
-	if err != nil {
-		return err
-	}
-	st.pendChanged = sums[0]
-	st.lastIterBytes = sums[1]
-	st.pendAL = sums[2]
-	return nil
+	var err error
+	st.pendChanged, st.pendAL, err = st.agree(changed+lChanged, lChanged)
+	return err
 }
 
 // endIter swaps the staged dirty sets in; convergence is the zero-change
@@ -189,27 +117,6 @@ func (st *wccState) endIter(it *IterTrace) bool {
 	st.lNext.Reset()
 	st.activeL = st.pendAL
 	return st.pendChanged == 0
-}
-
-// finalize is a no-op: labels are already globally consistent (hub labels by
-// the per-iteration syncs, L labels owner-local).
-func (st *wccState) finalize() error { return nil }
-
-func (st *wccState) snapshot(g int) {
-	s := &st.snaps[g]
-	snapInt64(&s.hubLabel, st.hubLabel)
-	snapInt64(&s.lLabel, st.lLabel)
-	snapWords(&s.hubNext, st.hubNext)
-	snapWords(&s.lNext, st.lNext)
-}
-
-func (st *wccState) restore(g int) {
-	s := &st.snaps[g]
-	st.scr.touched.clear() // every step starts and ends with it empty
-	copy(st.hubLabel, s.hubLabel)
-	copy(st.lLabel, s.lLabel)
-	copy(st.hubNext.Words(), s.hubNext)
-	copy(st.lNext.Words(), s.lNext)
 }
 
 func (st *wccState) lowerHub(h int32, lbl int64) {
@@ -251,206 +158,105 @@ func (st *wccState) syncLabels() error {
 // over this rank's 2D core-subgraph block; purely local, merged by the sync.
 func (st *wccState) ehProp() (int64, error) {
 	push := &st.rg.EHPush
-	var edges int64
-	for i, src := range push.IDs {
-		if !st.hubDirty.Test(int(src)) {
-			continue
-		}
+	return hubRows(push.IDs, push.Ptr, push.Adj, st.hubDirty, func(src int32, row []int32) {
 		lbl := st.hubBase[src]
-		for _, dst := range push.Adj[push.Ptr[i]:push.Ptr[i+1]] {
-			edges++
+		for _, dst := range row {
 			st.lowerHub(dst, lbl)
 		}
-	}
-	return edges, nil
+	}), nil
 }
 
 // e2lProp: dirty E hubs lower owned L labels locally (E is delegated
 // everywhere).
 func (st *wccState) e2lProp() (int64, error) {
 	csr := &st.rg.EToL
-	var edges int64
-	for i, hub := range csr.IDs {
-		if !st.hubDirty.Test(int(hub)) {
-			continue
-		}
+	return hubRows(csr.IDs, csr.Ptr, csr.Adj, st.hubDirty, func(hub int32, row []int32) {
 		lbl := st.hubBase[hub]
-		for _, li := range csr.Adj[csr.Ptr[i]:csr.Ptr[i+1]] {
-			edges++
+		for _, li := range row {
 			st.lowerL(li, lbl)
 		}
-	}
-	return edges, nil
+	}), nil
 }
 
 // h2lProp: dirty H hubs in this rank's column block message their L
-// neighbors' owners along the row; dense alltoallv or sparse triples (lMsg
-// reuses Parent as the label payload).
+// neighbors' owners along the row (lMsg reuses Parent as the label payload).
 func (st *wccState) h2lProp() (int64, error) {
 	csr := &st.rg.HToL
-	sparse := st.sparse[partition.CompH2L]
-	ups := st.scr.ups[:0]
 	send := resetParts(&st.scr.lParts, st.e.Opt.Mesh.Cols)
-	var edges int64
-	for i, hub := range csr.IDs {
-		if !st.hubDirty.Test(int(hub)) {
-			continue
-		}
+	edges := hubRows(csr.IDs, csr.Ptr, csr.Adj, st.hubDirty, func(hub int32, row []partition.RemoteL) {
 		lbl := st.hubBase[hub]
-		adj := csr.Adj[csr.Ptr[i]:csr.Ptr[i+1]]
-		edges += int64(len(adj))
-		for _, rem := range adj {
-			if sparse {
-				ups = append(ups, comm.SparseUpdate{Dst: rem.Col,
-					Tag: int32(partition.CompH2L), Off: int64(rem.LIdx), Val: lbl})
-			} else {
-				send[rem.Col] = append(send[rem.Col], lMsg{LIdx: rem.LIdx, Parent: lbl})
+		for _, rem := range row {
+			send[rem.Col] = append(send[rem.Col], lMsg{LIdx: rem.LIdx, Parent: lbl})
+		}
+	})
+	return edges, ship(&st.valueBase, partition.CompH2L, send, func(recv [][]lMsg) {
+		for _, part := range recv {
+			for _, m := range part {
+				st.lowerL(m.LIdx, m.Parent)
 			}
 		}
-	}
-	if sparse {
-		st.scr.ups = ups
-		if st.batchRow {
-			return edges, nil // parked for the L2H flush
-		}
-		return edges, st.flushSparse(st.r.RowC, st.applySparse)
-	}
-	recv, err := comm.Alltoallv(st.r.RowC, send)
-	for _, part := range recv {
-		for _, m := range part {
-			st.lowerL(m.LIdx, m.Parent)
-		}
-	}
-	return edges, err
-}
-
-// applySparse applies a received sparse flush in place: the tag names the
-// kernel, hence the addressing. Walking sources in member order gives each
-// kernel's stream the order its dense exchange delivers, and the H2L and L2H
-// streams of a batched flush lower disjoint state (L labels, hub labels), so
-// their interleaving is immaterial.
-func (st *wccState) applySparse(out [][]comm.SparseUpdate) {
-	layout := st.e.Part.Layout
-	for _, us := range out {
-		for _, u := range us {
-			switch partition.Component(u.Tag) {
-			case partition.CompH2L:
-				st.lowerL(int32(u.Off), u.Val)
-			case partition.CompL2H:
-				st.lowerHub(int32(u.Off), u.Val)
-			default: // L2L: Off is the original vertex id
-				st.lowerL(layout.LocalIdx(u.Off), u.Val)
-			}
-		}
-	}
+	})
 }
 
 // l2eProp: dirty owned L vertices lower E delegate labels locally.
 func (st *wccState) l2eProp() (int64, error) {
 	csr := &st.rg.LToE
-	var edges int64
-	st.lDirty.ForEach(func(li int) {
+	return lRows(csr.Ptr, csr.Adj, st.lDirty, func(li int, row []int32) {
 		lbl := st.lBase[li]
-		for _, hub := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
-			edges++
+		for _, hub := range row {
 			st.lowerHub(hub, lbl)
 		}
-	})
-	return edges, nil
+	}), nil
 }
 
 // l2hProp: dirty owned L vertices message the row delegate of each H
 // neighbor whose replicated label is not already as low (delegation knowledge
 // saves the message — the live check is identical on the dense and sparse
 // arms because nothing between L2E and here touches hub labels). On the
-// batched row exchange the updates join the H2L ones parked in the scratch and
-// both ride one flush; deferring the H2L applies is safe because the kernels
-// in between read only base labels and hub labels, never live L labels.
+// batched row exchange H2L's applies wait for this kernel's flush; deferring
+// them is safe because the kernels in between read only base labels and hub
+// labels, never live L labels.
 func (st *wccState) l2hProp() (int64, error) {
 	csr := &st.rg.LToH
 	hubs := st.e.Part.Hubs
 	mesh := st.e.Opt.Mesh
-	sparse := st.sparse[partition.CompL2H]
-	ups := st.scr.ups
-	if !st.batchRow {
-		ups = ups[:0]
-	}
 	send := resetParts(&st.scr.hubParts, mesh.Cols)
-	var edges int64
-	st.lDirty.ForEach(func(li int) {
+	edges := lRows(csr.Ptr, csr.Adj, st.lDirty, func(li int, row []int32) {
 		lbl := st.lBase[li]
-		for _, hub := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
-			edges++
-			if lbl >= st.hubLabel[hub] {
-				continue
-			}
-			col := hubs.ColBlockOf(hub, mesh)
-			if sparse {
-				ups = append(ups, comm.SparseUpdate{Dst: int32(col),
-					Tag: int32(partition.CompL2H), Off: int64(hub), Val: lbl})
-			} else {
+		for _, hub := range row {
+			if lbl < st.hubLabel[hub] {
+				col := hubs.ColBlockOf(hub, mesh)
 				send[col] = append(send[col], hubMsg{Hub: hub, Parent: lbl})
 			}
 		}
 	})
-	if sparse {
-		st.scr.ups = ups
-		return edges, st.flushSparse(st.r.RowC, st.applySparse)
-	}
-	recv, err := comm.Alltoallv(st.r.RowC, send)
-	for _, part := range recv {
-		for _, m := range part {
-			st.lowerHub(m.Hub, m.Parent)
-		}
-	}
-	return edges, err
-}
-
-// l2lProp: dirty owned L vertices message their L neighbors' owners; one
-// world alltoallv, or the sparse world allgather on tail iterations (Off
-// carries the original destination ID).
-func (st *wccState) l2lProp() (int64, error) {
-	csr := &st.rg.L2L
-	layout := st.e.Part.Layout
-	sparse := st.sparse[partition.CompL2L]
-	ups := st.scr.ups[:0]
-	send := resetParts(&st.scr.l2lParts, layout.P)
-	var edges int64
-	st.lDirty.ForEach(func(li int) {
-		lbl := st.lBase[li]
-		adj := csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]]
-		edges += int64(len(adj))
-		for _, dst := range adj {
-			owner := layout.Owner(dst)
-			if sparse {
-				ups = append(ups, comm.SparseUpdate{Dst: int32(owner),
-					Tag: int32(partition.CompL2L), Off: dst, Val: lbl})
-			} else {
-				send[owner] = append(send[owner], l2lMsg{Dst: dst, Parent: lbl})
+	return edges, ship(&st.valueBase, partition.CompL2H, send, func(recv [][]hubMsg) {
+		for _, part := range recv {
+			for _, m := range part {
+				st.lowerHub(m.Hub, m.Parent)
 			}
 		}
 	})
-	if sparse {
-		st.scr.ups = ups
-		return edges, st.flushSparse(st.r.World, st.applySparse)
-	}
-	recv, err := comm.Alltoallv(st.r.World, send)
-	for _, part := range recv {
-		for _, m := range part {
-			st.lowerL(layout.LocalIdx(m.Dst), m.Parent)
-		}
-	}
-	return edges, err
 }
 
-// writeResult assembles this rank's share of the global label array: its
-// owned block as it stands, then the hubs whose original IDs it owns overlaid
-// (hub labels are identical on all ranks after the per-iteration syncs).
-func (st *wccState) writeResult(label []int64) {
-	lo := st.e.Part.Layout.GlobalOf(st.r.ID, 0)
-	blk := ownedSeg(st.e, st.r.ID, label)
-	copy(blk, st.lLabel)
-	for _, h := range st.e.hubsAt[st.r.ID] {
-		blk[st.e.Part.Hubs.Orig[h]-lo] = st.hubLabel[h]
-	}
+// l2lProp: dirty owned L vertices message their L neighbors' owners over the
+// world (l2lMsg addresses the original destination ID).
+func (st *wccState) l2lProp() (int64, error) {
+	csr := &st.rg.L2L
+	layout := st.e.Part.Layout
+	send := resetParts(&st.scr.l2lParts, layout.P)
+	edges := lRows(csr.Ptr, csr.Adj, st.lDirty, func(li int, row []int64) {
+		lbl := st.lBase[li]
+		for _, dst := range row {
+			owner := layout.Owner(dst)
+			send[owner] = append(send[owner], l2lMsg{Dst: dst, Parent: lbl})
+		}
+	})
+	return edges, ship(&st.valueBase, partition.CompL2L, send, func(recv [][]l2lMsg) {
+		for _, part := range recv {
+			for _, m := range part {
+				st.lowerL(layout.LocalIdx(m.Dst), m.Parent)
+			}
+		}
+	})
 }

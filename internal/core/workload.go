@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"time"
 
-	"repro/internal/bitmap"
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/partition"
@@ -14,13 +13,15 @@ import (
 	"repro/internal/trace"
 )
 
-// workload is one frontier-style kernel schedule run by the per-rank driver:
-// BFS, connected components, k-core peeling, delta-stepping SSSP. A workload
-// owns its vertex state (bitmaps, labels, distances) and its per-step kernel
-// bodies; the driver owns everything the paper's engine shares across
-// workloads — the four-step retryable iteration skeleton, the control-plane
-// failure votes, checkpoint capture/replay, the sparse-tail feedback loop and
-// the span/recorder plumbing. The contract mirrors the BFS loop exactly:
+// workload is one frontier-style kernel schedule run by the per-rank driver.
+// It has two implementations: multiState, the BFS workload (multisource.go),
+// and valueBase (value.go), which WCC, k-core, SSSP and PageRank embed. A
+// workload owns its vertex state (bitmaps, labels, distances) and its
+// per-step kernel bodies; the driver owns everything the paper's engine
+// shares across workloads — the four-step retryable iteration skeleton, the
+// control-plane failure votes, checkpoint capture/replay, the sparse-tail
+// byte feedback and the span/recorder plumbing. The contract mirrors the BFS
+// loop exactly:
 //
 //   - bootstrap seeds a fresh run over the control plane (no prior state to
 //     retry from).
@@ -84,22 +85,16 @@ type driver struct {
 	// workload names the query whose plane is running.
 	kernelArgs map[string]int64
 
-	// maxIter bounds the iteration loop (BFS: Opt.MaxIterations; iterative
-	// value-propagation workloads get a larger multiple — see newWorkloadDriver).
+	// maxIter bounds the iteration loop (BFS: Opt.MaxIterations; the value
+	// workloads get a larger multiple — see newValueBase).
 	maxIter int
 
-	// Sparse-tail plumbing. sparse holds the iteration's per-component
-	// dense-vs-sparse choices and batchRow whether the H2L and L2H payloads
-	// ride one batched row exchange; both are set once per iteration, so
-	// retries of the same iteration keep the same collective schedule.
-	// lastIterBytes is the previous iteration's globally summed data-plane
-	// bytes, fed back by the epilogue allreduce (-1 = unknown: the first
-	// iteration, and the first after a checkpoint resume — identically on
-	// every rank, which keeps the adaptive choice in lockstep). iterBytesBase
-	// is the recorder's byte total at iteration start. Batched updates wait in
-	// scr.ups between the H2L and L2H kernels.
-	sparse        [partition.NumComponents]bool
-	batchRow      bool
+	// Sparse-tail feedback. lastIterBytes is the previous iteration's
+	// globally summed data-plane bytes, fed back by the epilogue allreduce
+	// (-1 = unknown: the first iteration, and the first after a checkpoint
+	// resume — identically on every rank, which keeps the adaptive choice in
+	// lockstep). iterBytesBase is the recorder's byte total at iteration
+	// start.
 	lastIterBytes int64
 	iterBytesBase int64
 
@@ -137,19 +132,6 @@ func newDriver(e *Engine, r *comm.Rank, maxIter int) driver {
 		lastIterBytes: -1,
 		resumeIter:    -2,
 	}
-}
-
-// workloadIterScale multiplies Opt.MaxIterations for the iterative
-// value-propagation workloads (WCC, k-core, SSSP): label propagation runs to
-// the graph diameter, peeling can shave a long path two vertices per round,
-// and delta-stepping visits one bucket per quiescent iteration — all far past
-// a small-world BFS depth but still bounded.
-const workloadIterScale = 32
-
-func newWorkloadDriver(e *Engine, r *comm.Rank) driver {
-	d := newDriver(e, r, e.Opt.MaxIterations*workloadIterScale)
-	d.scr.touched.reset(e.Part.Hubs.K())
-	return d
 }
 
 // commBytes is the recorder's total observed data-plane traffic; deltas of it
@@ -231,119 +213,6 @@ func syncHubWords(d *driver, words []uint64, name string) error {
 	})
 }
 
-// touchedHubs is the set of replicated hub slots a rank has changed since the
-// last delegate sync: a mark per hub so a slot enters the list once, and the
-// list so that clearing and shipping cost what changed, not K.
-type touchedHubs struct {
-	mark []uint64
-	list []int32
-}
-
-// reset empties the set and sizes it for k hubs. A run that aborted between
-// a kernel and its sync leaves marks behind; the list names them.
-func (t *touchedHubs) reset(k int) {
-	if len(t.mark) != (k+63)/64 {
-		t.mark, t.list = make([]uint64, (k+63)/64), t.list[:0]
-	}
-	t.clear()
-}
-
-func (t *touchedHubs) add(h int32) {
-	if w, b := h>>6, uint64(1)<<uint(h&63); t.mark[w]&b == 0 {
-		t.mark[w] |= b
-		t.list = append(t.list, h)
-	}
-}
-
-func (t *touchedHubs) clear() {
-	for _, h := range t.list {
-		t.mark[h>>6] = 0
-	}
-	t.list = t.list[:0]
-}
-
-// syncTouched is the ported workloads' delegate sync: the paper's delayed
-// reduction of replicated hub state, shipping only what changed. Every rank
-// packs the hub slots it changed since the last sync (d.scr.touched) as
-// (hub, value) records, allgathers them down its column and folds the other
-// members' records into its replica; whatever that changed joins the touched
-// set, which then travels along the row the same way. fold applies one
-// received record and reports whether the rank must pass that hub on (a
-// min-fold passes on what it lowered, a sum-fold everything); folds are
-// commutative and associative, so every replica ends identical whatever the
-// member order. On return the touched set is the hubs changed anywhere in the
-// world, for the caller to consume and clear. Both allgathers always run —
-// with empty records where nothing changed, and after a column failure — so
-// every rank keeps the same per-communicator schedule; a failed merge leaves
-// garbage the step retry's snapshot restore discards. Observed as PhaseOther.
-func syncTouched[T any](d *driver, name string, recs *[]T, pack func(h int32) T, fold func(m T) (int32, bool)) error {
-	t := &d.scr.touched
-	axis := func(c *comm.Comm) error {
-		send := (*recs)[:0]
-		for _, h := range t.list {
-			send = append(send, pack(h))
-		}
-		*recs = send
-		parts, err := comm.Allgatherv(c, send)
-		for j, part := range parts {
-			if j == c.Rank() {
-				continue
-			}
-			for _, m := range part {
-				if h, pass := fold(m); pass {
-					t.add(h)
-				}
-			}
-		}
-		return err
-	}
-	return d.observeCollective(stats.PhaseOther, trace.KindSync, name, func() error {
-		if d.e.Part.Hubs.K() == 0 {
-			return nil
-		}
-		err := axis(d.r.ColC)
-		if e2 := axis(d.r.RowC); err == nil {
-			err = e2
-		}
-		return err
-	})
-}
-
-// flushSparse ships the sparse updates parked in the rank's scratch in one
-// allgather over c and hands what this rank received to apply. The buffer is
-// emptied before the exchange even on error: a retry re-enters at the top of
-// the step and regenerates every update.
-func (d *driver) flushSparse(c *comm.Comm, apply func(out [][]comm.SparseUpdate)) error {
-	ups := d.scr.ups
-	d.scr.ups = ups[:0]
-	out, err := comm.AllgatherSparse(c, ups)
-	if err == nil {
-		apply(out)
-	}
-	return err
-}
-
-// latch copies live into base for the members of set — the only slots the
-// iteration's kernels read a base value of — or wholesale when most slots are
-// members and one memcpy beats the walk.
-func latch[T any](base, live []T, set *bitmap.Bitmap) {
-	if set.Count()*8 > len(live) {
-		copy(base, live)
-		return
-	}
-	set.ForEach(func(i int) { base[i] = live[i] })
-}
-
-// snapInt64 copies src into a reusable snapshot buffer, mirroring snapWords
-// for the workloads' value arrays (labels, degrees, packed distances).
-func snapInt64(dst *[]int64, src []int64) {
-	if cap(*dst) < len(src) {
-		*dst = make([]int64, len(src))
-	}
-	*dst = (*dst)[:len(src)]
-	copy(*dst, src)
-}
-
 // vote is the retry-boundary agreement over the reliable control plane.
 // Word 0 ORs every rank's failed-step mask; the remaining words OR a
 // dead-rank bitmask assembled from typed collective errors plus the rank's
@@ -395,64 +264,6 @@ func (d *driver) runComp(c partition.Component, dir stats.Direction, fn func() (
 		return nil
 	}
 	return d.observe(c, dir, fn)
-}
-
-// chooseSchedule is the ported workloads' direction/sparse latch: every
-// component pushes (value propagation has no profitable pull form for these
-// workloads) or skips when its active-source proxy is empty, and the remote
-// push components go sparse under the same cutoff + byte-feedback rule as
-// BFS (see pickSparse). act[c] is the component's globally consistent
-// active-source count; skipEmpty elides components with act[c] == 0;
-// rowBatch allows the H2L+L2H batched row exchange (a workload whose L2H is
-// a local delegation, like k-core, must pass false). All inputs are
-// globally consistent, so every rank latches the identical schedule.
-func (d *driver) chooseSchedule(it *IterTrace, act [partition.NumComponents]int64, skipEmpty, rowBatch bool) {
-	var s0 int64
-	if d.tr != nil {
-		s0 = d.tr.Now()
-	}
-	for c := 0; c < int(partition.NumComponents); c++ {
-		if skipEmpty && act[c] == 0 {
-			it.Directions[c] = stats.DirSkip
-		} else {
-			it.Directions[c] = stats.DirPush
-		}
-	}
-	mode := d.e.Opt.SparseTail
-	eligible := func(c partition.Component) bool {
-		if it.Directions[c] != stats.DirPush {
-			return false
-		}
-		if mode == SparseOff {
-			return false
-		}
-		if mode == SparseAlways {
-			return true
-		}
-		return d.e.sparseTail(act[c], d.lastIterBytes)
-	}
-	it.Sparse[partition.CompH2L] = eligible(partition.CompH2L)
-	it.Sparse[partition.CompL2H] = rowBatch && eligible(partition.CompL2H)
-	it.Sparse[partition.CompL2L] = eligible(partition.CompL2L)
-	d.sparse = it.Sparse
-	d.batchRow = rowBatch && it.Sparse[partition.CompH2L] && it.Sparse[partition.CompL2H]
-	if d.tr != nil {
-		args := map[string]int64{
-			"active_e":   it.ActiveE,
-			"active_h":   it.ActiveH,
-			"active_l":   it.ActiveL,
-			"last_bytes": d.lastIterBytes,
-		}
-		for c := 0; c < int(partition.NumComponents); c++ {
-			args["dir_"+partition.Component(c).String()] = int64(it.Directions[c])
-			if it.Sparse[c] {
-				args["sparse_"+partition.Component(c).String()] = 1
-			}
-		}
-		d.tr.Emit(trace.Span{Kind: trace.KindDecision, Epoch: d.r.Epoch(),
-			Iter: d.curIter, Step: -1, Name: "choose_schedule",
-			Start: s0, Dur: d.tr.Now() - s0, Args: args})
-	}
 }
 
 // loadCheckpoint rebuilds the rank's iteration state by replaying the delta

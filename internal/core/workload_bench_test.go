@@ -76,12 +76,14 @@ func scratchBytes(e *Engine) (total int) {
 	return total
 }
 
-// BenchmarkWorkloadExchangeAllocs runs warm WCC and SSSP runs on one engine
-// and pins the exchange layer's claim: once a first run has grown them, the
-// dense send buffers, the sparse update buffer and the delegate-sync records
-// come out of Engine.scratch and no iteration allocates one (sendbuf_B/op is
-// the growth of their capacity per run and must be 0). allocs/op is what is
-// left: the receive-side copies comm makes, result arrays and per-run state.
+// BenchmarkWorkloadExchangeAllocs runs warm runs of each value workload on
+// one engine and pins the exchange layer's claim: once a first run has grown
+// them, the dense send buffers, the sparse update buffer and the delegate-sync
+// records come out of Engine.scratch and no iteration allocates one
+// (sendbuf_B/op is the growth of their capacity per run and must be 0). All
+// four share one remote-push path, so the claim holds for all four. allocs/op
+// is what is left: the receive-side copies comm makes, the kernels' receive
+// closures, result arrays and per-run state.
 func BenchmarkWorkloadExchangeAllocs(b *testing.B) {
 	e := benchEngine(b)
 	root := firstConnectedRootOf(e)
@@ -91,6 +93,8 @@ func BenchmarkWorkloadExchangeAllocs(b *testing.B) {
 	}{
 		{"wcc", e.RunWCC},
 		{"sssp", func() (*WorkloadResult, error) { return e.RunSSSP(root, 7, 0) }},
+		{"kcore", func() (*WorkloadResult, error) { return e.RunKCore(3) }},
+		{"pagerank", func() (*WorkloadResult, error) { return e.RunPageRank(0.85, 1e-9, 0) }},
 	} {
 		b.Run(w.name, func(b *testing.B) {
 			if _, err := w.run(); err != nil { // warm: grows the scratch once

@@ -377,6 +377,12 @@ func TestWorkloadArgumentValidation(t *testing.T) {
 	if _, err := eng.RunSSSP(n, 1, 0); err == nil {
 		t.Fatal("out-of-range root accepted")
 	}
+	if _, err := eng.RunSSSP(0, 1, math.NaN()); err == nil {
+		t.Fatal("NaN bucket width accepted")
+	}
+	if _, err := eng.RunPageRank(0.85, math.NaN(), 10); err == nil {
+		t.Fatal("NaN PageRank tolerance accepted")
+	}
 	if _, err := eng.RunPageRank(0.85, 0, eng.Opt.MaxIterations*workloadIterScale+1); err == nil {
 		t.Fatal("PageRank budget above the driver's bound accepted")
 	}

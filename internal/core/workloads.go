@@ -73,6 +73,16 @@ func newWorkloadResult(workload string, rc *runCommon) *WorkloadResult {
 	}
 }
 
+// hosted calls fn with the final state of every rank this process hosts (a
+// distributed world leaves the others nil).
+func hosted[S workload](rc *runCommon, fn func(st S)) {
+	for _, wl := range rc.states {
+		if wl != nil {
+			fn(wl.(S))
+		}
+	}
+}
+
 // RunWCC computes connected components on the engine's fast path: min-label
 // propagation over the six 1.5D components with delegated hub labels, the
 // adaptive sparse tail, step-granular retry and checkpoint/recovery — the
@@ -84,18 +94,14 @@ func (e *Engine) RunWCC() (*WorkloadResult, error) {
 		return nil, err
 	}
 	res := newWorkloadResult("wcc", rc)
-	n := e.Part.Layout.N
-	res.Label = make([]int64, n)
+	res.Label = make([]int64, e.Part.Layout.N)
 	for i := range res.Label {
 		res.Label[i] = -1
 	}
 	if rc.err == nil {
-		for _, wl := range rc.states {
-			if wl == nil {
-				continue
-			}
-			wl.(*wccState).writeResult(res.Label)
-		}
+		hosted(rc, func(st *wccState) {
+			writeOwned(&st.valueBase, res.Label, st.lLabel, func(h int32) int64 { return st.hubLabel[h] })
+		})
 		e.distAssemble(func(r *comm.Rank, lead bool) {
 			gatherOwned(e, r, lead, res.Label)
 		})
@@ -113,7 +119,7 @@ func (e *Engine) RunWCC() (*WorkloadResult, error) {
 // RunKCore computes the k-core (every vertex of the maximal subgraph with
 // minimum degree k) by synchronous peeling on the fast path: peel marks and
 // degree decrements ride the six components, hub decrements are delegated and
-// sum-reduced column-then-row, and the whole loop inherits retry and
+// sum-folded column-then-row, and the whole loop inherits retry and
 // checkpoint/recovery from the driver.
 func (e *Engine) RunKCore(k int64) (*WorkloadResult, error) {
 	if k < 0 {
@@ -128,12 +134,13 @@ func (e *Engine) RunKCore(k int64) (*WorkloadResult, error) {
 	res.K = k
 	res.InCore = make([]bool, e.Part.Layout.N)
 	if rc.err == nil {
-		for _, wl := range rc.states {
-			if wl == nil {
-				continue
+		hosted(rc, func(st *kcoreState) {
+			blk := ownedSeg(e, st.r.ID, res.InCore)
+			for li := range blk {
+				blk[li] = !st.lRemoved.Test(li)
 			}
-			wl.(*kcoreState).writeResult(res.InCore)
-		}
+			writeOwned(&st.valueBase, res.InCore, nil, func(h int32) bool { return !st.hubRemoved.Test(int(h)) })
+		})
 		e.distAssemble(func(r *comm.Rank, lead bool) {
 			gatherOwned(e, r, lead, res.InCore)
 		})
@@ -152,11 +159,14 @@ func (e *Engine) RunKCore(k int64) (*WorkloadResult, error) {
 // vertices whose tentative distance falls inside the current delta-bucket,
 // delegated hub distances are min-merged column-then-row, and bucket advance
 // rides the epilogue allreduce pair. delta <= 0 selects the default bucket
-// width (1/8, tuned for uniform [0,1) weights).
+// width (1/8, tuned for uniform [0,1) weights); a NaN delta is rejected.
 func (e *Engine) RunSSSP(root int64, weightSeed uint64, delta float64) (*WorkloadResult, error) {
 	n := e.Part.Layout.N
 	if root < 0 || root >= n {
 		return nil, fmt.Errorf("core: root %d out of [0,%d)", root, n)
+	}
+	if math.IsNaN(delta) {
+		return nil, fmt.Errorf("core: SSSP bucket width is NaN")
 	}
 	if delta <= 0 {
 		delta = 1.0 / 8
@@ -176,14 +186,11 @@ func (e *Engine) RunSSSP(root int64, weightSeed uint64, delta float64) (*Workloa
 		res.Parent[i] = -1
 	}
 	if rc.err == nil {
-		for _, wl := range rc.states {
-			if wl == nil {
-				continue
-			}
-			st := wl.(*ssspState)
-			st.writeResult(res.Dist, res.Parent)
+		hosted(rc, func(st *ssspState) {
+			writeOwned(&st.valueBase, res.Dist, st.lDist, func(h int32) float64 { return st.hubDist[h] })
+			writeOwned(&st.valueBase, res.Parent, st.lParent, func(h int32) int64 { return st.hubParent[h] })
 			res.Relaxations += st.relaxations
-		}
+		})
 		if e.World.Distributed() {
 			// Gather the remote segments of both arrays and replace the
 			// process-local relaxation count with the global sum.
@@ -211,11 +218,14 @@ func (e *Engine) RunSSSP(root int64, weightSeed uint64, delta float64) (*Workloa
 // (maxIter <= 0 means 100; tol = 0 runs exactly maxIter rounds). Dangling mass
 // is spread uniformly, hub contributions are delegated and sum-reduced
 // column-then-row, and the loop inherits retry and checkpoint/recovery from
-// the driver. damping must lie in (0,1), and maxIter may not exceed the
-// driver's bound of 32 × Options.MaxIterations.
+// the driver. damping must lie in (0,1), tol may not be NaN, and maxIter may
+// not exceed the driver's bound of 32 × Options.MaxIterations.
 func (e *Engine) RunPageRank(damping, tol float64, maxIter int) (*WorkloadResult, error) {
-	if damping <= 0 || damping >= 1 {
+	if !(damping > 0 && damping < 1) { // rejects NaN too
 		return nil, fmt.Errorf("core: damping %g out of (0,1)", damping)
+	}
+	if math.IsNaN(tol) {
+		return nil, fmt.Errorf("core: PageRank tolerance is NaN")
 	}
 	if maxIter <= 0 {
 		maxIter = 100
@@ -231,14 +241,10 @@ func (e *Engine) RunPageRank(damping, tol float64, maxIter int) (*WorkloadResult
 	res := newWorkloadResult("pagerank", rc)
 	res.Rank = make([]float64, e.Part.Layout.N)
 	if rc.err == nil {
-		for _, wl := range rc.states {
-			if wl == nil {
-				continue
-			}
-			st := wl.(*pagerankState)
-			st.writeResult(res.Rank)
+		hosted(rc, func(st *pagerankState) {
+			writeOwned(&st.valueBase, res.Rank, st.lVal, func(h int32) float64 { return st.hubVal[h] })
 			res.Delta = st.delta
-		}
+		})
 		e.distAssemble(func(r *comm.Rank, lead bool) {
 			gatherOwned(e, r, lead, res.Rank)
 		})
