@@ -389,22 +389,6 @@ func BenchmarkExtension_DelayedVsImmediateReduction(b *testing.B) {
 
 // --- Design-choice ablations ---------------------------------------------------
 
-// BenchmarkAblation_Segments sweeps the CG-aware segment count (the paper's
-// Discussion: "requires tuning on number of segments to adapt more
-// algorithms").
-func BenchmarkAblation_Segments(b *testing.B) {
-	n, edges := benchGraph(b, 15)
-	for _, segs := range []int{2, 6, 12} {
-		b.Run(fmt.Sprintf("segments%d", segs), func(b *testing.B) {
-			eng := benchEngine(b, n, edges, core.Options{Ranks: 4, Segmented: true, Segments: segs})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runBFS(b, eng, -1)
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_L2LForwarding contrasts direct global alltoallv with the
 // paper's intersection-rank forwarding, reporting moved bytes.
 func BenchmarkAblation_L2LForwarding(b *testing.B) {
@@ -424,24 +408,6 @@ func BenchmarkAblation_L2LForwarding(b *testing.B) {
 				}
 				v := res.Recorder.Volumes[stats.PhaseL2L]
 				b.ReportMetric(float64(v.TotalBytes()), "L2L-bytes")
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_PullRatio sweeps the remote-component direction switch.
-func BenchmarkAblation_PullRatio(b *testing.B) {
-	n, edges := benchGraph(b, 15)
-	for _, ratio := range []float64{1, 4, 16, 64} {
-		b.Run(fmt.Sprintf("ratio%g", ratio), func(b *testing.B) {
-			eng := benchEngine(b, n, edges, core.Options{Ranks: 4, PullRatio: ratio})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := eng.Run(pickRoot(eng))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.Recorder.TotalEdges()), "edges-touched")
 			}
 		})
 	}

@@ -122,8 +122,8 @@ func parentMain(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *procs < 1 || spec.Spares < 0 || spec.PeerDead <= 0 {
-		fmt.Fprintln(os.Stderr, "bfsrun: need -procs >= 1, -spares >= 0 and a positive -peer-dead")
+	if *procs < 1 || *roots < 1 || spec.Spares < 0 || spec.PeerDead <= 0 {
+		fmt.Fprintln(os.Stderr, "bfsrun: need -procs >= 1, -roots >= 1, -spares >= 0 and a positive -peer-dead")
 		return 2
 	}
 	// Validate needs only the process count; the addresses are named once

@@ -264,8 +264,11 @@ func (r *Runner) Degrees() []int64 { return r.Engine.Part.Degrees }
 
 // SampleRoots picks count distinct roots with nonzero degree, as the
 // Graph 500 benchmark requires ("search keys must be uniformly sampled from
-// the vertices with at least one edge").
+// the vertices with at least one edge"). count must be at least 1.
 func (r *Runner) SampleRoots(count int, seed uint64) ([]int64, error) {
+	if count < 1 {
+		return nil, fmt.Errorf("graph500: root count %d, want at least 1", count)
+	}
 	deg := r.Engine.Part.Degrees
 	rng := xrand.NewXoshiro256(seed)
 	seen := make(map[int64]bool)

@@ -66,6 +66,11 @@ func TestSampleRoots(t *testing.T) {
 	if len(roots) != 16 {
 		t.Fatalf("%d roots", len(roots))
 	}
+	for _, bad := range []int{0, -1} {
+		if _, err := r.SampleRoots(bad, 7); err == nil {
+			t.Fatalf("SampleRoots(%d) accepted", bad)
+		}
+	}
 	deg := r.Degrees()
 	seen := map[int64]bool{}
 	for _, root := range roots {

@@ -1,7 +1,7 @@
-// Package bitmap provides dense bit vectors used throughout the BFS engine:
-// plain bitmaps for single-owner frontiers, atomic bitmaps for concurrent
-// updates, and segmented views that mirror the CG-aware segmenting of the
-// paper (Section 4.3).
+// Package bitmap provides the dense bit vectors used throughout the BFS
+// engine: single-owner frontier and visited bitmaps, and the bit planes of
+// the batched multi-source engine, which view one shared backing as Q
+// per-query bitmaps.
 package bitmap
 
 import (

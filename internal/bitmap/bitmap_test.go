@@ -2,7 +2,6 @@ package bitmap
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -195,108 +194,6 @@ func TestPropertySetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAtomicConcurrentSet(t *testing.T) {
-	const n = 1 << 14
-	a := NewAtomic(n)
-	var wg sync.WaitGroup
-	var changed [8]int
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < n; i += 2 { // heavy overlap between goroutines
-				if a.TestAndSet(i) {
-					changed[g]++
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	// Every index was set by someone, and exactly one goroutine won each bit.
-	total := 0
-	for _, c := range changed {
-		total += c
-	}
-	if a.Count() != n {
-		t.Fatalf("Count = %d, want %d", a.Count(), n)
-	}
-	if total != n {
-		t.Fatalf("sum of successful TestAndSet = %d, want %d (linearizability)", total, n)
-	}
-}
-
-func TestAtomicSnapshotOrInto(t *testing.T) {
-	a := NewAtomic(100)
-	a.Set(1)
-	a.Set(99)
-	s := a.Snapshot()
-	if s.Count() != 2 || !s.Test(1) || !s.Test(99) {
-		t.Fatal("Snapshot mismatch")
-	}
-	dst := New(100)
-	dst.Set(2)
-	a.OrInto(dst)
-	if dst.Count() != 3 {
-		t.Fatalf("OrInto Count = %d, want 3", dst.Count())
-	}
-}
-
-func TestSegmentedMatchesFlat(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 64, 1000, 8192, 100000} {
-		for _, owners := range []int{1, 3, 64} {
-			flat := New(n)
-			seg := NewSegmented(n, owners, 1024)
-			for i := 0; i < n; i++ {
-				if rng.Intn(3) == 0 {
-					flat.Set(i)
-					seg.Set(i)
-				}
-			}
-			for i := 0; i < n; i++ {
-				if flat.Test(i) != seg.Test(i) {
-					t.Fatalf("n=%d owners=%d bit %d mismatch", n, owners, i)
-				}
-			}
-			if flat.Count() != seg.Count() {
-				t.Fatalf("n=%d owners=%d count mismatch", n, owners)
-			}
-		}
-	}
-}
-
-func TestSegmentedLoadStoreRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	n := 50000
-	flat := New(n)
-	for i := 0; i < n; i++ {
-		if rng.Intn(2) == 0 {
-			flat.Set(i)
-		}
-	}
-	seg := NewSegmented(n, 64, 1024)
-	seg.LoadFrom(flat)
-	back := New(n)
-	seg.StoreTo(back)
-	for i := 0; i < n; i++ {
-		if flat.Test(i) != back.Test(i) {
-			t.Fatalf("round trip bit %d mismatch", i)
-		}
-	}
-}
-
-func TestSegmentedOwnerMapping(t *testing.T) {
-	// 1024-byte lines over 64 owners: the paper's Fig. 7 mapping. Bit i's
-	// owner must be (i / 8192) % 64.
-	seg := NewSegmented(1<<20, 64, 1024)
-	for _, i := range []int{0, 8191, 8192, 16384, 8192*64 - 1, 8192 * 64} {
-		want := (i / 8192) % 64
-		if got := seg.Owner(i); got != want {
-			t.Errorf("Owner(%d) = %d, want %d", i, got, want)
-		}
-	}
-}
-
 func TestBitmapPanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -308,14 +205,6 @@ func TestBitmapPanicsOnMismatch(t *testing.T) {
 
 func BenchmarkSet(b *testing.B) {
 	bm := New(1 << 20)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		bm.Set(i & (1<<20 - 1))
-	}
-}
-
-func BenchmarkAtomicSet(b *testing.B) {
-	bm := NewAtomic(1 << 20)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bm.Set(i & (1<<20 - 1))
@@ -386,36 +275,6 @@ func TestNewNegativePanics(t *testing.T) {
 	New(-1)
 }
 
-func TestAtomicLenTestReset(t *testing.T) {
-	a := NewAtomic(77)
-	if a.Len() != 77 {
-		t.Fatalf("Len = %d", a.Len())
-	}
-	a.Set(10)
-	if !a.Test(10) || a.Test(11) {
-		t.Fatal("Test wrong")
-	}
-	a.Reset()
-	if a.Test(10) || a.Count() != 0 {
-		t.Fatal("Reset failed")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative atomic length accepted")
-		}
-	}()
-	NewAtomic(-1)
-}
-
-func TestAtomicOrIntoMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch accepted")
-		}
-	}()
-	NewAtomic(10).OrInto(New(11))
-}
-
 func TestAndNotMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -432,31 +291,6 @@ func TestCopyFromMismatchPanics(t *testing.T) {
 		}
 	}()
 	New(10).CopyFrom(New(11))
-}
-
-func TestSegmentedAccessors(t *testing.T) {
-	s := NewSegmented(1000, 4, 8)
-	if s.Len() != 1000 || s.Owners() != 4 {
-		t.Fatalf("Len=%d Owners=%d", s.Len(), s.Owners())
-	}
-	if lane := s.Lane(0); lane == nil {
-		t.Fatal("nil lane")
-	}
-	for _, bad := range []func(){
-		func() { NewSegmented(10, 0, 8) },
-		func() { NewSegmented(10, 2, 7) },
-		func() { s.LoadFrom(New(5)) },
-		func() { s.StoreTo(New(5)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("bad geometry accepted")
-				}
-			}()
-			bad()
-		}()
-	}
 }
 
 func TestNextSetNegativeFrom(t *testing.T) {

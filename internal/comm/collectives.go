@@ -235,23 +235,6 @@ func Alltoallv[T any](c *Comm, send [][]T) ([][]T, error) {
 	return recv, err
 }
 
-// AlltoallvFlat is Alltoallv with the received buffers concatenated.
-func AlltoallvFlat[T any](c *Comm, send [][]T) ([]T, error) {
-	parts, err := Alltoallv(c, send)
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]T, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out, nil
-}
-
 // Allgatherv gathers each member's buffer on every member; result[i] is a
 // copy of member i's buffer. The copies happen before the closing barrier so
 // a sender mutating its buffer right after the call cannot corrupt any
@@ -474,13 +457,13 @@ func AllreduceSumInt64(c *Comm, v int64) (int64, error) {
 }
 
 // AllreduceSumInt64s sums the members' equal-length int64 vectors element-wise
-// and returns the totals on every member. Unlike AllreduceSumInt64Vec this is
-// one rendezvous — every member posts its whole vector and sums all
-// contributions — the right shape for control-sized vectors where a
-// reduce-scatter + allgather pair would double the collective count. The
-// engine's epilogue rides it to agree on the active-L count and the
-// iteration's observed bytes in a single collective, keeping the epilogue's
-// schedule position identical whether or not the byte feedback is consumed.
+// and returns the totals on every member. It is one rendezvous — every
+// member posts its whole vector and sums all contributions — the right shape
+// for control-sized vectors where a reduce-scatter + allgather pair would
+// double the collective count. The engine's epilogue rides it to agree on
+// the active-L count and the iteration's observed bytes in a single
+// collective, keeping the epilogue's schedule position identical whether or
+// not the byte feedback is consumed.
 func AllreduceSumInt64s(c *Comm, vals []int64) ([]int64, error) {
 	seq := c.nextSeq()
 	tok := c.traceEnter()
@@ -589,33 +572,6 @@ func ControlGatherSlices[T any](c *Comm, send []T) [][]T {
 	return out
 }
 
-// Bcast distributes root's value to every member.
-func Bcast[T any](c *Comm, v T, root int) (T, error) {
-	seq := c.nextSeq()
-	tok := c.traceEnter()
-	c.rank.Stats.Calls[KindAllgather]++
-	if c.me == root {
-		for j := 0; j < c.Size(); j++ {
-			if j != root {
-				c.account(KindAllgather, j, elemSize[T]())
-			}
-		}
-		contribute1(c, KindAllgather, seq, []T{v})
-	} else {
-		// Non-root members only receive; they are not intercepted (a stalled
-		// receiver cannot lose anyone else's data).
-	}
-	c.rendezvous(seq, []int{root})
-	err := c.verify(KindAllgather, []int{root})
-	var out T
-	if err == nil {
-		out = slotSlice[T](c, root)[0]
-	}
-	c.complete(seq)
-	c.traceExit("bcast", tok, err)
-	return out, err
-}
-
 // AllreduceSumFloat64 sums the members' float64 vectors element-wise in
 // place on every member. Summation order is member order, so every member
 // computes bit-identical results — the property PageRank's hub sum relies on
@@ -659,50 +615,5 @@ func AllreduceSumFloat64(c *Comm, vals []float64) error {
 		}
 	}
 	c.traceExit("allreduce_sum_f64", tok, err)
-	return err
-}
-
-// AllreduceSumInt64Vec sums the members' int64 vectors element-wise in place
-// on every member (reduce-scatter + allgather, like the other vector
-// reductions). Used by distributed preprocessing to combine per-rank degree
-// histograms. On error vals is left untouched.
-func AllreduceSumInt64Vec(c *Comm, vals []int64) error {
-	seq := c.nextSeq()
-	tok := c.traceEnter()
-	k := c.Size()
-	c.rank.Stats.Calls[KindReduceScatter]++
-	n := len(vals)
-	for j := 0; j < k; j++ {
-		if j != c.me {
-			jlo, jhi := segBounds(n, k, j)
-			c.account(KindReduceScatter, j, int64(jhi-jlo)*8)
-		}
-	}
-	contribute1(c, KindReduceScatter, seq, vals)
-	c.rendezvous(seq, nil)
-	err := c.verify(KindReduceScatter, nil)
-	lo, hi := segBounds(n, k, c.me)
-	var seg []int64
-	if err == nil {
-		seg = make([]int64, hi-lo)
-		for j := 0; j < k; j++ {
-			other := slotSlice[int64](c, j)
-			for i := range seg {
-				seg[i] += other[lo+i]
-			}
-		}
-	}
-	c.complete(seq)
-	parts, err2 := Allgatherv(c, seg)
-	if err == nil {
-		err = err2
-	}
-	if err == nil {
-		for j := 0; j < k; j++ {
-			jlo, jhi := segBounds(n, k, j)
-			copy(vals[jlo:jhi], parts[j][:jhi-jlo])
-		}
-	}
-	c.traceExit("allreduce_sum_vec", tok, err)
 	return err
 }

@@ -231,16 +231,6 @@ func TestAllreduceSumInt64(t *testing.T) {
 	})
 }
 
-func TestBcast(t *testing.T) {
-	w := testWorld(t, 4, topology.Mesh{Rows: 2, Cols: 2})
-	w.Run(func(r *Rank) {
-		v := Must(Bcast(r.World, r.ID*111, 2))
-		if v != 222 {
-			panic(fmt.Sprintf("rank %d got %d", r.ID, v))
-		}
-	})
-}
-
 func TestRowColCollectivesIndependent(t *testing.T) {
 	// Row sums and column sums over a 2x3 mesh with value = rank id.
 	w := testWorld(t, 6, topology.Mesh{Rows: 2, Cols: 3})
@@ -376,27 +366,6 @@ func TestAllreduceSumFloat64(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestAllreduceSumInt64Vec(t *testing.T) {
-	const n = 4
-	w := testWorld(t, n, topology.Mesh{Rows: 2, Cols: 2})
-	w.Run(func(r *Rank) {
-		vals := make([]int64, 10)
-		for i := range vals {
-			vals[i] = int64(r.ID + i)
-		}
-		Must0(AllreduceSumInt64Vec(r.World, vals))
-		for i := range vals {
-			want := int64(0)
-			for id := 0; id < n; id++ {
-				want += int64(id + i)
-			}
-			if vals[i] != want {
-				panic(fmt.Sprintf("vals[%d] = %d, want %d", i, vals[i], want))
-			}
-		}
-	})
 }
 
 func TestRandomizedCollectiveSequence(t *testing.T) {

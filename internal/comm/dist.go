@@ -309,8 +309,8 @@ type distComm struct {
 // blocking until each has either arrived or its hosting process has been
 // declared dead (in which case a dead envelope is synthesized — the typed
 // ErrRankDead every member then agrees on). members narrows the wait to a
-// contributing subset (Bcast); nil means all. Only the local leader calls
-// this, between the opening barrier and the gather barrier.
+// contributing subset; nil means all. Only the local leader calls this,
+// between the opening barrier and the gather barrier.
 func (sh *shared) fill(seq uint64, members []int) {
 	d := sh.dist
 	g := d.w.dist.Group

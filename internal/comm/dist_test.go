@@ -132,11 +132,6 @@ func TestDistCollectivesAgreeWithClosedForms(t *testing.T) {
 			if want := uint64(1<<uint(n)) - 1; words[0] != want {
 				t.Errorf("procs=%d rank %d: or %#x, want %#x", procs, r.ID, words[0], want)
 			}
-			// Bcast from the last rank (hosted by the last process).
-			v := Must(Bcast(r.World, r.ID*10, n-1))
-			if want := (n - 1) * 10; v != want {
-				t.Errorf("procs=%d rank %d: bcast %d, want %d", procs, r.ID, v, want)
-			}
 			// Row communicator (split across processes when procs=2: row 0 is
 			// ranks 0-2 = procs 0,0,1).
 			rsum := Must(AllreduceSumInt64(r.RowC, int64(r.ID)))
@@ -200,9 +195,6 @@ func TestDistFaultParity(t *testing.T) {
 	for _, f := range faults {
 		for _, op := range collectiveOps {
 			victim := mesh.Size() - 1 // hosted by process 1
-			if op.name == "bcast" {
-				victim = 0 // only the root contributes to a bcast
-			}
 			if op.name == "barrier" && (f.name == "corrupt" || f.name == "delay") {
 				continue // no payload to corrupt; no deadline on pure sync
 			}

@@ -38,8 +38,8 @@ func TestEnvelopeVerdictOnEveryMember(t *testing.T) {
 	for _, socket := range []bool{false, true} {
 		for _, victim := range []int{0, 3} { // hosted by process 0 / process 1
 			for _, op := range collectiveOps {
-				if op.name == "barrier" || (op.name == "bcast" && victim != 0) {
-					continue // no payload; only the root contributes
+				if op.name == "barrier" {
+					continue // no payload
 				}
 				t.Run(fmt.Sprintf("socket=%v/victim=%d/%s", socket, victim, op.name), func(t *testing.T) {
 					runSPMD(envelopeWorlds(t, socket, victim), func(r *Rank) {

@@ -165,9 +165,9 @@ func (s *FaultStats) Injected() int64 {
 }
 
 // Must unwraps a collective result, panicking on error. The fault-oblivious
-// packages (baseline, psort, partition) construct worlds
-// without a Transport, where collectives cannot fail, and use Must at their
-// call sites; fault-aware callers (the core engine) handle the error.
+// baseline constructs worlds without a Transport, where collectives cannot
+// fail, and uses Must at its call sites; fault-aware callers (the core
+// engine) handle the error.
 func Must[T any](v T, err error) T {
 	if err != nil {
 		panic(fmt.Sprintf("comm: collective failed on a reliable world: %v", err))

@@ -41,11 +41,6 @@ func TestKillSurfacesErrRankDeadEverywhere(t *testing.T) {
 	for _, mesh := range meshes {
 		for _, op := range collectiveOps {
 			victim := mesh.Size() - 1
-			if op.name == "bcast" {
-				// Bcast intercepts only its root contributor (receivers post
-				// nothing a fault could touch), so the kill must hit root 0.
-				victim = 0
-			}
 			w := killWorld(t, mesh, victim)
 			kills := make([]int64, mesh.Size())
 			w.Run(func(r *Rank) {

@@ -141,7 +141,7 @@ func (st *rankState) pickDirections(it IterTrace) [partition.NumComponents]stats
 	}
 
 	alpha := pullThreshold
-	beta := st.e.Opt.PullRatio
+	beta := pullRatio
 	pick := func(skip bool, pull bool) stats.Direction {
 		if skip {
 			// Degree-aware skipping: a sub-iteration with no active sources

@@ -62,12 +62,18 @@ const (
 	SparseAlways
 )
 
-// Direction and sparse-tail policy constants. None of them is an option: no
-// caller ever set a second value.
+// Direction, segmenting and sparse-tail policy constants. None of them is an
+// option: no caller ever set a second value.
 const (
 	// pullThreshold is the active-source fraction above which node-local
 	// components (EH2EH, E2L, L2E) switch to pull.
 	pullThreshold = 0.05
+	// pullRatio scales the push/pull comparison for remote components (H2L,
+	// L2H, L2L): pull wins when unvisitedDstFrac < activeSrcFrac*pullRatio.
+	// Tuned like Beamer's bottom-up switch factor: scanning an unvisited
+	// destination is far cheaper than a per-edge message, and early exit
+	// truncates most scans.
+	pullRatio = 16.0
 	// sparseCutoffPerRank is, per rank, the largest global active-source
 	// count at which SparseAuto picks the sparse path for a component.
 	sparseCutoffPerRank = 64
@@ -75,6 +81,9 @@ const (
 	// global data-plane byte count at which SparseAuto keeps choosing sparse
 	// (hysteresis against a collapsing-then-exploding frontier).
 	sparseMaxBytesPerRank = 32 << 10
+	// pullSegments is the Segmented EH2EH pull's segment count: one per
+	// core group of the chip.
+	pullSegments = 6
 )
 
 // Options configures an Engine.
@@ -88,8 +97,6 @@ type Options struct {
 	Direction DirectionMode
 	// Segmented enables CG-aware segmenting of the EH2EH pull kernel.
 	Segmented bool
-	// Segments is the segment count (the chip has 6 CGs). 0 means 6.
-	Segments int
 	// RankWorkers is intra-rank kernel parallelism; the EH2EH push uses
 	// edge-aware vertex-cut chunking across these workers. 0 means 1.
 	RankWorkers int
@@ -97,12 +104,6 @@ type Options struct {
 	// source column and destination row (two alltoallvs on sub-communicators)
 	// instead of one world alltoallv, as the paper's forwarding does.
 	Hierarchical bool
-	// PullRatio scales the push/pull comparison for remote components (H2L,
-	// L2H, L2L): pull wins when unvisitedDstFrac < activeSrcFrac*PullRatio.
-	// 0 means 16, tuned like Beamer's bottom-up switch factor: scanning an
-	// unvisited destination is far cheaper than a per-edge message, and
-	// early exit truncates most scans.
-	PullRatio float64
 	// SparseTail selects the sparse-update tail path for the remote push
 	// components (H2L, L2H, and non-hierarchical L2L): tiny tail frontiers
 	// ship (dst, tag, offset, value) triples over one allgather instead of a
@@ -245,14 +246,8 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Machine.Nodes == 0 {
 		o.Machine = topology.NewSunway(o.Ranks)
 	}
-	if o.Segments <= 0 {
-		o.Segments = 6
-	}
 	if o.RankWorkers <= 0 {
 		o.RankWorkers = 1
-	}
-	if o.PullRatio == 0 {
-		o.PullRatio = 16.0
 	}
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 128
@@ -397,7 +392,7 @@ func NewEngineFromPartition(part *partition.Partitioned, opt Options) (*Engine, 
 	if opt.Segmented {
 		e.segPull = make([][]partition.SparseCSR, opt.Ranks)
 		for r, rg := range part.Ranks {
-			e.segPull[r] = rg.SegmentedPull(opt.Segments, part.Hubs.K())
+			e.segPull[r] = rg.SegmentedPull(pullSegments, part.Hubs.K())
 		}
 	}
 	return e, nil

@@ -89,10 +89,8 @@ func FromEdges(n int64, edges []rmat.Edge, opt BuildOptions) *CSR {
 	// Pass 2: scatter. Reuse counts as per-vertex write cursors.
 	cursor := counts
 	copy(cursor, ptr[:n])
-	// Sequential scatter (still fast; contention-free). For very large edge
-	// lists a two-level bucket scatter would parallelize this, which the
-	// psort package provides for the partitioner; plain CSR construction is
-	// not on the measured path.
+	// Sequential scatter (still fast; contention-free). Plain CSR
+	// construction is not on the measured path.
 	for _, e := range edges {
 		u, v := e.U, e.V
 		if opt.DropSelfLoops && u == v {
@@ -199,31 +197,6 @@ func (g *CSR) dedup() *CSR {
 	}
 	newPtr[g.N] = w
 	return &CSR{N: g.N, Ptr: newPtr, Adj: g.Adj[:w]}
-}
-
-// Transpose returns the reverse graph (v→u for every u→v).
-func (g *CSR) Transpose() *CSR {
-	counts := make([]int64, g.N)
-	for _, v := range g.Adj {
-		counts[v]++
-	}
-	ptr := make([]int64, g.N+1)
-	var sum int64
-	for i := int64(0); i < g.N; i++ {
-		ptr[i] = sum
-		sum += counts[i]
-	}
-	ptr[g.N] = sum
-	adj := make([]int64, sum)
-	cursor := counts
-	copy(cursor, ptr[:g.N])
-	for u := int64(0); u < g.N; u++ {
-		for _, v := range g.Adj[g.Ptr[u]:g.Ptr[u+1]] {
-			adj[cursor[v]] = u
-			cursor[v]++
-		}
-	}
-	return &CSR{N: g.N, Ptr: ptr, Adj: adj}
 }
 
 // SequentialBFS runs a textbook BFS from root over the CSR (which must be

@@ -65,39 +65,6 @@ func TestDegreeSumInvariant(t *testing.T) {
 	}
 }
 
-func TestTransposeInvolution(t *testing.T) {
-	cfg := rmat.Config{Scale: 8, Seed: 5}
-	edges := rmat.Generate(cfg)
-	g := FromEdges(cfg.NumVertices(), edges, BuildOptions{SortAdj: true})
-	tt := g.Transpose().Transpose()
-	tt.sortAdjacency(4)
-	if g.N != tt.N || len(g.Adj) != len(tt.Adj) {
-		t.Fatal("transpose changed size")
-	}
-	for u := int64(0); u < g.N; u++ {
-		a, b := g.Neighbors(u), tt.Neighbors(u)
-		if len(a) != len(b) {
-			t.Fatalf("degree(%d) changed: %d vs %d", u, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("neighbors(%d) changed", u)
-			}
-		}
-	}
-}
-
-func TestTransposeEdgeReversal(t *testing.T) {
-	g := FromEdges(3, []rmat.Edge{{U: 0, V: 1}, {U: 0, V: 2}}, BuildOptions{})
-	tr := g.Transpose()
-	if tr.Degree(0) != 0 || tr.Degree(1) != 1 || tr.Degree(2) != 1 {
-		t.Fatalf("transpose degrees wrong: %d %d %d", tr.Degree(0), tr.Degree(1), tr.Degree(2))
-	}
-	if tr.Neighbors(1)[0] != 0 || tr.Neighbors(2)[0] != 0 {
-		t.Fatal("transpose targets wrong")
-	}
-}
-
 func TestSequentialBFSLine(t *testing.T) {
 	g := FromEdges(5, lineGraph(5), BuildOptions{Symmetrize: true})
 	parent := g.SequentialBFS(0)

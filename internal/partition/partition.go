@@ -197,18 +197,6 @@ func (d *HubDir) hubID(v int64) int32 {
 // IsE reports whether hub id h is extremely heavy.
 func (d *HubDir) IsE(h int32) bool { return int(h) < d.NumE }
 
-// ClassOfVertex returns the class of original vertex v.
-func (d *HubDir) ClassOfVertex(v int64) Class {
-	h, ok := d.HubOf(v)
-	if !ok {
-		return ClassL
-	}
-	if d.IsE(h) {
-		return ClassE
-	}
-	return ClassH
-}
-
 // RowBlockOf returns the mesh row owning hub h's destination delegation in
 // the 2D EH2EH layout. Assignment is cyclic so the heavy head of the
 // degree-sorted hub list spreads across rows.
@@ -254,29 +242,6 @@ func (c Component) String() string {
 		return "L2L"
 	}
 	return fmt.Sprintf("component(%d)", int(c))
-}
-
-// ComponentOf returns the component of a directed edge src→dst given the two
-// classes.
-func ComponentOf(src, dst Class) Component {
-	srcHub := src != ClassL
-	dstHub := dst != ClassL
-	switch {
-	case srcHub && dstHub:
-		return CompEH2EH
-	case srcHub && !dstHub:
-		if src == ClassE {
-			return CompE2L
-		}
-		return CompH2L
-	case !srcHub && dstHub:
-		if dst == ClassE {
-			return CompL2E
-		}
-		return CompL2H
-	default:
-		return CompL2L
-	}
 }
 
 // Edge re-exports the generator's edge type for packages that consume

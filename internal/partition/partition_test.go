@@ -109,27 +109,6 @@ func TestBuildHubDirOrdering(t *testing.T) {
 	if !d.IsE(0) || !d.IsE(1) || d.IsE(2) {
 		t.Fatal("IsE boundaries wrong")
 	}
-	if d.ClassOfVertex(3) != ClassE || d.ClassOfVertex(2) != ClassH || d.ClassOfVertex(0) != ClassL {
-		t.Fatal("ClassOfVertex wrong")
-	}
-}
-
-func TestComponentOf(t *testing.T) {
-	cases := []struct {
-		src, dst Class
-		want     Component
-	}{
-		{ClassE, ClassE, CompEH2EH}, {ClassE, ClassH, CompEH2EH},
-		{ClassH, ClassE, CompEH2EH}, {ClassH, ClassH, CompEH2EH},
-		{ClassE, ClassL, CompE2L}, {ClassH, ClassL, CompH2L},
-		{ClassL, ClassE, CompL2E}, {ClassL, ClassH, CompL2H},
-		{ClassL, ClassL, CompL2L},
-	}
-	for _, c := range cases {
-		if got := ComponentOf(c.src, c.dst); got != c.want {
-			t.Errorf("ComponentOf(%v,%v) = %v, want %v", c.src, c.dst, got, c.want)
-		}
-	}
 }
 
 func buildSmall(t *testing.T, scale int, mesh topology.Mesh, th Thresholds) (*Partitioned, []rmat.Edge, int64) {
@@ -432,9 +411,6 @@ func TestHubOfBoundaries(t *testing.T) {
 				t.Errorf("hubID(%d) = %d, want %d", c.v, got, want)
 			}
 		}
-	}
-	if (&HubDir{}).ClassOfVertex(0) != ClassL {
-		t.Error("empty directory classifies a vertex as a hub")
 	}
 }
 

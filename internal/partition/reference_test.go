@@ -3,9 +3,9 @@ package partition
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
-	"repro/internal/psort"
 	"repro/internal/rmat"
 	"repro/internal/topology"
 )
@@ -100,7 +100,7 @@ func samePartition(t *testing.T, what string, got, want *Partitioned) {
 // output must equal byte for byte: a serial degree census, a hub lookup
 // through a map built from the directory's hub order, placement of each
 // orientation classifying both ends, per-component record streams
-// appended in edge order, and a stable psort.Sorter pass per sparse
+// appended in edge order, and a stable sort pass per sparse
 // component (EHPull re-sorts, by destination, the slice EHPush already
 // sorted by source).
 func referenceBuild(n int64, edges []rmat.Edge, mesh topology.Mesh, th Thresholds) (*Partitioned, error) {
@@ -210,10 +210,11 @@ func refSparse[T any](recs []T, kv func(T) (key, val int32)) SparseCSR {
 	if len(recs) == 0 {
 		return SparseCSR{Ptr: []int64{0}}
 	}
-	psort.Sorter[T]{Key: func(x T) uint64 {
-		k, _ := kv(x)
-		return uint64(uint32(k))
-	}}.Sort(recs, 1)
+	key := func(i int) uint32 {
+		k, _ := kv(recs[i])
+		return uint32(k)
+	}
+	sort.SliceStable(recs, func(i, j int) bool { return key(i) < key(j) })
 	var csr SparseCSR
 	csr.Adj = make([]int32, len(recs))
 	last := int32(-1)
@@ -234,7 +235,7 @@ func refHubRemote(recs []refHubRem) HubToRemoteCSR {
 	if len(recs) == 0 {
 		return HubToRemoteCSR{Ptr: []int64{0}}
 	}
-	psort.Sorter[refHubRem]{Key: func(x refHubRem) uint64 { return uint64(uint32(x.hub)) }}.Sort(recs, 1)
+	sort.SliceStable(recs, func(i, j int) bool { return uint32(recs[i].hub) < uint32(recs[j].hub) })
 	var csr HubToRemoteCSR
 	csr.Adj = make([]RemoteL, len(recs))
 	last := int32(-1)

@@ -6,53 +6,6 @@ import (
 	"testing"
 )
 
-// FuzzUint64sSortsPermutation checks the two invariants any sort must keep —
-// output ascending, output a permutation of the input — on both code paths:
-// the small-slice sort.Slice fallback and the PSRS path (forced by
-// amplifying the fuzzed keys past the 4096-element threshold).
-func FuzzUint64sSortsPermutation(f *testing.F) {
-	f.Add([]byte{}, uint8(1))
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, uint8(3))
-	f.Add([]byte("\xff\xff\xff\xff\xff\xff\xff\xff\x01\x00\x00\x00\x00\x00\x00\x00"), uint8(4))
-	f.Add([]byte("graph traversal at scale!"), uint8(7))
-	f.Fuzz(func(t *testing.T, data []byte, workers uint8) {
-		keys := make([]uint64, len(data)/8)
-		for i := range keys {
-			keys[i] = binary.LittleEndian.Uint64(data[i*8:])
-		}
-		w := int(workers)%8 + 1
-
-		check := func(got, orig []uint64, path string) {
-			t.Helper()
-			want := append([]uint64(nil), orig...)
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			if len(got) != len(want) {
-				t.Fatalf("%s: length changed: %d -> %d", path, len(want), len(got))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s: element %d = %d, want %d (sorted permutation)", path, i, got[i], want[i])
-				}
-			}
-		}
-
-		small := append([]uint64(nil), keys...)
-		Uint64s(small, w)
-		check(small, keys, "small")
-
-		// Amplify past the PSRS threshold so the parallel path runs too.
-		if len(keys) > 0 {
-			big := make([]uint64, 0, 5000)
-			for len(big) < 5000 {
-				big = append(big, keys...)
-			}
-			orig := append([]uint64(nil), big...)
-			Uint64s(big, w)
-			check(big, orig, "psrs")
-		}
-	})
-}
-
 // FuzzRadixSortMatchesSort pins the raw radix kernel bit-equal to the stdlib
 // comparison sort on arbitrary key sets — no profitability gate, every digit
 // plan the fuzzer can produce (dense, full-width, high-bit-skewed) runs

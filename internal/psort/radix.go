@@ -1,25 +1,22 @@
+// Package psort holds the parallel LSD radix sort for dense uint64 keys.
+// The paper's preprocessing sorts the edge list in place with PSRS and a
+// PARADIS-style local pass (Section 5, "In-place global sort"); this
+// repository builds its partitions with stable counting passes instead
+// (internal/partition), so only the radix kernel survives, timed by the
+// benchmark's layer report.
 package psort
 
 import (
-	"math/bits"
+	"runtime"
 	"sync"
 )
 
-// LSD radix partitioning sort, specialized for the dense uint64 keys the
-// preprocessing produces ((component, vertex) composites, hub IDs, local
-// indices). Each pass is a stable counting-sort on one 8-bit digit:
-// histogram, prefix sum, scatter — all three parallel across the existing
-// worker chunking, with per-chunk write cursors so concurrent scatters stay
-// stable and never share a destination slot. Digits that are constant across
-// the whole input (the common case for dense keys, whose high bytes are all
-// zero) cost one histogram scan and no scatter, which is where radix beats
-// the comparison sorts outright.
-//
-// Radix is not a universal win: with few keys spread over the full 64-bit
-// range, every digit is live and 8 scatter rounds lose to an O(n log n)
-// comparison sort. radixWorthwhile is that gate; Uint64s and Sorter.Sort
-// fall back to the PSRS/merge path (the PARADIS-flavoured kernels) when it
-// says no.
+// Each pass is a stable counting-sort on one 8-bit digit: histogram, prefix
+// sum, scatter — all three parallel across the worker chunking, with
+// per-chunk write cursors so concurrent scatters stay stable and never share
+// a destination slot. Digits that are constant across the whole input (the
+// common case for dense keys, whose high bytes are all zero) cost one
+// histogram scan and no scatter.
 
 const (
 	radixBits    = 8
@@ -82,15 +79,6 @@ func radixActiveDigits(keys []uint64, workers int) []int {
 		}
 	}
 	return active
-}
-
-// radixWorthwhile is the fallback rule: a scatter round touches every key
-// twice (count + permute), so radix wins while the live pass count stays
-// under about half the comparison sort's log2(n) depth — dense keys need 2–3
-// passes and win at any size, while full-width random keys at small n defeat
-// it and fall back to PSRS/merge.
-func radixWorthwhile(n, passes int) bool {
-	return passes*2 <= bits.Len(uint(n))
 }
 
 // radixCursors computes, for one digit, the per-chunk stable write cursors:
@@ -162,65 +150,17 @@ func radixSortUint64(keys []uint64, active []int, workers int) {
 	}
 }
 
-// RadixSortUint64 sorts keys ascending with the parallel LSD radix kernel,
-// unconditionally — no comparison fallback. This is the raw kernel behind
-// Uint64s, exported so the differential fuzz target and benchmarks can pin
-// its output bit-for-bit against the stdlib sort. 0 workers means
-// GOMAXPROCS.
+// RadixSortUint64 sorts keys ascending with the parallel LSD radix kernel.
+// The differential fuzz target pins its output bit-for-bit against the
+// stdlib sort. 0 workers means GOMAXPROCS.
 func RadixSortUint64(keys []uint64, workers int) {
 	workers = defaultWorkers(workers)
 	radixSortUint64(keys, radixActiveDigits(keys, workers), workers)
 }
 
-// radixSortKeyed stably sorts items by their pre-extracted keys, carrying
-// both arrays through the scatter passes in lockstep. LSD radix is stable by
-// construction, so Sorter's equal-key order is preserved.
-func radixSortKeyed[T any](items []T, keys []uint64, active []int, workers int) {
-	if len(active) == 0 || len(items) < 2 {
-		return
+func defaultWorkers(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	chunks := radixChunks(len(items), workers)
-	hists := make([][radixBuckets]int64, len(chunks))
-	keyScratch := make([]uint64, len(keys))
-	itemScratch := make([]T, len(items))
-	ksrc, kdst := keys, keyScratch
-	isrc, idst := items, itemScratch
-	for _, d := range active {
-		shift := uint(d) * radixBits
-		var wg sync.WaitGroup
-		for c, b := range chunks {
-			wg.Add(1)
-			go func(c, lo, hi int) {
-				defer wg.Done()
-				h := &hists[c]
-				*h = [radixBuckets]int64{}
-				for _, k := range ksrc[lo:hi] {
-					h[(k>>shift)&(radixBuckets-1)]++
-				}
-			}(c, b[0], b[1])
-		}
-		wg.Wait()
-		radixCursors(hists)
-		for c, b := range chunks {
-			wg.Add(1)
-			go func(c, lo, hi int) {
-				defer wg.Done()
-				cur := &hists[c]
-				for i := lo; i < hi; i++ {
-					k := ksrc[i]
-					b := (k >> shift) & (radixBuckets - 1)
-					kdst[cur[b]] = k
-					idst[cur[b]] = isrc[i]
-					cur[b]++
-				}
-			}(c, b[0], b[1])
-		}
-		wg.Wait()
-		ksrc, kdst = kdst, ksrc
-		isrc, idst = idst, isrc
-	}
-	if &isrc[0] != &items[0] {
-		copy(items, isrc)
-		copy(keys, ksrc)
-	}
+	return workers
 }

@@ -85,23 +85,6 @@ func TestRadixSortUint64MatchesStdlib(t *testing.T) {
 	}
 }
 
-func TestRadixWorthwhileGate(t *testing.T) {
-	// Dense keys (2-3 live digits) are worthwhile at any realistic size;
-	// full-width keys (8 live digits) at small n are not and must fall back.
-	if !radixWorthwhile(4096, 2) {
-		t.Fatal("dense keys at n=4096 should take the radix path")
-	}
-	if radixWorthwhile(4096, 8) {
-		t.Fatal("full-width keys at n=4096 should fall back to PSRS")
-	}
-	if !radixWorthwhile(1<<20, 8) {
-		t.Fatal("full-width keys at n=1M should take the radix path")
-	}
-	if !radixWorthwhile(2, 0) {
-		t.Fatal("zero live passes is a no-op and always worthwhile")
-	}
-}
-
 func TestRadixActiveDigitsSkipsConstant(t *testing.T) {
 	keys := make([]uint64, 5000)
 	for i := range keys {
@@ -110,48 +93,6 @@ func TestRadixActiveDigitsSkipsConstant(t *testing.T) {
 	active := radixActiveDigits(keys, 4)
 	if len(active) != 2 || active[0] != 2 || active[1] != 3 {
 		t.Fatalf("active digits = %v, want [2 3]", active)
-	}
-}
-
-func TestUint64sFallbackFullWidthKeys(t *testing.T) {
-	// Small-n full-width keys defeat the radix gate; Uint64s must still
-	// sort them correctly through the PSRS fallback.
-	rng := rand.New(rand.NewSource(11))
-	keys := make([]uint64, 5000)
-	for i := range keys {
-		keys[i] = rng.Uint64()
-	}
-	want := radixRef(keys)
-	Uint64s(keys, 4)
-	for i := range keys {
-		if keys[i] != want[i] {
-			t.Fatalf("mismatch at %d", i)
-		}
-	}
-}
-
-func TestSorterRadixStability(t *testing.T) {
-	// Dense keys force the keyed radix path (n >= 4096, one live digit);
-	// records with equal keys must keep their input order.
-	type rec struct {
-		key uint64
-		seq int
-	}
-	n := 8192
-	items := make([]rec, n)
-	rng := rand.New(rand.NewSource(13))
-	for i := range items {
-		items[i] = rec{key: uint64(rng.Intn(16)), seq: i}
-	}
-	s := Sorter[rec]{Key: func(r rec) uint64 { return r.key }}
-	s.Sort(items, 4)
-	for i := 1; i < n; i++ {
-		if items[i-1].key > items[i].key {
-			t.Fatalf("not sorted at %d", i)
-		}
-		if items[i-1].key == items[i].key && items[i-1].seq > items[i].seq {
-			t.Fatalf("stability violated at %d: seq %d before %d", i, items[i-1].seq, items[i].seq)
-		}
 	}
 }
 

@@ -1,117 +1,51 @@
-// Package sunway simulates the SW26010-Pro many-core processor closely
-// enough to reproduce the paper's on-chip kernels: core groups (CGs) of 64
-// compute processing elements (CPEs) with 256 KB local data memory (LDM)
-// each, remote memory access (RMA) between LDMs in a CG, and DMA between LDM
-// and main memory. CPEs are goroutines; LDM is a private byte-addressable
-// slice; RMA transfers copy between LDMs with latency accounting.
+// Package sunway reproduces the paper's on-chip bucketing comparison
+// (Section 4.4, Figure 14) for the SW26010-Pro many-core processor, whose
+// core groups (CGs) each hold 64 compute processing elements (CPEs).
 //
-// The package's centerpiece is OCS-RMA (on-chip sorting with RMA, paper
-// Section 4.4): a 32-producer/32-consumer bucket sort that replaces per-
-// message atomics with exclusive bucket ownership, plus the two-stage
-// destination update built on it. These are real working concurrent kernels;
-// the MPE/1-CG/6-CG organizational contrast of Figure 14 is reproduced by
-// running the same work single-threaded, on one CG, and on six CGs.
+// Its centerpiece is OCS-RMA (on-chip sorting with RMA): a CG's CPEs split
+// into 32 producers and 32 consumers, and exclusive bucket ownership
+// replaces per-message atomics. CPEs are goroutines and RMA puts are channel
+// sends, with every transfer counted. The MPE/1-CG/6-CG contrast of Figure 14
+// is reproduced by running the same work single-threaded, on one CG and on
+// six CGs, and pricing the counted events with ChipModel.
 package sunway
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Architecture constants of SW26010-Pro (paper Section 3.1).
 const (
-	CGsPerChip   = 6
-	CPEsPerCG    = 64
-	LDMBytes     = 256 << 10
-	RMABufBytes  = 512     // per-peer message buffer in OCS-RMA
-	LDMLineBytes = 1024    // bit-vector line size in CG-aware segmenting (Fig. 7)
-	Producers    = 32      // OCS-RMA producer cores per CG
-	Consumers    = 32      // OCS-RMA consumer cores per CG
-	MemBandwidth = 249.0e9 // measured chip DMA peak, bytes/s
-	MPEsPerChip  = 6
-	DMAMinGrain  = 1024 // bytes; smaller transfers waste bandwidth
+	CGsPerChip  = 6
+	CPEsPerCG   = 64
+	LDMBytes    = 256 << 10 // local data memory per CPE
+	RMABufBytes = 512       // per-peer message buffer in OCS-RMA
+	Producers   = 32        // OCS-RMA producer cores per CG
+	Consumers   = 32        // OCS-RMA consumer cores per CG
 )
 
 // Counters aggregates simulated hardware events for a kernel run. All fields
 // are updated atomically so CPE goroutines can share one instance.
 type Counters struct {
-	RMAPuts    atomic.Int64 // RMA put operations
-	RMAGets    atomic.Int64 // RMA get operations
-	RMABytes   atomic.Int64 // bytes moved between LDMs
-	DMABytes   atomic.Int64 // bytes moved between LDM and main memory
-	GLDGSTOps  atomic.Int64 // direct (uncached) main-memory accesses
-	AtomicOps  atomic.Int64 // main-memory atomic operations (expensive)
-	CGBarriers atomic.Int64 // cross-CG synchronizations
+	RMAPuts   atomic.Int64 // RMA put operations
+	RMABytes  atomic.Int64 // bytes moved between LDMs
+	DMABytes  atomic.Int64 // bytes moved between LDM and main memory
+	GLDGSTOps atomic.Int64 // direct (uncached) main-memory accesses
+	AtomicOps atomic.Int64 // main-memory atomic operations (expensive)
 }
 
 // Snapshot returns a plain-struct copy for reporting.
 func (c *Counters) Snapshot() CounterSnapshot {
 	return CounterSnapshot{
-		RMAPuts:    c.RMAPuts.Load(),
-		RMAGets:    c.RMAGets.Load(),
-		RMABytes:   c.RMABytes.Load(),
-		DMABytes:   c.DMABytes.Load(),
-		GLDGSTOps:  c.GLDGSTOps.Load(),
-		AtomicOps:  c.AtomicOps.Load(),
-		CGBarriers: c.CGBarriers.Load(),
+		RMAPuts:   c.RMAPuts.Load(),
+		RMABytes:  c.RMABytes.Load(),
+		DMABytes:  c.DMABytes.Load(),
+		GLDGSTOps: c.GLDGSTOps.Load(),
+		AtomicOps: c.AtomicOps.Load(),
 	}
 }
 
 // CounterSnapshot is a point-in-time copy of Counters.
 type CounterSnapshot struct {
-	RMAPuts, RMAGets, RMABytes int64
-	DMABytes                   int64
-	GLDGSTOps, AtomicOps       int64
-	CGBarriers                 int64
+	RMAPuts, RMABytes    int64
+	DMABytes             int64
+	GLDGSTOps, AtomicOps int64
 }
-
-// CG models one core group: 64 CPEs, each with a private LDM. The LDMs are
-// plain byte slices; RMA is a checked copy between them.
-type CG struct {
-	ldm      [CPEsPerCG][]byte
-	Counters *Counters
-}
-
-// NewCG allocates a core group with zeroed LDMs.
-func NewCG(counters *Counters) *CG {
-	if counters == nil {
-		counters = &Counters{}
-	}
-	cg := &CG{Counters: counters}
-	for i := range cg.ldm {
-		cg.ldm[i] = make([]byte, LDMBytes)
-	}
-	return cg
-}
-
-// LDM returns CPE cpe's scratchpad.
-func (cg *CG) LDM(cpe int) []byte { return cg.ldm[cpe] }
-
-// RMAPut copies len(src) bytes from src (caller-owned, conceptually the
-// sender's LDM region) into dst CPE's LDM at off. The caller must ensure the
-// destination region is not concurrently accessed, as on real hardware.
-func (cg *CG) RMAPut(dstCPE int, off int, src []byte) {
-	if off < 0 || off+len(src) > LDMBytes {
-		panic(fmt.Sprintf("sunway: RMA put [%d,%d) outside LDM", off, off+len(src)))
-	}
-	copy(cg.ldm[dstCPE][off:], src)
-	cg.Counters.RMAPuts.Add(1)
-	cg.Counters.RMABytes.Add(int64(len(src)))
-}
-
-// RMAGet copies len(dst) bytes from src CPE's LDM at off into dst.
-func (cg *CG) RMAGet(srcCPE int, off int, dst []byte) {
-	if off < 0 || off+len(dst) > LDMBytes {
-		panic(fmt.Sprintf("sunway: RMA get [%d,%d) outside LDM", off, off+len(dst)))
-	}
-	copy(dst, cg.ldm[srcCPE][off:])
-	cg.Counters.RMAGets.Add(1)
-	cg.Counters.RMABytes.Add(int64(len(dst)))
-}
-
-// DMARead models a DMA from main memory into LDM: it only accounts bytes
-// (the data itself lives in ordinary Go memory either way).
-func (cg *CG) DMARead(bytes int) { cg.Counters.DMABytes.Add(int64(bytes)) }
-
-// DMAWrite models a DMA from LDM to main memory.
-func (cg *CG) DMAWrite(bytes int) { cg.Counters.DMABytes.Add(int64(bytes)) }

@@ -1,7 +1,6 @@
 package sunway
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -175,70 +174,6 @@ func runCGBucket[T any](items []T, buckets int, f func(T) int, cfg OCSConfig, cu
 	pw.Wait()
 	for j := range chans {
 		close(chans[j])
-	}
-	wg.Wait()
-}
-
-// Update is one destination-update message: set/merge Val at index Idx.
-type Update struct {
-	Idx int64
-	Val int64
-}
-
-// TwoStageUpdate applies updates to an n-element destination space without
-// atomics (paper: "two-stage sorting in destination updating"). Stage one
-// coarse-sorts messages into fixed-length index ranges; stage two hands each
-// range to exactly one worker which applies its messages serially via apply.
-// apply(u) therefore never races with another apply on the same index.
-func TwoStageUpdate(n int64, msgs []Update, workers int, apply func(Update)) {
-	if len(msgs) == 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Ranges sized so there are a few per worker for balance; at least one.
-	ranges := workers * 4
-	if int64(ranges) > n {
-		ranges = int(n)
-		if ranges == 0 {
-			ranges = 1
-		}
-	}
-	rangeLen := (n + int64(ranges) - 1) / int64(ranges)
-	// Stage 1: coarse bucket sort by range (counting sort, stable).
-	counts := make([]int, ranges+1)
-	for _, m := range msgs {
-		counts[m.Idx/rangeLen+1]++
-	}
-	for r := 0; r < ranges; r++ {
-		counts[r+1] += counts[r]
-	}
-	sorted := make([]Update, len(msgs))
-	cursor := make([]int, ranges)
-	copy(cursor, counts[:ranges])
-	for _, m := range msgs {
-		r := m.Idx / rangeLen
-		sorted[cursor[r]] = m
-		cursor[r]++
-	}
-	// Stage 2: one worker per range; exclusive application.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				r := int(next.Add(1)) - 1
-				if r >= ranges {
-					return
-				}
-				for _, m := range sorted[counts[r]:counts[r+1]] {
-					apply(m)
-				}
-			}
-		}()
 	}
 	wg.Wait()
 }

@@ -3,11 +3,8 @@ package sunway
 import (
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/bitmap"
 )
 
 func randomKeys(n int, seed int64) []uint64 {
@@ -118,164 +115,6 @@ func TestBucketOCSProperty(t *testing.T) {
 	}
 }
 
-func TestTwoStageUpdateExclusive(t *testing.T) {
-	const n = 100000
-	dst := make([]int64, n)
-	for i := range dst {
-		dst[i] = -1
-	}
-	rng := rand.New(rand.NewSource(3))
-	msgs := make([]Update, 300000)
-	for i := range msgs {
-		msgs[i] = Update{Idx: rng.Int63n(n), Val: int64(i)}
-	}
-	// First-writer-wins semantics, exactly like parent updates in BFS.
-	TwoStageUpdate(n, msgs, 8, func(u Update) {
-		if dst[u.Idx] == -1 {
-			dst[u.Idx] = u.Val
-		}
-	})
-	// Every touched index holds some message's value for that index.
-	byIdx := map[int64]map[int64]bool{}
-	for _, m := range msgs {
-		if byIdx[m.Idx] == nil {
-			byIdx[m.Idx] = map[int64]bool{}
-		}
-		byIdx[m.Idx][m.Val] = true
-	}
-	for i := int64(0); i < n; i++ {
-		if vals, touched := byIdx[i]; touched {
-			if dst[i] == -1 || !vals[dst[i]] {
-				t.Fatalf("dst[%d] = %d not among posted values", i, dst[i])
-			}
-		} else if dst[i] != -1 {
-			t.Fatalf("dst[%d] = %d but no message targeted it", i, dst[i])
-		}
-	}
-}
-
-func TestTwoStageUpdateCountsApplied(t *testing.T) {
-	// The apply callback must run exactly once per message.
-	var mu sync.Mutex
-	applied := 0
-	msgs := make([]Update, 5000)
-	for i := range msgs {
-		msgs[i] = Update{Idx: int64(i % 97), Val: 1}
-	}
-	TwoStageUpdate(97, msgs, 4, func(u Update) {
-		mu.Lock()
-		applied++
-		mu.Unlock()
-	})
-	if applied != len(msgs) {
-		t.Fatalf("applied %d, want %d", applied, len(msgs))
-	}
-}
-
-func TestTwoStageUpdateSmallDomain(t *testing.T) {
-	dst := make([]int64, 1)
-	TwoStageUpdate(1, []Update{{0, 7}, {0, 8}}, 16, func(u Update) { dst[0] += u.Val })
-	if dst[0] != 15 {
-		t.Fatalf("dst[0] = %d, want 15", dst[0])
-	}
-}
-
-func TestRMAPutGetRoundTrip(t *testing.T) {
-	cg := NewCG(nil)
-	src := []byte{1, 2, 3, 4}
-	cg.RMAPut(5, 100, src)
-	dst := make([]byte, 4)
-	cg.RMAGet(5, 100, dst)
-	for i := range src {
-		if dst[i] != src[i] {
-			t.Fatalf("byte %d = %d", i, dst[i])
-		}
-	}
-	s := cg.Counters.Snapshot()
-	if s.RMAPuts != 1 || s.RMAGets != 1 || s.RMABytes != 8 {
-		t.Fatalf("counters %+v", s)
-	}
-}
-
-func TestRMABoundsChecked(t *testing.T) {
-	cg := NewCG(nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RMA past LDM end should panic")
-		}
-	}()
-	cg.RMAPut(0, LDMBytes-2, []byte{1, 2, 3})
-}
-
-func TestSegmentBitvectorRMA(t *testing.T) {
-	// A 2MB-per-CG style segment: 1M bits distributed over 64 LDMs.
-	const bits = 1 << 20
-	b := bitmap.New(bits)
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < bits; i++ {
-		if rng.Intn(5) == 0 {
-			b.Set(i)
-		}
-	}
-	cg := NewCG(nil)
-	LoadSegmentBitvector(cg, b, 0)
-	for trial := 0; trial < 5000; trial++ {
-		i := rng.Intn(bits)
-		if got, want := TestBitRMA(cg, 0, i), b.Test(i); got != want {
-			t.Fatalf("bit %d: RMA read %v, want %v", i, got, want)
-		}
-	}
-}
-
-func TestSegmentedLookupCounts(t *testing.T) {
-	const bits = 1 << 16
-	b := bitmap.New(bits)
-	for i := 0; i < bits; i += 2 {
-		b.Set(i)
-	}
-	cg := NewCG(nil)
-	LoadSegmentBitvector(cg, b, 0)
-	queries := make([][]int, CPEsPerCG)
-	want := make([]int, CPEsPerCG)
-	rng := rand.New(rand.NewSource(5))
-	for cpe := range queries {
-		for q := 0; q < 100; q++ {
-			i := rng.Intn(bits)
-			queries[cpe] = append(queries[cpe], i)
-			if i%2 == 0 {
-				want[cpe]++
-			}
-		}
-	}
-	hits := SegmentedLookup(cg, 0, queries)
-	for cpe := range want {
-		if hits[cpe] != want[cpe] {
-			t.Fatalf("cpe %d hits %d, want %d", cpe, hits[cpe], want[cpe])
-		}
-	}
-}
-
-func TestSegmentBitvectorTooLargePanics(t *testing.T) {
-	// 64 CPEs x 256KB = 16MB = 128Mbit total; 256Mbit cannot fit.
-	b := bitmap.New(256 << 20)
-	cg := NewCG(nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("oversized vector should panic")
-		}
-	}()
-	LoadSegmentBitvector(cg, b, 0)
-}
-
-func TestSegmentPlanExclusive(t *testing.T) {
-	for _, n := range []int{1, 2, 6, 7} {
-		p := SegmentPlan{Segments: n}
-		if !p.VerifyExclusive() {
-			t.Fatalf("plan with %d segments not exclusive", n)
-		}
-	}
-}
-
 func TestArchConstants(t *testing.T) {
 	if CGsPerChip != 6 || CPEsPerCG != 64 || LDMBytes != 256<<10 {
 		t.Fatal("SW26010-Pro constants drifted from the paper")
@@ -321,69 +160,4 @@ func BenchmarkBucketOCS6CG(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		BucketOCS(keys, 256, f, OCSConfig{CGs: 6})
 	}
-}
-
-func BenchmarkTwoStageUpdate(b *testing.B) {
-	const n = 1 << 20
-	dst := make([]int64, n)
-	rng := rand.New(rand.NewSource(6))
-	msgs := make([]Update, 1<<20)
-	for i := range msgs {
-		msgs[i] = Update{Idx: rng.Int63n(n), Val: int64(i)}
-	}
-	b.SetBytes(int64(len(msgs)) * 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		TwoStageUpdate(n, msgs, 0, func(u Update) { dst[u.Idx] = u.Val })
-	}
-}
-
-func TestBucketOCSOnChipMatchesMPE(t *testing.T) {
-	keys := randomKeys(60000, 11)
-	f := func(x uint64) int { return int(x & 0xFF) }
-	ref := BucketMPE(keys, 256, f)
-	cg := NewCG(nil)
-	got := BucketOCSOnChip(cg, keys, 256, f)
-	bucketsEqual(t, ref, got)
-	// Figure 8 discipline is visible in the counters: RMA puts moved at
-	// least the payload (whole batches), and DMA streamed the input in.
-	s := cg.Counters.Snapshot()
-	if s.RMABytes < int64(len(keys)*8) {
-		t.Fatalf("RMA moved %d bytes, payload is %d", s.RMABytes, len(keys)*8)
-	}
-	if s.DMABytes < int64(len(keys)*8) {
-		t.Fatalf("DMA streamed %d bytes, input is %d", s.DMABytes, len(keys)*8)
-	}
-	if s.AtomicOps != 0 {
-		t.Fatalf("on-chip OCS used %d atomics; the design eliminates them", s.AtomicOps)
-	}
-}
-
-func TestBucketOCSOnChipSmallInputs(t *testing.T) {
-	cg := NewCG(nil)
-	f := func(x uint64) int { return int(x % 8) }
-	out := BucketOCSOnChip(cg, nil, 8, f)
-	for b, recs := range out {
-		if len(recs) != 0 {
-			t.Fatalf("bucket %d nonempty on empty input", b)
-		}
-	}
-	out = BucketOCSOnChip(cg, []uint64{5, 13, 5}, 8, f)
-	if len(out[5]) != 3 {
-		t.Fatalf("bucket 5 has %d records, want 3", len(out[5]))
-	}
-}
-
-func TestBucketOCSOnChipManyBatches(t *testing.T) {
-	// Force every (producer, consumer) pair through multiple buffer cycles:
-	// all keys map to one consumer.
-	keys := make([]uint64, 50000)
-	for i := range keys {
-		keys[i] = uint64(i) * 32 // bucket = (i*32)&0xFF, always ≡ 0 mod 32
-	}
-	f := func(x uint64) int { return int(x & 0xFF) }
-	cg := NewCG(nil)
-	got := BucketOCSOnChip(cg, keys, 256, f)
-	ref := BucketMPE(keys, 256, f)
-	bucketsEqual(t, ref, got)
 }

@@ -54,32 +54,6 @@ func (m Machine) Supernodes() int {
 // SameSupernode reports whether two nodes share a supernode.
 func (m Machine) SameSupernode(a, b int) bool { return m.Supernode(a) == m.Supernode(b) }
 
-// SupernodeMembers returns the node indices of supernode s, clipped to the
-// machine size (the last supernode may be partial). Fault plans scoped to one
-// supernode use this to enumerate the ranks they cover.
-func (m Machine) SupernodeMembers(s int) []int {
-	if s < 0 || s >= m.Supernodes() {
-		return nil
-	}
-	if m.SupernodeSize <= 0 {
-		out := make([]int, m.Nodes)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	lo := s * m.SupernodeSize
-	hi := lo + m.SupernodeSize
-	if hi > m.Nodes {
-		hi = m.Nodes
-	}
-	out := make([]int, 0, hi-lo)
-	for n := lo; n < hi; n++ {
-		out = append(out, n)
-	}
-	return out
-}
-
 // CrossBandwidth is the effective per-node bandwidth for traffic leaving the
 // supernode: NIC bandwidth divided by the oversubscription factor.
 func (m Machine) CrossBandwidth() float64 {
@@ -115,16 +89,6 @@ func (m Machine) Time(t Traffic) float64 {
 		link = inter
 	}
 	return link + float64(t.Messages)*m.LinkLatency
-}
-
-// MemTime returns the modeled seconds to move the given bytes through one
-// node's memory system at the achievable fraction of peak (utilization in
-// (0,1]; the paper measures 47% for OCS-RMA bucketing).
-func (m Machine) MemTime(bytes float64, utilization float64) float64 {
-	if utilization <= 0 || utilization > 1 {
-		panic(fmt.Sprintf("topology: utilization %g out of (0,1]", utilization))
-	}
-	return bytes / (m.MemBandwidth * utilization)
 }
 
 // Mesh is the R×C process grid of the 1.5D partitioning. Rows map to

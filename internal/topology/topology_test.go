@@ -63,27 +63,6 @@ func TestTimeIncludesLatency(t *testing.T) {
 	}
 }
 
-func TestMemTime(t *testing.T) {
-	m := NewSunway(1)
-	got := m.MemTime(249e9, 1.0)
-	if math.Abs(got-1.0) > 1e-9 {
-		t.Fatalf("MemTime(peak bytes, 1.0) = %g, want 1s", got)
-	}
-	half := m.MemTime(249e9, 0.5)
-	if math.Abs(half-2.0) > 1e-9 {
-		t.Fatalf("MemTime at 50%% = %g, want 2s", half)
-	}
-}
-
-func TestMemTimePanicsOnBadUtilization(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewSunway(1).MemTime(1, 0)
-}
-
 func TestMeshLayout(t *testing.T) {
 	m := Mesh{Rows: 4, Cols: 8}
 	if err := m.Validate(32); err != nil {
@@ -134,39 +113,5 @@ func TestRowsMapToSupernodes(t *testing.T) {
 		if !mach.SameSupernode(first, last) {
 			t.Fatalf("row %d spans supernodes", row)
 		}
-	}
-}
-
-func TestSupernodeMembers(t *testing.T) {
-	m := Machine{Nodes: 10, SupernodeSize: 4}
-	cases := []struct {
-		s    int
-		want []int
-	}{
-		{0, []int{0, 1, 2, 3}},
-		{1, []int{4, 5, 6, 7}},
-		{2, []int{8, 9}}, // partial last supernode
-		{3, nil},
-		{-1, nil},
-	}
-	for _, cse := range cases {
-		got := m.SupernodeMembers(cse.s)
-		if len(got) != len(cse.want) {
-			t.Fatalf("SupernodeMembers(%d) = %v, want %v", cse.s, got, cse.want)
-		}
-		for i := range got {
-			if got[i] != cse.want[i] {
-				t.Fatalf("SupernodeMembers(%d) = %v, want %v", cse.s, got, cse.want)
-			}
-		}
-		for _, n := range got {
-			if m.Supernode(n) != cse.s {
-				t.Fatalf("node %d not in supernode %d", n, cse.s)
-			}
-		}
-	}
-	flat := Machine{Nodes: 3, SupernodeSize: 0}
-	if got := flat.SupernodeMembers(0); len(got) != 3 {
-		t.Fatalf("flat machine supernode 0 = %v, want all 3 nodes", got)
 	}
 }

@@ -1,9 +1,10 @@
 // Package xrand provides the deterministic pseudo-random number streams the
 // graph generator and samplers rely on. Two generators are implemented from
 // their published references: SplitMix64 (used to seed and to scramble vertex
-// IDs) and xoshiro256** (the workhorse stream). Both are allocation-free and
-// support cheap parallel substreams via jump-ahead, which is what lets R-MAT
-// edge generation be split across goroutines while staying bit-reproducible.
+// IDs) and xoshiro256** (the workhorse stream). Both are allocation-free.
+// R-MAT generation seeds one xoshiro256** stream per edge block from Mix64 of
+// the seed and the block index, which lets it split across goroutines while
+// staying bit-reproducible.
 package xrand
 
 import "math/bits"
@@ -90,41 +91,4 @@ func (x *Xoshiro256) Uint64n(n uint64) uint64 {
 		}
 	}
 	return hi
-}
-
-// jump polynomials from the reference implementation.
-var xoshiroJump = [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}
-var xoshiroLongJump = [4]uint64{0x76e15d3efefdcbbf, 0xc5004e441c522fb3, 0x77710069854ee241, 0x39109bb02acbe635}
-
-func (x *Xoshiro256) applyJump(poly [4]uint64) {
-	var s [4]uint64
-	for _, p := range poly {
-		for b := 0; b < 64; b++ {
-			if p&(1<<uint(b)) != 0 {
-				s[0] ^= x.s[0]
-				s[1] ^= x.s[1]
-				s[2] ^= x.s[2]
-				s[3] ^= x.s[3]
-			}
-			x.Next()
-		}
-	}
-	x.s = s
-}
-
-// Jump advances the stream by 2^128 steps; up to 2^128 substreams obtained by
-// successive Jumps never overlap.
-func (x *Xoshiro256) Jump() { x.applyJump(xoshiroJump) }
-
-// LongJump advances the stream by 2^192 steps.
-func (x *Xoshiro256) LongJump() { x.applyJump(xoshiroLongJump) }
-
-// Substream returns an independent generator: the receiver's state after i
-// jumps. The receiver is not modified.
-func (x *Xoshiro256) Substream(i int) *Xoshiro256 {
-	c := *x
-	for k := 0; k < i; k++ {
-		c.Jump()
-	}
-	return &c
 }

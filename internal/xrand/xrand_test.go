@@ -93,34 +93,6 @@ func TestUint64nUniformity(t *testing.T) {
 	}
 }
 
-func TestJumpProducesDisjointStreams(t *testing.T) {
-	base := NewXoshiro256(5)
-	a := base.Substream(0)
-	b := base.Substream(1)
-	seen := make(map[uint64]bool, 10000)
-	for i := 0; i < 10000; i++ {
-		seen[a.Next()] = true
-	}
-	collisions := 0
-	for i := 0; i < 10000; i++ {
-		if seen[b.Next()] {
-			collisions++
-		}
-	}
-	if collisions > 1 {
-		t.Fatalf("substreams collide %d times in 10k draws", collisions)
-	}
-}
-
-func TestSubstreamDoesNotMutateReceiver(t *testing.T) {
-	a := NewXoshiro256(5)
-	before := *a
-	_ = a.Substream(3)
-	if *a != before {
-		t.Fatal("Substream mutated receiver")
-	}
-}
-
 func TestPropertyMix64Injective(t *testing.T) {
 	// Mix64 is a bijection on 64-bit values; distinct inputs in a small
 	// random sample must map to distinct outputs.

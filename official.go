@@ -2,6 +2,7 @@ package graph500
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -10,8 +11,8 @@ import (
 // OfficialStats mirrors the output block the Graph 500 reference code prints
 // after a benchmark run: order statistics over the per-root times and TEPS
 // rates, plus construction metadata. The spec reports the harmonic mean of
-// TEPS with its harmonic standard deviation; quartiles use the reference
-// code's nearest-rank convention.
+// TEPS with its harmonic standard deviation; quartiles interpolate linearly
+// between order statistics, as the reference code does.
 type OfficialStats struct {
 	Scale            int
 	EdgeFactor       int
@@ -118,13 +119,7 @@ func sqrtPos(x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
-	// Newton iteration; avoids importing math for one call site... but
-	// clarity beats cleverness:
-	z := x
-	for i := 0; i < 40; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
+	return math.Sqrt(x)
 }
 
 // String renders the block in the reference code's key-colon-value format.

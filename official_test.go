@@ -84,9 +84,9 @@ func TestQuantileInterpolation(t *testing.T) {
 }
 
 func TestSqrtPos(t *testing.T) {
-	for _, x := range []float64{0, 1, 2, 100, 1e-12, 1e12} {
+	for _, x := range []float64{0, 1, 2, 100, 1e-12, 1e12, 1e-24, 1e-26, 1e24} {
 		got := sqrtPos(x)
-		if math.Abs(got-math.Sqrt(x)) > 1e-9*(1+math.Sqrt(x)) {
+		if math.Abs(got-math.Sqrt(x)) > 1e-9*math.Sqrt(x) {
 			t.Fatalf("sqrtPos(%g) = %g, want %g", x, got, math.Sqrt(x))
 		}
 	}
