@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/partition"
 	"repro/internal/rmat"
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -24,44 +25,69 @@ type soloGolden struct {
 	edges      int64 // Recorder.TotalEdges()
 }
 
-func goldenOf(res *Result) soloGolden {
+// goldenOf hashes the queries' parent arrays in query order.
+func goldenOf(iterations int, rec *stats.Recorder, queries ...*Result) soloGolden {
 	h := fnv.New64a()
 	var le [8]byte
-	for _, p := range res.Parent {
-		binary.LittleEndian.PutUint64(le[:], uint64(p))
-		h.Write(le[:])
+	for _, res := range queries {
+		for _, p := range res.Parent {
+			binary.LittleEndian.PutUint64(le[:], uint64(p))
+			h.Write(le[:])
+		}
 	}
-	vol := res.Recorder.CommBreakdown()
-	g := soloGolden{parentFNV: h.Sum64(), iterations: res.Iterations,
-		bytes: vol.TotalBytes(), edges: res.Recorder.TotalEdges()}
+	vol := rec.CommBreakdown()
+	g := soloGolden{parentFNV: h.Sum64(), iterations: iterations,
+		bytes: vol.TotalBytes(), edges: rec.TotalEdges()}
 	for _, c := range vol.Calls {
 		g.calls += c
 	}
 	return g
 }
 
+// TestSoloGoldenPinned pins Run (batch width 1) and, at width 8, RunBatch
+// over distinctConnectedRoots: one parent hash over the eight queries in
+// query order, the sweep's Iterations and the batch recorder's totals. The
+// width-8 rows were measured at 53a4022, the last commit whose BFS had its
+// own step schedule and exchanges, so they pin the batched schedule —
+// dense, sparse and pulling planes sharing one exchange point — exactly.
 func TestSoloGoldenPinned(t *testing.T) {
-	rm := func(scale int, seed uint64) (int64, []rmat.Edge) {
-		cfg := rmat.Config{Scale: scale, Seed: seed}
-		return cfg.NumVertices(), rmat.Generate(cfg)
+	rm := func(scale int, seed uint64) func() (int64, []rmat.Edge) {
+		return func() (int64, []rmat.Edge) {
+			cfg := rmat.Config{Scale: scale, Seed: seed}
+			return cfg.NumVertices(), rmat.Generate(cfg)
+		}
 	}
+	mesh22, mesh23 := topology.Mesh{Rows: 2, Cols: 2}, topology.Mesh{Rows: 2, Cols: 3}
+	th := partition.Thresholds{E: 256, H: 32}
 	cases := []struct {
-		name  string
-		graph func() (int64, []rmat.Edge)
-		opt   Options
-		want  soloGolden
+		name    string
+		queries int
+		graph   func() (int64, []rmat.Edge)
+		opt     Options
+		want    soloGolden
 	}{
-		{"default", func() (int64, []rmat.Edge) { return rm(12, 31) },
-			Options{Mesh: topology.Mesh{Rows: 2, Cols: 2}, Thresholds: DefaultThresholds(12)},
+		{"default", 1, rm(12, 31),
+			Options{Mesh: mesh22, Thresholds: DefaultThresholds(12)},
 			soloGolden{parentFNV: 1284218994041633427, iterations: 5, calls: 116, bytes: 71600, edges: 11948}},
-		{"hierarchical+segmented", func() (int64, []rmat.Edge) { return rm(11, 32) },
-			Options{Mesh: topology.Mesh{Rows: 2, Cols: 3}, Thresholds: partition.Thresholds{E: 128, H: 16},
+		{"hierarchical+segmented", 1, rm(11, 32),
+			Options{Mesh: mesh23, Thresholds: partition.Thresholds{E: 128, H: 16},
 				Hierarchical: true, Segmented: true},
 			soloGolden{parentFNV: 8297233237564415552, iterations: 5, calls: 192, bytes: 61264, edges: 13533}},
-		{"sparse-always", func() (int64, []rmat.Edge) { return combEdges(48, 9) },
-			Options{Mesh: topology.Mesh{Rows: 2, Cols: 2}, Thresholds: partition.Thresholds{E: 64, H: 3},
-				SparseTail: SparseAlways},
+		{"sparse-always", 1, func() (int64, []rmat.Edge) { return combEdges(48, 9) },
+			Options{Mesh: mesh22, Thresholds: partition.Thresholds{E: 64, H: 3}, SparseTail: SparseAlways},
 			soloGolden{parentFNV: 10289178882571903236, iterations: 57, calls: 1924, bytes: 97616, edges: 5291}},
+		{"batch8-default", 8, rm(10, 42),
+			Options{Mesh: mesh22, Thresholds: th},
+			soloGolden{parentFNV: 7708394337284380457, iterations: 5, calls: 148, bytes: 119728, edges: 25163}},
+		{"batch8-sparse-off+hierarchical+segmented", 8, rm(10, 42),
+			Options{Mesh: mesh23, Thresholds: th, SparseTail: SparseOff, Hierarchical: true, Segmented: true},
+			soloGolden{parentFNV: 8447404148969953876, iterations: 5, calls: 258, bytes: 164416, edges: 32571}},
+		{"batch8-pull-only", 8, rm(10, 42),
+			Options{Mesh: mesh22, Thresholds: th, Direction: ModePullOnly},
+			soloGolden{parentFNV: 8167936905272099331, iterations: 5, calls: 208, bytes: 104576, edges: 324644}},
+		{"batch8-sparse-always", 8, func() (int64, []rmat.Edge) { return combEdges(48, 9) },
+			Options{Mesh: mesh22, Thresholds: partition.Thresholds{E: 64, H: 3}, SparseTail: SparseAlways},
+			soloGolden{parentFNV: 5740447163893679389, iterations: 58, calls: 2172, bytes: 620232, edges: 62584}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -70,12 +96,26 @@ func TestSoloGoldenPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := eng.Run(firstConnectedRootOf(eng))
-			if err != nil {
-				t.Fatal(err)
+			var got soloGolden
+			if tc.queries == 1 {
+				res, err := eng.Run(firstConnectedRootOf(eng))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = goldenOf(res.Iterations, res.Recorder, res)
+			} else {
+				roots := distinctConnectedRoots(eng, tc.queries)
+				if len(roots) != tc.queries {
+					t.Fatalf("wanted %d roots, got %v", tc.queries, roots)
+				}
+				br, err := eng.RunBatch(roots)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = goldenOf(br.Iterations, br.Recorder, br.Queries...)
 			}
-			if got := goldenOf(res); got != tc.want {
-				t.Errorf("Run = %+v\npinned %+v", got, tc.want)
+			if got != tc.want {
+				t.Errorf("got    %+v\npinned %+v", got, tc.want)
 			}
 		})
 	}
