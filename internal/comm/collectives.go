@@ -219,8 +219,8 @@ func Alltoallv[T any](c *Comm, send [][]T) ([][]T, error) {
 		}
 	}
 	contribute2(c, KindAlltoallv, seq, send)
-	c.rendezvous(seq, nil)
-	err := c.verify(KindAlltoallv, nil)
+	c.rendezvous(seq)
+	err := c.verify(KindAlltoallv)
 	var recv [][]T
 	if err == nil {
 		recv = make([][]T, k)
@@ -251,8 +251,8 @@ func Allgatherv[T any](c *Comm, send []T) ([][]T, error) {
 		}
 	}
 	contribute1(c, KindAllgather, seq, send)
-	c.rendezvous(seq, nil)
-	err := c.verify(KindAllgather, nil)
+	c.rendezvous(seq)
+	err := c.verify(KindAllgather)
 	var out [][]T
 	if err == nil {
 		out = make([][]T, k)
@@ -294,8 +294,8 @@ func AllgathervUniform[T any](c *Comm, send []T, dst []T) error {
 		}
 	}
 	contribute1(c, KindAllgather, seq, send)
-	c.rendezvous(seq, nil)
-	err := c.verify(KindAllgather, nil)
+	c.rendezvous(seq)
+	err := c.verify(KindAllgather)
 	if err == nil {
 		for j := 0; j < k; j++ {
 			posted := slotSlice[T](c, j)
@@ -329,8 +329,8 @@ func ReduceScatterOr(c *Comm, words []uint64) ([]uint64, error) {
 		}
 	}
 	contribute1(c, KindReduceScatter, seq, words)
-	c.rendezvous(seq, nil)
-	err := c.verify(KindReduceScatter, nil)
+	c.rendezvous(seq)
+	err := c.verify(KindReduceScatter)
 	var seg []uint64
 	if err == nil {
 		seg = make([]uint64, hi-lo)
@@ -412,8 +412,8 @@ func AllreduceMaxInt64(c *Comm, vals []int64) error {
 		}
 	}
 	contribute1(c, KindReduceScatter, seq, vals)
-	c.rendezvous(seq, nil)
-	err := c.verify(KindReduceScatter, nil)
+	c.rendezvous(seq)
+	err := c.verify(KindReduceScatter)
 	lo, hi := segBounds(n, k, c.me)
 	var seg []int64
 	if err == nil {
@@ -474,8 +474,8 @@ func AllreduceSumInt64s(c *Comm, vals []int64) ([]int64, error) {
 		}
 	}
 	contribute1(c, KindReduceScatter, seq, vals)
-	c.rendezvous(seq, nil)
-	err := c.verify(KindReduceScatter, nil)
+	c.rendezvous(seq)
+	err := c.verify(KindReduceScatter)
 	var sums []int64
 	if err == nil {
 		sums = make([]int64, len(vals))
@@ -504,7 +504,7 @@ func ControlSumInt64(c *Comm, v int64) int64 {
 	ctr := contribution{payload: vals}
 	c.sh.slots[c.me] = ctr
 	c.distSend(seq, wireControl, &ctr, controlParts(c, vals))
-	c.rendezvous(seq, nil)
+	c.rendezvous(seq)
 	var sum int64
 	for j := 0; j < c.Size(); j++ {
 		if s := slotSlice[int64](c, j); len(s) > 0 {
@@ -530,7 +530,7 @@ func ControlOrWords(c *Comm, words []uint64) []uint64 {
 	ctr := contribution{payload: cp}
 	c.sh.slots[c.me] = ctr
 	c.distSend(seq, wireControl, &ctr, controlParts(c, cp))
-	c.rendezvous(seq, nil)
+	c.rendezvous(seq)
 	out := make([]uint64, len(words))
 	for j := 0; j < c.Size(); j++ {
 		other := slotSlice[uint64](c, j)
@@ -563,7 +563,7 @@ func ControlGatherSlices[T any](c *Comm, send []T) [][]T {
 	ctr := contribution{payload: send}
 	c.sh.slots[c.me] = ctr
 	c.distSend(seq, wireControl, &ctr, controlParts(c, send))
-	c.rendezvous(seq, nil)
+	c.rendezvous(seq)
 	out := make([][]T, c.Size())
 	for j := range out {
 		out[j] = slotSlice[T](c, j)
@@ -590,8 +590,8 @@ func AllreduceSumFloat64(c *Comm, vals []float64) error {
 		}
 	}
 	contribute1(c, KindReduceScatter, seq, vals)
-	c.rendezvous(seq, nil)
-	err := c.verify(KindReduceScatter, nil)
+	c.rendezvous(seq)
+	err := c.verify(KindReduceScatter)
 	lo, hi := segBounds(n, k, c.me)
 	var seg []float64
 	if err == nil {

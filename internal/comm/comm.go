@@ -682,8 +682,8 @@ func (c *Comm) Barrier() error {
 	ctr := contribution{delay: act.Delay, withheld: act.Withhold, failed: act.Fail, dead: act.Kill}
 	c.sh.slots[c.me] = ctr
 	c.distSend(seq, wireData, &ctr, nil)
-	c.rendezvous(seq, nil)
-	err := c.verify(KindBarrier, nil)
+	c.rendezvous(seq)
+	err := c.verify(KindBarrier)
 	c.complete(seq)
 	c.traceExit("barrier", tok, err)
 	return err
@@ -748,55 +748,45 @@ func (c *Comm) faulty() bool {
 
 // verify inspects the contributions posted for the current collective and
 // returns the agreed typed error, or nil. It must run between the opening and
-// closing barriers. members lists the member indices that contributed (nil
-// means all); every member scans in the same order over the same metadata, so
-// all members of the communicator reach the same verdict — precedence is
-// rank death, then outright failure, then stall, then corruption, then
-// deadline, ties broken by lowest member index. Death ranks first because it
-// is the only non-retryable verdict: a retry loop that saw ErrCollectiveFailed
-// when a dead rank was also present would spin pointlessly.
-func (c *Comm) verify(kind Kind, members []int) error {
+// closing barriers. Every member scans in the same order over the same
+// metadata, so all members of the communicator reach the same verdict —
+// precedence is rank death, then outright failure, then stall, then
+// corruption, then deadline, ties broken by lowest member index. Death ranks
+// first because it is the only non-retryable verdict: a retry loop that saw
+// ErrCollectiveFailed when a dead rank was also present would spin
+// pointlessly.
+func (c *Comm) verify(kind Kind) error {
 	if !c.faulty() {
 		return nil
 	}
-	k := c.Size()
-	at := func(i int) (int, *contribution) {
-		if members != nil {
-			return members[i], &c.sh.slots[members[i]]
-		}
-		return i, &c.sh.slots[i]
-	}
-	n := k
-	if members != nil {
-		n = len(members)
-	}
+	slots := c.sh.slots
 	fail := func(j int, sentinel error) error {
 		c.rank.Faults.Errors++
 		return &CollectiveError{Kind: kind, Seq: c.rank.seq, Rank: c.sh.members[j], Err: sentinel}
 	}
-	for i := 0; i < n; i++ {
-		if j, ct := at(i); ct.dead {
+	for j := range slots {
+		if slots[j].dead {
 			return fail(j, ErrRankDead)
 		}
 	}
-	for i := 0; i < n; i++ {
-		if j, ct := at(i); ct.failed {
+	for j := range slots {
+		if slots[j].failed {
 			return fail(j, ErrCollectiveFailed)
 		}
 	}
-	for i := 0; i < n; i++ {
-		if j, ct := at(i); ct.withheld {
+	for j := range slots {
+		if slots[j].withheld {
 			return fail(j, ErrRankStalled)
 		}
 	}
-	for i := 0; i < n; i++ {
-		if j, ct := at(i); ct.posted != ct.declared {
+	for j := range slots {
+		if slots[j].posted != slots[j].declared {
 			return fail(j, ErrPayloadCorrupted)
 		}
 	}
 	if d := c.rank.w.opt.Deadline; d > 0 {
-		for i := 0; i < n; i++ {
-			if j, ct := at(i); ct.delay > d {
+		for j := range slots {
+			if slots[j].delay > d {
 				return fail(j, ErrDeadlineExceeded)
 			}
 		}

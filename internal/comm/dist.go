@@ -305,22 +305,15 @@ type distComm struct {
 	gbar        *barrier
 }
 
-// fill copies every needed remote contribution into the shared slots,
-// blocking until each has either arrived or its hosting process has been
-// declared dead (in which case a dead envelope is synthesized — the typed
-// ErrRankDead every member then agrees on). members narrows the wait to a
-// contributing subset; nil means all. Only the local leader calls this,
-// between the opening barrier and the gather barrier.
-func (sh *shared) fill(seq uint64, members []int) {
+// fill copies every remote contribution into the shared slots, blocking
+// until each has either arrived or its hosting process has been declared dead
+// (in which case a dead envelope is synthesized — the typed ErrRankDead every
+// member then agrees on). Only the local leader calls this, between the
+// opening barrier and the gather barrier.
+func (sh *shared) fill(seq uint64) {
 	d := sh.dist
 	g := d.w.dist.Group
-	var need []int
-	for _, m := range d.remote {
-		if members != nil && !containsMember(members, m) {
-			continue
-		}
-		need = append(need, m)
-	}
+	need := d.remote
 	if len(need) == 0 {
 		return
 	}
@@ -360,15 +353,6 @@ func (sh *shared) fill(seq uint64, members []int) {
 	g.mu.Unlock()
 }
 
-func containsMember(members []int, m int) bool {
-	for _, x := range members {
-		if x == m {
-			return true
-		}
-	}
-	return false
-}
-
 // nextSeq advances this member's collective counter on the communicator.
 // Members execute an identical collective schedule (the SPMD contract the
 // in-process barriers already rely on), so the counters agree across
@@ -381,11 +365,11 @@ func (c *Comm) nextSeq() uint64 {
 // rendezvous is the cross-backend replacement for the opening barrier: local
 // members rendezvous, then (socket backend only) the leader gathers remote
 // contributions into the slots and everyone syncs again before verifying.
-func (c *Comm) rendezvous(seq uint64, members []int) {
+func (c *Comm) rendezvous(seq uint64) {
 	c.sh.bar.wait()
 	if d := c.sh.dist; d != nil {
 		if c.me == d.leader {
-			c.sh.fill(seq, members)
+			c.sh.fill(seq)
 		}
 		d.gbar.wait()
 	}

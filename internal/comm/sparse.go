@@ -121,8 +121,8 @@ func AllgatherSparse(c *Comm, ups []SparseUpdate) ([][]SparseUpdate, error) {
 		}
 	}
 	contribute1(c, KindAllgatherSparse, seq, frame)
-	c.rendezvous(seq, nil)
-	err := c.verify(KindAllgatherSparse, nil)
+	c.rendezvous(seq)
+	err := c.verify(KindAllgatherSparse)
 	var out [][]SparseUpdate
 	if err == nil {
 		out = make([][]SparseUpdate, k)
