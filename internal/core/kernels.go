@@ -271,14 +271,14 @@ func (st *rankState) hubToLPull(csr *partition.DenseCSR32, has []uint64) int64 {
 	return edges
 }
 
-// h2lGen is the H2L push: active H hubs in this rank's column block message
+// h2lPush is the H2L push: active H hubs in this rank's column block message
 // their L neighbors' owners along the row (the component is stored at the
 // intersection of H's column and the owner's row). It walks the component
-// once, calling emit for every (destination column, L-index, parent)
-// activation; the workload ships them dense or sparse. Both forms generate
-// through this one loop body, which is what keeps their receiver-side apply
-// streams identical message for message.
-func (st *rankState) h2lGen(emit func(col, li int32, parent int64)) int64 {
+// once, appending every activation to send by destination column; the base
+// ships them dense or sparse. Both forms generate through this one loop body,
+// which is what keeps their receiver-side apply streams identical message for
+// message.
+func (st *rankState) h2lPush(send [][]lMsg) int64 {
 	csr := &st.rg.HToL
 	orig := st.e.Part.Hubs.Orig
 	var edges int64
@@ -289,7 +289,7 @@ func (st *rankState) h2lGen(emit func(col, li int32, parent int64)) int64 {
 		parent := orig[hub]
 		for _, rem := range csr.Adj[csr.Ptr[i]:csr.Ptr[i+1]] {
 			edges++
-			emit(rem.Col, rem.LIdx, parent)
+			send[rem.Col] = append(send[rem.Col], lMsg{LIdx: rem.LIdx, Parent: parent})
 		}
 	}
 	return edges
@@ -416,13 +416,13 @@ func (st *rankState) l2ePull() int64 {
 	return edges
 }
 
-// l2hGen is the L2H push: active owned L vertices message the row delegate
+// l2hPush is the L2H push: active owned L vertices message the row delegate
 // of each unvisited H neighbor (the rank in this row holding H's column),
 // which records the delegate activation; the next hub sync propagates it. It
-// calls emit for every (destination column, hub, parent) message — the one
-// loop body behind the dense and the sparse exchange. Delegation knowledge
-// (hubVisited) prunes the message before emit.
-func (st *rankState) l2hGen(emit func(col, hub int32, parent int64)) int64 {
+// appends every message to send by destination column — the one loop body
+// behind the dense and the sparse exchange. Delegation knowledge
+// (hubVisited) prunes the message first.
+func (st *rankState) l2hPush(send [][]hubMsg) int64 {
 	csr := &st.rg.LToH
 	layout := st.e.Part.Layout
 	hubs := st.e.Part.Hubs
@@ -435,7 +435,8 @@ func (st *rankState) l2hGen(emit func(col, hub int32, parent int64)) int64 {
 			if st.hubVisited.Test(int(hub)) {
 				continue // delegation knowledge saves the message
 			}
-			emit(int32(hubs.ColBlockOf(hub, mesh)), hub, parent)
+			col := hubs.ColBlockOf(hub, mesh)
+			send[col] = append(send[col], hubMsg{Hub: hub, Parent: parent})
 		}
 	})
 	return edges
@@ -486,37 +487,27 @@ func (st *rankState) l2hPullScan() int64 {
 
 // --- L2L ---------------------------------------------------------------------
 
-// l2lGenFlat is the flat L2L push: active owned L vertices message their L
-// neighbors' owners. It calls emit with every (owner rank, destination
-// vertex, parent) message — the one loop body behind the dense world
-// alltoallv and the sparse world allgather.
-func (st *rankState) l2lGenFlat(emit func(owner int, dst, parent int64)) int64 {
-	csr := &st.rg.L2L
-	layout := st.e.Part.Layout
-	var edges int64
-	st.lFrontier.ForEach(func(li int) {
-		parent := layout.GlobalOf(st.r.ID, int32(li))
-		for _, dst := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
-			edges++
-			emit(layout.Owner(dst), dst, parent)
-		}
-	})
-	return edges
-}
-
-// l2lGenRows is l2lGenFlat keyed by the owner's mesh row — stage 1 of the
-// hierarchical forwarding scheme (Options.Hierarchical), where messages hop
-// via the intersection rank of the source column and destination row.
-func (st *rankState) l2lGenRows(emit func(row int, dst, parent int64)) int64 {
+// l2lPush is the L2L push: active owned L vertices message their L
+// neighbors' owners, appending to send by owner rank — the one loop body
+// behind the dense world alltoallv and the sparse world allgather — or, under
+// Options.Hierarchical, by the owner's mesh row: stage 1 of the forwarding
+// scheme, where messages hop via the intersection rank of the source column
+// and destination row.
+func (st *rankState) l2lPush(send [][]l2lMsg) int64 {
 	csr := &st.rg.L2L
 	layout := st.e.Part.Layout
 	mesh := st.e.Opt.Mesh
+	byRow := st.e.Opt.Hierarchical
 	var edges int64
 	st.lFrontier.ForEach(func(li int) {
 		parent := layout.GlobalOf(st.r.ID, int32(li))
 		for _, dst := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
 			edges++
-			emit(mesh.RowOf(layout.Owner(dst)), dst, parent)
+			to := layout.Owner(dst)
+			if byRow {
+				to = mesh.RowOf(to)
+			}
+			send[to] = append(send[to], l2lMsg{Dst: dst, Parent: parent})
 		}
 	})
 	return edges
