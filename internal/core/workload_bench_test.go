@@ -59,7 +59,8 @@ func BenchmarkHubSync(b *testing.B) {
 func scratchBytes(e *Engine) (total int) {
 	for i := range e.scratch {
 		s := &e.scratch[i]
-		total += cap(s.ups)*24 + cap(s.hubRecs)*16 + cap(s.distRecs)*24 + cap(s.touched.list)*4
+		total += cap(s.ups)*24 + cap(s.hubRecs)*16 + cap(s.distRecs)*24 + cap(s.touched.list)*4 +
+			cap(s.active)*4 + (cap(s.sendWords)+cap(s.recvWords))*8
 		for _, p := range s.lParts {
 			total += cap(p) * 16
 		}
@@ -76,25 +77,47 @@ func scratchBytes(e *Engine) (total int) {
 	return total
 }
 
-// BenchmarkWorkloadExchangeAllocs runs warm runs of each value workload on
-// one engine and pins the exchange layer's claim: once a first run has grown
-// them, the dense send buffers, the sparse update buffer and the delegate-sync
-// records come out of Engine.scratch and no iteration allocates one
-// (sendbuf_B/op is the growth of their capacity per run and must be 0). All
-// four share one remote-push path, so the claim holds for all four. allocs/op
+// BenchmarkWorkloadExchangeAllocs runs warm runs of each workload on one
+// engine and pins the exchange layer's claim: once a first run has grown
+// them, the dense send buffers, the sparse update buffer, the pull-frontier
+// gathers and the delegate-sync records come out of Engine.scratch and no
+// iteration allocates one (sendbuf_B/op is the growth of their capacity per
+// run and must be 0). All five workloads share one remote-push path, so the
+// claim holds for all five, BFS at batch width 1 and 16 included. allocs/op
 // is what is left: the receive-side copies comm makes, the kernels' receive
 // closures, result arrays and per-run state.
 func BenchmarkWorkloadExchangeAllocs(b *testing.B) {
 	e := benchEngine(b)
 	root := firstConnectedRootOf(e)
+	roots := distinctConnectedRoots(e, 16)
+	bfs := func(roots []int64) func() (int, error) {
+		return func() (int, error) {
+			br, err := e.RunBatch(roots)
+			if err != nil {
+				return 0, err
+			}
+			return br.Iterations, nil
+		}
+	}
+	value := func(run func() (*WorkloadResult, error)) func() (int, error) {
+		return func() (int, error) {
+			res, err := run()
+			if err != nil {
+				return 0, err
+			}
+			return res.Iterations, nil
+		}
+	}
 	for _, w := range []struct {
 		name string
-		run  func() (*WorkloadResult, error)
+		run  func() (int, error)
 	}{
-		{"wcc", e.RunWCC},
-		{"sssp", func() (*WorkloadResult, error) { return e.RunSSSP(root, 7, 0) }},
-		{"kcore", func() (*WorkloadResult, error) { return e.RunKCore(3) }},
-		{"pagerank", func() (*WorkloadResult, error) { return e.RunPageRank(0.85, 1e-9, 0) }},
+		{"bfs", bfs([]int64{root})},
+		{"bfs-batch16", bfs(roots)},
+		{"wcc", value(e.RunWCC)},
+		{"sssp", value(func() (*WorkloadResult, error) { return e.RunSSSP(root, 7, 0) })},
+		{"kcore", value(func() (*WorkloadResult, error) { return e.RunKCore(3) })},
+		{"pagerank", value(func() (*WorkloadResult, error) { return e.RunPageRank(0.85, 1e-9, 0) })},
 	} {
 		b.Run(w.name, func(b *testing.B) {
 			if _, err := w.run(); err != nil { // warm: grows the scratch once
@@ -105,11 +128,11 @@ func BenchmarkWorkloadExchangeAllocs(b *testing.B) {
 			b.ResetTimer()
 			iters := 0
 			for i := 0; i < b.N; i++ {
-				res, err := w.run()
+				n, err := w.run()
 				if err != nil {
 					b.Fatal(err)
 				}
-				iters += res.Iterations
+				iters += n
 			}
 			grown := scratchBytes(e) - warm
 			b.ReportMetric(float64(grown)/float64(b.N), "sendbuf_B/op")
