@@ -45,7 +45,7 @@ const (
 	// KindCollective is one comm collective (enter to exit), with its payload
 	// bytes split intra/inter supernode — the Figure 11 unit.
 	KindCollective
-	// KindDecision is one chooseDirections record: the globally consistent
+	// KindDecision is one latched-schedule record: the globally consistent
 	// inputs and the per-component outcome.
 	KindDecision
 	// KindCheckpoint is checkpoint-writer work: a synchronous capture or an
