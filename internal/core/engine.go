@@ -419,27 +419,21 @@ func (e *Engine) sparseTail(activeSrc, lastIterBytes int64) bool {
 // a finished root (its scope pruned) is simply re-run under the same name.
 func (e *Engine) SetResumeFrom(name string) { e.resumeFrom = name }
 
-// Result is one BFS run's output.
-type Result struct {
-	Root       int64
-	Parent     []int64 // parent per original vertex; -1 unreachable
-	Iterations int
-	Time       time.Duration
-	// TraversedEdges counts input undirected edges with both endpoints in
-	// the traversed component — the Graph 500 TEPS numerator.
-	TraversedEdges int64
+// RunRecord is the accounting every run's result carries (Result,
+// BatchResult, WorkloadResult), declared once: whatever the workload, the
+// same loop produced it.
+type RunRecord struct {
+	Time time.Duration
 	// Recorder aggregates all ranks' breakdowns.
 	Recorder *stats.Recorder
 	// PerRank holds each rank's own breakdown.
 	PerRank []*stats.Recorder
-	// Trace records per-iteration frontier composition and chosen
-	// directions (Figure 5 and the direction-optimization diagnostics).
-	Trace []IterTrace
 	// Faults aggregates all ranks' injected faults and observed collective
 	// errors; zero when no fault transport was installed.
 	Faults comm.FaultStats
-	// Retries counts iteration re-executions across all ranks; RecoveryTime
-	// is the wall time the slowest rank spent in failed attempts + backoff.
+	// Retries counts failed retry votes across all ranks — each followed by
+	// a re-execution, except one that exhausted MaxRetries; RecoveryTime is
+	// the wall time the slowest rank spent in failed attempts + backoff.
 	Retries      int64
 	RecoveryTime time.Duration
 	// Recovery accounts fail-stop recovery: world epochs spent, ranks lost,
@@ -449,6 +443,20 @@ type Result struct {
 	// Options.CheckpointDir ("" when checkpointing is off or the scope was
 	// pruned after success). Pass it to a later engine's ResumeFrom.
 	CheckpointScope string
+}
+
+// Result is one BFS run's output.
+type Result struct {
+	Root       int64
+	Parent     []int64 // parent per original vertex; -1 unreachable
+	Iterations int
+	// TraversedEdges counts input undirected edges with both endpoints in
+	// the traversed component — the Graph 500 TEPS numerator.
+	TraversedEdges int64
+	// Trace records per-iteration frontier composition and chosen
+	// directions (Figure 5 and the direction-optimization diagnostics).
+	Trace []IterTrace
+	RunRecord
 }
 
 // IterTrace is one iteration's frontier composition and direction choices.
@@ -579,50 +587,39 @@ func (e *Engine) ensureGraphTier(store *checkpoint.Store) (segs, bytes int64, er
 	return segs, bytes, nil
 }
 
-// workloadFactory builds one rank's workload state for an epoch. The factory
-// runs once per rank per world epoch — a rebuilt world re-creates every
-// workload and replays it from checkpoint.
-type workloadFactory func(e *Engine, r *comm.Rank) workload
+// workloadFactory builds one rank's workload for an epoch and returns its
+// base. The factory runs once per rank per world epoch — a rebuilt world
+// re-creates every workload and replays it from checkpoint.
+type workloadFactory func(e *Engine, r *comm.Rank) *valueBase
 
 // runEpoch executes one world epoch: every rank of the current world runs the
-// shared driver loop over its workload, resuming from resumeIter when >= -1
-// (replaced marks rank slots whose predecessor died last epoch). A fail-stop
-// surfaces as *deadWorldError in errs on every rank.
+// base's loop, resuming from resumeIter when >= -1 (replaced marks rank slots
+// whose predecessor died last epoch). A fail-stop surfaces as
+// *deadWorldError in errs on every rank.
 func (e *Engine) runEpoch(mk workloadFactory, store *checkpoint.Store, scope *checkpoint.RunScope,
-	resumeIter int64, replaced map[int]bool) ([]workload, [][]IterTrace, []error) {
-	states := make([]workload, e.Opt.Ranks)
+	resumeIter int64, replaced map[int]bool) ([]*valueBase, [][]IterTrace, []error) {
+	bases := make([]*valueBase, e.Opt.Ranks)
 	traces := make([][]IterTrace, e.Opt.Ranks)
 	errs := make([]error, e.Opt.Ranks)
 	e.World.Run(func(r *comm.Rank) {
-		wl := mk(e, r)
-		d := wl.drv()
-		d.store, d.scope = store, scope
-		d.resumeIter = resumeIter
-		d.replaced = replaced[r.ID]
-		states[r.ID] = wl
-		traces[r.ID], errs[r.ID] = d.runLoop(wl)
-		d.rec.Faults = r.Faults
-		d.rec.Retries = d.retries
-		d.rec.Recovery = d.recovery
+		b := mk(e, r)
+		b.store, b.scope = store, scope
+		b.resumeIter = resumeIter
+		b.replaced = replaced[r.ID]
+		bases[r.ID] = b
+		traces[r.ID], errs[r.ID] = b.runLoop()
 	})
-	return states, traces, errs
+	return bases, traces, errs
 }
 
-// runCommon is the workload-agnostic outcome of Engine.execute: everything a
-// public entry point (Run, RunWCC, RunKCore, RunSSSP) needs to assemble its
-// result type.
+// runCommon is the workload-agnostic outcome of Engine.execute: the run
+// record and everything else a public entry point (RunBatch, RunWCC,
+// RunKCore, RunSSSP, RunPageRank) needs to assemble its result type.
 type runCommon struct {
-	states       []workload
-	trace        []IterTrace
-	time         time.Duration
-	recorder     *stats.Recorder
-	perRank      []*stats.Recorder
-	faults       comm.FaultStats
-	retries      int64
-	recoveryTime time.Duration
-	recovery     stats.RecoveryStats
-	scopeName    string
-	err          error
+	RunRecord
+	bases []*valueBase // per rank: the last epoch's, nil where not hosted
+	trace []IterTrace
+	err   error
 }
 
 // execute is the shared run skeleton behind every workload entry point:
@@ -633,8 +630,8 @@ type runCommon struct {
 // setup failed); an error from the run itself lands in runCommon.err with
 // the partial accounting intact.
 func (e *Engine) execute(suffix string, spanArgs map[string]int64, mk workloadFactory) (*runCommon, error) {
-	rc := &runCommon{recorder: &stats.Recorder{}}
-	rc.recovery.LastResumeIter = -2
+	rc := &runCommon{RunRecord: RunRecord{Recorder: &stats.Recorder{}}}
+	rc.Recovery.LastResumeIter = -2
 
 	var store *checkpoint.Store
 	var scope *checkpoint.RunScope
@@ -649,8 +646,8 @@ func (e *Engine) execute(suffix string, spanArgs map[string]int64, mk workloadFa
 		if err != nil {
 			return nil, err
 		}
-		rc.recovery.CheckpointSegments += segs
-		rc.recovery.CheckpointBytes += bytes
+		rc.Recovery.CheckpointSegments += segs
+		rc.Recovery.CheckpointBytes += bytes
 		name, resuming := e.resumeFrom, e.resumeFrom != ""
 		e.resumeFrom = ""
 		if !resuming {
@@ -677,30 +674,26 @@ func (e *Engine) execute(suffix string, spanArgs map[string]int64, mk workloadFa
 	}
 	replaced := map[int]bool{}
 	var full []IterTrace
-	var states []workload
 	var runErr error
 	for {
 		if resumeIter >= -1 {
-			rc.recovery.LastResumeIter = resumeIter
+			rc.Recovery.LastResumeIter = resumeIter
 		}
 		var traces [][]IterTrace
 		var errs []error
-		states, traces, errs = e.runEpoch(mk, store, scope, resumeIter, replaced)
+		rc.bases, traces, errs = e.runEpoch(mk, store, scope, resumeIter, replaced)
 		var maxReplay time.Duration
-		for _, wl := range states {
-			if wl == nil { // remote rank on a distributed world
+		for _, b := range rc.bases {
+			if b == nil { // remote rank on a distributed world
 				continue
 			}
-			d := wl.drv()
-			rc.recorder.Merge(d.rec)
-			if d.recovery > rc.recoveryTime {
-				rc.recoveryTime = d.recovery
-			}
-			if d.replayDur > maxReplay {
-				maxReplay = d.replayDur
-			}
+			rc.Recorder.Merge(b.rec)
+			rc.Faults.Add(&b.r.Faults)
+			rc.Retries += b.retries
+			rc.RecoveryTime = max(rc.RecoveryTime, b.recovery)
+			maxReplay = max(maxReplay, b.replayDur)
 		}
-		rc.recovery.RecoveryTime += maxReplay
+		rc.Recovery.RecoveryTime += maxReplay
 
 		// Stitch this epoch's trace onto the absolute iteration axis: the
 		// epoch re-executed everything past the checkpoint it resumed from.
@@ -759,11 +752,11 @@ func (e *Engine) execute(suffix string, spanArgs map[string]int64, mk workloadFa
 		if e.tr != nil {
 			recT0 = e.tr.Now()
 		}
-		rc.recovery.Epochs++
-		rc.recovery.RanksLost += int64(len(dead))
-		if rc.recovery.Epochs > int64(e.Opt.Ranks) {
+		rc.Recovery.Epochs++
+		rc.Recovery.RanksLost += int64(len(dead))
+		if rc.Recovery.Epochs > int64(e.Opt.Ranks) {
 			runErr = fmt.Errorf("core: %d world epochs exhausted: %w: %w",
-				rc.recovery.Epochs, ErrNoConvergence, comm.ErrRankDead)
+				rc.Recovery.Epochs, ErrNoConvergence, comm.ErrRankDead)
 			break
 		}
 		nw, err := e.World.NextEpoch(dead, e.Opt.Recovery.rebuild())
@@ -792,19 +785,19 @@ func (e *Engine) execute(suffix string, spanArgs map[string]int64, mk workloadFa
 			replayFrom = 0
 		}
 		if completed := int64(len(full)); completed > replayFrom {
-			rc.recovery.IterationsReplayed += completed - replayFrom
+			rc.Recovery.IterationsReplayed += completed - replayFrom
 		}
-		rc.recovery.RecoveryTime += time.Since(recStart)
+		rc.Recovery.RecoveryTime += time.Since(recStart)
 		if e.tr != nil {
 			e.tr.Emit(trace.Span{Kind: trace.KindRecovery,
-				Epoch: int(rc.recovery.Epochs), Iter: resumeIter, Step: -1,
+				Epoch: int(rc.Recovery.Epochs), Iter: resumeIter, Step: -1,
 				Name: "world_rebuild", Start: recT0, Dur: e.tr.Now() - recT0,
 				Args: map[string]int64{"ranks_lost": int64(len(dead))}})
 		}
 	}
-	rc.time = time.Since(start)
+	rc.Time = time.Since(start)
 	if e.tr != nil {
-		sp := trace.Span{Kind: trace.KindEvent, Epoch: int(rc.recovery.Epochs),
+		sp := trace.Span{Kind: trace.KindEvent, Epoch: int(rc.Recovery.Epochs),
 			Iter: -1, Step: -1, Name: "run", Start: runT0, Dur: e.tr.Now() - runT0}
 		if runErr != nil {
 			sp.Err = 1
@@ -812,25 +805,21 @@ func (e *Engine) execute(suffix string, spanArgs map[string]int64, mk workloadFa
 		e.tr.Emit(sp)
 	}
 
-	rc.states = states
 	rc.trace = full
-	for _, wl := range states {
-		if wl == nil {
-			continue
+	for _, b := range rc.bases {
+		if b != nil {
+			rc.PerRank = append(rc.PerRank, b.rec)
 		}
-		rc.perRank = append(rc.perRank, wl.drv().rec)
 	}
-	rc.faults = rc.recorder.Faults
-	rc.retries = rc.recorder.Retries
 	// Fold the rank-side accounting (checkpoint writers, replay bytes) into
 	// the engine-side recovery record; Add leaves LastResumeIter alone.
-	rc.recovery.Add(&rc.recorder.FailStop)
-	rc.recorder.FailStop = rc.recovery
+	rc.Recovery.Add(&rc.Recorder.FailStop)
+	rc.Recorder.FailStop = rc.Recovery
 	rc.err = runErr
 	if runErr == nil {
 		if scope != nil {
 			if e.Opt.KeepCheckpoints {
-				rc.scopeName = scope.Name()
+				rc.CheckpointScope = scope.Name()
 			} else {
 				// All processes' writers must be closed before the scope
 				// disappears, and only one process prunes the shared store.
@@ -842,7 +831,7 @@ func (e *Engine) execute(suffix string, spanArgs map[string]int64, mk workloadFa
 		}
 	} else if scope != nil {
 		// A failed run keeps its scope: it is the restart path (ResumeFrom).
-		rc.scopeName = scope.Name()
+		rc.CheckpointScope = scope.Name()
 	}
 	return rc, nil
 }

@@ -64,6 +64,7 @@ func newKCoreState(e *Engine, r *comm.Rank, kth int64) *kcoreState {
 		lastPeeled: -1,
 	}
 	st.declare(valueSpec{
+		wl: st,
 		planes: []planeSpec{{kernels: [partition.NumComponents]func() (int64, error){
 			st.ehDec, st.e2lDec, st.h2lDec, st.lDecHubs(&st.rg.LToE), st.lDecHubs(&st.rg.LToH), st.l2lDec}}},
 		epilogue: st.epilogue,
@@ -187,7 +188,7 @@ func (st *kcoreState) h2lDec() (int64, error) {
 				st.lDec[m.LIdx] += m.Parent
 			}
 		}
-	})
+	}, nil)
 }
 
 // lDecHubs is L2E (csr = LToE) and L2H (csr = LToH): peeled owned L vertices
@@ -221,7 +222,7 @@ func (st *kcoreState) l2lDec() (int64, error) {
 				st.lDec[layout.LocalIdx(m.Dst)] += m.Parent
 			}
 		}
-	})
+	}, nil)
 }
 
 // epilogue sum-folds the non-zero hub decrements column-then-row, applies
@@ -231,7 +232,7 @@ func (st *kcoreState) l2lDec() (int64, error) {
 // step retry's snapshot restore.
 func (st *kcoreState) epilogue() error {
 	t := &st.scr.touched
-	firstErr := syncTouched(&st.driver, "deg_sync", &st.scr.hubRecs,
+	firstErr := syncTouched(&st.valueBase, "deg_sync", &st.scr.hubRecs,
 		func(h int32) hubMsg { return hubMsg{Hub: h, Parent: st.hubDec[h]} },
 		func(m hubMsg) (int32, bool) {
 			st.hubDec[m.Hub] += m.Parent

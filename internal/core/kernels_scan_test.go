@@ -269,13 +269,13 @@ func TestInRankAssemblyMatchesSerial(t *testing.T) {
 	}
 	for _, root := range []int64{hubRoot, lRoot} {
 		root := root
-		rc, err := e.execute("asm", nil, func(e *Engine, r *comm.Rank) workload { return newMultiState(e, r, []int64{root}) })
+		rc, err := e.execute("asm", nil, func(e *Engine, r *comm.Rank) *valueBase { return &newMultiState(e, r, []int64{root}).valueBase })
 		if err != nil || rc.err != nil {
 			t.Fatal(err, rc.err)
 		}
 		var planes []*rankState
-		for _, wl := range rc.states {
-			planes = append(planes, wl.(*multiState).planes[0])
+		for _, b := range rc.bases {
+			planes = append(planes, b.spec.wl.(*multiState).planes[0])
 		}
 		res := &Result{}
 		e.assemble(rc, []*Result{res})
@@ -292,7 +292,7 @@ func TestInRankAssemblyMatchesSerial(t *testing.T) {
 	}
 
 	roots := []int64{hubRoot, lRoot, 1}
-	rc, err := e.execute("asmbatch", nil, func(e *Engine, r *comm.Rank) workload { return newMultiState(e, r, roots) })
+	rc, err := e.execute("asmbatch", nil, func(e *Engine, r *comm.Rank) *valueBase { return &newMultiState(e, r, roots).valueBase })
 	if err != nil || rc.err != nil {
 		t.Fatal(err, rc.err)
 	}
@@ -304,8 +304,8 @@ func TestInRankAssemblyMatchesSerial(t *testing.T) {
 	}
 	for q := range roots {
 		var planes []*rankState
-		for _, wl := range rc.states {
-			planes = append(planes, wl.(*multiState).planes[q])
+		for _, b := range rc.bases {
+			planes = append(planes, b.spec.wl.(*multiState).planes[q])
 		}
 		sameAssembly(t, fmt.Sprintf("RunBatch query %d", q), e, out[q], planes)
 		sameAssembly(t, fmt.Sprintf("RunBatch query %d public", q), e, br.Queries[q], planes)
@@ -361,7 +361,7 @@ func BenchmarkAssemble(b *testing.B) {
 	handles := rankHandles(e)
 	for _, reached := range []float64{0.05, 0.50, 0.95} {
 		rng := rand.New(rand.NewSource(2))
-		rc := &runCommon{states: make([]workload, len(handles))}
+		rc := &runCommon{bases: make([]*valueBase, len(handles))}
 		for _, r := range handles {
 			wl := newMultiState(e, r, []int64{0})
 			st := wl.planes[0]
@@ -373,7 +373,7 @@ func BenchmarkAssemble(b *testing.B) {
 			for h := range st.parentHub {
 				st.parentHub[h] = int64(h)
 			}
-			rc.states[r.ID] = wl
+			rc.bases[r.ID] = &wl.valueBase
 		}
 		b.Run(fmt.Sprintf("reached=%.0f%%", 100*reached), func(b *testing.B) {
 			b.ReportAllocs()

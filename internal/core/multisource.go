@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/bitmap"
 	"repro/internal/comm"
@@ -40,7 +39,7 @@ const maxBatchWidth = 1 << 20
 // multiState is the BFS workload: Q planes (rankState) whose bitmaps, parent
 // arrays and counters are windows of contiguous per-kind backings, declared
 // to the base, which runs them on the same four-step retryable iteration
-// skeleton (driver.runLoop) as every other workload — so step-granular retry,
+// skeleton (valueBase.runLoop) as every other workload — so step-granular retry,
 // checkpointing, drain and fail-stop epoch recovery apply to any batch width
 // unchanged. What only BFS needs is here: the seeds, the per-plane direction
 // choice, the hub sync, the pull-frontier gathers, the hierarchical L2L
@@ -133,6 +132,7 @@ func newMultiState(e *Engine, r *comm.Rank, roots []int64) *multiState {
 	// correct parent for that vertex. hubNew, hubIter and lNew are empty at
 	// every capture point, so they are not part of the on-disk state.
 	m.declare(valueSpec{
+		wl:       m,
 		planes:   specs,
 		hubSync:  m.syncHubs,
 		epilogue: m.epilogue,
@@ -172,14 +172,13 @@ func (m *multiState) bootstrap() error {
 
 // beginIter latches every live plane's schedule (each plane sees its own
 // counts plus the shared batch-global byte feedback) and aggregates the
-// batch-level IterTrace the driver loop records, which carries the live
+// batch-level IterTrace the base's loop records, which carries the live
 // planes' own records along.
 func (m *multiState) beginIter(it *IterTrace) {
 	var s0 int64
 	if m.tr != nil {
 		s0 = m.tr.Now()
 	}
-	*it = IterTrace{}
 	for c := range it.Directions {
 		it.Directions[c] = stats.DirSkip
 		m.firstPull[c] = -1
@@ -230,19 +229,31 @@ func (m *multiState) beginIter(it *IterTrace) {
 // syncHubs merges every plane's hub activations in ONE column+row allreduce
 // pair over the contiguous hubNew backing — the paper's delegation traffic
 // pattern (E and H state moves only on column and row links) — then folds
-// each plane. Planes with nothing to sync contribute all-zero words and a
-// no-op fold, so the shared collective cannot perturb them. Only EH2EH (step
-// 0) and L2E and L2H (step 1) set hubNew, and the previous sync left it
-// empty, so when every live plane skipped them (the batch schedule says so)
-// the allreduce pair would carry all-zero words and is elided — a globally
-// consistent decision like every skip.
+// each plane. Both allreduces always run — even after the column one fails —
+// so the row communicator's collective schedule matches on every rank.
+// Planes with nothing to sync contribute all-zero words and a no-op fold, so
+// the shared collective cannot perturb them. Only EH2EH (step 0) and L2E and
+// L2H (step 1) set hubNew, and the previous sync left it empty, so when every
+// live plane skipped them (the batch schedule says so) the allreduce pair
+// would carry all-zero words and is elided — a globally consistent decision
+// like every skip. Observed as PhaseOther.
 func (m *multiState) syncHubs() error {
 	d := &m.iter.Directions
 	if d[partition.CompEH2EH] == stats.DirSkip && m.curStep == 0 ||
 		d[partition.CompL2E] == stats.DirSkip && d[partition.CompL2H] == stats.DirSkip && m.curStep == 1 {
 		return nil
 	}
-	err := syncHubWords(&m.driver, m.hubN.Words(), "hub_sync")
+	err := m.observeCollective(stats.PhaseOther, trace.KindSync, "hub_sync", func() error {
+		words := m.hubN.Words()
+		if len(words) == 0 {
+			return nil
+		}
+		err := comm.AllreduceOr(m.r.ColC, words)
+		if e2 := comm.AllreduceOr(m.r.RowC, words); err == nil {
+			err = e2
+		}
+		return err
+	})
 	for _, p := range m.planes {
 		// hubNew now holds the union of all ranks' new activations; a hub
 		// another rank also activated is filtered by the visited set.
@@ -406,9 +417,14 @@ func (m *multiState) endIter(it *IterTrace) bool {
 
 // finalize is the delayed reduction of the delegated parent arrays
 // (Section 5): ONE world-wide max-reduce over the Q stacked arrays after the
-// run instead of per-iteration, per-query traffic.
+// run instead of per-iteration, per-query traffic, observed as PhaseReduce.
 func (m *multiState) finalize() error {
-	return reduceMaxParents(&m.driver, m.pHubAll[:len(m.planes)*m.k])
+	return m.observeCollective(stats.PhaseReduce, trace.KindReduce, "reduce_parents", func() error {
+		if m.k == 0 {
+			return nil
+		}
+		return comm.AllreduceMaxInt64(m.r.World, m.pHubAll[:len(m.planes)*m.k])
+	})
 }
 
 // BatchResult is one batched multi-source sweep's output: per-query results
@@ -423,22 +439,15 @@ type BatchResult struct {
 	// Iterations is the sweep's iteration count — the depth of the slowest
 	// query (re-executed iterations only, on a run resumed via ResumeFrom).
 	Iterations int
-	Time       time.Duration
 	// AvgOccupancy is the mean number of live (unconverged) queries per
 	// sweep iteration: len(Roots) at full amortization; 1.0 means the batch
 	// degenerated to one query's cost.
 	AvgOccupancy float64
-	Recorder     *stats.Recorder
-	PerRank      []*stats.Recorder
 	// Trace aggregates the batch per iteration: summed frontier composition,
 	// per-component direction when every live query agreed (DirNone when
 	// mixed), OR of the sparse choices.
-	Trace           []IterTrace
-	Faults          comm.FaultStats
-	Retries         int64
-	RecoveryTime    time.Duration
-	Recovery        stats.RecoveryStats
-	CheckpointScope string
+	Trace []IterTrace
+	RunRecord
 }
 
 // RunBatch traverses all roots in one batched multi-source sweep and
@@ -474,36 +483,19 @@ func (e *Engine) RunBatch(roots []int64) (*BatchResult, error) {
 	nq := len(roots)
 	rc, err := e.execute(fmt.Sprintf("batch%d", nq),
 		map[string]int64{"queries": int64(nq)},
-		func(e *Engine, r *comm.Rank) workload { return newMultiState(e, r, roots) })
+		func(e *Engine, r *comm.Rank) *valueBase { return &newMultiState(e, r, roots).valueBase })
 	if err != nil {
 		return nil, err
 	}
 	br := &BatchResult{
-		Roots:           append([]int64(nil), roots...),
-		Queries:         make([]*Result, nq),
-		Iterations:      len(rc.trace),
-		Time:            rc.time,
-		Recorder:        rc.recorder,
-		PerRank:         rc.perRank,
-		Trace:           rc.trace,
-		Faults:          rc.faults,
-		Retries:         rc.retries,
-		RecoveryTime:    rc.recoveryTime,
-		Recovery:        rc.recovery,
-		CheckpointScope: rc.scopeName,
+		Roots:      append([]int64(nil), roots...),
+		Queries:    make([]*Result, nq),
+		Iterations: len(rc.trace),
+		Trace:      rc.trace,
+		RunRecord:  rc.RunRecord,
 	}
 	for qi, root := range roots {
-		br.Queries[qi] = &Result{
-			Root:            root,
-			Time:            rc.time,
-			Recorder:        rc.recorder,
-			PerRank:         rc.perRank,
-			Faults:          rc.faults,
-			Retries:         rc.retries,
-			RecoveryTime:    rc.recoveryTime,
-			Recovery:        rc.recovery,
-			CheckpointScope: rc.scopeName,
-		}
+		br.Queries[qi] = &Result{Root: root, RunRecord: rc.RunRecord}
 	}
 	e.assemble(rc, br.Queries)
 	liveIters := 0

@@ -79,6 +79,7 @@ func newPageRankState(e *Engine, r *comm.Rank, damping, tol float64, budget int)
 	}
 	st.hubVal, st.lVal = float64View(st.hubBits), float64View(st.lBits)
 	st.declare(valueSpec{
+		wl: st,
 		planes: []planeSpec{{kernels: [partition.NumComponents]func() (int64, error){
 			st.ehPush, st.e2lPush, st.h2lPush, st.lToHubs(&st.rg.LToE), st.lToHubs(&st.rg.LToH), st.l2lPush}}},
 		epilogue: st.epilogue,
@@ -168,7 +169,7 @@ func (st *pagerankState) h2lPush() (int64, error) {
 				st.lAcc[m.LIdx] += math.Float64frombits(uint64(m.Parent))
 			}
 		}
-	})
+	}, nil)
 }
 
 // lToHubs is L2E (csr = LToE) and L2H (csr = LToH): owned L vertices
@@ -205,7 +206,7 @@ func (st *pagerankState) l2lPush() (int64, error) {
 				st.lAcc[layout.LocalIdx(m.Dst)] += math.Float64frombits(uint64(m.Parent))
 			}
 		}
-	})
+	}, nil)
 }
 
 // epilogue sums the hub partials column-then-row, applies the new ranks (the

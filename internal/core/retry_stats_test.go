@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/comm"
@@ -82,5 +83,49 @@ func TestRetryDoesNotDoubleCountStats(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// failReduce fails rank 0's contribution to every delayed-reduction
+// collective, so the reduction never succeeds however often it is retried.
+type failReduce struct{}
+
+func (failReduce) Intercept(c comm.Call) comm.FaultAction {
+	return comm.FaultAction{Fail: c.Rank == 0 && c.Tag == TagReduce}
+}
+
+// TestReduceRetryGivesUp covers the give-up path of the delayed reduction's
+// retry: a reduction that fails on every attempt ends the run with an error
+// satisfying both ErrNoConvergence and the comm sentinel that kept firing,
+// after MaxRetries re-executions. Every rank counts each failed vote, the
+// final one included, and Retries sums the ranks.
+func TestReduceRetryGivesUp(t *testing.T) {
+	n, edges := rmatEdges(t, 10, 7)
+	const maxRetries = 3
+	eng, err := NewEngine(n, edges, Options{
+		Mesh:       topology.Mesh{Rows: 2, Cols: 2},
+		Thresholds: partition.Thresholds{E: 512, H: 64},
+		Transport:  failReduce{},
+		MaxRetries: maxRetries,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(firstConnectedRootOf(eng))
+	if err == nil {
+		t.Fatal("a reduction that always fails returned no error")
+	}
+	if !errors.Is(err, ErrNoConvergence) || !errors.Is(err, comm.ErrCollectiveFailed) {
+		t.Fatalf("err = %v, want ErrNoConvergence and comm.ErrCollectiveFailed in its chain", err)
+	}
+	if res == nil {
+		t.Fatal("no result returned beside the error")
+	}
+	if want := int64(eng.Opt.Ranks * (maxRetries + 1)); res.Retries != want {
+		t.Fatalf("Retries = %d, want %d (%d ranks × %d failed votes)",
+			res.Retries, want, eng.Opt.Ranks, maxRetries+1)
+	}
+	if res.Faults.Failures < maxRetries+1 {
+		t.Fatalf("Faults.Failures = %d, want at least one per attempt (%d)", res.Faults.Failures, maxRetries+1)
 	}
 }

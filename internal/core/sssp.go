@@ -103,6 +103,7 @@ func newSSSPState(e *Engine, r *comm.Rank, root int64, seed uint64, delta float6
 	st.hubDist, st.hubParent = float64View(st.hubPack[:k]), st.hubPack[k:]
 	st.lDist, st.lParent = float64View(st.lPack[:per]), st.lPack[per:]
 	st.declare(valueSpec{
+		wl: st,
 		planes: []planeSpec{{kernels: [partition.NumComponents]func() (int64, error){
 			st.ehRelax, st.e2lRelax, st.h2lRelax, st.l2eRelax, st.l2hRelax, st.l2lRelax}}},
 		hubSync:  st.syncDists,
@@ -245,7 +246,7 @@ func (st *ssspState) lowerL(li int32, nd float64, parent int64) {
 // improvement already did.
 func (st *ssspState) syncDists() error {
 	t := &st.scr.touched
-	err := syncTouched(&st.driver, "dist_sync", &st.scr.distRecs,
+	err := syncTouched(&st.valueBase, "dist_sync", &st.scr.distRecs,
 		func(h int32) distMsg { return distMsg{To: int64(h), Dist: st.hubDist[h], Parent: st.hubParent[h]} },
 		func(m distMsg) (int32, bool) {
 			h := int32(m.To)
@@ -311,7 +312,7 @@ func (st *ssspState) h2lRelax() (int64, error) {
 				st.lowerL(int32(m.To), m.Dist, m.Parent)
 			}
 		}
-	})
+	}, nil)
 }
 
 // l2eRelax: in-bucket owned L vertices relax E delegates locally.
@@ -353,7 +354,7 @@ func (st *ssspState) l2hRelax() (int64, error) {
 				st.lowerHub(int32(m.To), m.Dist, m.Parent)
 			}
 		}
-	})
+	}, nil)
 }
 
 // l2lRelax: in-bucket owned L vertices relax their L neighbors at the owners
@@ -375,5 +376,5 @@ func (st *ssspState) l2lRelax() (int64, error) {
 				st.lowerL(layout.LocalIdx(m.To), m.Dist, m.Parent)
 			}
 		}
-	})
+	}, nil)
 }

@@ -9,9 +9,9 @@ import (
 // rankState is one query's plane of the BFS workload (multisource.go) on one
 // rank: its bitmaps, parent arrays and counters, its kernels, message
 // generators and apply routines, and its direction choice. It issues no
-// collective of its own and owns no driver, recorder or snapshot — the
+// collective of its own and owns no runtime, recorder or snapshot — the
 // workload base does, for all planes at once. It embeds its workload, so a
-// plane's kernels reach the rank's driver, scratch and base by promotion and
+// plane's kernels reach the rank's base and scratch by promotion and
 // observe on the rank's recorder and span stream.
 //
 // Hub (E and H) state is delegated: every rank holds full hubFrontier and
@@ -81,7 +81,7 @@ func (st *rankState) kernels() [partition.NumComponents]func() (int64, error) {
 			}
 			send := sendParts(b, partition.CompH2L, &st.scr.lParts, st.e.Opt.Mesh.Cols)
 			edges := st.h2lPush(send)
-			return edges, ship(b, partition.CompH2L, send, applyL)
+			return edges, ship(b, partition.CompH2L, send, applyL, nil)
 		},
 		local(partition.CompL2E, st.l2ePush, st.l2ePull),
 		func() (int64, error) {
@@ -90,7 +90,7 @@ func (st *rankState) kernels() [partition.NumComponents]func() (int64, error) {
 			}
 			send := sendParts(b, partition.CompL2H, &st.scr.hubParts, st.e.Opt.Mesh.Cols)
 			edges := st.l2hPush(send)
-			return edges, ship(b, partition.CompL2H, send, applyHub)
+			return edges, ship(b, partition.CompL2H, send, applyHub, nil)
 		},
 		func() (int64, error) {
 			if st.sched.Directions[partition.CompL2L] == stats.DirPull {
@@ -102,7 +102,7 @@ func (st *rankState) kernels() [partition.NumComponents]func() (int64, error) {
 			}
 			send := sendParts(b, partition.CompL2L, &st.scr.l2lParts, fanout)
 			edges := st.l2lPush(send)
-			return edges, shipVia(b, partition.CompL2L, send, applyL2L, fwd)
+			return edges, ship(b, partition.CompL2L, send, applyL2L, fwd)
 		},
 	}
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/partition"
+	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -147,5 +149,62 @@ func TestTraceAttributesKernelsPerQuery(t *testing.T) {
 	}
 	if len(kernels) != len(roots) {
 		t.Errorf("kernel spans name queries %v, want exactly %d of them", kernels, len(roots))
+	}
+}
+
+// TestObservationsShareOneClock: every kernel, sync and reduce is timed once,
+// and the same clock reads feed both the rank's recorder and its span. On a
+// fault-free traced run (no retry rolls the recorder back), each rank's
+// recorded time per phase is therefore exactly the sum of that rank's
+// kernel, sync and reduce span durations in the phase.
+func TestObservationsShareOneClock(t *testing.T) {
+	n, edges := rmatEdges(t, 10, 5)
+	tr := trace.New()
+	eng, err := NewEngine(n, edges, Options{
+		Mesh:       topology.Mesh{Rows: 2, Cols: 2},
+		Thresholds: partition.Thresholds{E: 512, H: 64},
+		Trace:      tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := map[string]func() ([]*stats.Recorder, error){
+		"bfs batch": func() ([]*stats.Recorder, error) {
+			res, err := eng.RunBatch(distinctConnectedRoots(eng, 2))
+			return res.PerRank, err
+		},
+		"wcc": func() ([]*stats.Recorder, error) {
+			res, err := eng.RunWCC()
+			return res.PerRank, err
+		},
+	}
+	for name, run := range runs {
+		tr.Reset()
+		perRank, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		spanTime := make([][stats.NumPhases]time.Duration, len(perRank))
+		for _, sp := range tr.Spans() {
+			var p stats.Phase
+			switch sp.Kind {
+			case trace.KindKernel:
+				p = stats.PhaseOfComponent(partition.Component(sp.Tag))
+			case trace.KindSync:
+				p = stats.PhaseOther
+			case trace.KindReduce:
+				p = stats.PhaseReduce
+			default:
+				continue
+			}
+			spanTime[sp.Rank][p] += time.Duration(sp.Dur)
+		}
+		for r, rec := range perRank {
+			for p := stats.Phase(0); p < stats.NumPhases; p++ {
+				if got, want := rec.PhaseTime(p), spanTime[r][p]; got != want {
+					t.Errorf("%s: rank %d %v: recorder %v, spans %v", name, r, p, got, want)
+				}
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"slices"
+	"time"
 	"unsafe"
 
 	"repro/internal/bitmap"
@@ -13,16 +14,16 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the workload base: the one implementation of the workload
-// interface's step, rollback, checkpoint and exchange, embedded by BFS, WCC,
-// k-core, SSSP and PageRank alike. A workload declares, in one valueSpec, its
-// planes — Q ≥ 1 independent instances of the six kernels, one per query (BFS
-// batches Q roots; the value workloads declare one) — an optional hub sync,
-// its epilogue, the state the checkpoint persists and what else a retried
-// step must roll back. The base owns the one step schedule, the per-step
-// rollback, the checkpoint slots and their replay, and the one remote-push
-// path (ship), which frames the planes' dense runs into one exchange and
-// dispatches their sparse records in one pass.
+// This file is the workload base: the one per-rank runtime embedded by BFS,
+// WCC, k-core, SSSP and PageRank alike. A workload declares, in one
+// valueSpec, its hooks, its planes — Q ≥ 1 independent instances of the six
+// kernels, one per query (BFS batches Q roots; the value workloads declare
+// one) — an optional hub sync, its epilogue, the state the checkpoint
+// persists and what else a retried step must roll back. The base owns the
+// rest: the iteration loop and its one retry protocol (workload.go), the one
+// step schedule, the per-step rollback, the checkpoint slots and their
+// replay, and the one remote-push path (ship), which frames the planes' dense
+// runs into one exchange and dispatches their sparse records in one pass.
 
 // workloadIterScale multiplies Opt.MaxIterations for the value workloads:
 // label propagation runs to the graph diameter, peeling can shave a long path
@@ -36,11 +37,53 @@ const workloadIterScale = 32
 // 2^28 planes an int32 tag can hold.
 const qidTagShift = 3
 
-// valueBase is the per-rank state every workload embeds: the driver, the
-// workload's declaration, the iteration's exchange plan, the running kernel's
-// exchange state and the step snapshots.
+// valueBase is the per-rank runtime every workload embeds by value, so
+// kernels reach its fields (r, rg, scr, ...) via promotion: the rank's world
+// handles, recorder and span stream, the workload's declaration, the
+// iteration's exchange plan, the running kernel's exchange state, the step
+// snapshots and the retry, checkpoint and recovery bookkeeping.
 type valueBase struct {
-	driver
+	e   *Engine
+	r   *comm.Rank
+	rg  *partition.RankGraph
+	rec *stats.Recorder
+	scr *rankScratch // the engine's exchange buffers for this rank, reused across runs
+
+	// tr is the rank's span stream (nil when tracing is off); curIter,
+	// curStep and curAttempt are the coordinates stamped on emitted spans.
+	tr         *trace.Stream
+	curIter    int64
+	curStep    int
+	curAttempt int
+	// iter is the running iteration's record: its frontier composition and
+	// the schedule beginIter latched for it.
+	iter IterTrace
+
+	// maxIter bounds the iteration loop (BFS: Opt.MaxIterations; the value
+	// workloads a larger multiple, workloadIterScale).
+	maxIter int
+
+	// Sparse-tail feedback. lastIterBytes is the previous iteration's
+	// globally summed data-plane bytes, fed back by the epilogue allreduce
+	// (-1 = unknown: the first iteration, and the first after a checkpoint
+	// resume — identically on every rank, which keeps the adaptive choice in
+	// lockstep). iterBytesBase is the recorder's byte total at iteration
+	// start.
+	lastIterBytes int64
+	iterBytesBase int64
+
+	// resilience bookkeeping (only exercised under a fault transport)
+	retries  int64
+	recovery time.Duration
+
+	// Fail-stop recovery plumbing, set by the engine before the loop runs.
+	store       *checkpoint.Store    // nil when checkpointing is off
+	scope       *checkpoint.RunScope // nil when checkpointing is off
+	resumeIter  int64                // -2 fresh start; >= -1 replay the chain to here
+	replaced    bool                 // slot died last epoch: reload the graph tier
+	writer      *checkpoint.Writer
+	resumeState *checkpoint.State // replayed state, seeds the writer's shadow
+	replayDur   time.Duration     // wall clock spent replaying (engine takes the max)
 
 	k    int   // hub count
 	numE int64 // E hubs are ids [0, numE), H hubs [numE, k)
@@ -72,20 +115,49 @@ type valueBase struct {
 	words   [][]uint64
 	vals    [][]int64
 	scalars []*int64
-	snaps   [numSteps]valueSnap
+	snaps   [stepReduce + 1]valueSnap
 }
 
-// valueSpec is all a workload declares to the base. The planes' kernels run
-// in component order inside the one step schedule (see step); hubSync, nil
-// for a workload that merges its hub state in the epilogue, follows steps 0
-// and 1; epilogue is step 3. The rest is the state: hubF through visitL are
-// what the checkpoint persists, in the writer's geometry (ckptSlices with its
-// scalars by pointer, so a replay can write them back; nil persists zero). A
-// retried step rolls back the persisted state — pHub and pL only when they
-// are not monotone — plus the extra words, vals and scalars. Value updates
-// are not monotone across a failed collective, so any state a step changes
-// and its retry would not simply overwrite must appear in one of them.
+// workload is what a workload writes beside its declaration: the hooks the
+// base's loop calls.
+//
+//   - bootstrap seeds a fresh run over the control plane (no prior state to
+//     retry from).
+//   - beginIter fills the IterTrace frontier composition and latches the
+//     iteration's direction/sparse schedule; it runs once per iteration, so
+//     retries of a failed iteration keep the same collective schedule.
+//   - endIter commits the epilogue's pending global counts and reports
+//     convergence; it runs only after all steps passed the vote.
+//   - finalize is the delayed reduction after convergence — BFS's parent
+//     reduce; the base's own is a no-op. It must be idempotent: it is
+//     retried like a step.
+type workload interface {
+	bootstrap() error
+	beginIter(it *IterTrace)
+	endIter(it *IterTrace) bool
+	finalize() error
+}
+
+// valueSpec is all a workload declares to the base. wl is the workload
+// itself: its hooks, and the state result assembly reads.
+//
+// The planes' kernels run in component order inside the one step schedule
+// (see step); hubSync, nil for a workload that merges its hub state in the
+// epilogue, follows steps 0 and 1; epilogue is step 3. Every collective
+// inside a step must be reached by every rank in the same order, and a
+// collective error must not short-circuit the remaining per-communicator
+// schedule.
+//
+// The rest is the state: hubF through visitL are what the checkpoint
+// persists, in the writer's fixed geometry (four word slices, two int64
+// arrays, two scalars by pointer, so a replay can write them back; nil
+// persists zero). A retried step rolls back the persisted state — pHub and pL
+// only when they are not monotone — plus the extra words, vals and scalars.
+// Value updates are not monotone across a failed collective, so any state a
+// step changes and its retry would not simply overwrite must appear in one of
+// them.
 type valueSpec struct {
+	wl       workload
 	planes   []planeSpec
 	hubSync  func() error
 	epilogue func() error
@@ -102,7 +174,7 @@ type valueSpec struct {
 
 // planeSpec is one plane: its six kernels, each run under the direction the
 // plane latched for its component. sched is that latched schedule — nil for
-// a one-plane workload, whose schedule is the iteration's own (driver.iter);
+// a one-plane workload, whose schedule is the iteration's own (valueBase.iter);
 // args ride on the plane's kernel spans; doneIter, when set, holds the
 // iteration the plane's query converged at (negative while it runs), and a
 // converged plane runs nothing.
@@ -116,9 +188,12 @@ type planeSpec struct {
 func (p *planeSpec) live() bool { return p.doneIter == nil || *p.doneIter < 0 }
 
 // valueSnap is one step's rollback copy of the declared state, plus the
-// touched-hub set: kernels add to it between syncs, so a retried step must
-// find it as the step found it.
+// touched-hub set (kernels add to it between syncs, so a retried step must
+// find it as the step found it) and the recorder (a retry re-observes the
+// re-executed kernels, so the failed attempt's observations roll back with
+// the state).
 type valueSnap struct {
+	rec     stats.Recorder
 	words   [][]uint64
 	vals    [][]int64
 	scalars []int64
@@ -126,9 +201,23 @@ type valueSnap struct {
 }
 
 func newValueBase(e *Engine, r *comm.Rank) valueBase {
-	d := newDriver(e, r, e.Opt.MaxIterations*workloadIterScale)
-	d.scr.touched.reset(e.Part.Hubs.K())
-	return valueBase{driver: d, k: e.Part.Hubs.K(), numE: int64(e.Part.Hubs.NumE)}
+	b := valueBase{
+		e:             e,
+		r:             r,
+		rg:            e.Part.Ranks[r.ID],
+		rec:           &stats.Recorder{},
+		scr:           &e.scratch[r.ID],
+		tr:            r.Trace(),
+		curIter:       -1,
+		curStep:       -1,
+		maxIter:       e.Opt.MaxIterations * workloadIterScale,
+		lastIterBytes: -1,
+		resumeIter:    -2,
+		k:             e.Part.Hubs.K(),
+		numE:          int64(e.Part.Hubs.NumE),
+	}
+	b.scr.touched.reset(b.k)
+	return b
 }
 
 // declare installs the workload's spec. A scalar slot the workload leaves
@@ -148,24 +237,27 @@ func (b *valueBase) declare(sp valueSpec) {
 	b.sinks = make([]func([]comm.SparseUpdate) int, len(sp.planes)<<qidTagShift)
 }
 
-func (b *valueBase) drv() *driver { return &b.driver }
-
 // step is the one schedule of every workload:
 //
 //	step 0: EH2EH, hub sync
 //	step 1: E2L, H2L, L2E, L2H, hub sync
 //	step 2: L2L
 //	step 3: epilogue
+//	step 4: the delayed reduction (stepReduce), once, after convergence
 //
 // Each component runs on every live plane in query order, under the plane's
 // latched direction and span args; a skipped component is elided, collectives
 // included, which is safe because every schedule derives from globally
 // consistent counts. A failed kernel or sync does not stop the step: every
 // rank must keep the same per-communicator collective schedule, and the
-// first error goes to the driver's vote. A retry re-enters at the top of a
+// first error goes to the retry vote. A retry re-enters at the top of a
 // step, and the re-executed kernels regenerate every message.
 func (b *valueBase) step(g int) error {
-	if g == numSteps-1 {
+	switch g {
+	case stepReduce:
+		b.r.SetTag(TagReduce)
+		return b.spec.wl.finalize()
+	case numSteps - 1:
 		b.r.SetTag(TagEpilogue)
 		return b.spec.epilogue()
 	}
@@ -235,8 +327,14 @@ func (b *valueBase) plan() {
 // after every iteration and its L state is owner-local.
 func (b *valueBase) finalize() error { return nil }
 
+// snapshot captures what a retry of step g rolls back: the recorder, and
+// the declared state unless g is the reduction, which is idempotent.
 func (b *valueBase) snapshot(g int) {
 	s := &b.snaps[g]
+	s.rec = *b.rec
+	if g == stepReduce {
+		return
+	}
 	words := resetParts(&s.words, len(b.words))
 	for i, w := range b.words {
 		words[i] = append(words[i], w...)
@@ -254,6 +352,10 @@ func (b *valueBase) snapshot(g int) {
 
 func (b *valueBase) restore(g int) {
 	s := &b.snaps[g]
+	*b.rec = s.rec
+	if g == stepReduce {
+		return
+	}
 	for i, w := range b.words {
 		copy(w, s.words[i])
 	}
@@ -270,23 +372,6 @@ func (b *valueBase) restore(g int) {
 	}
 }
 
-func (b *valueBase) ckpt() ckptSlices {
-	sp := &b.spec
-	return ckptSlices{hubF: sp.hubF, hubV: sp.hubV, lF: sp.lF, lV: sp.lV,
-		pHub: sp.pHub, pL: sp.pL, activeL: *sp.activeL, visitL: *sp.visitL}
-}
-
-func (b *valueBase) loadState(cs *checkpoint.State) {
-	sp := &b.spec
-	copy(sp.hubF, cs.HubFrontier)
-	copy(sp.hubV, cs.HubVisited)
-	copy(sp.lF, cs.LFrontier)
-	copy(sp.lV, cs.LVisited)
-	copy(sp.pHub, cs.ParentHub)
-	copy(sp.pL, cs.ParentL)
-	*sp.activeL, *sp.visitL = cs.ActiveL, cs.VisitL
-}
-
 // pickSparse is the one dense/sparse rule: it marks in it.Sparse the remote
 // push components (H2L, L2H, L2L) that ship sparse update records this
 // iteration. A component is eligible when it pushes and the workload does
@@ -296,11 +381,11 @@ func (b *valueBase) loadState(cs *checkpoint.State) {
 // after start or a checkpoint resume, on every rank alike) fits the byte
 // ceiling. Every input is globally consistent, so every rank latches the
 // same choice.
-func (d *driver) pickSparse(it *IterTrace, act [partition.NumComponents]int64, dense [partition.NumComponents]bool) {
-	mode := d.e.Opt.SparseTail
+func (b *valueBase) pickSparse(it *IterTrace, act [partition.NumComponents]int64, dense [partition.NumComponents]bool) {
+	mode := b.e.Opt.SparseTail
 	for _, c := range [...]partition.Component{partition.CompH2L, partition.CompL2H, partition.CompL2L} {
 		it.Sparse[c] = !dense[c] && it.Directions[c] == stats.DirPush && mode != SparseOff &&
-			(mode == SparseAlways || d.e.sparseTail(act[c], d.lastIterBytes))
+			(mode == SparseAlways || b.e.sparseTail(act[c], b.lastIterBytes))
 	}
 }
 
@@ -308,18 +393,18 @@ func (d *driver) pickSparse(it *IterTrace, act [partition.NumComponents]int64, d
 // at s0: the globally consistent inputs — the frontier composition, the byte
 // feedback and the workload's own args — and the per-component outcome (the
 // Figure 15 unit).
-func (d *driver) emitDecision(s0 int64, it *IterTrace, args map[string]int64) {
+func (b *valueBase) emitDecision(s0 int64, it *IterTrace, args map[string]int64) {
 	args["active_e"], args["active_h"], args["active_l"] = it.ActiveE, it.ActiveH, it.ActiveL
-	args["last_bytes"] = d.lastIterBytes
+	args["last_bytes"] = b.lastIterBytes
 	for c := 0; c < int(partition.NumComponents); c++ {
 		args["dir_"+partition.Component(c).String()] = int64(it.Directions[c])
 		if it.Sparse[c] {
 			args["sparse_"+partition.Component(c).String()] = 1
 		}
 	}
-	d.tr.Emit(trace.Span{Kind: trace.KindDecision, Epoch: d.r.Epoch(),
-		Iter: d.curIter, Step: -1, Name: "choose_schedule",
-		Start: s0, Dur: d.tr.Now() - s0, Args: args})
+	b.tr.Emit(trace.Span{Kind: trace.KindDecision, Epoch: b.r.Epoch(),
+		Iter: b.curIter, Step: -1, Name: "choose_schedule",
+		Start: s0, Dur: b.tr.Now() - s0, Args: args})
 }
 
 // chooseSchedule is the value workloads' direction/sparse latch: every
@@ -510,13 +595,10 @@ func sendParts[M record[M]](b *valueBase, c partition.Component, buf *[][]M, n i
 // the member-major, generation-ordered sequence its dense exchange delivers,
 // and streams of different planes or components lower disjoint state, so
 // their interleaving is immaterial.
-func ship[M record[M]](b *valueBase, c partition.Component, send [][]M, apply func(recv [][]M)) error {
-	return shipVia(b, c, send, apply, nil)
-}
-
-// shipVia is ship whose dense exchange, when fwd is set, is fwd over the
-// framed send buffers holding runs runs instead of the flat Alltoallv.
-func shipVia[M record[M]](b *valueBase, c partition.Component, send [][]M, apply func(recv [][]M),
+//
+// fwd, when set, replaces the flat dense Alltoallv: it exchanges the framed
+// send buffers holding runs runs.
+func ship[M record[M]](b *valueBase, c partition.Component, send [][]M, apply func(recv [][]M),
 	fwd func(send [][]M, runs int) ([][]M, error)) error {
 	over := b.r.RowC
 	if c == partition.CompL2L {
@@ -611,7 +693,7 @@ func (t *touchedHubs) clear() {
 
 // syncTouched is the value workloads' delegate sync: the paper's delayed
 // reduction of replicated hub state, shipping only what changed. Every rank
-// packs the hub slots it changed since the last sync (d.scr.touched) as
+// packs the hub slots it changed since the last sync (b.scr.touched) as
 // (hub, value) records, allgathers them down its column and folds the other
 // members' records into its replica; whatever that changed joins the touched
 // set, which then travels along the row the same way. fold applies one
@@ -623,8 +705,8 @@ func (t *touchedHubs) clear() {
 // with empty records where nothing changed, and after a column failure — so
 // every rank keeps the same per-communicator schedule; a failed merge leaves
 // garbage the step retry's snapshot restore discards. Observed as PhaseOther.
-func syncTouched[T any](d *driver, name string, recs *[]T, pack func(h int32) T, fold func(m T) (int32, bool)) error {
-	t := &d.scr.touched
+func syncTouched[T any](b *valueBase, name string, recs *[]T, pack func(h int32) T, fold func(m T) (int32, bool)) error {
+	t := &b.scr.touched
 	axis := func(c *comm.Comm) error {
 		send := (*recs)[:0]
 		for _, h := range t.list {
@@ -644,12 +726,12 @@ func syncTouched[T any](d *driver, name string, recs *[]T, pack func(h int32) T,
 		}
 		return err
 	}
-	return d.observeCollective(stats.PhaseOther, trace.KindSync, name, func() error {
-		if d.e.Part.Hubs.K() == 0 {
+	return b.observeCollective(stats.PhaseOther, trace.KindSync, name, func() error {
+		if b.k == 0 {
 			return nil
 		}
-		err := axis(d.r.ColC)
-		if e2 := axis(d.r.RowC); err == nil {
+		err := axis(b.r.ColC)
+		if e2 := axis(b.r.RowC); err == nil {
 			err = e2
 		}
 		return err

@@ -50,6 +50,7 @@ func newWCCState(e *Engine, r *comm.Rank) *wccState {
 		lNext:     bitmap.New(per),
 	}
 	st.declare(valueSpec{
+		wl: st,
 		planes: []planeSpec{{kernels: [partition.NumComponents]func() (int64, error){
 			st.ehProp, st.e2lProp, st.h2lProp, st.l2eProp, st.l2hProp, st.l2lProp}}},
 		hubSync:  st.syncLabels,
@@ -138,7 +139,7 @@ func (st *wccState) lowerL(li int32, lbl int64) {
 // stages every hub lowered anywhere for the next iteration.
 func (st *wccState) syncLabels() error {
 	t := &st.scr.touched
-	err := syncTouched(&st.driver, "label_sync", &st.scr.hubRecs,
+	err := syncTouched(&st.valueBase, "label_sync", &st.scr.hubRecs,
 		func(h int32) hubMsg { return hubMsg{Hub: h, Parent: st.hubLabel[h]} },
 		func(m hubMsg) (int32, bool) {
 			low := m.Parent < st.hubLabel[m.Hub]
@@ -195,7 +196,7 @@ func (st *wccState) h2lProp() (int64, error) {
 				st.lowerL(m.LIdx, m.Parent)
 			}
 		}
-	})
+	}, nil)
 }
 
 // l2eProp: dirty owned L vertices lower E delegate labels locally.
@@ -236,7 +237,7 @@ func (st *wccState) l2hProp() (int64, error) {
 				st.lowerHub(m.Hub, m.Parent)
 			}
 		}
-	})
+	}, nil)
 }
 
 // l2lProp: dirty owned L vertices message their L neighbors' owners over the
@@ -258,5 +259,5 @@ func (st *wccState) l2lProp() (int64, error) {
 				st.lowerL(layout.LocalIdx(m.Dst), m.Parent)
 			}
 		}
-	})
+	}, nil)
 }

@@ -3,18 +3,16 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/comm"
-	"repro/internal/stats"
 )
 
 // WorkloadResult is the shared result envelope of the ported analytics
 // workloads (RunWCC, RunKCore, RunSSSP, RunPageRank). Workload names the
 // kernel; only the fields of that workload's section are populated. The
-// accounting fields mirror Result: the ported workloads run the same driver
-// loop as BFS, so recorder breakdowns, fault/retry counters and fail-stop
-// recovery state all carry the same meaning.
+// run record is Result's: the ported workloads run the same loop as BFS, so
+// recorder breakdowns, fault/retry counters and fail-stop recovery state all
+// carry the same meaning.
 type WorkloadResult struct {
 	Workload string
 
@@ -44,41 +42,22 @@ type WorkloadResult struct {
 	Rank  []float64
 	Delta float64
 
-	Iterations      int
-	Time            time.Duration
-	Recorder        *stats.Recorder
-	PerRank         []*stats.Recorder
-	Trace           []IterTrace
-	Faults          comm.FaultStats
-	Retries         int64
-	RecoveryTime    time.Duration
-	Recovery        stats.RecoveryStats
-	CheckpointScope string
+	Iterations int
+	Trace      []IterTrace
+	RunRecord
 }
 
 // newWorkloadResult folds an execute outcome into the shared envelope.
 func newWorkloadResult(workload string, rc *runCommon) *WorkloadResult {
-	return &WorkloadResult{
-		Workload:        workload,
-		Iterations:      len(rc.trace),
-		Time:            rc.time,
-		Recorder:        rc.recorder,
-		PerRank:         rc.perRank,
-		Trace:           rc.trace,
-		Faults:          rc.faults,
-		Retries:         rc.retries,
-		RecoveryTime:    rc.recoveryTime,
-		Recovery:        rc.recovery,
-		CheckpointScope: rc.scopeName,
-	}
+	return &WorkloadResult{Workload: workload, Iterations: len(rc.trace), Trace: rc.trace, RunRecord: rc.RunRecord}
 }
 
-// hosted calls fn with the final state of every rank this process hosts (a
-// distributed world leaves the others nil).
+// hosted calls fn with the final workload of every rank this process hosts
+// (a distributed world leaves the others nil).
 func hosted[S workload](rc *runCommon, fn func(st S)) {
-	for _, wl := range rc.states {
-		if wl != nil {
-			fn(wl.(S))
+	for _, b := range rc.bases {
+		if b != nil {
+			fn(b.spec.wl.(S))
 		}
 	}
 }
@@ -89,7 +68,7 @@ func hosted[S workload](rc *runCommon, fn func(st S)) {
 // same schedule as BFS, carrying labels instead of parents.
 func (e *Engine) RunWCC() (*WorkloadResult, error) {
 	rc, err := e.execute("wcc", nil,
-		func(e *Engine, r *comm.Rank) workload { return newWCCState(e, r) })
+		func(e *Engine, r *comm.Rank) *valueBase { return &newWCCState(e, r).valueBase })
 	if err != nil {
 		return nil, err
 	}
@@ -120,13 +99,13 @@ func (e *Engine) RunWCC() (*WorkloadResult, error) {
 // minimum degree k) by synchronous peeling on the fast path: peel marks and
 // degree decrements ride the six components, hub decrements are delegated and
 // sum-folded column-then-row, and the whole loop inherits retry and
-// checkpoint/recovery from the driver.
+// checkpoint/recovery from the base.
 func (e *Engine) RunKCore(k int64) (*WorkloadResult, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("core: negative k-core threshold %d", k)
 	}
 	rc, err := e.execute(fmt.Sprintf("kcore%d", k), map[string]int64{"k": k},
-		func(e *Engine, r *comm.Rank) workload { return newKCoreState(e, r, k) })
+		func(e *Engine, r *comm.Rank) *valueBase { return &newKCoreState(e, r, k).valueBase })
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +151,9 @@ func (e *Engine) RunSSSP(root int64, weightSeed uint64, delta float64) (*Workloa
 		delta = 1.0 / 8
 	}
 	rc, err := e.execute(fmt.Sprintf("sssp%d", root), map[string]int64{"root": root},
-		func(e *Engine, r *comm.Rank) workload { return newSSSPState(e, r, root, weightSeed, delta) })
+		func(e *Engine, r *comm.Rank) *valueBase {
+			return &newSSSPState(e, r, root, weightSeed, delta).valueBase
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -199,8 +180,8 @@ func (e *Engine) RunSSSP(root int64, weightSeed uint64, delta float64) (*Workloa
 				gatherOwned(e, r, lead, res.Dist)
 				gatherOwned(e, r, lead, res.Parent)
 				var mine int64
-				if wl := rc.states[r.ID]; wl != nil {
-					mine = wl.(*ssspState).relaxations
+				if b := rc.bases[r.ID]; b != nil {
+					mine = b.spec.wl.(*ssspState).relaxations
 				}
 				sum := comm.ControlSumInt64(r.World, mine)
 				if lead {
@@ -218,8 +199,8 @@ func (e *Engine) RunSSSP(root int64, weightSeed uint64, delta float64) (*Workloa
 // (maxIter <= 0 means 100; tol = 0 runs exactly maxIter rounds). Dangling mass
 // is spread uniformly, hub contributions are delegated and sum-reduced
 // column-then-row, and the loop inherits retry and checkpoint/recovery from
-// the driver. damping must lie in (0,1), tol may not be NaN, and maxIter may
-// not exceed the driver's bound of 32 × Options.MaxIterations.
+// the base. damping must lie in (0,1), tol may not be NaN, and maxIter may
+// not exceed the base's bound of 32 × Options.MaxIterations.
 func (e *Engine) RunPageRank(damping, tol float64, maxIter int) (*WorkloadResult, error) {
 	if !(damping > 0 && damping < 1) { // rejects NaN too
 		return nil, fmt.Errorf("core: damping %g out of (0,1)", damping)
@@ -234,7 +215,9 @@ func (e *Engine) RunPageRank(damping, tol float64, maxIter int) (*WorkloadResult
 		return nil, fmt.Errorf("core: PageRank budget of %d rounds exceeds the driver's %d", maxIter, limit)
 	}
 	rc, err := e.execute("pagerank", nil,
-		func(e *Engine, r *comm.Rank) workload { return newPageRankState(e, r, damping, tol, maxIter) })
+		func(e *Engine, r *comm.Rank) *valueBase {
+			return &newPageRankState(e, r, damping, tol, maxIter).valueBase
+		})
 	if err != nil {
 		return nil, err
 	}

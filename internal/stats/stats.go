@@ -112,14 +112,6 @@ type Recorder struct {
 	// EdgesTouched counts adjacency entries scanned per phase, the work
 	// measure behind TEPS and the direction-optimization savings.
 	EdgesTouched [NumPhases]int64
-	// Faults counts the rank's injected faults and observed collective errors
-	// when the run executed under a fault transport.
-	Faults comm.FaultStats
-	// Retries counts iteration attempts the rank re-executed after a
-	// collective error; Recovery is the wall time those attempts (including
-	// backoff) consumed.
-	Retries  int64
-	Recovery time.Duration
 	// FailStop records the fail-stop recovery and checkpoint accounting of
 	// the run (zero when checkpointing is off and no rank died).
 	FailStop RecoveryStats
@@ -188,9 +180,6 @@ func (r *Recorder) Merge(other *Recorder) {
 		r.Volumes[p].Add(&other.Volumes[p])
 		r.EdgesTouched[p] += other.EdgesTouched[p]
 	}
-	r.Faults.Add(&other.Faults)
-	r.Retries += other.Retries
-	r.Recovery += other.Recovery
 	r.FailStop.Add(&other.FailStop)
 }
 
