@@ -304,6 +304,7 @@ type Engine struct {
 
 	segPull [][]partition.SparseCSR // [rank][segment], built when Segmented
 	lRows   []lRowMasks             // [rank] word masks over the owned L block: non-empty rows, hub slots
+	ssspW   []ssspWeights           // [rank] SSSP edge weights, built by the first RunSSSP under a seed
 	hubsAt  [][]int32               // [rank] hub ids whose original vertex the rank owns
 	scratch []rankScratch           // [rank] exchange buffers that outlive the iteration and the run
 
@@ -391,6 +392,7 @@ func NewEngineFromPartition(part *partition.Partitioned, opt Options) (*Engine, 
 		e.lRows[r].isHub[li>>6] |= 1 << uint(li&63)
 	}
 	e.scratch = make([]rankScratch, opt.Ranks)
+	e.ssspW = make([]ssspWeights, opt.Ranks)
 	if opt.Segmented {
 		e.segPull = make([][]partition.SparseCSR, opt.Ranks)
 		for r, rg := range part.Ranks {

@@ -148,7 +148,7 @@ func (st *kcoreState) peelMark() {
 // rank's 2D core-subgraph block, into the local replicated partial.
 func (st *kcoreState) ehDec() (int64, error) {
 	push := &st.rg.EHPush
-	return hubRows(push.IDs, push.Ptr, push.Adj, st.hubPeel, func(_ int32, row []int32) {
+	return hubRows(push.IDs, push.Ptr, push.Adj, st.hubPeel, func(_ int32, _ int64, row []int32) {
 		for _, dst := range row {
 			st.decHub(dst)
 		}
@@ -158,7 +158,7 @@ func (st *kcoreState) ehDec() (int64, error) {
 // e2lDec: peeled E hubs decrement owned L degrees locally.
 func (st *kcoreState) e2lDec() (int64, error) {
 	csr := &st.rg.EToL
-	return hubRows(csr.IDs, csr.Ptr, csr.Adj, st.hubPeel, func(_ int32, row []int32) {
+	return hubRows(csr.IDs, csr.Ptr, csr.Adj, st.hubPeel, func(_ int32, _ int64, row []int32) {
 		for _, li := range row {
 			st.lDec[li]++
 		}
@@ -177,7 +177,7 @@ func (st *kcoreState) decHub(h int32) {
 func (st *kcoreState) h2lDec() (int64, error) {
 	csr := &st.rg.HToL
 	send := sendParts(&st.valueBase, partition.CompH2L, &st.scr.lParts, st.e.Opt.Mesh.Cols)
-	edges := hubRows(csr.IDs, csr.Ptr, csr.Adj, st.hubPeel, func(_ int32, row []partition.RemoteL) {
+	edges := hubRows(csr.IDs, csr.Ptr, csr.Adj, st.hubPeel, func(_ int32, _ int64, row []partition.RemoteL) {
 		for _, rem := range row {
 			send[rem.Col] = append(send[rem.Col], lMsg{LIdx: rem.LIdx, Parent: 1})
 		}
@@ -196,7 +196,7 @@ func (st *kcoreState) h2lDec() (int64, error) {
 // delegation needs no message; the epilogue's sum-fold propagates it.
 func (st *kcoreState) lDecHubs(csr *partition.DenseCSR32) func() (int64, error) {
 	return func() (int64, error) {
-		return lRows(csr.Ptr, csr.Adj, st.lPeel, func(_ int, row []int32) {
+		return lRows(csr.Ptr, csr.Adj, st.lPeel, func(_ int, _ int64, row []int32) {
 			for _, hub := range row {
 				st.decHub(hub)
 			}
@@ -210,7 +210,7 @@ func (st *kcoreState) l2lDec() (int64, error) {
 	csr := &st.rg.L2L
 	layout := st.e.Part.Layout
 	send := sendParts(&st.valueBase, partition.CompL2L, &st.scr.l2lParts, layout.P)
-	edges := lRows(csr.Ptr, csr.Adj, st.lPeel, func(_ int, row []int64) {
+	edges := lRows(csr.Ptr, csr.Adj, st.lPeel, func(_ int, _ int64, row []int64) {
 		for _, dst := range row {
 			owner := layout.Owner(dst)
 			send[owner] = append(send[owner], l2lMsg{Dst: dst, Parent: 1})

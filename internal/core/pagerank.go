@@ -133,7 +133,7 @@ func (st *pagerankState) hubShare(h int32) float64 {
 // rank's 2D core-subgraph block, into the local replicated partial.
 func (st *pagerankState) ehPush() (int64, error) {
 	push := &st.rg.EHPush
-	return hubRows(push.IDs, push.Ptr, push.Adj, nil, func(src int32, row []int32) {
+	return hubRows(push.IDs, push.Ptr, push.Adj, nil, func(src int32, _ int64, row []int32) {
 		share := st.hubShare(src)
 		for _, dst := range row {
 			st.hubAcc[dst] += share
@@ -144,7 +144,7 @@ func (st *pagerankState) ehPush() (int64, error) {
 // e2lPush: E hubs contribute to owned L vertices locally.
 func (st *pagerankState) e2lPush() (int64, error) {
 	csr := &st.rg.EToL
-	return hubRows(csr.IDs, csr.Ptr, csr.Adj, nil, func(hub int32, row []int32) {
+	return hubRows(csr.IDs, csr.Ptr, csr.Adj, nil, func(hub int32, _ int64, row []int32) {
 		share := st.hubShare(hub)
 		for _, li := range row {
 			st.lAcc[li] += share
@@ -157,7 +157,7 @@ func (st *pagerankState) e2lPush() (int64, error) {
 func (st *pagerankState) h2lPush() (int64, error) {
 	csr := &st.rg.HToL
 	send := sendParts(&st.valueBase, partition.CompH2L, &st.scr.lParts, st.e.Opt.Mesh.Cols)
-	edges := hubRows(csr.IDs, csr.Ptr, csr.Adj, nil, func(hub int32, row []partition.RemoteL) {
+	edges := hubRows(csr.IDs, csr.Ptr, csr.Adj, nil, func(hub int32, _ int64, row []partition.RemoteL) {
 		bits := int64(math.Float64bits(st.hubShare(hub)))
 		for _, rem := range row {
 			send[rem.Col] = append(send[rem.Col], lMsg{LIdx: rem.LIdx, Parent: bits})
@@ -178,7 +178,7 @@ func (st *pagerankState) h2lPush() (int64, error) {
 // it.
 func (st *pagerankState) lToHubs(csr *partition.DenseCSR32) func() (int64, error) {
 	return func() (int64, error) {
-		return lRows(csr.Ptr, csr.Adj, nil, func(li int, row []int32) {
+		return lRows(csr.Ptr, csr.Adj, nil, func(li int, _ int64, row []int32) {
 			share := st.lVal[li] / float64(st.deg[li])
 			for _, hub := range row {
 				st.hubAcc[hub] += share
@@ -193,7 +193,7 @@ func (st *pagerankState) l2lPush() (int64, error) {
 	csr := &st.rg.L2L
 	layout := st.e.Part.Layout
 	send := sendParts(&st.valueBase, partition.CompL2L, &st.scr.l2lParts, layout.P)
-	edges := lRows(csr.Ptr, csr.Adj, nil, func(li int, row []int64) {
+	edges := lRows(csr.Ptr, csr.Adj, nil, func(li int, _ int64, row []int64) {
 		bits := int64(math.Float64bits(st.lVal[li] / float64(st.deg[li])))
 		for _, dst := range row {
 			owner := layout.Owner(dst)

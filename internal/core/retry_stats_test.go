@@ -21,8 +21,8 @@ func (reliable) Intercept(comm.Call) comm.FaultAction { return comm.FaultAction{
 // TestRetryDoesNotDoubleCountStats is the regression test for the stats
 // double-count on step-granular retry: a retried step is re-entered
 // mid-iteration and re-observes its kernels, and before the driver learned
-// to roll the recorder back (recSnaps), the failed attempt's volumes and edge
-// touches stayed in the aggregates. A run that retried must report exactly
+// to roll the recorder back (valueSnap.rec), the failed attempt's volumes and
+// edge touches stayed in the aggregates. A run that retried must report exactly
 // the volumes and edges of an identical run that never failed.
 func TestRetryDoesNotDoubleCountStats(t *testing.T) {
 	n, edges := rmatEdges(t, 10, 7)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/partition"
 	"repro/internal/sssp"
+	"repro/internal/trace"
 )
 
 // ssspState is delta-bucketed single-source shortest path on the engine's
@@ -21,6 +22,9 @@ import (
 // nothing, the bucket advances to the smallest bucket holding a dirty vertex;
 // the run converges when nothing improved and nothing is dirty.
 //
+// The kernels read each edge's weight from the rank's weight table (w, one
+// array parallel to each component's adjacency) rather than hashing it.
+//
 // What an iteration touches is what changed: base distances are latched for
 // the relax set only, a hub re-enters the dirty set at the sync that makes
 // its improvement global, and the epilogue's quiescence test is the
@@ -29,8 +33,8 @@ type ssspState struct {
 	valueBase
 
 	root  int64
-	seed  uint64
 	delta float64
+	w     [partition.NumComponents][]float64 // the rank's weight table for the run's seed
 
 	hubDist, hubBaseD []float64
 	hubParent         []int64
@@ -89,8 +93,8 @@ func newSSSPState(e *Engine, r *comm.Rank, root int64, seed uint64, delta float6
 	st := &ssspState{
 		valueBase: newValueBase(e, r),
 		root:      root,
-		seed:      seed,
 		delta:     delta,
+		w:         e.ssspWeightsOf(r, seed),
 		hubBaseD:  make([]float64, k),
 		lBaseD:    make([]float64, per),
 		hubDirty:  bitmap.New(k),
@@ -264,14 +268,15 @@ func (st *ssspState) syncDists() error {
 }
 
 // ehRelax: in-bucket source hubs relax destination hubs over this rank's 2D
-// core-subgraph block (weights from original IDs); local, merged by the sync.
+// core-subgraph block; local, merged by the sync.
 func (st *ssspState) ehRelax() (int64, error) {
 	push := &st.rg.EHPush
 	orig := st.e.Part.Hubs.Orig
-	return hubRows(push.IDs, push.Ptr, push.Adj, st.relaxHub, func(src int32, row []int32) {
-		du, u := st.hubBaseD[src], orig[src]
-		for _, dst := range row {
-			st.lowerHub(dst, du+sssp.WeightOf(u, orig[dst], st.seed), u)
+	w := st.w[partition.CompEH2EH]
+	return hubRows(push.IDs, push.Ptr, push.Adj, st.relaxHub, func(src int32, off int64, row []int32) {
+		du, u, ws := st.hubBaseD[src], orig[src], w[off:][:len(row)]
+		for j, dst := range row {
+			st.lowerHub(dst, du+ws[j], u)
 		}
 	}), nil
 }
@@ -280,12 +285,11 @@ func (st *ssspState) ehRelax() (int64, error) {
 func (st *ssspState) e2lRelax() (int64, error) {
 	csr := &st.rg.EToL
 	orig := st.e.Part.Hubs.Orig
-	layout := st.e.Part.Layout
-	return hubRows(csr.IDs, csr.Ptr, csr.Adj, st.relaxHub, func(hub int32, row []int32) {
-		du, u := st.hubBaseD[hub], orig[hub]
-		for _, li := range row {
-			v := layout.GlobalOf(st.r.ID, li)
-			st.lowerL(li, du+sssp.WeightOf(u, v, st.seed), u)
+	w := st.w[partition.CompE2L]
+	return hubRows(csr.IDs, csr.Ptr, csr.Adj, st.relaxHub, func(hub int32, off int64, row []int32) {
+		du, u, ws := st.hubBaseD[hub], orig[hub], w[off:][:len(row)]
+		for j, li := range row {
+			st.lowerL(li, du+ws[j], u)
 		}
 	}), nil
 }
@@ -295,15 +299,12 @@ func (st *ssspState) e2lRelax() (int64, error) {
 func (st *ssspState) h2lRelax() (int64, error) {
 	csr := &st.rg.HToL
 	orig := st.e.Part.Hubs.Orig
-	layout := st.e.Part.Layout
-	mesh := st.e.Opt.Mesh
-	send := sendParts(&st.valueBase, partition.CompH2L, &st.scr.distParts, mesh.Cols)
-	edges := hubRows(csr.IDs, csr.Ptr, csr.Adj, st.relaxHub, func(hub int32, row []partition.RemoteL) {
-		du, u := st.hubBaseD[hub], orig[hub]
-		for _, rem := range row {
-			v := layout.GlobalOf(mesh.RankAt(st.r.Row, int(rem.Col)), rem.LIdx)
-			nd := du + sssp.WeightOf(u, v, st.seed)
-			send[rem.Col] = append(send[rem.Col], distMsg{To: int64(rem.LIdx), Dist: nd, Parent: u})
+	w := st.w[partition.CompH2L]
+	send := sendParts(&st.valueBase, partition.CompH2L, &st.scr.distParts, st.e.Opt.Mesh.Cols)
+	edges := hubRows(csr.IDs, csr.Ptr, csr.Adj, st.relaxHub, func(hub int32, off int64, row []partition.RemoteL) {
+		du, u, ws := st.hubBaseD[hub], orig[hub], w[off:][:len(row)]
+		for j, rem := range row {
+			send[rem.Col] = append(send[rem.Col], distMsg{To: int64(rem.LIdx), Dist: du + ws[j], Parent: u})
 		}
 	})
 	return edges, ship(&st.valueBase, partition.CompH2L, send, func(recv [][]distMsg) {
@@ -318,12 +319,12 @@ func (st *ssspState) h2lRelax() (int64, error) {
 // l2eRelax: in-bucket owned L vertices relax E delegates locally.
 func (st *ssspState) l2eRelax() (int64, error) {
 	csr := &st.rg.LToE
-	orig := st.e.Part.Hubs.Orig
 	layout := st.e.Part.Layout
-	return lRows(csr.Ptr, csr.Adj, st.relaxL, func(li int, row []int32) {
-		du, u := st.lBaseD[li], layout.GlobalOf(st.r.ID, int32(li))
-		for _, hub := range row {
-			st.lowerHub(hub, du+sssp.WeightOf(u, orig[hub], st.seed), u)
+	w := st.w[partition.CompL2E]
+	return lRows(csr.Ptr, csr.Adj, st.relaxL, func(li int, off int64, row []int32) {
+		du, u, ws := st.lBaseD[li], layout.GlobalOf(st.r.ID, int32(li)), w[off:][:len(row)]
+		for j, hub := range row {
+			st.lowerHub(hub, du+ws[j], u)
 		}
 	}), nil
 }
@@ -334,15 +335,15 @@ func (st *ssspState) l2eRelax() (int64, error) {
 // arms — nothing between L2E and here touches hub distances).
 func (st *ssspState) l2hRelax() (int64, error) {
 	csr := &st.rg.LToH
-	orig := st.e.Part.Hubs.Orig
 	layout := st.e.Part.Layout
 	hubs := st.e.Part.Hubs
 	mesh := st.e.Opt.Mesh
+	w := st.w[partition.CompL2H]
 	send := sendParts(&st.valueBase, partition.CompL2H, &st.scr.distParts, mesh.Cols)
-	edges := lRows(csr.Ptr, csr.Adj, st.relaxL, func(li int, row []int32) {
-		du, u := st.lBaseD[li], layout.GlobalOf(st.r.ID, int32(li))
-		for _, hub := range row {
-			if nd := du + sssp.WeightOf(u, orig[hub], st.seed); nd < st.hubDist[hub] {
+	edges := lRows(csr.Ptr, csr.Adj, st.relaxL, func(li int, off int64, row []int32) {
+		du, u, ws := st.lBaseD[li], layout.GlobalOf(st.r.ID, int32(li)), w[off:][:len(row)]
+		for j, hub := range row {
+			if nd := du + ws[j]; nd < st.hubDist[hub] {
 				col := hubs.ColBlockOf(hub, mesh)
 				send[col] = append(send[col], distMsg{To: int64(hub), Dist: nd, Parent: u})
 			}
@@ -362,12 +363,13 @@ func (st *ssspState) l2hRelax() (int64, error) {
 func (st *ssspState) l2lRelax() (int64, error) {
 	csr := &st.rg.L2L
 	layout := st.e.Part.Layout
+	w := st.w[partition.CompL2L]
 	send := sendParts(&st.valueBase, partition.CompL2L, &st.scr.distParts, layout.P)
-	edges := lRows(csr.Ptr, csr.Adj, st.relaxL, func(li int, row []int64) {
-		du, u := st.lBaseD[li], layout.GlobalOf(st.r.ID, int32(li))
-		for _, dst := range row {
+	edges := lRows(csr.Ptr, csr.Adj, st.relaxL, func(li int, off int64, row []int64) {
+		du, u, ws := st.lBaseD[li], layout.GlobalOf(st.r.ID, int32(li)), w[off:][:len(row)]
+		for j, dst := range row {
 			owner := layout.Owner(dst)
-			send[owner] = append(send[owner], distMsg{To: dst, Dist: du + sssp.WeightOf(u, dst, st.seed), Parent: u})
+			send[owner] = append(send[owner], distMsg{To: dst, Dist: du + ws[j], Parent: u})
 		}
 	})
 	return edges, ship(&st.valueBase, partition.CompL2L, send, func(recv [][]distMsg) {
@@ -377,4 +379,87 @@ func (st *ssspState) l2lRelax() (int64, error) {
 			}
 		}
 	}, nil)
+}
+
+// ssspWeights is one rank's SSSP weight table: w[c] runs parallel to the
+// adjacency of relax component c's CSR, so a kernel reads an edge's weight
+// beside its endpoint instead of hashing it on every relaxation. It lives on
+// the engine, outside the rank graph and so outside the checkpoint graph
+// tier, and costs 8 B per stored directed edge on engines that run SSSP.
+type ssspWeights struct {
+	seed  uint64
+	built bool
+	w     [partition.NumComponents][]float64
+}
+
+// ssspWeightsOf returns rank r's weight table for seed, filling it on the
+// rank's own goroutine from sssp.WeightOf — the only definition of a weight —
+// when the table is unbuilt or holds another seed. A build emits one
+// sssp_weights event span with the edges and bytes it wrote.
+func (e *Engine) ssspWeightsOf(r *comm.Rank, seed uint64) [partition.NumComponents][]float64 {
+	t := &e.ssspW[r.ID]
+	if t.built && t.seed == seed {
+		return t.w
+	}
+	tr := r.Trace()
+	var t0 int64
+	if tr != nil {
+		t0 = tr.Now()
+	}
+	rg := e.Part.Ranks[r.ID]
+	orig := e.Part.Hubs.Orig
+	layout := e.Part.Layout
+	mesh := e.Opt.Mesh
+	var edges int64
+	table := func(c partition.Component, n int) []float64 {
+		if len(t.w[c]) != n {
+			t.w[c] = make([]float64, n)
+		}
+		edges += int64(n)
+		return t.w[c]
+	}
+	eh := table(partition.CompEH2EH, len(rg.EHPush.Adj))
+	hubRows(rg.EHPush.IDs, rg.EHPush.Ptr, rg.EHPush.Adj, nil, func(src int32, off int64, row []int32) {
+		for j, dst := range row {
+			eh[off+int64(j)] = sssp.WeightOf(orig[src], orig[dst], seed)
+		}
+	})
+	e2l := table(partition.CompE2L, len(rg.EToL.Adj))
+	hubRows(rg.EToL.IDs, rg.EToL.Ptr, rg.EToL.Adj, nil, func(hub int32, off int64, row []int32) {
+		for j, li := range row {
+			e2l[off+int64(j)] = sssp.WeightOf(orig[hub], layout.GlobalOf(r.ID, li), seed)
+		}
+	})
+	h2l := table(partition.CompH2L, len(rg.HToL.Adj))
+	hubRows(rg.HToL.IDs, rg.HToL.Ptr, rg.HToL.Adj, nil, func(hub int32, off int64, row []partition.RemoteL) {
+		for j, rem := range row {
+			v := layout.GlobalOf(mesh.RankAt(r.Row, int(rem.Col)), rem.LIdx)
+			h2l[off+int64(j)] = sssp.WeightOf(orig[hub], v, seed)
+		}
+	})
+	lToHub := func(c partition.Component, csr *partition.DenseCSR32) {
+		w := table(c, len(csr.Adj))
+		lRows(csr.Ptr, csr.Adj, nil, func(li int, off int64, row []int32) {
+			u := layout.GlobalOf(r.ID, int32(li))
+			for j, hub := range row {
+				w[off+int64(j)] = sssp.WeightOf(u, orig[hub], seed)
+			}
+		})
+	}
+	lToHub(partition.CompL2E, &rg.LToE)
+	lToHub(partition.CompL2H, &rg.LToH)
+	l2l := table(partition.CompL2L, len(rg.L2L.Adj))
+	lRows(rg.L2L.Ptr, rg.L2L.Adj, nil, func(li int, off int64, row []int64) {
+		u := layout.GlobalOf(r.ID, int32(li))
+		for j, v := range row {
+			l2l[off+int64(j)] = sssp.WeightOf(u, v, seed)
+		}
+	})
+	t.seed, t.built = seed, true
+	if tr != nil {
+		tr.Emit(trace.Span{Kind: trace.KindEvent, Epoch: r.Epoch(), Iter: -1, Step: -1, Tag: -1,
+			Name: "sssp_weights", Start: t0, Dur: tr.Now() - t0,
+			Args: map[string]int64{"edges": edges, "bytes": 8 * edges}})
+	}
+	return t.w
 }

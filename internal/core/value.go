@@ -739,29 +739,30 @@ func syncTouched[T any](b *valueBase, name string, recs *[]T, pack func(h int32)
 }
 
 // hubRows walks the rows of a hub-keyed CSR (ids, ptr, adj) whose hub is in
-// set, or all of them when set is nil, calling fn with the hub and its row;
-// it returns the edges walked.
-func hubRows[A any](ids []int32, ptr []int64, adj []A, set *bitmap.Bitmap, fn func(hub int32, row []A)) int64 {
+// set, or all of them when set is nil, calling fn with the hub, the row's
+// offset into adj (where an array parallel to adj holds the row's edge
+// values) and the row; it returns the edges walked.
+func hubRows[A any](ids []int32, ptr []int64, adj []A, set *bitmap.Bitmap, fn func(hub int32, off int64, row []A)) int64 {
 	var edges int64
 	for i, h := range ids {
 		if set == nil || set.Test(int(h)) {
 			row := adj[ptr[i]:ptr[i+1]]
 			edges += int64(len(row))
-			fn(h, row)
+			fn(h, ptr[i], row)
 		}
 	}
 	return edges
 }
 
 // lRows walks the non-empty rows of an L-keyed CSR (ptr, adj) whose owned L
-// index is in set, or all of them when set is nil, calling fn with the index
-// and its row; it returns the edges walked.
-func lRows[A any](ptr []int64, adj []A, set *bitmap.Bitmap, fn func(li int, row []A)) int64 {
+// index is in set, or all of them when set is nil, calling fn with the index,
+// the row's offset into adj and the row; it returns the edges walked.
+func lRows[A any](ptr []int64, adj []A, set *bitmap.Bitmap, fn func(li int, off int64, row []A)) int64 {
 	var edges int64
 	walk := func(li int) {
 		if row := adj[ptr[li]:ptr[li+1]]; len(row) > 0 {
 			edges += int64(len(row))
-			fn(li, row)
+			fn(li, ptr[li], row)
 		}
 	}
 	if set != nil {

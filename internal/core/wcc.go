@@ -159,7 +159,7 @@ func (st *wccState) syncLabels() error {
 // over this rank's 2D core-subgraph block; purely local, merged by the sync.
 func (st *wccState) ehProp() (int64, error) {
 	push := &st.rg.EHPush
-	return hubRows(push.IDs, push.Ptr, push.Adj, st.hubDirty, func(src int32, row []int32) {
+	return hubRows(push.IDs, push.Ptr, push.Adj, st.hubDirty, func(src int32, _ int64, row []int32) {
 		lbl := st.hubBase[src]
 		for _, dst := range row {
 			st.lowerHub(dst, lbl)
@@ -171,7 +171,7 @@ func (st *wccState) ehProp() (int64, error) {
 // everywhere).
 func (st *wccState) e2lProp() (int64, error) {
 	csr := &st.rg.EToL
-	return hubRows(csr.IDs, csr.Ptr, csr.Adj, st.hubDirty, func(hub int32, row []int32) {
+	return hubRows(csr.IDs, csr.Ptr, csr.Adj, st.hubDirty, func(hub int32, _ int64, row []int32) {
 		lbl := st.hubBase[hub]
 		for _, li := range row {
 			st.lowerL(li, lbl)
@@ -184,7 +184,7 @@ func (st *wccState) e2lProp() (int64, error) {
 func (st *wccState) h2lProp() (int64, error) {
 	csr := &st.rg.HToL
 	send := sendParts(&st.valueBase, partition.CompH2L, &st.scr.lParts, st.e.Opt.Mesh.Cols)
-	edges := hubRows(csr.IDs, csr.Ptr, csr.Adj, st.hubDirty, func(hub int32, row []partition.RemoteL) {
+	edges := hubRows(csr.IDs, csr.Ptr, csr.Adj, st.hubDirty, func(hub int32, _ int64, row []partition.RemoteL) {
 		lbl := st.hubBase[hub]
 		for _, rem := range row {
 			send[rem.Col] = append(send[rem.Col], lMsg{LIdx: rem.LIdx, Parent: lbl})
@@ -202,7 +202,7 @@ func (st *wccState) h2lProp() (int64, error) {
 // l2eProp: dirty owned L vertices lower E delegate labels locally.
 func (st *wccState) l2eProp() (int64, error) {
 	csr := &st.rg.LToE
-	return lRows(csr.Ptr, csr.Adj, st.lDirty, func(li int, row []int32) {
+	return lRows(csr.Ptr, csr.Adj, st.lDirty, func(li int, _ int64, row []int32) {
 		lbl := st.lBase[li]
 		for _, hub := range row {
 			st.lowerHub(hub, lbl)
@@ -222,7 +222,7 @@ func (st *wccState) l2hProp() (int64, error) {
 	hubs := st.e.Part.Hubs
 	mesh := st.e.Opt.Mesh
 	send := sendParts(&st.valueBase, partition.CompL2H, &st.scr.hubParts, mesh.Cols)
-	edges := lRows(csr.Ptr, csr.Adj, st.lDirty, func(li int, row []int32) {
+	edges := lRows(csr.Ptr, csr.Adj, st.lDirty, func(li int, _ int64, row []int32) {
 		lbl := st.lBase[li]
 		for _, hub := range row {
 			if lbl < st.hubLabel[hub] {
@@ -246,7 +246,7 @@ func (st *wccState) l2lProp() (int64, error) {
 	csr := &st.rg.L2L
 	layout := st.e.Part.Layout
 	send := sendParts(&st.valueBase, partition.CompL2L, &st.scr.l2lParts, layout.P)
-	edges := lRows(csr.Ptr, csr.Adj, st.lDirty, func(li int, row []int64) {
+	edges := lRows(csr.Ptr, csr.Adj, st.lDirty, func(li int, _ int64, row []int64) {
 		lbl := st.lBase[li]
 		for _, dst := range row {
 			owner := layout.Owner(dst)

@@ -139,6 +139,9 @@ func (e *Engine) RunKCore(k int64) (*WorkloadResult, error) {
 // delegated hub distances are min-merged column-then-row, and bucket advance
 // rides the epilogue allreduce pair. delta <= 0 selects the default bucket
 // width (1/8, tuned for uniform [0,1) weights); a NaN delta is rejected.
+// The first run under a weight seed fills each rank's weight table (8 B per
+// stored directed edge, kept by the engine); later runs under the same seed
+// reuse it.
 func (e *Engine) RunSSSP(root int64, weightSeed uint64, delta float64) (*WorkloadResult, error) {
 	n := e.Part.Layout.N
 	if root < 0 || root >= n {
