@@ -9,7 +9,8 @@ import (
 	"repro/internal/core"
 )
 
-// Engine is the traversal backend: one batched multi-source sweep per call.
+// Engine is the traversal backend: one batched multi-source sweep per call,
+// over query keys (core.Query.Key: a plain root asks for the full tree).
 // Satisfied by *core.Engine and graph500.Runner via thin adapters; narrowed
 // to an interface so the batcher tests can observe batching decisions.
 type Engine interface {
@@ -64,10 +65,10 @@ type QueryOutcome struct {
 }
 
 type pendingQuery struct {
-	root int64
-	ctx  context.Context
-	enq  time.Time
-	ch   chan queryDelivery // buffered 1: delivery never blocks on the client
+	key int64
+	ctx context.Context
+	enq time.Time
+	ch  chan queryDelivery // buffered 1: delivery never blocks on the client
 }
 
 type queryDelivery struct {
@@ -130,9 +131,11 @@ func NewBatcher(eng Engine, cfg Config) *Batcher {
 }
 
 // Submit enqueues one query and blocks until its batch answers, the context
-// cancels, or the batcher refuses it (ErrBusy / ErrDraining).
-func (b *Batcher) Submit(ctx context.Context, root int64) (*QueryOutcome, error) {
-	p := &pendingQuery{root: root, ctx: ctx, enq: time.Now(), ch: make(chan queryDelivery, 1)}
+// cancels, or the batcher refuses it (ErrBusy / ErrDraining). key is the
+// query's core.Query.Key: a plain root asks for the full tree, a packed
+// (root, target) pair for the target's place in it.
+func (b *Batcher) Submit(ctx context.Context, key int64) (*QueryOutcome, error) {
+	p := &pendingQuery{key: key, ctx: ctx, enq: time.Now(), ch: make(chan queryDelivery, 1)}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -255,11 +258,11 @@ func (b *Batcher) take() []*pendingQuery {
 }
 
 func (b *Batcher) runBatch(batch []*pendingQuery) {
-	roots := make([]int64, len(batch))
+	keys := make([]int64, len(batch))
 	for i, p := range batch {
-		roots[i] = p.root
+		keys[i] = p.key
 	}
-	res, err := b.eng.RunBatch(roots)
+	res, err := b.eng.RunBatch(keys)
 	now := time.Now()
 
 	b.mu.Lock()

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"sort"
 	"sync/atomic"
+
+	"repro/internal/core"
 )
 
 // Server is the HTTP front end: POST /query against the batcher, GET
@@ -50,6 +52,10 @@ type QueryResponse struct {
 	Reachable *bool   `json:"reachable,omitempty"` // op=reach
 	Distance  *int64  `json:"distance,omitempty"`  // op=distance
 
+	// Iterations is the depth at which the answer was fixed: the tree's
+	// depth for op=parents; otherwise the target's level when it is
+	// reached, the depth of the root's component when it is not, and 0
+	// when no sweep was needed (the target is the root or has no edge).
 	Iterations int64 `json:"iterations"`
 
 	// Batch context: how the query was served.
@@ -76,7 +82,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "target out of range", http.StatusBadRequest)
 		return
 	}
-	out, err := s.b.Submit(r.Context(), q.Root)
+	key := q.Root // op=parents: the full tree
+	if q.Op != OpParents {
+		key = core.Query{Root: q.Root, Target: q.Target}.Key()
+	}
+	out, err := s.b.Submit(r.Context(), key)
 	switch {
 	case errors.Is(err, ErrBusy):
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
@@ -89,26 +99,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	parent := out.Query.Parent
+	res := out.Query
 	resp := QueryResponse{
 		Root: q.Root, Op: q.Op,
-		Iterations:     int64(out.Query.Iterations),
+		Iterations:     int64(res.Iterations),
 		BatchSize:      out.BatchSize,
 		Occupancy:      out.Occupancy,
 		LatencySeconds: out.Latency.Seconds(),
 	}
 	switch q.Op {
 	case OpParent:
-		p := parent[q.Target]
-		resp.Parent = &p
+		resp.Parent = &res.TargetParent
 	case OpParents:
-		resp.Parents = parent
+		resp.Parents = res.Parent
 	case OpReach:
-		reach := parent[q.Target] >= 0
+		reach := res.TargetParent >= 0
 		resp.Reachable = &reach
 	case OpDistance:
-		d := distanceOf(parent, q.Root, q.Target)
-		resp.Distance = &d
+		resp.Distance = &res.TargetLevel
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(&resp)
@@ -180,24 +188,4 @@ func (b *StatsBlock) setLatencies(seconds []float64) {
 	b.LatencyP90Seconds = rank(0.90)
 	b.LatencyP99Seconds = rank(0.99)
 	b.LatencyMaxSeconds = s[len(s)-1]
-}
-
-// distanceOf climbs the parent chain from target to root: in a valid BFS
-// tree the climb length IS the BFS level. Returns -1 for unreachable
-// targets (and, defensively, if the walk fails to terminate).
-func distanceOf(parent []int64, root, target int64) int64 {
-	if target == root {
-		return 0
-	}
-	if parent[target] < 0 {
-		return -1
-	}
-	var d int64
-	for v := target; v != root; v = parent[v] {
-		d++
-		if d > int64(len(parent)) || parent[v] < 0 {
-			return -1
-		}
-	}
-	return d
 }

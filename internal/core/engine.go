@@ -447,13 +447,23 @@ type RunRecord struct {
 	CheckpointScope string
 }
 
-// Result is one BFS run's output.
+// Result is one BFS query's output: the whole tree for a full-tree query,
+// one target's place in it for a target query (see Query).
 type Result struct {
-	Root       int64
-	Parent     []int64 // parent per original vertex; -1 unreachable
-	Iterations int
+	Root int64
+	// Target is the target query's target, -1 for a full-tree query.
+	Target int64
+	// Parent is the full tree, a parent per original vertex (-1 unreachable);
+	// nil for a target query, which assembles no N-entry array.
+	Parent []int64
+	// TargetParent and TargetLevel answer a target query: Target's parent
+	// and BFS level in the tree rooted at Root, both -1 when Target is
+	// unreachable (and for a full-tree query).
+	TargetParent, TargetLevel int64
+	Iterations                int
 	// TraversedEdges counts input undirected edges with both endpoints in
-	// the traversed component — the Graph 500 TEPS numerator.
+	// the traversed component — the Graph 500 TEPS numerator; 0 for a
+	// target query.
 	TraversedEdges int64
 	// Trace records per-iteration frontier composition and chosen
 	// directions (Figure 5 and the direction-optimization diagnostics).
@@ -839,26 +849,33 @@ func (e *Engine) execute(suffix string, spanArgs map[string]int64, mk workloadFa
 }
 
 // Run executes one BFS from root and assembles the global result: a batch
-// of one (see RunBatch for the fault and recovery behaviour, and
+// of one (see RunQueries for the fault and recovery behaviour, and
 // multisource.go for the traversal).
 func (e *Engine) Run(root int64) (*Result, error) {
-	br, err := e.RunBatch([]int64{root})
+	br, err := e.RunQueries([]Query{{Root: root, Target: -1}})
 	if br == nil {
 		return nil, err
 	}
 	return br.Queries[0], err
 }
 
-// assemble builds every query's Result.Parent and TraversedEdges from the
-// ranks' final BFS states. Each rank fills its own block of each parent array
-// (see assembleOwned) and sums the degrees of the vertices it reached, all
-// ranks in parallel; on a distributed world the blocks of ranks hosted
-// elsewhere then arrive by gatherOwned. A failed run, or a process recovery
-// left with no rank to host, reports every vertex unreached.
+// assemble builds every plane's answer from the ranks' final BFS states.
+// A full-tree query gets Result.Parent and TraversedEdges: each rank fills
+// its own block of the parent array (see assembleOwned) and sums the degrees
+// of the vertices it reached, all ranks in parallel. A target query gets
+// TargetParent, read by the target's owner rank. On a distributed world the
+// blocks and answers of ranks hosted elsewhere then arrive by control-plane
+// gathers. A failed run, or a process recovery left with no rank to host,
+// reports every vertex unreached.
 func (e *Engine) assemble(rc *runCommon, out []*Result) {
 	n := e.Part.Layout.N
-	for _, res := range out {
-		res.Parent = make([]int64, n)
+	var targets []int // the target planes
+	for q, res := range out {
+		if res.Target >= 0 {
+			targets = append(targets, q)
+		} else {
+			res.Parent = make([]int64, n)
+		}
 	}
 	if rc.err != nil || len(e.World.LocalRanks()) == 0 {
 		for _, res := range out {
@@ -868,6 +885,7 @@ func (e *Engine) assemble(rc *runCommon, out []*Result) {
 		}
 		return
 	}
+	owner := e.Part.Layout.Owner
 	degSum := make([]atomic.Int64, len(out))
 	var wg sync.WaitGroup
 	hosted(rc, func(m *multiState) {
@@ -875,13 +893,21 @@ func (e *Engine) assemble(rc *runCommon, out []*Result) {
 		go func() {
 			defer wg.Done()
 			for q, st := range m.planes {
-				degSum[q].Add(st.assembleOwned(ownedSeg(e, m.r.ID, out[q].Parent)))
+				switch {
+				case out[q].Parent != nil:
+					degSum[q].Add(st.assembleOwned(ownedSeg(e, m.r.ID, out[q].Parent)))
+				case owner(st.target) == m.r.ID:
+					out[q].TargetParent = st.targetParent()
+				}
 			}
 		}()
 	})
 	wg.Wait()
 	e.distAssemble(func(r *comm.Rank, lead bool) {
 		for q, res := range out {
+			if res.Parent == nil {
+				continue
+			}
 			gatherOwned(e, r, lead, res.Parent)
 			if !lead {
 				continue
@@ -890,6 +916,27 @@ func (e *Engine) assemble(rc *runCommon, out []*Result) {
 				if !e.World.IsLocal(j) {
 					degSum[q].Add(e.reachedDegrees(j, ownedSeg(e, j, res.Parent)))
 				}
+			}
+		}
+		if len(targets) == 0 {
+			return
+		}
+		// Every rank posts the answers of the targets it owns; the lead
+		// copies in those of the ranks hosted elsewhere.
+		mine := make([]int64, len(targets))
+		for i, q := range targets {
+			mine[i] = -1
+			if owner(out[q].Target) == r.ID {
+				mine[i] = out[q].TargetParent
+			}
+		}
+		all := comm.ControlGatherSlices(r.World, mine)
+		if !lead {
+			return
+		}
+		for i, q := range targets {
+			if j := owner(out[q].Target); !e.World.IsLocal(j) && len(all[j]) > 0 {
+				out[q].TargetParent = all[j][i]
 			}
 		}
 	})

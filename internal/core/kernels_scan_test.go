@@ -86,6 +86,15 @@ func refAssemble(e *Engine, planes []*rankState) ([]int64, int64) {
 	return parent, sum / 2
 }
 
+// fullTrees is the full-tree query of every root.
+func fullTrees(roots ...int64) []Query {
+	qs := make([]Query, len(roots))
+	for i, root := range roots {
+		qs[i] = Query{Root: root, Target: -1}
+	}
+	return qs
+}
+
 // rankHandles returns every rank's handle. The kernels under test here are
 // rank-local (no collectives), so the handles stay usable outside World.Run.
 func rankHandles(e *Engine) []*comm.Rank {
@@ -126,7 +135,7 @@ func fillRandom(b *bitmap.Bitmap, n int, p float64, rng *rand.Rand) {
 // onePlane builds a rank's BFS workload for one query, as Engine.Run does,
 // and returns its plane.
 func onePlane(e *Engine, r *comm.Rank) *rankState {
-	return newMultiState(e, r, []int64{0}).planes[0]
+	return newMultiState(e, r, fullTrees(0)).planes[0]
 }
 
 // scanState hand-builds one rank's plane: visited/new/frontier densities are
@@ -269,7 +278,7 @@ func TestInRankAssemblyMatchesSerial(t *testing.T) {
 	}
 	for _, root := range []int64{hubRoot, lRoot} {
 		root := root
-		rc, err := e.execute("asm", nil, func(e *Engine, r *comm.Rank) *valueBase { return &newMultiState(e, r, []int64{root}).valueBase })
+		rc, err := e.execute("asm", nil, func(e *Engine, r *comm.Rank) *valueBase { return &newMultiState(e, r, fullTrees(root)).valueBase })
 		if err != nil || rc.err != nil {
 			t.Fatal(err, rc.err)
 		}
@@ -277,7 +286,7 @@ func TestInRankAssemblyMatchesSerial(t *testing.T) {
 		for _, b := range rc.bases {
 			planes = append(planes, b.spec.wl.(*multiState).planes[0])
 		}
-		res := &Result{}
+		res := &Result{Target: -1}
 		e.assemble(rc, []*Result{res})
 		what := fmt.Sprintf("Run(%d)", root)
 		sameAssembly(t, what, e, res, planes)
@@ -292,11 +301,11 @@ func TestInRankAssemblyMatchesSerial(t *testing.T) {
 	}
 
 	roots := []int64{hubRoot, lRoot, 1}
-	rc, err := e.execute("asmbatch", nil, func(e *Engine, r *comm.Rank) *valueBase { return &newMultiState(e, r, roots).valueBase })
+	rc, err := e.execute("asmbatch", nil, func(e *Engine, r *comm.Rank) *valueBase { return &newMultiState(e, r, fullTrees(roots...)).valueBase })
 	if err != nil || rc.err != nil {
 		t.Fatal(err, rc.err)
 	}
-	out := []*Result{{}, {}, {}}
+	out := []*Result{{Target: -1}, {Target: -1}, {Target: -1}}
 	e.assemble(rc, out)
 	br, err := e.RunBatch(roots)
 	if err != nil {
@@ -363,7 +372,7 @@ func BenchmarkAssemble(b *testing.B) {
 		rng := rand.New(rand.NewSource(2))
 		rc := &runCommon{bases: make([]*valueBase, len(handles))}
 		for _, r := range handles {
-			wl := newMultiState(e, r, []int64{0})
+			wl := newMultiState(e, r, fullTrees(0))
 			st := wl.planes[0]
 			for i := 0; i < st.rg.LocalN; i++ {
 				if _, hub := e.Part.Hubs.HubOf(e.Part.Layout.GlobalOf(r.ID, int32(i))); !hub && rng.Float64() < reached {
@@ -377,7 +386,7 @@ func BenchmarkAssemble(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("reached=%.0f%%", 100*reached), func(b *testing.B) {
 			b.ReportAllocs()
-			res := &Result{}
+			res := &Result{Target: -1}
 			for i := 0; i < b.N; i++ {
 				e.assemble(rc, []*Result{res})
 				benchSink += res.TraversedEdges
@@ -398,7 +407,7 @@ func BenchmarkPlaneConstruct(b *testing.B) {
 		b.Run(fmt.Sprintf("queries=%d", q), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSink += int64(len(newMultiState(e, r, roots).planes))
+				benchSink += int64(len(newMultiState(e, r, fullTrees(roots...)).planes))
 			}
 		})
 	}

@@ -24,9 +24,12 @@ import (
 type rankState struct {
 	*multiState
 
-	qid  int // position in the batch
-	root int64
-	numL int64
+	qid    int // position in the batch
+	root   int64
+	target int64 // the target query's target; -1 for a full tree
+	numL   int64
+	// foundSlot is the target's found bit in the epilogue vector (-1: none).
+	foundSlot int
 
 	sched IterTrace // the iteration's latched directions and sparse choices
 
@@ -49,6 +52,28 @@ type rankState struct {
 	// the absolute iteration the query converged at (-1 while it runs): the
 	// plane's slots of the workload's checkpoint tail.
 	activeL, visitL, doneIter *int64
+}
+
+// seesTarget reports whether this rank owns the plane's target and the plane
+// has visited it; the epilogue sums it into the target's found bit.
+func (st *rankState) seesTarget() bool {
+	lay := st.e.Part.Layout
+	if lay.Owner(st.target) != st.r.ID {
+		return false
+	}
+	if h, ok := st.e.Part.Hubs.HubOf(st.target); ok {
+		return st.hubVisited.Test(int(h))
+	}
+	return st.lVisited.Test(int(lay.LocalIdx(st.target)))
+}
+
+// targetParent is the target's parent as the target's owner rank holds it:
+// a hub's from the reduced delegate array, an L vertex's from its owned slot.
+func (st *rankState) targetParent() int64 {
+	if h, ok := st.e.Part.Hubs.HubOf(st.target); ok {
+		return st.parentHub[h]
+	}
+	return st.parentL[st.e.Part.Layout.LocalIdx(st.target)]
 }
 
 // kernels are the plane's six kernels, each pushing or pulling as the plane

@@ -83,21 +83,29 @@ func scratchBytes(e *Engine) (total int) {
 // gathers and the delegate-sync records come out of Engine.scratch and no
 // iteration allocates one (sendbuf_B/op is the growth of their capacity per
 // run and must be 0). All five workloads share one remote-push path, so the
-// claim holds for all five, BFS at batch width 1 and 16 included. allocs/op
+// claim holds for all five, BFS at batch width 1, 8 and 16 included. allocs/op
 // is what is left: the receive-side copies comm makes, the kernels' receive
-// closures, result arrays and per-run state.
+// closures, result arrays and per-run state. The two width-8 rows run the
+// same roots as full trees and as target queries, which assemble no N-entry
+// parent array: B/op between them is at least 8 × N × 8 bytes apart.
 func BenchmarkWorkloadExchangeAllocs(b *testing.B) {
 	e := benchEngine(b)
 	root := firstConnectedRootOf(e)
 	roots := distinctConnectedRoots(e, 16)
-	bfs := func(roots []int64) func() (int, error) {
+	bfs := func(qs []Query) func() (int, error) {
 		return func() (int, error) {
-			br, err := e.RunBatch(roots)
+			br, err := e.RunQueries(qs)
 			if err != nil {
 				return 0, err
 			}
 			return br.Iterations, nil
 		}
+	}
+	// Each width-8 target query asks for the next root, a vertex its tree
+	// reaches.
+	targets := fullTrees(roots[:8]...)
+	for i := range targets {
+		targets[i].Target = roots[(i+1)%8]
 	}
 	value := func(run func() (*WorkloadResult, error)) func() (int, error) {
 		return func() (int, error) {
@@ -112,8 +120,10 @@ func BenchmarkWorkloadExchangeAllocs(b *testing.B) {
 		name string
 		run  func() (int, error)
 	}{
-		{"bfs", bfs([]int64{root})},
-		{"bfs-batch16", bfs(roots)},
+		{"bfs", bfs(fullTrees(root))},
+		{"bfs-batch8", bfs(fullTrees(roots[:8]...))},
+		{"bfs-batch8-targets", bfs(targets)},
+		{"bfs-batch16", bfs(fullTrees(roots...))},
 		{"wcc", value(e.RunWCC)},
 		{"sssp", value(func() (*WorkloadResult, error) { return e.RunSSSP(root, 7, 0) })},
 		{"kcore", value(func() (*WorkloadResult, error) { return e.RunKCore(3) })},

@@ -25,6 +25,10 @@ const (
 // plus the two parent arrays. With faulty set, the step-snapshot copies of
 // the bitmap state are charged too (parent arrays are monotone and not
 // snapshotted).
+//
+// The model counts per-rank state only. A full-tree query also allocates
+// its assembled N-entry parent array (N × 8 bytes) in the serving process,
+// which is not counted here; a target query assembles no such array.
 func BatchQueryBytes(k, perRank int64, faulty bool) int64 {
 	words := func(bits int64) int64 { return (bits + 63) / 64 * 8 }
 	bitmaps := batchHubPlanes*words(k) + batchLPlanes*words(perRank)
