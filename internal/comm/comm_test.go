@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -345,24 +346,35 @@ func BenchmarkAlltoallv16Ranks(b *testing.B) {
 
 func TestAllreduceSumFloat64(t *testing.T) {
 	const n = 6
-	w := testWorld(t, n, topology.Mesh{Rows: 2, Cols: 3})
-	results := make([][]float64, n)
-	w.Run(func(r *Rank) {
-		vals := []float64{float64(r.ID), 1, 0.5}
-		Must0(AllreduceSumFloat64(r.World, vals))
-		results[r.ID] = vals
-	})
-	want := []float64{15, 6, 3}
-	for id, vals := range results {
-		for i := range want {
-			if vals[i] != want[i] {
-				t.Fatalf("rank %d: vals[%d] = %g, want %g", id, i, vals[i], want[i])
-			}
+	mesh := topology.Mesh{Rows: 2, Cols: 3}
+	// orderVal's sum depends on the order it is taken in (1e16+1 rounds back
+	// to 1e16), so only a sum in member order matches seqSum.
+	orderVal := func(id int) float64 { return []float64{1e16, 1, -1e16, 1, 0.5, 3}[id] }
+	var seqSum, revSum float64
+	for id := 0; id < n; id++ {
+		seqSum += orderVal(id)
+		revSum += orderVal(n - 1 - id)
+	}
+	if seqSum == revSum {
+		t.Fatalf("test values are order-insensitive: %g both ways", seqSum)
+	}
+	want := []float64{15, 6, 3, seqSum}
+	for _, socket := range []bool{false, true} {
+		ws := []*World{testWorld(t, n, mesh)}
+		if socket {
+			ws, _ = distWorlds(t, 2, mesh, nil)
 		}
-		// Bit-identical across ranks (deterministic order).
-		for i := range vals {
-			if vals[i] != results[0][i] {
-				t.Fatalf("rank %d diverges from rank 0", id)
+		results := make([][]float64, n)
+		runSPMD(ws, func(r *Rank) {
+			vals := []float64{float64(r.ID), 1, 0.5, orderVal(r.ID)}
+			Must0(AllreduceSumFloat64(r.World, vals))
+			results[r.ID] = vals
+		})
+		for id, vals := range results {
+			for i := range want {
+				if math.Float64bits(vals[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("socket=%v rank %d: vals[%d] = %g, want the member-order sum %g", socket, id, i, vals[i], want[i])
+				}
 			}
 		}
 	}

@@ -132,6 +132,62 @@ func TestDistCollectivesAgreeWithClosedForms(t *testing.T) {
 			if want := uint64(1<<uint(n)) - 1; words[0] != want {
 				t.Errorf("procs=%d rank %d: or %#x, want %#x", procs, r.ID, words[0], want)
 			}
+			// AllreduceMaxInt64: member j owns slot j; the tail slot's max is
+			// the highest rank.
+			maxes := make([]int64, n+1)
+			for j := range maxes {
+				maxes[j] = -1
+			}
+			maxes[r.ID], maxes[n] = int64(r.ID*10), int64(r.ID)
+			Must0(AllreduceMaxInt64(r.World, maxes))
+			for j := 0; j < n; j++ {
+				if maxes[j] != int64(j*10) {
+					t.Errorf("procs=%d rank %d: max[%d] = %d, want %d", procs, r.ID, j, maxes[j], j*10)
+				}
+			}
+			if maxes[n] != int64(n-1) {
+				t.Errorf("procs=%d rank %d: max tail %d, want %d", procs, r.ID, maxes[n], n-1)
+			}
+			// AllreduceSumFloat64: every member holds the member-order sum.
+			fs := []float64{float64(r.ID), 0.5}
+			Must0(AllreduceSumFloat64(r.World, fs))
+			if want := float64(n*(n-1)) / 2; fs[0] != want || fs[1] != 0.5*float64(n) {
+				t.Errorf("procs=%d rank %d: float sum %v, want [%g %g]", procs, r.ID, fs, want, 0.5*float64(n))
+			}
+			// AllgathervUniform: member j's pair lands at dst[2j:2j+2].
+			uni := make([]int32, 2*n)
+			Must0(AllgathervUniform(r.World, []int32{int32(r.ID), int32(2 * r.ID)}, uni))
+			for j := 0; j < n; j++ {
+				if uni[2*j] != int32(j) || uni[2*j+1] != int32(2*j) {
+					t.Errorf("procs=%d rank %d: uniform[%d] = %v", procs, r.ID, j, uni[2*j:2*j+2])
+				}
+			}
+			// ReduceScatterOr: every word carries every member's bit; the
+			// caller gets its block of the 2n+1 words.
+			rsIn := make([]uint64, 2*n+1)
+			for i := range rsIn {
+				rsIn[i] = 1 << uint(r.ID)
+			}
+			seg := Must(ReduceScatterOr(r.World, rsIn))
+			if lo, hi := segBounds(len(rsIn), n, r.ID); len(seg) != hi-lo {
+				t.Errorf("procs=%d rank %d: reduce-scatter segment %d words, want %d", procs, r.ID, len(seg), hi-lo)
+			}
+			for i, v := range seg {
+				if want := uint64(1<<uint(n)) - 1; v != want {
+					t.Errorf("procs=%d rank %d: reduce-scatter[%d] = %#x, want %#x", procs, r.ID, i, v, want)
+				}
+			}
+			// ControlGatherSlices: member j posts j copies of j.
+			mine := make([]int32, r.ID)
+			for i := range mine {
+				mine[i] = int32(r.ID)
+			}
+			gathered := ControlGatherSlices(r.World, mine)
+			for j, g := range gathered {
+				if len(g) != j || (j > 0 && (g[0] != int32(j) || g[j-1] != int32(j))) {
+					t.Errorf("procs=%d rank %d: control gather[%d] = %v", procs, r.ID, j, g)
+				}
+			}
 			// Row communicator (split across processes when procs=2: row 0 is
 			// ranks 0-2 = procs 0,0,1).
 			rsum := Must(AllreduceSumInt64(r.RowC, int64(r.ID)))

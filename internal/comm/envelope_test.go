@@ -106,10 +106,12 @@ var sinkSum uint64
 
 // BenchmarkDistCollective times one cross-process collective per iteration on
 // two processes of two ranks over unix sockets; allocs/op and B/op cover all
-// four ranks' calls, both routers and both directions of the wire.
+// four ranks' calls, both routers and both directions of the wire. Each row
+// posts size bytes per rank: alltoallv splits them evenly across the four
+// destinations, the allreduces fold them element-wise.
 func BenchmarkDistCollective(b *testing.B) {
 	for _, size := range []int{64, 64 << 10} {
-		for _, kind := range []string{"allgatherv", "allreduce_sum"} {
+		for _, kind := range []string{"allgatherv", "allreduce_sum", "alltoallv", "allreduce_or", "allreduce_max"} {
 			b.Run(fmt.Sprintf("%s/%dB", kind, size), func(b *testing.B) {
 				ws, _ := distWorlds(b, 2, topology.Mesh{Rows: 2, Cols: 2}, nil)
 				b.ReportAllocs()
@@ -117,11 +119,22 @@ func BenchmarkDistCollective(b *testing.B) {
 				b.ResetTimer()
 				runSPMD(ws, func(r *Rank) {
 					words, vals := make([]uint64, size/8), make([]int64, size/8)
+					parts := make([][]uint64, r.World.Size())
+					for j := range parts {
+						parts[j] = words[j*len(words)/len(parts) : (j+1)*len(words)/len(parts)]
+					}
 					for i := 0; i < b.N; i++ {
-						if kind == "allgatherv" {
+						switch kind {
+						case "allgatherv":
 							Must(Allgatherv(r.World, words))
-						} else {
+						case "allreduce_sum":
 							Must(AllreduceSumInt64s(r.World, vals))
+						case "alltoallv":
+							Must(Alltoallv(r.World, parts))
+						case "allreduce_or":
+							Must0(AllreduceOr(r.World, words))
+						case "allreduce_max":
+							Must0(AllreduceMaxInt64(r.World, vals))
 						}
 					}
 				})
