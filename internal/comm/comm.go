@@ -1,16 +1,19 @@
-// Package comm is the in-process message-passing runtime standing in for MPI
-// (the substitution DESIGN.md documents: Go has no MPI ecosystem). Ranks run
-// as goroutines in a World; collectives — Alltoallv, Allgatherv,
+// Package comm is the message-passing runtime standing in for MPI (the
+// substitution DESIGN.md documents: Go has no MPI ecosystem). Ranks run as
+// goroutines in a World, inside one process or spread over processes
+// connected by sockets (dist.go); collectives — Alltoallv, Allgatherv,
 // ReduceScatterOr, Allreduce — operate over communicators, with row and
 // column sub-communicators over the R×C mesh exactly like the paper's 1.5D
-// layout. Every collective records the bytes each rank sends, split into
-// intra- and inter-supernode traffic using the topology model, so the
-// perfmodel package can price runs on the paper's machine constants.
+// layout. Every data-plane collective runs one protocol (Comm.collective),
+// the control plane another (controlGather) and the process plane a third
+// (World.exchange). Every collective records the bytes each rank sends,
+// split into intra- and inter-supernode traffic using the topology model, so
+// the perfmodel package can price runs on the paper's machine constants.
 package comm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -135,7 +138,9 @@ func (b *barrier) wait() {
 // barriers. Detection works on metadata rather than on escaping the barrier,
 // which keeps all members in lockstep even while they agree on an error.
 type contribution struct {
-	payload any
+	// parts are the posted buffers' byte views: a local member's alias its
+	// own buffers, a remote member's the received frame (see slot).
+	parts [][]byte
 	// declared is the checksum of the data the sender meant to post, posted
 	// the checksum of the data it actually posted: computed once per process,
 	// by the poster for a local member and at decode for a remote one, and
@@ -430,7 +435,7 @@ func (w *World) NextEpoch(dead []int, mode RebuildMode) (*World, error) {
 	for d := range isDead {
 		ds = append(ds, d)
 	}
-	sort.Ints(ds)
+	slices.Sort(ds)
 	// Restore mode prefers spare processes: a process that hosted no ranks in
 	// the outgoing world is idle capacity, so each dead process's ranks are
 	// re-homed onto one spare (ascending process order — a pure function of
@@ -675,18 +680,7 @@ func (c *Comm) WorldRank(i int) int { return c.sh.members[i] }
 // the other collectives: a failed or withheld arrival surfaces as a typed
 // error on every member (there is no payload, so corruption cannot occur).
 func (c *Comm) Barrier() error {
-	seq := c.nextSeq()
-	tok := c.traceEnter()
-	c.rank.Stats.Calls[KindBarrier]++
-	act := c.rank.intercept(KindBarrier, c.Size())
-	ctr := contribution{delay: act.Delay, withheld: act.Withhold, failed: act.Fail, dead: act.Kill}
-	c.sh.slots[c.me] = ctr
-	c.distSend(seq, wireData, &ctr, nil)
-	c.rendezvous(seq)
-	err := c.verify(KindBarrier)
-	c.complete(seq)
-	c.traceExit("barrier", tok, err)
-	return err
+	return c.collective(KindBarrier, "barrier", nil, nil, nil)
 }
 
 // traceToken carries a collective span's entry state between traceEnter and
@@ -737,26 +731,21 @@ func (c *Comm) traceExit(name string, tok traceToken, err error) {
 	tr.Emit(sp)
 }
 
-// faulty reports whether envelope verification is needed at all: under an
-// injected-fault transport, and always on the socket backend — a real peer
-// process can die or corrupt a frame without any transport installed, and
-// the failure detector's dead-peer synthesis only surfaces as ErrRankDead
-// if verify runs.
-func (c *Comm) faulty() bool {
-	return c.rank.w.opt.Transport != nil || c.rank.w.dist != nil
-}
-
 // verify inspects the contributions posted for the current collective and
-// returns the agreed typed error, or nil. It must run between the opening and
-// closing barriers. Every member scans in the same order over the same
-// metadata, so all members of the communicator reach the same verdict —
-// precedence is rank death, then outright failure, then stall, then
-// corruption, then deadline, ties broken by lowest member index. Death ranks
-// first because it is the only non-retryable verdict: a retry loop that saw
-// ErrCollectiveFailed when a dead rank was also present would spin
-// pointlessly.
+// returns the agreed typed error, or nil. Verification runs only where
+// collectives can fail (Rank.Faulty): under an injected-fault transport, and
+// always on the socket backend — a real peer process can die or corrupt a
+// frame without any transport installed, and the failure detector's
+// dead-peer synthesis only surfaces as ErrRankDead if verify runs. It must
+// run between the opening and closing barriers. Every member scans in the
+// same order over the same metadata, so all members of the communicator
+// reach the same verdict — precedence is rank death, then outright failure,
+// then stall, then corruption, then deadline, ties broken by lowest member
+// index. Death ranks first because it is the only non-retryable verdict: a
+// retry loop that saw ErrCollectiveFailed when a dead rank was also present
+// would spin pointlessly.
 func (c *Comm) verify(kind Kind) error {
-	if !c.faulty() {
+	if !c.rank.Faulty() {
 		return nil
 	}
 	slots := c.sh.slots

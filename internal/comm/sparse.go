@@ -88,57 +88,3 @@ func DecodeSparseUpdates(frame []byte) ([]SparseUpdate, error) {
 	}
 	return ups, nil
 }
-
-// AllgatherSparse is the tail-iteration exchange: every member posts one
-// encoded frame of destination-addressed updates and every member receives
-// all frames, keeping only the records addressed to it. The result is shaped
-// exactly like Alltoallv's — out[j] holds member j's updates for the caller,
-// in j's send order — so a caller can substitute it for a dense exchange and
-// apply the received messages in an identical order. For the tiny frontiers
-// of tail iterations one small allgathered frame replaces k dense buffers,
-// most of them empty.
-//
-// The frame rides the same contribution protocol as every other collective,
-// so the fault transport's delay/stall/corrupt/fail/kill actions all apply;
-// corruption is caught by the envelope checksum before any decode, which is
-// why a frame that fails to decode after a clean verify is a panic (protocol
-// bug), not an error. Updates with Dst outside [0, Size()) panic on the
-// sender — they could otherwise silently vanish.
-func AllgatherSparse(c *Comm, ups []SparseUpdate) ([][]SparseUpdate, error) {
-	k := c.Size()
-	for _, u := range ups {
-		if int(u.Dst) < 0 || int(u.Dst) >= k {
-			panic(fmt.Sprintf("comm: AllgatherSparse update Dst %d out of [0,%d)", u.Dst, k))
-		}
-	}
-	seq := c.nextSeq()
-	tok := c.traceEnter()
-	c.rank.Stats.Calls[KindAllgatherSparse]++
-	frame := EncodeSparseUpdates(nil, ups)
-	for j := 0; j < k; j++ {
-		if j != c.me {
-			c.account(KindAllgatherSparse, j, int64(len(frame)))
-		}
-	}
-	contribute1(c, KindAllgatherSparse, seq, frame)
-	c.rendezvous(seq)
-	err := c.verify(KindAllgatherSparse)
-	var out [][]SparseUpdate
-	if err == nil {
-		out = make([][]SparseUpdate, k)
-		for j := 0; j < k; j++ {
-			posted, derr := DecodeSparseUpdates(slotSlice[byte](c, j))
-			if derr != nil {
-				panic(fmt.Sprintf("comm: AllgatherSparse: member %d posted a bad frame past checksum verification: %v", j, derr))
-			}
-			for _, u := range posted {
-				if int(u.Dst) == c.me {
-					out[j] = append(out[j], u)
-				}
-			}
-		}
-	}
-	c.complete(seq)
-	c.traceExit("allgather_sparse", tok, err)
-	return out, err
-}

@@ -47,13 +47,16 @@ type ssspState struct {
 	bucket  int64
 	activeL int64 // global dirty-L count (sparse/skip proxy)
 
-	relaxations, relaxBase int64 // successful lowerings so far / as of beginIter
+	relaxations *int64 // successful lowerings so far: lPack's last slot
+	relaxBase   int64  // *relaxations as of beginIter
 
 	pendImproved, pendAL, pendNext int64
 
 	// hubPack and lPack are the checkpointed form, [Float64bits(dist)... |
 	// parent...], and the only storage: the distance and parent slices above
-	// are views of their two halves, so a capture packs nothing.
+	// are views of their two halves, so a capture packs nothing. lPack has
+	// one slot more, the relaxation count, so a resumed run keeps counting
+	// from the checkpoint instead of from zero.
 	hubPack, lPack []int64
 }
 
@@ -85,8 +88,9 @@ func (m distMsg) runLen() int        { return int(m.Parent) }
 // newSSSPState declares the dirty sets, the packed (distance bits, parent)
 // arrays, the dirty-L count and the bucket (on the VisitL scalar) as the
 // persisted state; the relax sets are rebuilt by beginIter, so their bitmap
-// slots carry no load. A retried step also rolls back the relaxation counter,
-// which re-executed applies would count again.
+// slots carry no load. The relaxation counter rides in lPack's last slot, so
+// a retried step rolls it back with the L state (re-executed applies would
+// count again) and a checkpoint persists it.
 func newSSSPState(e *Engine, r *comm.Rank, root int64, seed uint64, delta float64) *ssspState {
 	per := int(e.Part.Layout.PerRank)
 	k := e.Part.Hubs.K()
@@ -102,10 +106,11 @@ func newSSSPState(e *Engine, r *comm.Rank, root int64, seed uint64, delta float6
 		relaxHub:  bitmap.New(k),
 		relaxL:    bitmap.New(per),
 		hubPack:   make([]int64, 2*k),
-		lPack:     make([]int64, 2*per),
+		lPack:     make([]int64, 2*per+1),
 	}
 	st.hubDist, st.hubParent = float64View(st.hubPack[:k]), st.hubPack[k:]
-	st.lDist, st.lParent = float64View(st.lPack[:per]), st.lPack[per:]
+	st.lDist, st.lParent = float64View(st.lPack[:per]), st.lPack[per:2*per]
+	st.relaxations = &st.lPack[2*per]
 	st.declare(valueSpec{
 		wl: st,
 		planes: []planeSpec{{kernels: [partition.NumComponents]func() (int64, error){
@@ -116,7 +121,6 @@ func newSSSPState(e *Engine, r *comm.Rank, root int64, seed uint64, delta float6
 		lF: st.lDirty.Words(), lV: st.relaxL.Words(),
 		pHub: st.hubPack, pL: st.lPack,
 		activeL: &st.activeL, visitL: &st.bucket,
-		scalars: []*int64{&st.relaxations},
 	})
 	return st
 }
@@ -175,7 +179,7 @@ func (st *ssspState) beginIter(it *IterTrace) {
 	})
 	st.lDirty.AndNot(st.relaxL)
 	st.frontierSchedule(it, st.relaxHub, st.activeL)
-	st.relaxBase = st.relaxations
+	st.relaxBase = *st.relaxations
 	st.pendImproved, st.pendAL, st.pendNext = 0, 0, 0
 }
 
@@ -197,7 +201,7 @@ func (st *ssspState) epilogue() error {
 	st.hubDirty.ForEach(func(h int) { bucketOf(st.hubDist[h]) })
 	st.lDirty.ForEach(func(li int) { bucketOf(st.lDist[li]) })
 	var err error
-	st.pendImproved, st.pendAL, err = st.agree(st.relaxations-st.relaxBase, int64(st.lDirty.Count()))
+	st.pendImproved, st.pendAL, err = st.agree(*st.relaxations-st.relaxBase, int64(st.lDirty.Count()))
 	neg := []int64{-next}
 	err2 := comm.AllreduceMaxInt64(st.r.World, neg)
 	if err2 == nil {
@@ -229,7 +233,7 @@ func (st *ssspState) lowerHub(h int32, nd float64, parent int64) {
 		st.hubDist[h] = nd
 		st.hubParent[h] = parent
 		st.scr.touched.add(h)
-		st.relaxations++
+		*st.relaxations++
 	}
 }
 
@@ -238,7 +242,7 @@ func (st *ssspState) lowerL(li int32, nd float64, parent int64) {
 		st.lDist[li] = nd
 		st.lParent[li] = parent
 		st.lDirty.Set(int(li))
-		st.relaxations++
+		*st.relaxations++
 	}
 }
 

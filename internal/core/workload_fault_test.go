@@ -59,6 +59,9 @@ func compareWorkloadResults(t *testing.T, label string, got, want *WorkloadResul
 					label, v, got.Dist[v], got.Parent[v], want.Dist[v], want.Parent[v])
 			}
 		}
+		if got.Relaxations != want.Relaxations {
+			t.Fatalf("%s: %d relaxations, fault-free %d", label, got.Relaxations, want.Relaxations)
+		}
 	case "pagerank":
 		for v := range want.Rank {
 			if math.Float64bits(got.Rank[v]) != math.Float64bits(want.Rank[v]) {

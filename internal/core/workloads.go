@@ -173,7 +173,7 @@ func (e *Engine) RunSSSP(root int64, weightSeed uint64, delta float64) (*Workloa
 		hosted(rc, func(st *ssspState) {
 			writeOwned(&st.valueBase, res.Dist, st.lDist, func(h int32) float64 { return st.hubDist[h] })
 			writeOwned(&st.valueBase, res.Parent, st.lParent, func(h int32) int64 { return st.hubParent[h] })
-			res.Relaxations += st.relaxations
+			res.Relaxations += *st.relaxations
 		})
 		if e.World.Distributed() {
 			// Gather the remote segments of both arrays and replace the
@@ -184,7 +184,7 @@ func (e *Engine) RunSSSP(root int64, weightSeed uint64, delta float64) (*Workloa
 				gatherOwned(e, r, lead, res.Parent)
 				var mine int64
 				if b := rc.bases[r.ID]; b != nil {
-					mine = b.spec.wl.(*ssspState).relaxations
+					mine = *b.spec.wl.(*ssspState).relaxations
 				}
 				sum := comm.ControlSumInt64(r.World, mine)
 				if lead {
