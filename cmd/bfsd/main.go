@@ -1,14 +1,15 @@
 // Command bfsd is the long-lived traversal daemon: it loads (or generates)
 // a graph once, partitions it with the 1.5D degree-aware partitioner, keeps
 // the partitioned graph resident, and serves BFS queries over HTTP to many
-// concurrent clients. Concurrent queries arriving inside a batching window
-// are folded into ONE batched multi-source sweep (one bit-plane per query),
-// amortizing every collective, hub sync and kernel launch across the batch.
+// concurrent clients. A query that finds the engine idle starts its sweep at
+// once; queries arriving during a sweep are folded into the next one, ONE
+// batched multi-source sweep (one bit-plane per query), amortizing every
+// collective, hub sync and kernel launch across the batch.
 //
 // Usage:
 //
 //	bfsd -scale 16 -ranks 16 -addr :8080
-//	bfsd -input edges.bin -informat bin -ranks 16 -window 5ms -max-batch 16
+//	bfsd -input edges.bin -informat bin -ranks 16 -max-batch 16
 //	bfsd -scale 18 -ranks 64 -mem-budget 256MiB     # admission from perfmodel
 //
 // Query it:
@@ -50,7 +51,6 @@ func main() {
 	spec.EngineFlags(flag.CommandLine)
 	var (
 		addr      = flag.String("addr", ":8080", "HTTP listen address")
-		window    = flag.Duration("window", 2*time.Millisecond, "batching window: max wait for the first query of a batch")
 		maxBatch  = flag.Int("max-batch", 8, "max queries per batched sweep (clamped by -mem-budget)")
 		maxQueued = flag.Int("max-queued", 0, "admission bound: queued queries beyond this get 429 (0 = 4*max-batch)")
 		memBudget = flag.String("mem-budget", "", "per-rank memory budget for batch state, e.g. 64MiB (empty = no clamp)")
@@ -103,7 +103,6 @@ func main() {
 	}
 
 	b := bfsd.NewBatcher(r, bfsd.Config{
-		Window:    *window,
 		MaxBatch:  *maxBatch,
 		MaxQueued: *maxQueued,
 	})
@@ -124,7 +123,7 @@ func main() {
 		_ = httpSrv.Shutdown(ctx)
 	}()
 
-	fmt.Printf("serving on %s (window %v, max batch %d)\n", *addr, *window, *maxBatch)
+	fmt.Printf("serving on %s (max batch %d)\n", *addr, *maxBatch)
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fatal(err)
 	}

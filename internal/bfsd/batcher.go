@@ -17,14 +17,16 @@ type Engine interface {
 	RunBatch(roots []int64) (*core.BatchResult, error)
 }
 
-// Config shapes the batching window and admission control.
+// Config shapes the sweep width and admission control.
 type Config struct {
-	// Window is how long the first query of a window may wait for company
-	// before the batch flushes regardless of size. Default 2ms.
+	// Window is ignored: a query that finds the flusher idle starts its
+	// sweep at once, and queries that arrive during a sweep batch behind it
+	// (see Batcher), so no timer ever delays one. The field remains only
+	// because the benchmark harness still sets it.
 	Window time.Duration
-	// MaxBatch is the sweep width: a window flushes immediately once this
-	// many queries are waiting. Default 8. The daemon sizes it from
-	// perfmodel.MaxBatchQueries against its memory budget.
+	// MaxBatch is the sweep width: the most queued queries one sweep takes.
+	// Default 8. The daemon sizes it from perfmodel.MaxBatchQueries against
+	// its memory budget.
 	MaxBatch int
 	// MaxQueued is the admission bound: Submit refuses (ErrBusy) once this
 	// many queries are waiting, so overload surfaces as fast 429s instead of
@@ -33,9 +35,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = 2 * time.Millisecond
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
 	}
@@ -77,11 +76,14 @@ type queryDelivery struct {
 }
 
 // Batcher folds concurrent Submit calls into batched multi-source sweeps.
-// One flusher goroutine owns the engine, so sweeps are serialized; a window
-// flushes when it fills to MaxBatch or Window after its first query,
-// whichever comes first. Queries cancelled before their window flushes are
-// dropped from the batch; cancellation mid-sweep cannot stop the sweep (the
-// answer is discarded at delivery).
+// One flusher goroutine owns the engine, so sweeps are serialized, and it is
+// work-conserving: a query that finds it idle starts a sweep of one at once,
+// and queries that arrive during a sweep queue up until it ends, when the
+// flusher takes up to MaxBatch of them into the next. Waiting for company at
+// an idle engine would only add latency: under load the queue refills during
+// every sweep anyway. Queries cancelled before their sweep starts are dropped
+// from it; cancellation mid-sweep cannot stop the sweep (the answer is
+// discarded at delivery).
 type Batcher struct {
 	eng Engine
 	cfg Config
@@ -101,7 +103,7 @@ type Stats struct {
 	Queries   int64 // answered
 	Batches   int64 // sweeps run
 	Rejected  int64 // refused by admission control
-	Cancelled int64 // dropped before their window flushed
+	Cancelled int64 // dropped before their sweep started
 	Errors    int64 // sweep failures (every rider sees the error)
 
 	OccupancySum float64
@@ -148,13 +150,13 @@ func (b *Batcher) Submit(ctx context.Context, key int64) (*QueryOutcome, error) 
 	}
 	b.queue = append(b.queue, p)
 	first := len(b.queue) == 1
-	full := len(b.queue) >= b.cfg.MaxBatch
 	b.mu.Unlock()
 
-	if full {
+	// Only the query that makes the queue non-empty kicks: until the queue
+	// is empty again, the flusher is either woken by that kick or still
+	// taking batches, and takes this one with them.
+	if first {
 		b.signal()
-	} else if first {
-		time.AfterFunc(b.cfg.Window, b.signal)
 	}
 
 	select {
@@ -173,8 +175,7 @@ func (b *Batcher) Submit(ctx context.Context, key int64) (*QueryOutcome, error) 
 }
 
 // Close drains: no new queries are admitted, every already-queued query is
-// flushed (ignoring the window clock), and Close returns once the flusher
-// has answered them all.
+// swept, and Close returns once the flusher has answered them all.
 func (b *Batcher) Close() {
 	b.mu.Lock()
 	if b.closed {
@@ -217,11 +218,13 @@ func (b *Batcher) loop() {
 		case <-b.quit:
 		}
 		for {
-			batch := b.take()
-			if len(batch) == 0 {
+			batch, left := b.take()
+			if len(batch) > 0 {
+				b.runBatch(batch)
+			}
+			if left == 0 {
 				break
 			}
-			b.runBatch(batch)
 		}
 		b.mu.Lock()
 		exit := b.closed && len(b.queue) == 0
@@ -232,18 +235,18 @@ func (b *Batcher) loop() {
 	}
 }
 
-// take claims up to MaxBatch queries, answering cancelled ones on the way.
-func (b *Batcher) take() []*pendingQuery {
+// take claims up to MaxBatch queries, answering cancelled ones on the way,
+// and reports how many stay queued. A claim whose queries were all cancelled
+// is empty while others may still wait, so the flusher loops on left.
+func (b *Batcher) take() (live []*pendingQuery, left int) {
 	b.mu.Lock()
-	n := len(b.queue)
-	if n > b.cfg.MaxBatch {
-		n = b.cfg.MaxBatch
-	}
+	n := min(len(b.queue), b.cfg.MaxBatch)
 	claimed := b.queue[:n:n]
 	b.queue = append([]*pendingQuery(nil), b.queue[n:]...)
+	left = len(b.queue)
 	b.mu.Unlock()
 
-	live := claimed[:0]
+	live = claimed[:0]
 	for _, p := range claimed {
 		if p.ctx.Err() != nil {
 			p.ch <- queryDelivery{err: p.ctx.Err()}
@@ -254,7 +257,7 @@ func (b *Batcher) take() []*pendingQuery {
 		}
 		live = append(live, p)
 	}
-	return live
+	return live, left
 }
 
 func (b *Batcher) runBatch(batch []*pendingQuery) {

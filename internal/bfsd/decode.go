@@ -1,9 +1,10 @@
-// Package bfsd is the traversal service layer: a time+size-windowed batcher
+// Package bfsd is the traversal service layer: a work-conserving batcher
 // that folds concurrent BFS queries into batched multi-source sweeps
 // (core.RunBatch), and an HTTP front end serving parents / reachability /
 // distance queries against a resident partitioned graph. The daemon pays
-// generation + partitioning once, then amortizes every collective across
-// whatever query mix arrives inside a batching window.
+// generation + partitioning once; a query at an idle engine costs one sweep,
+// and under load every collective is amortized across whatever query mix
+// arrived during the previous sweep.
 package bfsd
 
 import (

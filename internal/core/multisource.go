@@ -160,9 +160,9 @@ func newMultiState(e *Engine, r *comm.Rank, qs []Query) *multiState {
 }
 
 // bootstrap seeds every plane's root — a hub root on every rank, an L root at
-// its owner — and agrees the global L counts its direction choice reads. It
-// rides the control plane (fault-exempt, and no data-plane collective): there
-// is no prior consistent state to retry from.
+// its owner — and sets the global L counts its direction choice reads. Every
+// rank knows them without a collective: one active and visited L vertex for
+// an L root, none for a hub root.
 func (m *multiState) bootstrap() error {
 	layout := m.e.Part.Layout
 	for _, p := range m.planes {
@@ -170,15 +170,15 @@ func (m *multiState) bootstrap() error {
 			p.hubFrontier.Set(int(h))
 			p.hubVisited.Set(int(h))
 			p.parentHub[h] = p.root
-		} else if layout.Owner(p.root) == m.r.ID {
+			continue
+		}
+		if layout.Owner(p.root) == m.r.ID {
 			li := layout.LocalIdx(p.root)
 			p.lFrontier.Set(int(li))
 			p.lVisited.Set(int(li))
 			p.parentL[li] = p.root
-			*p.activeL, *p.visitL = 1, 1
 		}
-		*p.activeL = comm.ControlSumInt64(m.r.World, *p.activeL)
-		*p.visitL = comm.ControlSumInt64(m.r.World, *p.visitL)
+		*p.activeL, *p.visitL = 1, 1
 	}
 	return nil
 }

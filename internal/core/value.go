@@ -121,8 +121,8 @@ type valueBase struct {
 // workload is what a workload writes beside its declaration: the hooks the
 // base's loop calls.
 //
-//   - bootstrap seeds a fresh run over the control plane (no prior state to
-//     retry from).
+//   - bootstrap seeds a fresh run, over the control plane where it needs
+//     agreement (no prior state to retry from).
 //   - beginIter fills the IterTrace frontier composition and latches the
 //     iteration's direction/sparse schedule; it runs once per iteration, so
 //     retries of a failed iteration keep the same collective schedule.
