@@ -108,7 +108,7 @@ func TestAnalyticsPublicAPI(t *testing.T) {
 }
 
 // TestRunnerConfigReachesAnalytics: the analytics methods run on the Runner's
-// engine, so Config.Trace and Config.Faults apply to them as they do to BFS.
+// engine, so Config.Trace and Config.Transport apply to them as they do to BFS.
 // Under a seeded fault plan each workload must retry, record kernel spans,
 // and still match a fault-free Runner exactly.
 func TestRunnerConfigReachesAnalytics(t *testing.T) {
@@ -117,7 +117,7 @@ func TestRunnerConfigReachesAnalytics(t *testing.T) {
 	plan := faultinject.New(31)
 	plan.FailProb = 0.02
 	tr := trace.New()
-	faulty := mustRunner(t, g, Config{Ranks: 4, Faults: plan, Trace: tr,
+	faulty := mustRunner(t, g, Config{Ranks: 4, Transport: plan, Trace: tr,
 		MaxRetries: 12, RetryBackoff: 20 * time.Microsecond})
 	equal := func(a, b *WorkloadResult) bool {
 		for v := range a.Rank {

@@ -55,9 +55,9 @@ func main() {
 		kcoreK    = flag.Int64("kcore-k", 2, "peeling threshold for the kcore workload")
 		breakdown = flag.Bool("breakdown", true, "print per-subgraph time breakdown (bfs only)")
 		official  = flag.Bool("official", false, "print the Graph 500 official statistics block (bfs only)")
-		jsonOut   = flag.String("json", "", "write the machine-readable benchmark report (JSON) to this file (bfs only)")
-		traceOut  = flag.String("trace", "", "record per-iteration spans and write the merged timeline (JSONL) to this file (bfs only)")
-		chromeOut = flag.String("trace-chrome", "", "record spans and write a Chrome trace_event file for chrome://tracing (bfs only)")
+		jsonOut   = flag.String("json", "", "write the machine-readable benchmark report (JSON) to this file")
+		traceOut  = flag.String("trace", "", "record per-iteration spans and write the merged timeline (JSONL) to this file")
+		chromeOut = flag.String("trace-chrome", "", "record spans and write a Chrome trace_event file for chrome://tracing")
 	)
 	flag.Parse()
 
@@ -100,8 +100,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if cfg.Faults != nil {
-		fmt.Printf("fault injection active: %s\n", cfg.Faults)
+	if cfg.Transport != nil {
+		fmt.Printf("fault injection active: %s\n", cfg.Transport)
 	}
 	if cfg.CheckpointDir != "" {
 		fmt.Printf("checkpointing to %s every %d iteration(s)\n", cfg.CheckpointDir, cfg.CheckpointEvery)
@@ -130,9 +130,10 @@ func main() {
 	var sum *graph500.BenchmarkSummary
 	for _, name := range names {
 		if name == "bfs" {
-			sum = runBFS(r, cfg, *roots, spec.Seed, *breakdown, *official, time.Since(t0))
-			if sum == nil { // -official printed its block and owns the output
-				return
+			sum = runBFS(r, cfg, *roots, spec.Seed, *breakdown)
+			if *official {
+				st := r.Official(sum, r.Engine.PartitionSeconds+r.Engine.ConstructSeconds)
+				fmt.Printf("\nGraph 500 official statistics:\n%s", st)
 			}
 			entries = append(entries, sum.WorkloadEntry())
 			continue
@@ -173,31 +174,21 @@ func main() {
 	}
 
 	if *jsonOut != "" {
-		in := report.Inputs{Config: cfgReport, Workloads: entries,
-			Setup: setupReport(genSeconds, r, cfg.Trace), Wire: spec.WireResilience(group)}
-		if sum != nil {
-			sum.Fill(&in)
-		}
-		if err := report.Build(in).WriteFile(*jsonOut); err != nil {
+		doc := report.Build(cfgReport, sum)
+		doc.Workloads, doc.Setup = entries, setupReport(genSeconds, r, cfg.Trace)
+		doc.Resilience.Wire = spec.WireResilience(group)
+		if err := doc.WriteFile(*jsonOut); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote benchmark report to %s\n", *jsonOut)
 	}
-	writeTraces(cfg.Trace, *traceOut, *chromeOut)
+	writeTrace(cfg.Trace, *traceOut, false)
+	writeTrace(cfg.Trace, *chromeOut, true)
 }
 
-// runBFS benchmarks BFS on the shared runner and returns the summary for the
-// report, or nil when -official printed the spec's statistics block instead.
-func runBFS(r *graph500.Runner, cfg graph500.Config, roots int, seed uint64, breakdown, official bool, setupTime time.Duration) *graph500.BenchmarkSummary {
-	if official {
-		st, err := r.OfficialRun(roots, seed+1, setupTime)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(st)
-		return nil
-	}
-
+// runBFS benchmarks BFS on the shared runner and returns the summary that
+// feeds the report and the official statistics block.
+func runBFS(r *graph500.Runner, cfg graph500.Config, roots int, seed uint64, breakdown bool) *graph500.BenchmarkSummary {
 	sum, err := r.Benchmark(roots, seed+1)
 	if err != nil {
 		fatal(err)
@@ -218,7 +209,7 @@ func runBFS(r *graph500.Runner, cfg graph500.Config, roots int, seed uint64, bre
 		for p := stats.Phase(0); p < stats.NumPhases; p++ {
 			fmt.Printf("  %-7s %6.2f%%  (%d edge touches)\n", p, 100*share[p], res.Recorder.EdgesTouched[p])
 		}
-		if cfg.Faults != nil {
+		if cfg.Transport != nil {
 			fmt.Printf("\nresilience (all %d runs):\n", len(sum.Roots))
 			fmt.Printf("  injected faults:  %d  (%d delays, %d stalls, %d corruptions, %d failures, %d kills)\n",
 				sum.Faults.Injected(), sum.Faults.Delays, sum.Faults.Stalls,
@@ -280,32 +271,17 @@ func firstKernelGap(spans []trace.Span) float64 {
 	return 0
 }
 
-// writeTraces dumps the recorded span timeline in the requested formats.
-// Called after the runs complete, when every recording goroutine has exited.
-func writeTraces(tr *trace.Tracer, jsonl, chrome string) {
-	if tr == nil {
+// writeTrace dumps the recorded span timeline to path, as Chrome
+// trace_event JSON when chrome is set, else as JSONL; "" skips it. Called
+// after the runs complete, when every recording goroutine has exited.
+func writeTrace(tr *trace.Tracer, path string, chrome bool) {
+	if tr == nil || path == "" {
 		return
 	}
-	write := func(path string, emit func(*os.File) error) {
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote trace to %s\n", path)
+	if err := tr.WriteFile(path, chrome); err != nil {
+		fatal(err)
 	}
-	if jsonl != "" {
-		write(jsonl, func(f *os.File) error { return tr.WriteJSONL(f) })
-	}
-	if chrome != "" {
-		write(chrome, func(f *os.File) error { return tr.WriteChrome(f) })
-	}
+	fmt.Printf("wrote trace to %s\n", path)
 }
 
 func fatal(err error) {

@@ -69,8 +69,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if cfg.Faults != nil {
-		fmt.Printf("fault injection active: %s\n", cfg.Faults)
+	if cfg.Transport != nil {
+		fmt.Printf("fault injection active: %s\n", cfg.Transport)
 	}
 
 	r, err := graph500.New(g, cfg)
@@ -90,14 +90,14 @@ func main() {
 		}
 		k := int64(r.Engine.Part.Hubs.K())
 		per := r.Engine.Part.Layout.PerRank
-		fit := perfmodel.MaxBatchQueries(budget, k, per, cfg.Faults != nil)
+		fit := perfmodel.MaxBatchQueries(budget, k, per, cfg.Transport != nil)
 		if fit == 0 {
 			fatal(fmt.Errorf("budget %s cannot fit even one batched query (%d bytes/query per rank)",
-				*memBudget, perfmodel.BatchQueryBytes(k, per, cfg.Faults != nil)))
+				*memBudget, perfmodel.BatchQueryBytes(k, per, cfg.Transport != nil)))
 		}
 		if fit < *maxBatch {
 			fmt.Printf("admission: -mem-budget %s clamps max batch %d -> %d (%d bytes/query per rank)\n",
-				*memBudget, *maxBatch, fit, perfmodel.BatchQueryBytes(k, per, cfg.Faults != nil))
+				*memBudget, *maxBatch, fit, perfmodel.BatchQueryBytes(k, per, cfg.Transport != nil))
 			*maxBatch = fit
 		}
 	}

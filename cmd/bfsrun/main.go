@@ -178,6 +178,14 @@ func parentMain(args []string) int {
 		tr = trace.New()
 		spans = tr.NewStream(-1)
 	}
+	writeTrace := func() {
+		if tr == nil {
+			return
+		}
+		if err := tr.WriteFile(*traceOut, false); err != nil {
+			fmt.Fprintln(os.Stderr, "bfsrun: trace:", err)
+		}
+	}
 
 	// consumed counts, per slot, the sigkill clauses a previous incarnation
 	// or generation already executed; Start retires them from the plan each
@@ -323,7 +331,7 @@ func parentMain(args []string) int {
 			continue
 		}
 		fmt.Fprintln(os.Stderr, "bfsrun:", runErr)
-		writeParentTrace(tr, *traceOut)
+		writeTrace()
 		return 1
 	}
 
@@ -346,7 +354,7 @@ func parentMain(args []string) int {
 			break
 		}
 	}
-	writeParentTrace(tr, *traceOut)
+	writeTrace()
 	if chosen < 0 {
 		if sr.Drained > 0 {
 			fmt.Printf("bfsrun: drained before completion; rerun with -checkpoint-dir %s to resume\n", spec.CheckpointDir)
@@ -376,22 +384,6 @@ func mergeReport(workerReport, dst string, sr *report.SupervisorResilience) erro
 	}
 	r.Resilience.Supervisor = sr
 	return r.WriteFile(dst)
-}
-
-func writeParentTrace(tr *trace.Tracer, path string) {
-	if tr == nil || path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err == nil {
-		err = tr.WriteJSONL(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bfsrun: trace:", err)
-	}
 }
 
 func parentsPath(dir string, proc int) string {
@@ -500,8 +492,8 @@ func workerMain(env string) int {
 		return exitFatal
 	}
 	cfg.Drain = draining.Load
-	if plan, ok := cfg.Faults.(*faultinject.Plan); ok {
-		cfg.Faults = &sigkillTransport{plan: plan, proc: proc}
+	if plan, ok := cfg.Transport.(*faultinject.Plan); ok {
+		cfg.Transport = &sigkillTransport{plan: plan, proc: proc}
 	}
 	r, err := graph500.New(graph, cfg)
 	if err != nil {
@@ -562,10 +554,11 @@ func workerMain(env string) int {
 			logf("artifact: %v", err)
 			return exitFatal
 		}
-		in := report.Inputs{Config: ws.RunConfig(r), Wire: ws.WireResilience(g)}
-		in.Config.Roots, in.Config.Workload = len(rootList), "bfs"
-		sum.Fill(&in)
-		if err := report.Build(in).WriteFile(reportPath(ws.Out, proc)); err != nil {
+		rc := ws.RunConfig(r)
+		rc.Roots, rc.Workload = len(rootList), "bfs"
+		doc := report.Build(rc, &sum)
+		doc.Resilience.Wire = ws.WireResilience(g)
+		if err := doc.WriteFile(reportPath(ws.Out, proc)); err != nil {
 			logf("report: %v", err)
 			return exitFatal
 		}

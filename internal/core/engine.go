@@ -343,7 +343,7 @@ func NewEngine(n int64, edges []Edge, opt Options) (*Engine, error) {
 		return nil, err
 	}
 	t1 := time.Now()
-	e, err := NewEngineFromPartition(part, opt)
+	e, err := newEngine(part, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -362,6 +362,13 @@ func NewEngineFromPartition(part *partition.Partitioned, opt Options) (*Engine, 
 	if err != nil {
 		return nil, err
 	}
+	return newEngine(part, opt)
+}
+
+// newEngine wraps part under options that already carry their defaults:
+// withDefaults is not idempotent (a negative MaxRetries becomes 0, which a
+// second pass would read as "use the default").
+func newEngine(part *partition.Partitioned, opt Options) (*Engine, error) {
 	if part.Layout.Mesh != opt.Mesh {
 		return nil, fmt.Errorf("core: partition mesh %v differs from options mesh %v", part.Layout.Mesh, opt.Mesh)
 	}

@@ -129,3 +129,40 @@ func TestReduceRetryGivesUp(t *testing.T) {
 		t.Fatalf("Faults.Failures = %d, want at least one per attempt (%d)", res.Faults.Failures, maxRetries+1)
 	}
 }
+
+// failAll fails every rank's contribution to every data-plane collective.
+type failAll struct{}
+
+func (failAll) Intercept(comm.Call) comm.FaultAction { return comm.FaultAction{Fail: true} }
+
+// TestNegativeMaxRetriesMeansNone: MaxRetries -1 means no retries, so
+// NewEngine must resolve the defaults once (a second pass read the resolved
+// 0 as "unset" and made it 4). With every collective failing, the run gives
+// up at its first failed vote with ErrNoConvergence and re-executes nothing:
+// Retries, which counts each rank's failed votes including the final one
+// (TestReduceRetryGivesUp), is one per rank.
+func TestNegativeMaxRetriesMeansNone(t *testing.T) {
+	n, edges := rmatEdges(t, 10, 7)
+	eng, err := NewEngine(n, edges, Options{
+		Mesh:       topology.Mesh{Rows: 2, Cols: 2},
+		Thresholds: partition.Thresholds{E: 512, H: 64},
+		Transport:  failAll{},
+		MaxRetries: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.Opt.MaxRetries != 0 {
+		t.Fatalf("MaxRetries -1 resolved to %d, want 0", eng.Opt.MaxRetries)
+	}
+	res, err := eng.Run(firstConnectedRootOf(eng))
+	if !errors.Is(err, ErrNoConvergence) {
+		t.Fatalf("err = %v, want ErrNoConvergence", err)
+	}
+	if res == nil {
+		t.Fatal("no result returned beside the error")
+	}
+	if want := int64(eng.Opt.Ranks); res.Retries != want {
+		t.Fatalf("Retries = %d, want %d (one failed vote per rank, no re-execution)", res.Retries, want)
+	}
+}

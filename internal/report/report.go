@@ -3,7 +3,9 @@
 // Graph 500 headline statistics plus the paper's evaluation breakdowns —
 // per-phase time/edges/volume (Figure 10), per-collective traffic
 // (Figure 11), per-component direction decisions (Figure 15) and the
-// resilience/recovery accounting.
+// resilience/recovery accounting. BenchmarkSummary is the multi-root BFS
+// accumulator Build reads; the root package's official statistics block
+// reads the same value.
 //
 // The schema is versioned: any field removal or meaning change bumps
 // SchemaVersion; additions are backward compatible within a version. The
@@ -20,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/core"
 	"repro/internal/partition"
 	"repro/internal/stats"
 	"repro/internal/wire"
@@ -231,66 +234,126 @@ type SupervisorResilience struct {
 	CrashLoopGiveUps int64 `json:"crash_loop_give_ups,omitempty"`
 }
 
-// Inputs is everything Build needs, decoupled from the root package so the
-// report layer depends only on the measurement substrates.
-type Inputs struct {
-	Config RunConfig
+// BenchmarkSummary accumulates a Graph 500 style multi-root BFS run: each
+// root's time and rate, which the official statistics block orders, and the
+// aggregates the document's summary, breakdown and resilience blocks print.
+// Add is its one writer; graph500.Runner.Benchmark and cmd/bfsrun's workers
+// (which run their roots under resumable checkpoint scopes) both use it.
+type BenchmarkSummary struct {
+	Roots []int64
+	// Seconds and TEPS hold each root's traversal time and rate, in Roots
+	// order.
+	Seconds, TEPS []float64
 
-	HarmonicTEPS float64
-	MeanTEPS     float64
-	MinTEPS      float64
-	MaxTEPS      float64
-	MeanSeconds  float64
-	Traversed    int64
-	Iterations   int64
-
-	// Recorder is the benchmark-wide aggregate of every rank's breakdowns.
-	Recorder *stats.Recorder
-	// Directions tallies chosen directions per component across iterations,
-	// indexed by stats.Direction.
+	MeanTEPS       float64 // arithmetic mean of per-root TEPS
+	HarmonicTEPS   float64 // the Graph 500 reported statistic
+	MeanSeconds    float64
+	MinTEPS        float64
+	MaxTEPS        float64
+	TotalTraversed int64
+	// Faults and Recovery aggregate the fault-injection and fail-stop
+	// recovery accounting across all runs (a kill spec fires during exactly
+	// one of them, so per-root results would hide it).
+	Faults   comm.FaultStats
+	Recovery stats.RecoveryStats
+	Retries  int64
+	// RecoveryTime totals the wall time the slowest rank spent in failed
+	// attempts and backoff, summed across runs.
+	RecoveryTime time.Duration
+	// Recorder aggregates every run's per-rank time/volume/edge breakdowns
+	// (the Figure 10/11 inputs).
+	Recorder stats.Recorder
+	// Directions tallies the chosen traversal direction per component across
+	// all runs' iterations (the Figure 15 input), indexed by
+	// stats.Direction.
 	Directions [partition.NumComponents][stats.NumDirections]int64
-
-	Faults       comm.FaultStats
-	Retries      int64
-	RecoveryWall time.Duration
-	Recovery     stats.RecoveryStats
-
-	// Wire carries the socket backend's transport counters; nil for
-	// in-process runs.
-	Wire *WireResilience
-
-	// Supervisor carries cmd/bfsrun's babysitting record; nil for
-	// unsupervised runs.
-	Supervisor *SupervisorResilience
-
-	// Workloads passes through the per-workload summary rows.
-	Workloads []WorkloadEntry
-
-	// Setup passes through the setup-time block; nil omits it.
-	Setup *SetupReport
+	// Iterations totals traversal iterations across runs.
+	Iterations int64
 }
 
-// Build assembles the versioned document from the benchmark's measurements.
-func Build(in Inputs) *Report {
+// GTEPS returns the harmonic-mean TEPS in giga units.
+func (b *BenchmarkSummary) GTEPS() float64 { return b.HarmonicTEPS / 1e9 }
+
+// Add folds one root's run into the summary and refreshes the derived
+// statistics.
+func (b *BenchmarkSummary) Add(root int64, res *core.Result) {
+	if len(b.Roots) == 0 {
+		b.Recovery.LastResumeIter = -2
+	}
+	b.Roots = append(b.Roots, root)
+	b.Faults.Add(&res.Faults)
+	b.Recovery.Add(&res.Recovery)
+	if res.Recovery.LastResumeIter != -2 {
+		b.Recovery.LastResumeIter = res.Recovery.LastResumeIter
+	}
+	b.Retries += res.Retries
+	b.RecoveryTime += res.RecoveryTime
+	b.Recorder.Merge(res.Recorder)
+	b.Iterations += int64(res.Iterations)
+	for _, it := range res.Trace {
+		for c := 0; c < int(partition.NumComponents); c++ {
+			b.Directions[c][it.Directions[c]]++
+		}
+	}
+	teps := float64(res.TraversedEdges) / res.Time.Seconds()
+	b.Seconds = append(b.Seconds, res.Time.Seconds())
+	b.TEPS = append(b.TEPS, teps)
+	b.TotalTraversed += res.TraversedEdges
+	if len(b.Roots) == 1 || teps < b.MinTEPS {
+		b.MinTEPS = teps
+	}
+	if teps > b.MaxTEPS {
+		b.MaxTEPS = teps
+	}
+	var sumTEPS, invSumTEPS, sumSeconds float64
+	for i, x := range b.TEPS {
+		sumTEPS += x
+		invSumTEPS += 1 / x
+		sumSeconds += b.Seconds[i]
+	}
+	n := float64(len(b.Roots))
+	b.MeanTEPS = sumTEPS / n
+	b.MeanSeconds = sumSeconds / n
+	b.HarmonicTEPS = n / invSumTEPS
+}
+
+// WorkloadEntry renders the summary as its per-workload row: GTEPS is the
+// harmonic-mean traversal rate, the same statistic as the headline summary.
+func (b *BenchmarkSummary) WorkloadEntry() WorkloadEntry {
+	return WorkloadEntry{
+		Workload:   "bfs",
+		GTEPS:      b.GTEPS(),
+		Seconds:    b.MeanSeconds,
+		Iterations: b.Iterations,
+		CommBytes:  b.Recorder.CommBytes(),
+		Retries:    b.Retries,
+	}
+}
+
+// Build assembles the versioned document of a run configured as cfg from its
+// BFS summary (nil when the run held no BFS). The caller attaches what only
+// it measures: the Workloads rows, the Setup block, and the Wire and
+// Supervisor resilience blocks.
+func Build(cfg RunConfig, sum *BenchmarkSummary) *Report {
+	if sum == nil {
+		sum = &BenchmarkSummary{}
+	}
 	r := &Report{
 		Schema:        Schema,
 		SchemaVersion: SchemaVersion,
-		Config:        in.Config,
+		Config:        cfg,
 		Summary: Summary{
-			HarmonicMeanGTEPS: in.HarmonicTEPS / 1e9,
-			MeanGTEPS:         in.MeanTEPS / 1e9,
-			MinGTEPS:          in.MinTEPS / 1e9,
-			MaxGTEPS:          in.MaxTEPS / 1e9,
-			MeanSeconds:       in.MeanSeconds,
-			TotalTraversed:    in.Traversed,
-			Iterations:        in.Iterations,
+			HarmonicMeanGTEPS: sum.HarmonicTEPS / 1e9,
+			MeanGTEPS:         sum.MeanTEPS / 1e9,
+			MinGTEPS:          sum.MinTEPS / 1e9,
+			MaxGTEPS:          sum.MaxTEPS / 1e9,
+			MeanSeconds:       sum.MeanSeconds,
+			TotalTraversed:    sum.TotalTraversed,
+			Iterations:        sum.Iterations,
 		},
 	}
 
-	rec := in.Recorder
-	if rec == nil {
-		rec = &stats.Recorder{}
-	}
+	rec := &sum.Recorder
 	total := rec.TotalTime()
 	for p := stats.Phase(0); p < stats.NumPhases; p++ {
 		e := PhaseEntry{
@@ -320,31 +383,27 @@ func Build(in Inputs) *Report {
 	for c := 0; c < int(partition.NumComponents); c++ {
 		r.Directions = append(r.Directions, DirectionEntry{
 			Component: partition.Component(c).String(),
-			Push:      in.Directions[c][stats.DirPush],
-			Pull:      in.Directions[c][stats.DirPull],
-			Skip:      in.Directions[c][stats.DirSkip],
+			Push:      sum.Directions[c][stats.DirPush],
+			Pull:      sum.Directions[c][stats.DirPull],
+			Skip:      sum.Directions[c][stats.DirSkip],
 		})
 	}
 
-	r.Workloads = append(r.Workloads, in.Workloads...)
-	r.Setup = in.Setup
-
+	rs := &sum.Recovery
 	r.Resilience = Resilience{
-		FaultsInjected:     in.Faults.Injected(),
-		CollectiveErrors:   in.Faults.Errors,
-		Retries:            in.Retries,
-		RetrySeconds:       in.RecoveryWall.Seconds(),
-		Epochs:             in.Recovery.Epochs,
-		RanksLost:          in.Recovery.RanksLost,
-		IterationsReplayed: in.Recovery.IterationsReplayed,
-		BytesRestored:      in.Recovery.BytesRestored,
-		RecoverySeconds:    in.Recovery.RecoveryTime.Seconds(),
-		CheckpointSegments: in.Recovery.CheckpointSegments,
-		CheckpointBytes:    in.Recovery.CheckpointBytes,
-		CheckpointDropped:  in.Recovery.CheckpointDropped,
-		CheckpointErrors:   in.Recovery.CheckpointErrors,
-		Wire:               in.Wire,
-		Supervisor:         in.Supervisor,
+		FaultsInjected:     sum.Faults.Injected(),
+		CollectiveErrors:   sum.Faults.Errors,
+		Retries:            sum.Retries,
+		RetrySeconds:       sum.RecoveryTime.Seconds(),
+		Epochs:             rs.Epochs,
+		RanksLost:          rs.RanksLost,
+		IterationsReplayed: rs.IterationsReplayed,
+		BytesRestored:      rs.BytesRestored,
+		RecoverySeconds:    rs.RecoveryTime.Seconds(),
+		CheckpointSegments: rs.CheckpointSegments,
+		CheckpointBytes:    rs.CheckpointBytes,
+		CheckpointDropped:  rs.CheckpointDropped,
+		CheckpointErrors:   rs.CheckpointErrors,
 	}
 	return r
 }

@@ -15,68 +15,66 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden report document")
 
-// syntheticInputs builds a fully deterministic measurement set that exercises
-// every section of the document.
-func syntheticInputs() Inputs {
-	rec := &stats.Recorder{}
+// syntheticReport builds a document from a fully deterministic measurement
+// set that exercises every section.
+func syntheticReport() *Report {
+	sum := &BenchmarkSummary{
+		HarmonicTEPS:   2.5e8,
+		MeanTEPS:       3e8,
+		MinTEPS:        1e8,
+		MaxTEPS:        5e8,
+		MeanSeconds:    0.0125,
+		TotalTraversed: 4_000_000,
+		Iterations:     48,
+		Faults:         comm.FaultStats{Failures: 2, Errors: 8},
+		Retries:        2,
+		RecoveryTime:   3 * time.Millisecond,
+		Recovery: stats.RecoveryStats{
+			Epochs: 1, RanksLost: 1, IterationsReplayed: 3, BytesRestored: 4096,
+			RecoveryTime: 2 * time.Millisecond, CheckpointSegments: 7, CheckpointBytes: 9000,
+		},
+	}
 	for p := stats.Phase(0); p < stats.NumPhases; p++ {
 		var v comm.VolumeStats
 		v.IntraBytes[comm.KindAlltoallv] = int64(1000 * (p + 1))
 		v.InterBytes[comm.KindAllgather] = int64(100 * (p + 1))
 		v.Calls[comm.KindAlltoallv] = int64(p + 1)
-		rec.Observe(p, stats.DirPush, time.Duration(p+1)*time.Millisecond, v, int64(50*(p+1)))
-		rec.Observe(p, stats.DirPull, time.Duration(p+1)*500*time.Microsecond, comm.VolumeStats{}, int64(10*(p+1)))
+		sum.Recorder.Observe(p, stats.DirPush, time.Duration(p+1)*time.Millisecond, v, int64(50*(p+1)))
+		sum.Recorder.Observe(p, stats.DirPull, time.Duration(p+1)*500*time.Microsecond, comm.VolumeStats{}, int64(10*(p+1)))
 	}
-	in := Inputs{
-		Config: RunConfig{
-			Scale: 14, EdgeFactor: 16, NumVertices: 1 << 14, NumEdges: 16 << 14,
-			Ranks: 4, MeshRows: 2, MeshCols: 2, Roots: 8, Seed: 42,
-			Direction: "sub-iteration", Segmented: true, RankWorkers: 1,
-			Workload: "bfs,wcc,kcore,sssp",
-		},
-		HarmonicTEPS: 2.5e8,
-		MeanTEPS:     3e8,
-		MinTEPS:      1e8,
-		MaxTEPS:      5e8,
-		MeanSeconds:  0.0125,
-		Traversed:    4_000_000,
-		Iterations:   48,
-		Recorder:     rec,
-		Faults:       comm.FaultStats{Failures: 2, Errors: 8},
-		Retries:      2,
-		RecoveryWall: 3 * time.Millisecond,
-		Recovery: stats.RecoveryStats{
-			Epochs: 1, RanksLost: 1, IterationsReplayed: 3, BytesRestored: 4096,
-			RecoveryTime: 2 * time.Millisecond, CheckpointSegments: 7, CheckpointBytes: 9000,
-		},
-		Setup: &SetupReport{
-			Seconds: 0.5, GenerateSeconds: 0.3, PartitionSeconds: 0.4,
-			DegreesSeconds: 0.05, HubDirSeconds: 0.02, DistributeSeconds: 0.08,
-			AssembleSeconds: 0.25, SortSeconds: 0.2, EngineSeconds: 0.1,
-			FirstKernelGapSeconds: 0.6,
-		},
-		Wire: &WireResilience{Procs: 2, RanksPerProc: 2, Stats: wire.Stats{
-			HeartbeatsSent: 7, HeartbeatsRecv: 7, Reconnects: 1, PeersLost: 1,
-			FramesResent: 3, BytesSent: 65536, BytesRecv: 65024,
-			AuthRejects: 1, HandshakeTimeouts: 1,
-		}},
-		Supervisor: &SupervisorResilience{
-			Workers: 3, Spares: 2, Generations: 1,
-			Spawns: 7, Restarts: 2, Crashes: 2, Parked: 2,
-		},
-		Workloads: []WorkloadEntry{
-			{Workload: "bfs", GTEPS: 0.25, Seconds: 0.0125, Iterations: 48, CommBytes: 8192},
-			{Workload: "wcc", GTEPS: 0.8, Seconds: 0.02, Iterations: 9, CommBytes: 4096, Components: 3},
-			{Workload: "kcore", GTEPS: 0.6, Seconds: 0.015, Iterations: 12, CommBytes: 2048, K: 2, CoreSize: 900},
-			{Workload: "sssp", GTEPS: 0.1, Seconds: 0.04, Iterations: 33, CommBytes: 6144, Retries: 1, Root: 5, Relaxations: 70000},
-		},
+	for c := range sum.Directions {
+		sum.Directions[c][stats.DirPush] = int64(3 + c)
+		sum.Directions[c][stats.DirPull] = int64(2 * c)
+		sum.Directions[c][stats.DirSkip] = int64(c)
 	}
-	for c := range in.Directions {
-		in.Directions[c][stats.DirPush] = int64(3 + c)
-		in.Directions[c][stats.DirPull] = int64(2 * c)
-		in.Directions[c][stats.DirSkip] = int64(c)
+	r := Build(RunConfig{
+		Scale: 14, EdgeFactor: 16, NumVertices: 1 << 14, NumEdges: 16 << 14,
+		Ranks: 4, MeshRows: 2, MeshCols: 2, Roots: 8, Seed: 42,
+		Direction: "sub-iteration", Segmented: true, RankWorkers: 1,
+		Workload: "bfs,wcc,kcore,sssp",
+	}, sum)
+	r.Setup = &SetupReport{
+		Seconds: 0.5, GenerateSeconds: 0.3, PartitionSeconds: 0.4,
+		DegreesSeconds: 0.05, HubDirSeconds: 0.02, DistributeSeconds: 0.08,
+		AssembleSeconds: 0.25, SortSeconds: 0.2, EngineSeconds: 0.1,
+		FirstKernelGapSeconds: 0.6,
 	}
-	return in
+	r.Resilience.Wire = &WireResilience{Procs: 2, RanksPerProc: 2, Stats: wire.Stats{
+		HeartbeatsSent: 7, HeartbeatsRecv: 7, Reconnects: 1, PeersLost: 1,
+		FramesResent: 3, BytesSent: 65536, BytesRecv: 65024,
+		AuthRejects: 1, HandshakeTimeouts: 1,
+	}}
+	r.Resilience.Supervisor = &SupervisorResilience{
+		Workers: 3, Spares: 2, Generations: 1,
+		Spawns: 7, Restarts: 2, Crashes: 2, Parked: 2,
+	}
+	r.Workloads = []WorkloadEntry{
+		{Workload: "bfs", GTEPS: 0.25, Seconds: 0.0125, Iterations: 48, CommBytes: 8192},
+		{Workload: "wcc", GTEPS: 0.8, Seconds: 0.02, Iterations: 9, CommBytes: 4096, Components: 3},
+		{Workload: "kcore", GTEPS: 0.6, Seconds: 0.015, Iterations: 12, CommBytes: 2048, K: 2, CoreSize: 900},
+		{Workload: "sssp", GTEPS: 0.1, Seconds: 0.04, Iterations: 33, CommBytes: 6144, Retries: 1, Root: 5, Relaxations: 70000},
+	}
+	return r
 }
 
 // TestGoldenDocument pins the JSON encoding: any schema change shows up as a
@@ -85,7 +83,7 @@ func syntheticInputs() Inputs {
 // field removal or meaning change must bump SchemaVersion.
 func TestGoldenDocument(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Build(syntheticInputs()).Write(&buf); err != nil {
+	if err := syntheticReport().Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "report.golden")
@@ -110,7 +108,7 @@ func TestGoldenDocument(t *testing.T) {
 
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	r := Build(syntheticInputs())
+	r := syntheticReport()
 	if err := r.Write(&buf); err != nil {
 		t.Fatal(err)
 	}

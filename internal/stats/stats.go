@@ -220,6 +220,14 @@ func (r *Recorder) CommBreakdown() comm.VolumeStats {
 	return v
 }
 
+// CommBytes sums the collective payload traffic over every kind and
+// locality.
+func (r *Recorder) CommBytes() int64 {
+	vol := r.CommBreakdown()
+	intra, inter := vol.Totals()
+	return intra + inter
+}
+
 // PhaseShare returns each phase's fraction of total time (Figure 10 bars).
 func (r *Recorder) PhaseShare() [NumPhases]float64 {
 	var out [NumPhases]float64

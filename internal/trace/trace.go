@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -236,6 +237,25 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// WriteFile writes the merged timeline to a new file at path: as a Chrome
+// trace_event document when chrome is set (WriteChrome), else as JSONL
+// (WriteJSONL). Like those, call it only after recording has finished.
+func (t *Tracer) WriteFile(path string, chrome bool) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	emit := t.WriteJSONL
+	if chrome {
+		emit = t.WriteChrome
+	}
+	if err := emit(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // Stream is a single-writer span sink. Exactly one goroutine may Emit on a

@@ -273,7 +273,7 @@ func (s *Spec) Config(g *comm.Group) (graph500.Config, error) {
 		return cfg, err
 	}
 	if plan != nil {
-		cfg.Faults = plan
+		cfg.Transport = plan
 		cfg.CollectiveDeadline = s.Deadline
 		cfg.MaxRetries = s.MaxRetries
 	}

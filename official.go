@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 )
 
 // OfficialStats mirrors the output block the Graph 500 reference code prints
@@ -44,28 +43,15 @@ func quantile(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
-// OfficialRun executes the full Graph 500 protocol — generation timing is
-// supplied by the caller; this runs count validated traversals from sampled
-// roots and assembles the official statistics block.
-func (r *Runner) OfficialRun(count int, seed uint64, constructionTime time.Duration) (*OfficialStats, error) {
-	roots, err := r.SampleRoots(count, seed)
-	if err != nil {
-		return nil, err
-	}
-	times := make([]float64, 0, count)
-	teps := make([]float64, 0, count)
-	for _, root := range roots {
-		res, err := r.RunValidated(root)
-		if err != nil {
-			return nil, fmt.Errorf("graph500: root %d: %w", root, err)
-		}
-		sec := res.Time.Seconds()
-		times = append(times, sec)
-		teps = append(teps, float64(res.TraversedEdges)/sec)
-	}
+// Official assembles the official statistics block from a benchmark summary
+// of this runner's graph (at least one root); constructionSeconds is the
+// graph construction (Kernel 1) time the block reports.
+func (r *Runner) Official(sum *BenchmarkSummary, constructionSeconds float64) *OfficialStats {
 	st := &OfficialStats{
-		NBFSRoots:        count,
-		ConstructionTime: constructionTime.Seconds(),
+		NBFSRoots:        len(sum.Roots),
+		ConstructionTime: constructionSeconds,
+		MeanTime:         sum.MeanSeconds,
+		HarmonicMeanTEPS: sum.HarmonicTEPS,
 	}
 	// Infer scale and edge factor from the graph.
 	for int64(1)<<uint(st.Scale) < r.graph.NumVertices {
@@ -74,45 +60,37 @@ func (r *Runner) OfficialRun(count int, seed uint64, constructionTime time.Durat
 	if r.graph.NumVertices > 0 {
 		st.EdgeFactor = int(int64(len(r.graph.Edges)) / r.graph.NumVertices)
 	}
+	order := func(xs []float64) (lo, q1, med, q3, hi float64) {
+		s := append([]float64(nil), xs...)
+		sort.Float64s(s)
+		return s[0], quantile(s, 0.25), quantile(s, 0.5), quantile(s, 0.75), s[len(s)-1]
+	}
+	st.MinTime, st.FirstQuartileTime, st.MedianTime, st.ThirdQuartileTime, st.MaxTime = order(sum.Seconds)
+	st.MinTEPS, st.FirstQuartileTEPS, st.MedianTEPS, st.ThirdQuartileTEPS, st.MaxTEPS = order(sum.TEPS)
 
-	sortedTimes := append([]float64(nil), times...)
-	sort.Float64s(sortedTimes)
-	st.MinTime = sortedTimes[0]
-	st.FirstQuartileTime = quantile(sortedTimes, 0.25)
-	st.MedianTime = quantile(sortedTimes, 0.5)
-	st.ThirdQuartileTime = quantile(sortedTimes, 0.75)
-	st.MaxTime = sortedTimes[len(sortedTimes)-1]
+	st.StddevTime = sampleStddev(sum.Seconds)
+	// The harmonic standard deviation is computed over reciprocals, as the
+	// reference code does.
+	inv := make([]float64, len(sum.TEPS))
+	for i, x := range sum.TEPS {
+		inv[i] = 1 / x
+	}
+	st.HarmonicStddevTEPS = sampleStddev(inv) * st.HarmonicMeanTEPS * st.HarmonicMeanTEPS / sqrtPos(float64(len(inv)))
+	return st
+}
+
+// sampleStddev is the sample standard deviation of xs (0 below two samples).
+func sampleStddev(xs []float64) float64 {
+	n := float64(len(xs))
+	if n < 2 {
+		return 0
+	}
 	var sum, sumSq float64
-	for _, x := range times {
+	for _, x := range xs {
 		sum += x
 		sumSq += x * x
 	}
-	nf := float64(len(times))
-	st.MeanTime = sum / nf
-	if len(times) > 1 {
-		st.StddevTime = sqrtPos((sumSq - sum*sum/nf) / (nf - 1))
-	}
-
-	sortedTEPS := append([]float64(nil), teps...)
-	sort.Float64s(sortedTEPS)
-	st.MinTEPS = sortedTEPS[0]
-	st.FirstQuartileTEPS = quantile(sortedTEPS, 0.25)
-	st.MedianTEPS = quantile(sortedTEPS, 0.5)
-	st.ThirdQuartileTEPS = quantile(sortedTEPS, 0.75)
-	st.MaxTEPS = sortedTEPS[len(sortedTEPS)-1]
-	// Harmonic mean and its standard deviation, computed over reciprocals
-	// as the reference code does.
-	var invSum, invSumSq float64
-	for _, x := range teps {
-		invSum += 1 / x
-		invSumSq += (1 / x) * (1 / x)
-	}
-	st.HarmonicMeanTEPS = nf / invSum
-	if len(teps) > 1 {
-		invStd := sqrtPos((invSumSq - invSum*invSum/nf) / (nf - 1))
-		st.HarmonicStddevTEPS = invStd * st.HarmonicMeanTEPS * st.HarmonicMeanTEPS / sqrtPos(nf)
-	}
-	return st, nil
+	return sqrtPos((sumSq - sum*sum/n) / (n - 1))
 }
 
 func sqrtPos(x float64) float64 {

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/stats"
 )
 
 func TestOfficialRunStatistics(t *testing.T) {
@@ -13,10 +16,11 @@ func TestOfficialRunStatistics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := r.OfficialRun(8, 3, 123*time.Millisecond)
+	sum, err := r.Benchmark(8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := r.Official(sum, 0.123)
 	if st.Scale != 10 || st.EdgeFactor != 16 || st.NBFSRoots != 8 {
 		t.Fatalf("metadata wrong: %+v", st)
 	}
@@ -42,16 +46,88 @@ func TestOfficialRunStatistics(t *testing.T) {
 	}
 }
 
+// TestOfficialMatchesSummary: the official block and the report read one
+// summary, so over the same roots they agree on the root count and the
+// harmonic mean, and its order statistics and deviations are those of the
+// summary's per-root samples.
+func TestOfficialMatchesSummary(t *testing.T) {
+	g := Generate(GenConfig{Scale: 10, Seed: 33})
+	r, err := New(g, Config{Ranks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := r.Benchmark(5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := r.Official(sum, 0)
+	if st.NBFSRoots != len(sum.Roots) || st.NBFSRoots != 5 {
+		t.Fatalf("NBFS %d, summary holds %d roots, want 5", st.NBFSRoots, len(sum.Roots))
+	}
+	if st.HarmonicMeanTEPS != sum.HarmonicTEPS {
+		t.Fatalf("harmonic mean TEPS %g, summary %g", st.HarmonicMeanTEPS, sum.HarmonicTEPS)
+	}
+	if st.MinTEPS != sum.MinTEPS || st.MaxTEPS != sum.MaxTEPS || st.MeanTime != sum.MeanSeconds {
+		t.Fatalf("official %+v disagrees with summary %+v", st, sum)
+	}
+	if got := sum.WorkloadEntry().GTEPS; got != st.HarmonicMeanTEPS/1e9 {
+		t.Fatalf("report bfs row %g GTEPS, official block %g TEPS", got, st.HarmonicMeanTEPS)
+	}
+}
+
+// TestOfficialStatisticsKnownSamples pins the block's arithmetic on runs
+// with known times and rates: linearly interpolated quartiles, the sample
+// standard deviation of the times, and the harmonic mean of the rates with
+// its standard deviation taken over their reciprocals.
+func TestOfficialStatisticsKnownSamples(t *testing.T) {
+	r := &Runner{graph: Graph{NumVertices: 1 << 5, Edges: make([]Edge, 16<<5)}}
+	var sum BenchmarkSummary
+	// Four runs of 1, 2, 4 and 4 s traversing 1, 4, 16 and 16 edges: rates
+	// of 1, 2, 4 and 4 TEPS.
+	for i, sec := range []int64{1, 2, 4, 4} {
+		sum.Add(int64(i), &Result{TraversedEdges: sec * sec,
+			RunRecord: core.RunRecord{Time: time.Duration(sec) * time.Second, Recorder: &stats.Recorder{}}})
+	}
+	st := r.Official(&sum, 1)
+	near := func(name string, got, want float64) {
+		t.Helper()
+		if math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
+			t.Errorf("%s = %.15g, want %.15g", name, got, want)
+		}
+	}
+	if st.Scale != 5 || st.EdgeFactor != 16 || st.NBFSRoots != 4 {
+		t.Fatalf("metadata wrong: %+v", st)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"min_time", st.MinTime, 1}, {"firstquartile_time", st.FirstQuartileTime, 1.75},
+		{"median_time", st.MedianTime, 3}, {"thirdquartile_time", st.ThirdQuartileTime, 4},
+		{"max_time", st.MaxTime, 4}, {"mean_time", st.MeanTime, 2.75},
+		{"stddev_time", st.StddevTime, math.Sqrt(2.25)},
+		{"min_TEPS", st.MinTEPS, 1}, {"median_TEPS", st.MedianTEPS, 3}, {"max_TEPS", st.MaxTEPS, 4},
+		// n / sum(1/x) = 4 / (1 + 1/2 + 1/4 + 1/4) = 2.
+		{"harmonic_mean_TEPS", st.HarmonicMeanTEPS, 2},
+		// Reciprocals 1, 1/2, 1/4, 1/4 have sample variance 1/8; the
+		// deviation scales by hm^2/sqrt(n) = 2.
+		{"harmonic_stddev_TEPS", st.HarmonicStddevTEPS, math.Sqrt(0.125) * 2},
+	} {
+		near(c.name, c.got, c.want)
+	}
+}
+
 func TestOfficialOutputFormat(t *testing.T) {
 	g := Generate(GenConfig{Scale: 9, Seed: 32})
 	r, err := New(g, Config{Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := r.OfficialRun(4, 5, time.Second)
+	sum, err := r.Benchmark(4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := r.Official(sum, 1)
 	out := st.String()
 	for _, key := range []string{
 		"SCALE:", "edgefactor:", "NBFS:", "construction_time:",

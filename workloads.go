@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/sssp"
-	"repro/internal/stats"
 )
 
 // WorkloadNames lists the workloads bfsbench can run on the 1.5D fast path,
@@ -43,49 +42,6 @@ func ParseWorkloads(list string) ([]string, error) {
 		return nil, fmt.Errorf("graph500: empty workload list")
 	}
 	return out, nil
-}
-
-// recorderCommBytes sums a recorder's collective payload traffic over every
-// kind and locality.
-func recorderCommBytes(rec *stats.Recorder) int64 {
-	if rec == nil {
-		return 0
-	}
-	vol := rec.CommBreakdown()
-	intra, inter := vol.Totals()
-	return intra + inter
-}
-
-// WorkloadEntry renders the BFS benchmark summary as its per-workload report
-// row: GTEPS is the harmonic-mean traversal rate, the same statistic as the
-// document's headline summary.
-func (b *BenchmarkSummary) WorkloadEntry() report.WorkloadEntry {
-	return report.WorkloadEntry{
-		Workload:   "bfs",
-		GTEPS:      b.HarmonicTEPS / 1e9,
-		Seconds:    b.MeanSeconds,
-		Iterations: b.Iterations,
-		CommBytes:  recorderCommBytes(&b.Recorder),
-		Retries:    b.Retries,
-	}
-}
-
-// Fill copies the BFS benchmark summary into the report's headline, breakdown
-// and resilience inputs.
-func (b *BenchmarkSummary) Fill(in *report.Inputs) {
-	in.HarmonicTEPS = b.HarmonicTEPS
-	in.MeanTEPS = b.MeanTEPS
-	in.MinTEPS = b.MinTEPS
-	in.MaxTEPS = b.MaxTEPS
-	in.MeanSeconds = b.MeanSeconds
-	in.Traversed = b.TotalTraversed
-	in.Iterations = b.Iterations
-	in.Recorder = &b.Recorder
-	in.Directions = b.Directions
-	in.Faults = b.Faults
-	in.Retries = b.Retries
-	in.RecoveryWall = b.RecoveryTime
-	in.Recovery = b.Recovery
 }
 
 // BenchWorkload runs one ported analytics workload (wcc, kcore or sssp) once
@@ -126,7 +82,7 @@ func (r *Runner) BenchWorkload(name string, kcoreK int64, weightSeed uint64) (re
 	entry.GTEPS = gteps
 	entry.Seconds = res.Time.Seconds()
 	entry.Iterations = int64(res.Iterations)
-	entry.CommBytes = recorderCommBytes(res.Recorder)
+	entry.CommBytes = res.Recorder.CommBytes()
 	entry.Retries = res.Retries
 	switch name {
 	case "wcc":
