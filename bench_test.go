@@ -281,36 +281,6 @@ func BenchmarkFig15_SubIteration(b *testing.B) {
 	}
 }
 
-func BenchmarkFig15_SubIterationSegmented(b *testing.B) {
-	n, edges := benchGraph(b, benchScale)
-	eng := benchEngine(b, n, edges, core.Options{Ranks: benchRanks, Direction: core.ModeSubIteration, Segmented: true})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runBFS(b, eng, -1)
-	}
-}
-
-// Figure 15's EH2EH pull contrast in isolation: one rank holding the whole
-// core subgraph, pulled with and without segmenting. This is where the
-// cache-residency effect shows without per-rank scheduling noise.
-func BenchmarkFig15_EHPullKernel(b *testing.B) {
-	n, edges := benchGraph(b, 18)
-	for _, segmented := range []bool{false, true} {
-		name := "direct"
-		if segmented {
-			name = "segmented"
-		}
-		b.Run(name, func(b *testing.B) {
-			eng := benchEngine(b, n, edges, core.Options{Ranks: 1,
-				Direction: core.ModePullOnly, Segmented: segmented})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runBFS(b, eng, -1)
-			}
-		})
-	}
-}
-
 // End-to-end experiment regeneration (what cmd/experiments prints).
 func BenchmarkExperimentTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -361,29 +331,6 @@ func BenchmarkExtension_VanillaBaseline(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(res.MessagesSent), "messages")
-	}
-}
-
-// BenchmarkExtension_DelayedVsImmediateReduction measures the Section 5
-// delayed-reduction saving as reduce-phase bytes.
-func BenchmarkExtension_DelayedVsImmediateReduction(b *testing.B) {
-	n, edges := benchGraph(b, 14)
-	for _, immediate := range []bool{false, true} {
-		name := "delayed"
-		if immediate {
-			name = "immediate"
-		}
-		b.Run(name, func(b *testing.B) {
-			eng := benchEngine(b, n, edges, core.Options{Ranks: 4, ImmediateParentReduction: immediate})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := eng.Run(0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.Recorder.Volumes[stats.PhaseReduce].TotalBytes()), "reduce-bytes")
-			}
-		})
 	}
 }
 

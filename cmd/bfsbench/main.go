@@ -8,7 +8,7 @@
 // Usage:
 //
 //	bfsbench -scale 18 -ranks 16 -roots 16
-//	bfsbench -scale 20 -ranks 64 -ethreshold 4096 -hthreshold 256 -segmented
+//	bfsbench -scale 20 -ranks 64 -ethreshold 4096 -hthreshold 256 -hierarchical
 //	bfsbench -input edges.bin -informat bin -ranks 16
 //	bfsbench -scale 16 -workload bfs,wcc,kcore,sssp -json bench.json
 //	bfsbench -scale 16 -workload kcore -kcore-k 4
@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -62,6 +63,9 @@ func main() {
 	flag.Parse()
 
 	names, err := graph500.ParseWorkloads(*workload)
+	if err == nil && *official && !slices.Contains(names, "bfs") {
+		err = fmt.Errorf("-official prints BFS statistics: add the bfs workload to -workload %q", *workload)
+	}
 	if err == nil {
 		err = spec.Validate()
 	}
@@ -200,32 +204,28 @@ func runBFS(r *graph500.Runner, cfg graph500.Config, roots int, seed uint64, bre
 	fmt.Printf("  mean time:     %10.2f ms per traversal\n", sum.MeanSeconds*1e3)
 
 	if breakdown {
-		res, err := r.Run(sum.Roots[0])
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\ntime breakdown (root %d, %d iterations):\n", sum.Roots[0], res.Iterations)
-		share := res.Recorder.PhaseShare()
+		fmt.Printf("\ntime breakdown (all %d runs, %d iterations):\n", len(sum.Roots), sum.Iterations)
+		share := sum.Recorder.PhaseShare()
 		for p := stats.Phase(0); p < stats.NumPhases; p++ {
-			fmt.Printf("  %-7s %6.2f%%  (%d edge touches)\n", p, 100*share[p], res.Recorder.EdgesTouched[p])
+			fmt.Printf("  %-7s %6.2f%%  (%d edge touches)\n", p, 100*share[p], sum.Recorder.EdgesTouched[p])
 		}
-		if cfg.Transport != nil {
-			fmt.Printf("\nresilience (all %d runs):\n", len(sum.Roots))
-			fmt.Printf("  injected faults:  %d  (%d delays, %d stalls, %d corruptions, %d failures, %d kills)\n",
-				sum.Faults.Injected(), sum.Faults.Delays, sum.Faults.Stalls,
-				sum.Faults.Corruptions, sum.Faults.Failures, sum.Faults.Kills)
-			fmt.Printf("  collective errors:%d across ranks\n", sum.Faults.Errors)
-			fmt.Printf("  iteration retries:%d\n", sum.Retries)
-		}
-		if rec := sum.Recovery; cfg.CheckpointDir != "" || rec.Epochs > 0 {
-			fmt.Printf("\nfail-stop recovery (all %d runs, mode %v):\n", len(sum.Roots), cfg.Recovery)
-			fmt.Printf("  world epochs:     %d  (%d ranks lost)\n", rec.Epochs, rec.RanksLost)
-			fmt.Printf("  replayed:         %d iterations, %d bytes restored (last resume@%d)\n",
-				rec.IterationsReplayed, rec.BytesRestored, rec.LastResumeIter)
-			fmt.Printf("  recovery time:    %v (rebuild + replay)\n", rec.RecoveryTime.Round(time.Microsecond))
-			fmt.Printf("  checkpoints:      %d segments, %d bytes committed (%d dropped, %d errors)\n",
-				rec.CheckpointSegments, rec.CheckpointBytes, rec.CheckpointDropped, rec.CheckpointErrors)
-		}
+	}
+	if cfg.Transport != nil {
+		fmt.Printf("\nresilience (all %d runs):\n", len(sum.Roots))
+		fmt.Printf("  injected faults:  %d  (%d delays, %d stalls, %d corruptions, %d failures, %d kills)\n",
+			sum.Faults.Injected(), sum.Faults.Delays, sum.Faults.Stalls,
+			sum.Faults.Corruptions, sum.Faults.Failures, sum.Faults.Kills)
+		fmt.Printf("  collective errors:%d across ranks\n", sum.Faults.Errors)
+		fmt.Printf("  iteration retries:%d\n", sum.Retries)
+	}
+	if rec := sum.Recovery; cfg.CheckpointDir != "" || rec.Epochs > 0 {
+		fmt.Printf("\nfail-stop recovery (all %d runs, mode %v):\n", len(sum.Roots), cfg.Recovery)
+		fmt.Printf("  world epochs:     %d  (%d ranks lost)\n", rec.Epochs, rec.RanksLost)
+		fmt.Printf("  replayed:         %d iterations, %d bytes restored (last resume@%d)\n",
+			rec.IterationsReplayed, rec.BytesRestored, rec.LastResumeIter)
+		fmt.Printf("  recovery time:    %v (rebuild + replay)\n", rec.RecoveryTime.Round(time.Microsecond))
+		fmt.Printf("  checkpoints:      %d segments, %d bytes committed (%d dropped, %d errors)\n",
+			rec.CheckpointSegments, rec.CheckpointBytes, rec.CheckpointDropped, rec.CheckpointErrors)
 	}
 	return sum
 }

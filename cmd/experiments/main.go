@@ -41,7 +41,7 @@ func main() {
 		fmt.Println("fig12   GTEPS vs (E,H) threshold grid")
 		fmt.Println("fig13   partitioned subgraph balance")
 		fmt.Println("fig14   OCS-RMA bucketing throughput")
-		fmt.Println("fig15   ablation: sub-iteration + segmenting")
+		fmt.Println("fig15   ablation: whole-iteration vs sub-iteration direction")
 		fmt.Println("capacity per-node memory of the three schemes at SCALE 44")
 		fmt.Println("extensions SSSP / PageRank / WCC / reachability on the same partitioning")
 	case *all:

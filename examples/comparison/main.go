@@ -51,5 +51,4 @@ func main() {
 	run("push only", g, graph500.Config{Ranks: 8, Direction: graph500.PushOnly})
 	run("whole-iteration direction opt", g, graph500.Config{Ranks: 8, Direction: graph500.WholeIterationDirection})
 	run("sub-iteration direction opt", g, base)
-	run("  + CG-aware segmenting", g, graph500.Config{Ranks: 8, Segmented: true})
 }

@@ -1,9 +1,9 @@
 // Package graph500 is the public API of this reproduction of "Scaling Graph
 // Traversal to 281 Trillion Edges with 40 Million Cores" (PPoPP '22): a
 // distributed-memory breadth-first search built on 3-level degree-aware 1.5D
-// graph partitioning, with sub-iteration direction optimization and CG-aware
-// core-subgraph segmenting, running on a message-passing runtime that stands
-// in for MPI (goroutine ranks in one process, or processes over sockets).
+// graph partitioning, sub-iteration direction optimization and delayed
+// parent reduction, running on a message-passing runtime that stands in for
+// MPI (goroutine ranks in one process, or processes over sockets).
 //
 // Typical use:
 //
@@ -37,7 +37,7 @@ var ErrNoConvergence = core.ErrNoConvergence
 // ErrDrained re-exports the engine's graceful-drain sentinel: a run stopped
 // by Config.Drain returns an error satisfying errors.Is(err, ErrDrained),
 // with its checkpoint scope retained for a later resume (Result.
-// CheckpointScope / Config.ResumeFrom).
+// CheckpointScope / Runner.Engine.SetResumeFrom).
 var ErrDrained = core.ErrDrained
 
 // Edge is one undirected edge. Self loops and duplicates are permitted, as

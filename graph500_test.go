@@ -112,7 +112,6 @@ func TestConfigVariants(t *testing.T) {
 		{Ranks: 4, Direction: PushOnly},
 		{Ranks: 4, Direction: PullOnly},
 		{Ranks: 4, Direction: WholeIterationDirection},
-		{Ranks: 4, Segmented: true},
 		{Ranks: 8, Hierarchical: true},
 		{Mesh: Mesh{Rows: 2, Cols: 4}},
 		{Ranks: 4, Thresholds: Thresholds{E: 128, H: 16}},

@@ -55,7 +55,8 @@ const (
 //
 // The magic changed from "CPK1" when the delta tier became a log: a store
 // written by an older build reads as "no valid tier" / "no valid boot record",
-// so ResumeFrom across the format change restarts from the root.
+// so a resume (core.Engine.SetResumeFrom) across the format change restarts
+// from the root.
 const (
 	segMagic   = 0x324b5043 // "CPK2"
 	headerSize = 21

@@ -146,7 +146,8 @@ func TestRandomGraphsProperty(t *testing.T) {
 		th.E = th.H + int64(rng.Intn(64))
 		mode := DirectionMode(rng.Intn(2)) // sub-iteration or whole-iteration
 		mesh := []topology.Mesh{{Rows: 1, Cols: 1}, {Rows: 2, Cols: 2}, {Rows: 1, Cols: 4}, {Rows: 4, Cols: 2}}[rng.Intn(4)]
-		opt := Options{Mesh: mesh, Thresholds: th, Direction: mode, Segmented: rng.Intn(2) == 0}
+		rng.Intn(2) // the retired segmented axis: drawn so later trials keep their graphs
+		opt := Options{Mesh: mesh, Thresholds: th, Direction: mode}
 		eng, err := NewEngine(n, edges, opt)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -247,7 +248,7 @@ func TestWideMeshesAtScale(t *testing.T) {
 
 func TestLargeScaleIntegration(t *testing.T) {
 	// A bigger end-to-end sweep, skipped under -short: SCALE 18 over 16
-	// ranks with segmenting and hierarchical forwarding on, multiple
+	// ranks with hierarchical forwarding on, multiple
 	// validated roots.
 	if testing.Short() {
 		t.Skip("large integration test skipped with -short")
@@ -255,7 +256,7 @@ func TestLargeScaleIntegration(t *testing.T) {
 	cfg := rmat.Config{Scale: 18, Seed: 99}
 	edges := rmat.Generate(cfg)
 	n := cfg.NumVertices()
-	eng, err := NewEngine(n, edges, Options{Ranks: 16, Segmented: true, Hierarchical: true})
+	eng, err := NewEngine(n, edges, Options{Ranks: 16, Hierarchical: true})
 	if err != nil {
 		t.Fatal(err)
 	}

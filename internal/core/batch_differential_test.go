@@ -65,7 +65,6 @@ func TestBatchVsSoloDifferential(t *testing.T) {
 		dir := dirs[i%len(dirs)]
 		sparse := sparses[i%len(sparses)]
 		hier := i%6 == 5
-		segmented := i%7 == 2
 		faulty := i%3 == 0 // ≥1/3 of the corpus under a fault plan
 		seed := uint64(7000 + i)
 
@@ -95,9 +94,6 @@ func TestBatchVsSoloDifferential(t *testing.T) {
 		if hier {
 			name += "_hier"
 		}
-		if segmented {
-			name += "_seg"
-		}
 		if faulty {
 			name += "_faults"
 		}
@@ -112,7 +108,6 @@ func TestBatchVsSoloDifferential(t *testing.T) {
 				Direction:    dir,
 				SparseTail:   sparse,
 				Hierarchical: hier,
-				Segmented:    segmented,
 			}
 			if gen == "comb" || gen == "grid" {
 				opt.Thresholds = partition.Thresholds{E: 64, H: 3}

@@ -32,7 +32,7 @@ func uniformEdges(n int64, m int, seed uint64) []rmat.Edge {
 
 // TestDifferentialEngineVsBaseline is the property harness: across ~50 seeded
 // graphs spanning both generators, scales, mesh shapes, direction modes,
-// segmenting, and hierarchical forwarding — with roughly a third of the runs
+// and hierarchical forwarding — with roughly a third of the runs
 // under an active fault plan — the 1.5D engine's parent tree must pass
 // Graph 500 validation and induce exactly the levels of the vanilla 1D
 // baseline engine (an independent implementation with none of the delegation
@@ -55,15 +55,11 @@ func TestDifferentialEngineVsBaseline(t *testing.T) {
 		if i%2 == 1 {
 			gen = "uniform"
 		}
-		segmented := i%7 == 0
 		hier := i%6 == 3
 		faulty := i%3 == 0 // ~1/3 of the corpus runs under a fault plan
 		seed := uint64(1000 + i)
 
 		name := fmt.Sprintf("%02d_%s_s%d_%dx%d_dir%d", i, gen, scale, mesh.Rows, mesh.Cols, dir)
-		if segmented {
-			name += "_seg"
-		}
 		if hier {
 			name += "_hier"
 		}
@@ -88,7 +84,6 @@ func TestDifferentialEngineVsBaseline(t *testing.T) {
 				Mesh:         mesh,
 				Thresholds:   partition.Thresholds{E: 256, H: 32},
 				Direction:    dir,
-				Segmented:    segmented,
 				Hierarchical: hier,
 			}
 			if faulty {

@@ -1,8 +1,8 @@
 // Package core implements the paper's distributed BFS engine on top of the
 // 1.5D partitioning: per-component push/pull kernels, sub-iteration direction
-// optimization (Section 4.2), CG-aware segmenting of the EH2EH pull (Section
-// 4.3), edge-aware vertex-cut load balancing of the EH2EH push (Section 5),
-// and delayed reduction of the delegated parent array (Section 5). Ranks are
+// optimization (Section 4.2), edge-aware vertex-cut load balancing of the
+// EH2EH push (Section 5), and delayed reduction of the delegated parent array
+// (Section 5). Ranks are
 // comm.World goroutines; hub (E and H) state is delegated — replicated and
 // synchronized with column+row collectives — while L state lives only at its
 // owner.
@@ -62,7 +62,7 @@ const (
 	SparseAlways
 )
 
-// Direction, segmenting and sparse-tail policy constants. None of them is an
+// Direction and sparse-tail policy constants. None of them is an
 // option: no caller ever set a second value.
 const (
 	// pullThreshold is the active-source fraction above which node-local
@@ -81,9 +81,6 @@ const (
 	// global data-plane byte count at which SparseAuto keeps choosing sparse
 	// (hysteresis against a collapsing-then-exploding frontier).
 	sparseMaxBytesPerRank = 32 << 10
-	// pullSegments is the Segmented EH2EH pull's segment count: one per
-	// core group of the chip.
-	pullSegments = 6
 )
 
 // Options configures an Engine.
@@ -95,8 +92,6 @@ type Options struct {
 	Thresholds partition.Thresholds // degree thresholds; zero = DefaultThresholds
 
 	Direction DirectionMode
-	// Segmented enables CG-aware segmenting of the EH2EH pull kernel.
-	Segmented bool
 	// RankWorkers is intra-rank kernel parallelism; the EH2EH push uses
 	// edge-aware vertex-cut chunking across these workers. 0 means 1.
 	RankWorkers int
@@ -115,12 +110,6 @@ type Options struct {
 	// the point of that mode and its apply order differs from a flat
 	// exchange. The zero value is SparseAuto (adaptive, on).
 	SparseTail SparseMode
-	// ImmediateParentReduction reduces the delegated parent array after
-	// every iteration instead of once after the run — the traditional scheme
-	// the paper's delayed reduction (Section 5) replaces. Exists for the
-	// ablation benchmark; the measured reduce-scatter volume difference is
-	// the technique's claimed saving.
-	ImmediateParentReduction bool
 	// MaxIterations aborts runs that fail to converge. 0 means 2*64
 	// (a small-world graph's diameter is far below this). Exhausting it
 	// returns an error satisfying errors.Is(err, ErrNoConvergence).
@@ -167,25 +156,13 @@ type Options struct {
 	Recovery RecoveryMode
 	// KeepCheckpoints retains a run's delta scope after success instead of
 	// pruning it (the graph tier is always retained). Needed to resume a
-	// later engine instance with ResumeFrom.
+	// later engine instance with SetResumeFrom.
 	KeepCheckpoints bool
 	// Trace, when non-nil, records the run's span timeline: one span per
 	// kernel/sync/reduce execution and per collective on every rank, plus
 	// direction decisions, checkpoint-writer commits and recovery events.
 	// nil disables tracing; the hot path then pays one nil check per hook.
 	Trace *trace.Tracer
-	// ResumeFrom names an existing run scope under CheckpointDir to resume
-	// the first Run call from — the cross-process restart path. The scope's
-	// latest complete iteration is loaded; if the scope cannot seed a resume
-	// (no valid bootstrap segments) the run restarts from the root. The
-	// checkpoint carries each query's state and depth but no history: on a
-	// resumed run Result.Iterations is still the traversal's absolute depth,
-	// while Result.Trace (and BatchResult.Trace/Iterations) cover only the
-	// iterations this engine re-executed, so len(Trace) is short of
-	// Iterations by the Recovery.LastResumeIter+1 iterations the checkpoint
-	// already held. Recovery inside one run is not affected: its traces are
-	// stitched across world epochs and stay complete.
-	ResumeFrom string
 	// Drain, when non-nil, is polled once per iteration vote; when it starts
 	// returning true (a supervisor forwarding SIGTERM), every rank finishes
 	// the current iteration, commits a must-write checkpoint, and the run
@@ -277,7 +254,7 @@ var ErrNoConvergence = errors.New("core: run did not converge")
 
 // ErrDrained marks a run stopped by a graceful drain request (Options.Drain):
 // the workload state was checkpointed at the stop iteration and the run scope
-// retained, so a later engine resumes it via ResumeFrom.
+// retained, so a later engine resumes it via SetResumeFrom.
 var ErrDrained = errors.New("core: run drained")
 
 // errRemoteFatal is the verdict a process adopts when the epoch outcome
@@ -302,15 +279,14 @@ type Engine struct {
 	World *comm.World
 	Opt   Options
 
-	segPull [][]partition.SparseCSR // [rank][segment], built when Segmented
-	lRows   []lRowMasks             // [rank] word masks over the owned L block: non-empty rows, hub slots
-	ssspW   []ssspWeights           // [rank] SSSP edge weights, built by the first RunSSSP under a seed
-	hubsAt  [][]int32               // [rank] hub ids whose original vertex the rank owns
-	scratch []rankScratch           // [rank] exchange buffers that outlive the iteration and the run
+	lRows   []lRowMasks   // [rank] word masks over the owned L block: non-empty rows, hub slots
+	ssspW   []ssspWeights // [rank] SSSP edge weights, built by the first RunSSSP under a seed
+	hubsAt  [][]int32     // [rank] hub ids whose original vertex the rank owns
+	scratch []rankScratch // [rank] exchange buffers that outlive the iteration and the run
 
 	tr         *trace.Stream // engine-level span stream; nil when tracing is off
 	runSeq     int           // run-scope counter for checkpoint naming
-	resumeFrom string        // pending Opt.ResumeFrom, consumed by the next Run
+	resumeFrom string        // pending SetResumeFrom scope, consumed by the next Run
 
 	// PartitionSeconds and ConstructSeconds split NewEngine's wall time into
 	// the partitioning phase (with the stage breakdown in Part.Stats) and the
@@ -381,7 +357,7 @@ func newEngine(part *partition.Partitioned, opt Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{Part: part, World: world, Opt: opt, resumeFrom: opt.ResumeFrom}
+	e := &Engine{Part: part, World: world, Opt: opt}
 	if opt.Trace != nil {
 		e.tr = opt.Trace.NewStream(-1)
 	}
@@ -400,12 +376,6 @@ func newEngine(part *partition.Partitioned, opt Options) (*Engine, error) {
 	}
 	e.scratch = make([]rankScratch, opt.Ranks)
 	e.ssspW = make([]ssspWeights, opt.Ranks)
-	if opt.Segmented {
-		e.segPull = make([][]partition.SparseCSR, opt.Ranks)
-		for r, rg := range part.Ranks {
-			e.segPull[r] = rg.SegmentedPull(pullSegments, part.Hubs.K())
-		}
-	}
 	return e, nil
 }
 
@@ -421,11 +391,20 @@ func (e *Engine) sparseTail(activeSrc, lastIterBytes int64) bool {
 }
 
 // SetResumeFrom arms the next Run call to execute under the named checkpoint
-// scope, resuming its latest complete iteration when the scope holds one and
-// bootstrapping fresh under that name otherwise. Callers that run a root list
-// across process restarts (cmd/bfsrun) use it to give every root a
-// deterministic scope name: a root interrupted by a world crash is resumed,
-// a finished root (its scope pruned) is simply re-run under the same name.
+// scope under CheckpointDir — the cross-process restart path. The scope's
+// latest complete iteration is resumed when it holds one; otherwise (no
+// scope, or no valid bootstrap segments) the run starts fresh from the root
+// under that name. Callers that run a root list across process restarts
+// (cmd/bfsrun) use it to give every root a deterministic scope name: a root
+// interrupted by a world crash is resumed, a finished root (its scope
+// pruned) is simply re-run under the same name. The checkpoint carries each
+// query's state and depth but no history: on a resumed run Result.Iterations
+// is still the traversal's absolute depth, while Result.Trace (and
+// BatchResult.Trace/Iterations) cover only the iterations this engine
+// re-executed, so len(Trace) is short of Iterations by the
+// Recovery.LastResumeIter+1 iterations the checkpoint already held. Recovery
+// inside one run is not affected: its traces are stitched across world
+// epochs and stay complete.
 func (e *Engine) SetResumeFrom(name string) { e.resumeFrom = name }
 
 // RunRecord is the accounting every run's result carries (Result,
@@ -450,7 +429,7 @@ type RunRecord struct {
 	Recovery stats.RecoveryStats
 	// CheckpointScope names the run's retained delta scope under
 	// Options.CheckpointDir ("" when checkpointing is off or the scope was
-	// pruned after success). Pass it to a later engine's ResumeFrom.
+	// pruned after success). Pass it to a later engine's SetResumeFrom.
 	CheckpointScope string
 }
 
@@ -849,7 +828,7 @@ func (e *Engine) execute(suffix string, spanArgs map[string]int64, mk workloadFa
 			}
 		}
 	} else if scope != nil {
-		// A failed run keeps its scope: it is the restart path (ResumeFrom).
+		// A failed run keeps its scope: it is the restart path (SetResumeFrom).
 		rc.CheckpointScope = scope.Name()
 	}
 	return rc, nil

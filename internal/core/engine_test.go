@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/perfmodel"
@@ -70,47 +71,6 @@ func TestEngineAllDirectionModes(t *testing.T) {
 		t.Run(fmt.Sprintf("mode%d", mode), func(t *testing.T) {
 			checkAgainstReference(t, n, edges, opt, []int64{3, 999})
 		})
-	}
-}
-
-func TestEngineSegmentedPull(t *testing.T) {
-	n, edges := rmatEdges(t, 11, 3)
-	opt := Options{
-		Mesh:       topology.Mesh{Rows: 2, Cols: 2},
-		Thresholds: partition.Thresholds{E: 512, H: 64},
-		Segmented:  true,
-	}
-	checkAgainstReference(t, n, edges, opt, []int64{0, 42, 1234})
-}
-
-func TestEngineSegmentedMatchesUnsegmented(t *testing.T) {
-	n, edges := rmatEdges(t, 10, 4)
-	base := Options{Mesh: topology.Mesh{Rows: 2, Cols: 2}, Thresholds: partition.Thresholds{E: 256, H: 32}, Direction: ModePullOnly}
-	segOpt := base
-	segOpt.Segmented = true
-	e1, err := NewEngine(n, edges, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := NewEngine(n, edges, segOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := e1.Run(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := e2.Run(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same reachable set and levels (parents may differ, both valid).
-	l1, _ := graph.Levels(r1.Parent, 7)
-	l2, _ := graph.Levels(r2.Parent, 7)
-	for v := range l1 {
-		if l1[v] != l2[v] {
-			t.Fatalf("level[%d]: %d vs %d", v, l1[v], l2[v])
-		}
 	}
 }
 
@@ -370,43 +330,46 @@ func TestDirectionsConsistentAcrossRanks(t *testing.T) {
 	}
 }
 
-func TestDelayedReductionSavesTraffic(t *testing.T) {
-	// Section 5: delaying the delegated-parent reduction to the end of the
-	// run must (a) not change results and (b) move strictly less
-	// reduce-scatter volume than per-iteration reduction.
-	n, edges := rmatEdges(t, 12, 15)
-	run := func(immediate bool) (*Result, int64) {
-		eng, err := NewEngine(n, edges, Options{Ranks: 4, ImmediateParentReduction: immediate})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Run(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v := res.Recorder.Volumes[stats.PhaseReduce]
-		return res, v.TotalBytes()
-	}
-	delayed, delayedBytes := run(false)
-	immediate, immediateBytes := run(true)
-	if delayedBytes >= immediateBytes {
-		t.Fatalf("delayed reduction moved %d bytes, immediate %d; no saving", delayedBytes, immediateBytes)
-	}
-	dl, err := graph.Levels(delayed.Parent, 1)
+func TestDelayedReductionCostIsDepthIndependent(t *testing.T) {
+	// Section 5: the delegated parent array is reduced once after the run,
+	// so the reduce phase costs the same calls and bytes however many
+	// iterations the traversal took. A per-iteration scheme would scale
+	// with depth. The comb's spine is H hubs (K > 0); a root at the spine's
+	// end sits ~24 levels deeper than one at its middle.
+	n, edges := combEdges(48, 8)
+	eng, err := NewEngine(n, edges, Options{Mesh: topology.Mesh{Rows: 2, Cols: 2},
+		Thresholds: partition.Thresholds{E: 8, H: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	il, err := graph.Levels(immediate.Parent, 1)
-	if err != nil {
-		t.Fatal(err)
+	if eng.Part.Hubs.K() == 0 {
+		t.Fatal("comb spine produced no hubs")
 	}
-	for v := range dl {
-		if dl[v] != il[v] {
-			t.Fatalf("level[%d] differs between reduction schemes", v)
+	run := func(root int64) (int, comm.VolumeStats) {
+		res, err := eng.Run(root)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if _, err := validate.BFS(n, edges, root, res.Parent); err != nil {
+			t.Fatalf("root %d: %v", root, err)
+		}
+		return res.Iterations, res.Recorder.Volumes[stats.PhaseReduce]
 	}
-	if _, err := validate.BFS(n, edges, 1, immediate.Parent); err != nil {
-		t.Fatal(err)
+	deepIters, deep := run(0)
+	shallowIters, shallow := run(24)
+	if deepIters-shallowIters < 3 {
+		t.Fatalf("iterations %d vs %d: roots too close in depth", deepIters, shallowIters)
+	}
+	var calls int64
+	for _, c := range deep.Calls {
+		calls += c
+	}
+	if calls == 0 || deep.TotalBytes() == 0 {
+		t.Fatalf("no reduce traffic: %+v", deep)
+	}
+	if deep != shallow {
+		t.Fatalf("reduce cost depends on depth: %d iterations %+v, %d iterations %+v",
+			deepIters, deep, shallowIters, shallow)
 	}
 }
 

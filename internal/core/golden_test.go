@@ -69,19 +69,19 @@ func TestSoloGoldenPinned(t *testing.T) {
 		{"default", 1, rm(12, 31),
 			Options{Mesh: mesh22, Thresholds: DefaultThresholds(12)},
 			soloGolden{parentFNV: 1284218994041633427, iterations: 5, calls: 116, bytes: 71600, edges: 11948}},
-		{"hierarchical+segmented", 1, rm(11, 32),
+		{"hierarchical", 1, rm(11, 32),
 			Options{Mesh: mesh23, Thresholds: partition.Thresholds{E: 128, H: 16},
-				Hierarchical: true, Segmented: true},
-			soloGolden{parentFNV: 8297233237564415552, iterations: 5, calls: 192, bytes: 61264, edges: 13533}},
+				Hierarchical: true},
+			soloGolden{parentFNV: 15586696085591811889, iterations: 5, calls: 192, bytes: 61264, edges: 13533}},
 		{"sparse-always", 1, func() (int64, []rmat.Edge) { return combEdges(48, 9) },
 			Options{Mesh: mesh22, Thresholds: partition.Thresholds{E: 64, H: 3}, SparseTail: SparseAlways},
 			soloGolden{parentFNV: 10289178882571903236, iterations: 57, calls: 1924, bytes: 97616, edges: 5291}},
 		{"batch8-default", 8, rm(10, 42),
 			Options{Mesh: mesh22, Thresholds: th},
 			soloGolden{parentFNV: 7708394337284380457, iterations: 5, calls: 148, bytes: 119728, edges: 25163}},
-		{"batch8-sparse-off+hierarchical+segmented", 8, rm(10, 42),
-			Options{Mesh: mesh23, Thresholds: th, SparseTail: SparseOff, Hierarchical: true, Segmented: true},
-			soloGolden{parentFNV: 8447404148969953876, iterations: 5, calls: 258, bytes: 164416, edges: 32571}},
+		{"batch8-sparse-off+hierarchical", 8, rm(10, 42),
+			Options{Mesh: mesh23, Thresholds: th, SparseTail: SparseOff, Hierarchical: true},
+			soloGolden{parentFNV: 16195851930774619256, iterations: 5, calls: 258, bytes: 164416, edges: 24305}},
 		{"batch8-pull-only", 8, rm(10, 42),
 			Options{Mesh: mesh22, Thresholds: th, Direction: ModePullOnly},
 			soloGolden{parentFNV: 8167936905272099331, iterations: 5, calls: 208, bytes: 104576, edges: 324644}},
@@ -204,10 +204,10 @@ func TestAnalyticsGoldenPinned(t *testing.T) {
 		goldens
 	}{
 		{"default", Options{Mesh: mesh, Thresholds: DefaultThresholds(12)}, auto},
-		// The ported workloads' L2L is always the flat exchange and they have
-		// no pull kernels, so these two options must change nothing.
-		{"hierarchical+segmented", Options{Mesh: mesh, Thresholds: DefaultThresholds(12),
-			Hierarchical: true, Segmented: true}, auto},
+		// The ported workloads' L2L is always the flat exchange, so this
+		// option must change nothing.
+		{"hierarchical", Options{Mesh: mesh, Thresholds: DefaultThresholds(12),
+			Hierarchical: true}, auto},
 		{"sparse-always", Options{Mesh: mesh, Thresholds: DefaultThresholds(12),
 			SparseTail: SparseAlways}, always},
 	}

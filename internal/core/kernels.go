@@ -156,64 +156,6 @@ func (st *rankState) ehPull() int64 {
 	return edges
 }
 
-// ehPullSegmented is the CG-aware variant (Section 4.3): the source bitmap is
-// cut into Segments slices with pre-grouped adjacency; `Segments` worker
-// goroutines (the simulated core groups) each own one slice, and destination
-// intervals rotate round-robin across steps so no two workers ever write the
-// same destination range concurrently. The hot source-bitmap slice stays
-// cache-resident per worker — the commodity-CPU analogue of LDM residency.
-func (st *rankState) ehPullSegmented() int64 {
-	segs := st.e.segPull[st.r.ID]
-	s := len(segs)
-	orig := st.e.Part.Hubs.Orig
-	// Destination intervals over hub-ID space, word-aligned so concurrent
-	// bitmap writes never share a word.
-	words := (st.k + 63) / 64
-	ivBound := make([]int, s+1)
-	for i := 0; i <= s; i++ {
-		ivBound[i] = (i * words / s) * 64
-	}
-	ivBound[s] = words * 64
-	edgesPer := make([]int64, s)
-	for step := 0; step < s; step++ {
-		var wg sync.WaitGroup
-		for cg := 0; cg < s; cg++ {
-			iv := (cg + step) % s
-			wg.Add(1)
-			go func(cg, iv int) {
-				defer wg.Done()
-				csr := &segs[cg]
-				loID, hiID := int32(ivBound[iv]), int32(ivBound[iv+1])
-				// Locate the dst-ID range of this interval in the sorted IDs.
-				lo := sort.Search(len(csr.IDs), func(i int) bool { return csr.IDs[i] >= loID })
-				hi := sort.Search(len(csr.IDs), func(i int) bool { return csr.IDs[i] >= hiID })
-				var edges int64
-				for i := lo; i < hi; i++ {
-					dst := csr.IDs[i]
-					if st.hubVisited.Test(int(dst)) || st.hubNew.Test(int(dst)) {
-						continue
-					}
-					for _, src := range csr.Adj[csr.Ptr[i]:csr.Ptr[i+1]] {
-						edges++
-						if st.hubFrontier.Test(int(src)) {
-							st.hubNew.Set(int(dst))
-							st.parentHub[dst] = orig[src]
-							break
-						}
-					}
-				}
-				edgesPer[cg] += edges
-			}(cg, iv)
-		}
-		wg.Wait()
-	}
-	var edges int64
-	for _, e := range edgesPer {
-		edges += e
-	}
-	return edges
-}
-
 // --- E2L / H2L (hub -> L) ---------------------------------------------------
 
 // e2lPush: active E hubs activate owned L vertices; purely local because E is

@@ -18,9 +18,8 @@ import (
 //
 // PageRank is dense by nature: every vertex sends every round. beginIter
 // therefore latches DirPush on every component and never marks one sparse, so
-// its exchanges always take ship's dense arm; Hierarchical and Segmented
-// change nothing either (its L2L is the flat exchange and it has no pull
-// kernel).
+// its exchanges always take ship's dense arm; Hierarchical changes nothing
+// either (its L2L is the flat exchange).
 //
 // Hub contributions are delegated additively, like k-core's degree
 // decrements: every rank accumulates into its replicated hubAcc locally

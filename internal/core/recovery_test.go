@@ -466,11 +466,11 @@ func TestEngineTornWriteFallsBackOneIteration(t *testing.T) {
 		t.Fatalf("replay across the tear: %v, want ErrCheckpointCorrupt", err)
 	}
 
-	opt.ResumeFrom = res.CheckpointScope
 	eng2, err := NewEngine(n, edges, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng2.SetResumeFrom(res.CheckpointScope)
 	res2, err := eng2.Run(root)
 	if err != nil {
 		t.Fatalf("resumed run failed: %v", err)

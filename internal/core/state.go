@@ -81,10 +81,6 @@ func (st *rankState) targetParent() int64 {
 // into the base's shared send buffers and ships through the base; a remote
 // pull probes the frontier the workload gathered for every pulling plane.
 func (st *rankState) kernels() [partition.NumComponents]func() (int64, error) {
-	ehPull := st.ehPull
-	if st.e.Opt.Segmented {
-		ehPull = st.ehPullSegmented
-	}
 	local := func(c partition.Component, push, pull func() int64) func() (int64, error) {
 		return func() (int64, error) {
 			if st.sched.Directions[c] == stats.DirPush {
@@ -98,7 +94,7 @@ func (st *rankState) kernels() [partition.NumComponents]func() (int64, error) {
 	applyL, applyHub, applyL2L := st.applyLMsgs, st.applyHubMsgs, st.applyL2L
 	l2hScan, l2lScan, forward := st.l2hPullScan, st.l2lPullScan, st.forwardL2L
 	return [partition.NumComponents]func() (int64, error){
-		local(partition.CompEH2EH, st.ehPush, ehPull),
+		local(partition.CompEH2EH, st.ehPush, st.ehPull),
 		local(partition.CompE2L, st.e2lPush, st.e2lPull),
 		func() (int64, error) {
 			if st.sched.Directions[partition.CompH2L] == stats.DirPull {

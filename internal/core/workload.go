@@ -354,7 +354,7 @@ func (b *valueBase) runLoop() ([]IterTrace, error) {
 			// Graceful drain: the iteration committed on every rank, so a
 			// must-write checkpoint here is a clean resume point. The engine
 			// keeps the run scope on this error, and a successor run replays
-			// from exactly this iteration via ResumeFrom.
+			// from exactly this iteration via SetResumeFrom.
 			if b.writer != nil {
 				b.capture(int64(iter), true)
 			}

@@ -109,7 +109,7 @@ func TestFig15(t *testing.T) {
 		t.Fatal(err)
 	}
 	joined := strings.Join(rep.Lines, "\n")
-	for _, want := range []string{"baseline", "+sub-iter", "+segment"} {
+	for _, want := range []string{"baseline", "+sub-iter"} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("missing %q:\n%s", want, joined)
 		}

@@ -298,49 +298,6 @@ func TestDegenerateAllHubs(t *testing.T) {
 	}
 }
 
-func TestSegmentedPullPartitionsAdjacency(t *testing.T) {
-	mesh := topology.Mesh{Rows: 2, Cols: 2}
-	p, _, _ := buildSmall(t, 10, mesh, Thresholds{E: 512, H: 32})
-	k := p.Hubs.K()
-	for _, rg := range p.Ranks {
-		segs := rg.SegmentedPull(6, k)
-		var total int64
-		for s, seg := range segs {
-			lo, hi := SegmentBounds(s, 6, k)
-			total += seg.NumEdges()
-			for i := range seg.IDs {
-				for _, src := range seg.Adj[seg.Ptr[i]:seg.Ptr[i+1]] {
-					if src < lo || src >= hi {
-						t.Fatalf("segment %d contains src %d outside [%d,%d)", s, src, lo, hi)
-					}
-				}
-			}
-		}
-		if total != rg.EHPull.NumEdges() {
-			t.Fatalf("segments hold %d edges, pull has %d", total, rg.EHPull.NumEdges())
-		}
-	}
-}
-
-func TestSegmentBoundsCoverExactly(t *testing.T) {
-	for _, k := range []int{0, 1, 5, 6, 7, 100, 1000003} {
-		prev := int32(0)
-		for s := 0; s < 6; s++ {
-			lo, hi := SegmentBounds(s, 6, k)
-			if lo != prev {
-				t.Fatalf("k=%d: segment %d starts at %d, want %d", k, s, lo, prev)
-			}
-			if hi < lo {
-				t.Fatalf("k=%d: segment %d empty-negative", k, s)
-			}
-			prev = hi
-		}
-		if int(prev) != k {
-			t.Fatalf("k=%d: segments cover %d", k, prev)
-		}
-	}
-}
-
 func TestBalanceStats(t *testing.T) {
 	mesh := topology.Mesh{Rows: 4, Cols: 4}
 	p, _, _ := buildSmall(t, 12, mesh, Thresholds{E: 1024, H: 64})

@@ -101,7 +101,6 @@ type RunConfig struct {
 	Roots        int    `json:"roots"`
 	Seed         uint64 `json:"seed"`
 	Direction    string `json:"direction"`
-	Segmented    bool   `json:"segmented"`
 	Hierarchical bool   `json:"hierarchical"`
 	RankWorkers  int    `json:"rank_workers"`
 	Sparse       string `json:"sparse,omitempty"`

@@ -50,7 +50,7 @@ func syntheticReport() *Report {
 	r := Build(RunConfig{
 		Scale: 14, EdgeFactor: 16, NumVertices: 1 << 14, NumEdges: 16 << 14,
 		Ranks: 4, MeshRows: 2, MeshCols: 2, Roots: 8, Seed: 42,
-		Direction: "sub-iteration", Segmented: true, RankWorkers: 1,
+		Direction: "sub-iteration", RankWorkers: 1,
 		Workload: "bfs,wcc,kcore,sssp",
 	}, sum)
 	r.Setup = &SetupReport{

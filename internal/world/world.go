@@ -42,7 +42,6 @@ type Spec struct {
 	EThreshold, HThreshold int64
 
 	// Engine.
-	Segmented    bool
 	Hierarchical bool
 	Sparse       string // auto, off or always
 	RankWorkers  int
@@ -89,7 +88,6 @@ func (s *Spec) EngineFlags(fs *flag.FlagSet) {
 	fs.IntVar(&s.Cols, "cols", s.Cols, "mesh cols (with -rows; overrides -ranks)")
 	fs.Int64Var(&s.EThreshold, "ethreshold", s.EThreshold, "E degree threshold (with -hthreshold; 0 = scale default)")
 	fs.Int64Var(&s.HThreshold, "hthreshold", s.HThreshold, "H degree threshold (with -ethreshold; 0 = scale default)")
-	fs.BoolVar(&s.Segmented, "segmented", s.Segmented, "enable CG-aware core subgraph segmenting")
 	fs.BoolVar(&s.Hierarchical, "hierarchical", s.Hierarchical, "forward L2L messages via mesh intersections")
 	fs.StringVar(&s.Sparse, "sparse", s.Sparse, "sparse tail collective policy: auto, off or always")
 	fs.IntVar(&s.RankWorkers, "rankworkers", s.RankWorkers, "intra-rank kernel workers (edge-aware vertex cut)")
@@ -256,7 +254,6 @@ func (s *Spec) Join(onReject func(peer int, err error)) (*comm.Group, error) {
 func (s *Spec) Config(g *comm.Group) (graph500.Config, error) {
 	cfg := graph500.Config{
 		Ranks:        s.Ranks,
-		Segmented:    s.Segmented,
 		Hierarchical: s.Hierarchical,
 		RankWorkers:  s.RankWorkers,
 		SparseTail:   sparseModes[s.Sparse],
@@ -301,7 +298,6 @@ func (s *Spec) RunConfig(r *graph500.Runner) report.RunConfig {
 		MeshCols:     r.Engine.Opt.Mesh.Cols,
 		Seed:         s.Seed,
 		Direction:    "sub-iteration",
-		Segmented:    s.Segmented,
 		Hierarchical: s.Hierarchical,
 		RankWorkers:  s.RankWorkers,
 		Faults:       s.Faults,

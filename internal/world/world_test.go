@@ -78,7 +78,7 @@ func options(t *testing.T, s Spec) core.Options {
 	}
 	o := r.Engine.Opt
 	return core.Options{Ranks: o.Ranks, Mesh: o.Mesh, Thresholds: o.Thresholds,
-		Segmented: o.Segmented, Hierarchical: o.Hierarchical, RankWorkers: o.RankWorkers,
+		Hierarchical: o.Hierarchical, RankWorkers: o.RankWorkers,
 		SparseTail: o.SparseTail, Recovery: o.Recovery, CheckpointDir: o.CheckpointDir,
 		CheckpointEvery: o.CheckpointEvery, MaxRetries: o.MaxRetries,
 		CollectiveDeadline: o.CollectiveDeadline, Transport: o.Transport}
@@ -101,10 +101,10 @@ func TestFlagsToOptions(t *testing.T) {
 		{"bfsbench", nil, base(16), 16},
 		{"bfsrun", nil, with(base(4), func(o *core.Options) { o.Recovery = core.RecoverRestore }), 14},
 		{"bfsd", nil, base(4), 14},
-		{"bfsbench", []string{"-scale", "12", "-rows", "2", "-cols", "3", "-segmented", "-hierarchical",
+		{"bfsbench", []string{"-scale", "12", "-rows", "2", "-cols", "3", "-hierarchical",
 			"-sparse", "off", "-rankworkers", "2", "-ethreshold", "64", "-hthreshold", "8",
 			"-checkpoint-dir", ckpt, "-checkpoint-every", "3", "-recovery", "restore"},
-			core.Options{Ranks: 6, Mesh: topology.Mesh{Rows: 2, Cols: 3}, Segmented: true, Hierarchical: true,
+			core.Options{Ranks: 6, Mesh: topology.Mesh{Rows: 2, Cols: 3}, Hierarchical: true,
 				SparseTail: core.SparseOff, RankWorkers: 2, Thresholds: graph500.Thresholds{E: 64, H: 8},
 				CheckpointDir: ckpt, CheckpointEvery: 3, Recovery: core.RecoverRestore, MaxRetries: 4}, 12},
 		{"bfsd", []string{"-ranks", "8", "-sparse", "always", "-deadline", "5ms"}, // no plan: deadline unused
