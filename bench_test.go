@@ -10,17 +10,17 @@ package graph500
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/partition"
 	"repro/internal/perfmodel"
+	"repro/internal/psort"
 	"repro/internal/rmat"
 	"repro/internal/stats"
-	"repro/internal/sunway"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -68,6 +68,17 @@ func runBFS(b *testing.B, eng *core.Engine, root int64) {
 }
 
 // --- Table 1: partitioning methods ------------------------------------------
+
+// BenchmarkTable1_Vanilla1D is the no-delegation strawman: thresholds no
+// degree reaches leave no hubs, so the engine runs plain 1D BFS on L2L only.
+func BenchmarkTable1_Vanilla1D(b *testing.B) {
+	n, edges := benchGraph(b, benchScale)
+	eng := benchEngine(b, n, edges, core.Options{Ranks: benchRanks, Thresholds: partition.Thresholds{E: math.MaxInt64, H: math.MaxInt64}})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runBFS(b, eng, -1)
+	}
+}
 
 func BenchmarkTable1_1DHeavyDelegates(b *testing.B) {
 	n, edges := benchGraph(b, benchScale)
@@ -217,8 +228,11 @@ func BenchmarkFig13_Balance(b *testing.B) {
 
 // --- Figure 14: OCS-RMA throughput ---------------------------------------------
 
-func fig14Keys(b *testing.B) []uint64 {
-	b.Helper()
+// BenchmarkFig14_Bucket times Figure 14's operation on the host: psort's
+// stable parallel bucket scatter over 32 MB of keys that vary only in their
+// low byte (after the scan for varying digits, one histogram pass and one
+// 256-bucket scatter).
+func BenchmarkFig14_Bucket(b *testing.B) {
 	keys := make([]uint64, 1<<22) // 32 MB
 	s := uint64(99)
 	for i := range keys {
@@ -226,38 +240,19 @@ func fig14Keys(b *testing.B) []uint64 {
 		z := s
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		keys[i] = z ^ (z >> 31)
+		keys[i] = (z ^ (z >> 31)) & 0xFF
 	}
-	return keys
-}
-
-func BenchmarkFig14_OCSRMA_MPE(b *testing.B) {
-	keys := fig14Keys(b)
-	f := func(x uint64) int { return int(x & 0xFF) }
-	b.SetBytes(int64(len(keys)) * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sunway.BucketMPE(keys, 256, f)
-	}
-}
-
-func BenchmarkFig14_OCSRMA_1CG(b *testing.B) {
-	keys := fig14Keys(b)
-	f := func(x uint64) int { return int(x & 0xFF) }
-	b.SetBytes(int64(len(keys)) * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sunway.BucketOCS(keys, 256, f, sunway.OCSConfig{CGs: 1})
-	}
-}
-
-func BenchmarkFig14_OCSRMA_6CG(b *testing.B) {
-	keys := fig14Keys(b)
-	f := func(x uint64) int { return int(x & 0xFF) }
-	b.SetBytes(int64(len(keys)) * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sunway.BucketOCS(keys, 256, f, sunway.OCSConfig{CGs: 6})
+	work := make([]uint64, len(keys))
+	for _, workers := range []int{1, 6} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.SetBytes(int64(len(keys)) * 8)
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(work, keys)
+				b.StartTimer()
+				psort.RadixSortUint64(work, workers)
+			}
+		})
 	}
 }
 
@@ -314,23 +309,6 @@ func BenchmarkExtension_PageRank(b *testing.B) {
 		if _, err := eng.RunPageRank(0.85, 1e-6, 30); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkExtension_VanillaBaseline measures the no-delegation 1D BFS.
-func BenchmarkExtension_VanillaBaseline(b *testing.B) {
-	n, edges := benchGraph(b, 14)
-	e, err := baseline.New(n, edges, baseline.Options{Ranks: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := e.Run(0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.MessagesSent), "messages")
 	}
 }
 

@@ -221,8 +221,12 @@ func runBFS(r *graph500.Runner, cfg graph500.Config, roots int, seed uint64, bre
 	if rec := sum.Recovery; cfg.CheckpointDir != "" || rec.Epochs > 0 {
 		fmt.Printf("\nfail-stop recovery (all %d runs, mode %v):\n", len(sum.Roots), cfg.Recovery)
 		fmt.Printf("  world epochs:     %d  (%d ranks lost)\n", rec.Epochs, rec.RanksLost)
-		fmt.Printf("  replayed:         %d iterations, %d bytes restored (last resume@%d)\n",
-			rec.IterationsReplayed, rec.BytesRestored, rec.LastResumeIter)
+		resume := fmt.Sprintf("last resume@%d", rec.LastResumeIter)
+		if rec.LastResumeIter == -2 {
+			resume = "never resumed"
+		}
+		fmt.Printf("  replayed:         %d iterations, %d bytes restored (%s)\n",
+			rec.IterationsReplayed, rec.BytesRestored, resume)
 		fmt.Printf("  recovery time:    %v (rebuild + replay)\n", rec.RecoveryTime.Round(time.Microsecond))
 		fmt.Printf("  checkpoints:      %d segments, %d bytes committed (%d dropped, %d errors)\n",
 			rec.CheckpointSegments, rec.CheckpointBytes, rec.CheckpointDropped, rec.CheckpointErrors)

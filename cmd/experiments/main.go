@@ -32,7 +32,7 @@ func main() {
 
 	switch {
 	case *list:
-		fmt.Println("table1  partitioning method comparison (Table 1)")
+		fmt.Println("table1  partitioning method comparison, vanilla 1D to 1.5D (Table 1)")
 		fmt.Println("fig2    R-MAT degree distribution")
 		fmt.Println("fig5    per-iteration activation by class")
 		fmt.Println("fig9    weak scalability (model + measured)")
@@ -40,7 +40,7 @@ func main() {
 		fmt.Println("fig11   time share by communication type")
 		fmt.Println("fig12   GTEPS vs (E,H) threshold grid")
 		fmt.Println("fig13   partitioned subgraph balance")
-		fmt.Println("fig14   OCS-RMA bucketing throughput")
+		fmt.Println("fig14   bucketing throughput (psort scatter; chip not modeled)")
 		fmt.Println("fig15   ablation: whole-iteration vs sub-iteration direction")
 		fmt.Println("capacity per-node memory of the three schemes at SCALE 44")
 		fmt.Println("extensions SSSP / PageRank / WCC / reachability on the same partitioning")

@@ -451,3 +451,17 @@ func TestRandomizedCollectiveSequence(t *testing.T) {
 		}
 	})
 }
+
+// Must unwraps a collective result in tests on worlds built without a
+// Transport, where collectives cannot fail; it panics otherwise.
+func Must[T any](v T, err error) T {
+	Must0(err)
+	return v
+}
+
+// Must0 is Must for collectives that return only an error.
+func Must0(err error) {
+	if err != nil {
+		panic(fmt.Sprintf("comm: collective failed on a reliable world: %v", err))
+	}
+}

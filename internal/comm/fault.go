@@ -163,21 +163,3 @@ func (s *FaultStats) Add(other *FaultStats) {
 func (s *FaultStats) Injected() int64 {
 	return s.Delays + s.Stalls + s.Corruptions + s.Failures + s.Kills
 }
-
-// Must unwraps a collective result, panicking on error. The fault-oblivious
-// baseline constructs worlds without a Transport, where collectives cannot
-// fail, and uses Must at its call sites; fault-aware callers (the core
-// engine) handle the error.
-func Must[T any](v T, err error) T {
-	if err != nil {
-		panic(fmt.Sprintf("comm: collective failed on a reliable world: %v", err))
-	}
-	return v
-}
-
-// Must0 is Must for collectives that return only an error.
-func Must0(err error) {
-	if err != nil {
-		panic(fmt.Sprintf("comm: collective failed on a reliable world: %v", err))
-	}
-}

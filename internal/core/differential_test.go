@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/comm"
 	"repro/internal/faultinject"
 	"repro/internal/graph"
@@ -34,8 +33,8 @@ func uniformEdges(n int64, m int, seed uint64) []rmat.Edge {
 // graphs spanning both generators, scales, mesh shapes, direction modes,
 // and hierarchical forwarding — with roughly a third of the runs
 // under an active fault plan — the 1.5D engine's parent tree must pass
-// Graph 500 validation and induce exactly the levels of the vanilla 1D
-// baseline engine (an independent implementation with none of the delegation
+// Graph 500 validation and induce exactly the levels of the sequential
+// reference BFS (graph.CSR.SequentialBFS, with none of the delegation
 // machinery).
 func TestDifferentialEngineVsBaseline(t *testing.T) {
 	meshes := []topology.Mesh{
@@ -98,10 +97,7 @@ func TestDifferentialEngineVsBaseline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := baseline.New(n, edges, baseline.Options{Ranks: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
+			g := graph.FromEdges(n, edges, graph.BuildOptions{Symmetrize: true, DropSelfLoops: true})
 
 			roots := []int64{firstConnectedRootOf(eng)}
 			if v := n / 2; eng.Part.Degrees[v] > 0 && v != roots[0] {
@@ -115,15 +111,8 @@ func TestDifferentialEngineVsBaseline(t *testing.T) {
 				if _, err := validate.BFS(n, edges, root, res.Parent); err != nil {
 					t.Fatalf("engine root %d: validation: %v", root, err)
 				}
-				bres, err := ref.Run(root)
-				if err != nil {
-					t.Fatalf("baseline root %d: %v", root, err)
-				}
-				if _, err := validate.BFS(n, edges, root, bres.Parent); err != nil {
-					t.Fatalf("baseline root %d: validation: %v", root, err)
-				}
 				// Parent choices may legitimately differ; BFS levels may not.
-				refLvl, err := graph.Levels(bres.Parent, root)
+				refLvl, err := graph.Levels(g.SequentialBFS(root), root)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -133,7 +122,7 @@ func TestDifferentialEngineVsBaseline(t *testing.T) {
 				}
 				for v := int64(0); v < n; v++ {
 					if refLvl[v] != gotLvl[v] {
-						t.Fatalf("root %d: level[%d] = %d, baseline %d", root, v, gotLvl[v], refLvl[v])
+						t.Fatalf("root %d: level[%d] = %d, reference %d", root, v, gotLvl[v], refLvl[v])
 					}
 				}
 			}
@@ -148,7 +137,7 @@ func TestDifferentialEngineVsBaseline(t *testing.T) {
 // traversal, so well over 70% of iterations qualify for the sparse-update
 // exchange. Each case runs the adaptive sparse engine against a forced-dense
 // run of the same partition and demands bit-exact parent arrays — the
-// substitution contract of AllgatherSparse — plus the usual baseline level
+// substitution contract of AllgatherSparse — plus the usual reference level
 // comparison and Graph 500 validation. A third of the corpus repeats the
 // sparse run under a seeded fault plan.
 
@@ -321,10 +310,6 @@ func TestDifferentialSparseTail(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := baseline.New(n, edges, baseline.Options{Ranks: 4, MaxIterations: tc.maxIter})
-			if err != nil {
-				t.Fatal(err)
-			}
 
 			root := firstConnectedRootOf(dense)
 			dres, err := dense.Run(root)
@@ -354,11 +339,8 @@ func TestDifferentialSparseTail(t *testing.T) {
 			if sparseCalls(ares) == 0 {
 				t.Fatal("adaptive run never used the sparse exchange")
 			}
-			bres, err := ref.Run(root)
-			if err != nil {
-				t.Fatalf("baseline: %v", err)
-			}
-			refLvl, err := graph.Levels(bres.Parent, root)
+			g := graph.FromEdges(n, edges, graph.BuildOptions{Symmetrize: true, DropSelfLoops: true})
+			refLvl, err := graph.Levels(g.SequentialBFS(root), root)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -368,7 +350,7 @@ func TestDifferentialSparseTail(t *testing.T) {
 			}
 			for v := int64(0); v < n; v++ {
 				if refLvl[v] != gotLvl[v] {
-					t.Fatalf("level[%d] = %d, baseline %d", v, gotLvl[v], refLvl[v])
+					t.Fatalf("level[%d] = %d, reference %d", v, gotLvl[v], refLvl[v])
 				}
 			}
 			if tc.always {

@@ -2,12 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/perfmodel"
 	"repro/internal/rmat"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -373,33 +373,51 @@ func TestDelayedReductionCostIsDepthIndependent(t *testing.T) {
 	}
 }
 
-func TestModeledSecondsPositiveAndOrdered(t *testing.T) {
-	// Modeled time must be positive and grow when the run does more work.
-	n, edges := rmatEdges(t, 12, 16)
-	cal := perfmodel.DefaultCalibration()
-	run := func(mode DirectionMode) (float64, *Engine, *Result) {
-		eng, err := NewEngine(n, edges, Options{Ranks: 4, Direction: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Run(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng.ModeledSeconds(res, cal), eng, res
-	}
-	optSec, eng, res := run(ModeSubIteration)
-	pushSec, _, _ := run(ModePushOnly)
-	if optSec <= 0 || pushSec <= 0 {
-		t.Fatal("modeled seconds not positive")
-	}
-	if pushSec <= optSec {
-		t.Fatalf("push-only modeled %.3gs, optimized %.3gs; more work should cost more", pushSec, optSec)
-	}
-	if g := eng.ModeledGTEPS(res, cal); g <= 0 {
-		t.Fatal("modeled GTEPS not positive")
-	}
-	if commTotal(res.Recorder.CommBreakdown()) <= 0 {
-		t.Fatal("no communication recorded at 4 ranks")
+// TestNoDelegationIsPure1D pins the claim Table 1's vanilla 1D row rests
+// on: with both thresholds above every degree no vertex is delegated, so
+// the engine runs plain 1D-partitioned BFS — every edge touch is an L2L
+// touch — and still induces the sequential reference's levels.
+func TestNoDelegationIsPure1D(t *testing.T) {
+	n, edges := rmatEdges(t, 11, 7)
+	g := graph.FromEdges(n, edges, graph.BuildOptions{Symmetrize: true, DropSelfLoops: true})
+	for _, mesh := range []topology.Mesh{{Rows: 1, Cols: 4}, {Rows: 2, Cols: 2}} {
+		t.Run(fmt.Sprintf("%dx%d", mesh.Rows, mesh.Cols), func(t *testing.T) {
+			eng, err := NewEngine(n, edges, Options{
+				Mesh:       mesh,
+				Thresholds: partition.Thresholds{E: math.MaxInt64, H: math.MaxInt64},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k := eng.Part.Hubs.K(); k != 0 {
+				t.Fatalf("%d hubs with thresholds above every degree", k)
+			}
+			root := firstConnectedRootOf(eng)
+			res, err := eng.Run(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refLvl, err := graph.Levels(g.SequentialBFS(root), root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotLvl, err := graph.Levels(res.Parent, root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := int64(0); v < n; v++ {
+				if refLvl[v] != gotLvl[v] {
+					t.Fatalf("level[%d] = %d, reference %d", v, gotLvl[v], refLvl[v])
+				}
+			}
+			for p, e := range res.Recorder.EdgesTouched {
+				if e != 0 && stats.Phase(p) != stats.PhaseL2L {
+					t.Errorf("phase %v touched %d edges; a 1D run touches only L2L", stats.Phase(p), e)
+				}
+			}
+			if res.Recorder.EdgesTouched[stats.PhaseL2L] == 0 {
+				t.Fatal("no L2L edge touches")
+			}
+		})
 	}
 }

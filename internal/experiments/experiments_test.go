@@ -17,7 +17,7 @@ func TestTable1(t *testing.T) {
 		t.Fatalf("too few lines: %v", rep.Lines)
 	}
 	joined := strings.Join(rep.Lines, "\n")
-	for _, want := range []string{"1D + heavy delegates", "2D (|L|=0)", "degree-aware 1.5D"} {
+	for _, want := range []string{"vanilla 1D (no delegation)", "1D + heavy delegates", "2D (|L|=0)", "degree-aware 1.5D"} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("missing row %q in:\n%s", want, joined)
 		}
@@ -96,7 +96,7 @@ func TestFig13Balance(t *testing.T) {
 func TestFig14(t *testing.T) {
 	rep := Fig14(4) // 4 MB keeps the test quick
 	joined := strings.Join(rep.Lines, "\n")
-	for _, want := range []string{"MPE", "1 CG", "6 CGs"} {
+	for _, want := range []string{"workers=1", "workers=6", "paper (SW26010-Pro)"} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("missing %q:\n%s", want, joined)
 		}

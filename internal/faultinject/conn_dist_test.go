@@ -62,7 +62,11 @@ func TestConnDropIsAbsorbedByReconnect(t *testing.T) {
 			defer wg.Done()
 			w.Run(func(r *comm.Rank) {
 				for round := 0; round < 10; round++ {
-					sum := comm.Must(comm.AllreduceSumInt64(r.World, int64(r.ID)))
+					sum, err := comm.AllreduceSumInt64(r.World, int64(r.ID))
+					if err != nil {
+						t.Errorf("round %d rank %d: %v", round, r.ID, err)
+						return
+					}
 					if want := int64(n * (n - 1) / 2); sum != want {
 						t.Errorf("round %d rank %d: sum %d, want %d", round, r.ID, sum, want)
 					}

@@ -3,7 +3,9 @@
 // PARADIS-style local pass (Section 5, "In-place global sort"); this
 // repository builds its partitions with stable counting passes instead
 // (internal/partition), so only the radix kernel survives, timed by the
-// benchmark's layer report.
+// benchmark's layer report. On keys that vary only in their low byte it is
+// one stable parallel 256-bucket scatter, the host analogue of the paper's
+// on-chip bucketing that Figure 14 times (internal/experiments).
 package psort
 
 import (
