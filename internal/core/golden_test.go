@@ -198,6 +198,15 @@ func TestAnalyticsGoldenPinned(t *testing.T) {
 
 		pagerank: pagerankGolden,
 	}
+	// A 2x4 mesh, auto sparse tail: row and column routing differ here, so
+	// swapping them moves these pins where it leaves the square mesh's alone.
+	// Recorded at 1202a23, before the value workloads shared one push.
+	mesh24 := goldens{
+		wcc:      analyticsGolden{resultFNV: 5520159451202571858, iterations: 5, calls: 272, bytes: 1352072, edges: 397008},
+		kcore:    analyticsGolden{resultFNV: 1247276083855396261, iterations: 3, calls: 96, bytes: 85136, edges: 1133},
+		sssp:     analyticsGolden{resultFNV: 8807060016549982954, iterations: 32, relaxations: 18142, calls: 1632, bytes: 2408856, edges: 343219},
+		pagerank: analyticsGolden{resultFNV: 13742624817760561570, iterations: 30, calls: 1440, bytes: 7912320, edges: 3920220},
+	}
 	cases := []struct {
 		name string
 		opt  Options
@@ -210,6 +219,7 @@ func TestAnalyticsGoldenPinned(t *testing.T) {
 			Hierarchical: true}, auto},
 		{"sparse-always", Options{Mesh: mesh, Thresholds: DefaultThresholds(12),
 			SparseTail: SparseAlways}, always},
+		{"mesh2x4", Options{Mesh: topology.Mesh{Rows: 2, Cols: 4}, Thresholds: DefaultThresholds(12)}, mesh24},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
