@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -380,6 +381,19 @@ func TestWorkloadArgumentValidation(t *testing.T) {
 	if _, err := eng.RunSSSP(0, 1, math.NaN()); err == nil {
 		t.Fatal("NaN bucket width accepted")
 	}
+	// A bucket index, distance/delta, must fit an int64: these widths
+	// overflowed it and never converged. A small width that fits still
+	// matches Dijkstra.
+	for _, delta := range []float64{1e-300, 1e-20} {
+		if _, err := eng.RunSSSP(0, 1, delta); err == nil || errors.Is(err, ErrNoConvergence) {
+			t.Fatalf("bucket width %g accepted: %v", delta, err)
+		}
+	}
+	res, err := eng.RunSSSP(0, 1, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSSSPAgainstDijkstra(t, n, edges, 1, res)
 	if _, err := eng.RunPageRank(0.85, math.NaN(), 10); err == nil {
 		t.Fatal("NaN PageRank tolerance accepted")
 	}
