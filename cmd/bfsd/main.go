@@ -89,15 +89,15 @@ func main() {
 			fatal(err)
 		}
 		k := int64(r.Engine.Part.Hubs.K())
-		per := r.Engine.Part.Layout.PerRank
-		fit := perfmodel.MaxBatchQueries(budget, k, per, cfg.Transport != nil)
+		per, mesh := r.Engine.Part.Layout.PerRank, r.Engine.Opt.Mesh
+		fit := perfmodel.MaxBatchQueries(budget, k, per, mesh, cfg.Transport != nil)
 		if fit == 0 {
 			fatal(fmt.Errorf("budget %s cannot fit even one batched query (%d bytes/query per rank)",
-				*memBudget, perfmodel.BatchQueryBytes(k, per, cfg.Transport != nil)))
+				*memBudget, perfmodel.BatchQueryBytes(k, per, mesh, cfg.Transport != nil)))
 		}
 		if fit < *maxBatch {
 			fmt.Printf("admission: -mem-budget %s clamps max batch %d -> %d (%d bytes/query per rank)\n",
-				*memBudget, *maxBatch, fit, perfmodel.BatchQueryBytes(k, per, cfg.Transport != nil))
+				*memBudget, *maxBatch, fit, perfmodel.BatchQueryBytes(k, per, mesh, cfg.Transport != nil))
 			*maxBatch = fit
 		}
 	}

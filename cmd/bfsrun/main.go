@@ -301,11 +301,6 @@ func parentMain(args []string) int {
 			CrashLoopWindow:  *loopWin,
 			HeartbeatTimeout: *hangTO,
 			DrainTimeout:     *drainTO,
-			// Concurrently-restarted workers hold no dead verdicts for each
-			// other and would form a rump world re-running the fleet's work
-			// against live checkpoint scopes; one at a time, each meets the
-			// real world's verdict (sealed, orphaned, or re-admitted) alone.
-			SerializeRestarts: true,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bfsrun:", err)

@@ -20,8 +20,12 @@ import (
 )
 
 func main() {
+	var ids []string
+	for _, x := range experiments.Registry {
+		ids = append(ids, x.ID)
+	}
 	var (
-		exp     = flag.String("exp", "", "experiment id: table1, fig2, fig5, fig9, fig10, fig11, fig12, fig13, fig14, fig15, capacity, extensions")
+		exp     = flag.String("exp", "", "comma-separated experiment ids: "+strings.Join(ids, ", "))
 		all     = flag.Bool("all", false, "run every experiment")
 		list    = flag.Bool("list", false, "list experiment ids")
 		scale   = flag.Int("scale", 16, "graph SCALE for measured experiments")
@@ -32,18 +36,9 @@ func main() {
 
 	switch {
 	case *list:
-		fmt.Println("table1  partitioning method comparison, vanilla 1D to 1.5D (Table 1)")
-		fmt.Println("fig2    R-MAT degree distribution")
-		fmt.Println("fig5    per-iteration activation by class")
-		fmt.Println("fig9    weak scalability (model + measured)")
-		fmt.Println("fig10   time share by subgraph")
-		fmt.Println("fig11   time share by communication type")
-		fmt.Println("fig12   GTEPS vs (E,H) threshold grid")
-		fmt.Println("fig13   partitioned subgraph balance")
-		fmt.Println("fig14   bucketing throughput (psort scatter; chip not modeled)")
-		fmt.Println("fig15   ablation: whole-iteration vs sub-iteration direction")
-		fmt.Println("capacity per-node memory of the three schemes at SCALE 44")
-		fmt.Println("extensions SSSP / PageRank / WCC / reachability on the same partitioning")
+		for _, x := range experiments.Registry {
+			fmt.Printf("%-10s %s\n", x.ID, x.Summary)
+		}
 	case *all:
 		reports, err := experiments.All(*scale, *ranks, *measure)
 		for _, r := range reports {

@@ -155,10 +155,10 @@ func (st *kcoreState) peelMark() {
 func (st *kcoreState) epilogue() error {
 	t := &st.scr.touched
 	firstErr := syncTouched(&st.valueBase, "deg_sync", &st.scr.hubRecs,
-		func(h int32) hubMsg { return hubMsg{Hub: h, Parent: st.hubDec[h]} },
-		func(m hubMsg) (int32, bool) {
-			st.hubDec[m.Hub] += m.Parent
-			return m.Hub, true
+		func(h int32) pushMsg { return pushMsg{Dst: int64(h), Parent: st.hubDec[h]} },
+		func(m pushMsg) (int32, bool) {
+			st.hubDec[m.Dst] += m.Parent
+			return int32(m.Dst), true
 		})
 	for _, h := range t.list {
 		st.hubDeg[h] -= st.hubDec[h]

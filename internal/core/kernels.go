@@ -9,22 +9,12 @@ import (
 	"repro/internal/partition"
 )
 
-// Message types. All parents travel as original vertex IDs.
-
-// lMsg targets an L vertex at a known rank by local index.
-type lMsg struct {
-	LIdx   int32
-	Parent int64
-}
-
-// hubMsg targets a hub delegate.
-type hubMsg struct {
-	Hub    int32
-	Parent int64
-}
-
-// l2lMsg targets an L vertex by original ID (owner derived from layout).
-type l2lMsg struct {
+// pushMsg is the one push record: Dst is an L vertex's local index (H2L), a
+// hub (L2H, EH2EH worker buffers, delegate syncs) or an L vertex's original
+// ID (BFS's L2L, whose owner and, under Options.Hierarchical, forwarder
+// derive from it). BFS parents travel as original vertex IDs; the value
+// workloads carry their value's bits in Parent.
+type pushMsg struct {
 	Dst    int64
 	Parent int64
 }
@@ -75,21 +65,21 @@ func (st *rankState) ehPush() int64 {
 	chunks := edgeCutChunks(prefix, workers)
 	// Workers emit candidates into private buffers; the apply step is
 	// serial, mirroring the atomics-free discipline of the chip kernels.
-	bufs := make([][]hubMsg, len(chunks))
+	bufs := make([][]pushMsg, len(chunks))
 	edgesPer := make([]int64, len(chunks))
 	var wg sync.WaitGroup
 	for w, ch := range chunks {
 		wg.Add(1)
 		go func(w int, lo, hi int) {
 			defer wg.Done()
-			var buf []hubMsg
+			var buf []pushMsg
 			var edges int64
 			for _, i := range active[lo:hi] {
 				parent := orig[push.IDs[i]]
 				for _, dst := range push.Adj[push.Ptr[i]:push.Ptr[i+1]] {
 					edges++
 					if !st.hubVisited.Test(int(dst)) {
-						buf = append(buf, hubMsg{Hub: dst, Parent: parent})
+						buf = append(buf, pushMsg{Dst: int64(dst), Parent: parent})
 					}
 				}
 			}
@@ -102,10 +92,7 @@ func (st *rankState) ehPush() int64 {
 	for w := range bufs {
 		edges += edgesPer[w]
 		for _, m := range bufs[w] {
-			if !st.hubVisited.Test(int(m.Hub)) && !st.hubNew.Test(int(m.Hub)) {
-				st.hubNew.Set(int(m.Hub))
-				st.parentHub[m.Hub] = m.Parent
-			}
+			st.applyOneHub(m)
 		}
 	}
 	return edges
@@ -220,7 +207,7 @@ func (st *rankState) hubToLPull(csr *partition.DenseCSR32, has []uint64) int64 {
 // ships them dense or sparse. Both forms generate through this one loop body,
 // which is what keeps their receiver-side apply streams identical message for
 // message.
-func (st *rankState) h2lPush(send [][]lMsg) int64 {
+func (st *rankState) h2lPush(send [][]pushMsg) int64 {
 	csr := &st.rg.HToL
 	orig := st.e.Part.Hubs.Orig
 	var edges int64
@@ -231,7 +218,7 @@ func (st *rankState) h2lPush(send [][]lMsg) int64 {
 		parent := orig[hub]
 		for _, rem := range csr.Adj[csr.Ptr[i]:csr.Ptr[i+1]] {
 			edges++
-			send[rem.Col] = append(send[rem.Col], lMsg{LIdx: rem.LIdx, Parent: parent})
+			send[rem.Col] = append(send[rem.Col], pushMsg{Dst: int64(rem.LIdx), Parent: parent})
 		}
 	}
 	return edges
@@ -248,7 +235,7 @@ func (st *rankState) h2lPull() int64 {
 // update (paper Section 4.4, third OCS-RMA use case): messages are coarse-
 // sorted into word-aligned index ranges, and each range is applied by
 // exactly one worker — no atomics, no racing bitmap words.
-func (st *rankState) applyLMsgs(recv [][]lMsg) {
+func (st *rankState) applyLMsgs(recv [][]pushMsg) {
 	total := 0
 	for _, part := range recv {
 		total += len(part)
@@ -265,17 +252,17 @@ func (st *rankState) applyLMsgs(recv [][]lMsg) {
 	}
 }
 
-func (st *rankState) applyOneL(m lMsg) {
-	if !st.lVisited.Test(int(m.LIdx)) && !st.lNew.Test(int(m.LIdx)) {
-		st.lNew.Set(int(m.LIdx))
-		st.parentL[m.LIdx] = m.Parent
+func (st *rankState) applyOneL(m pushMsg) {
+	if !st.lVisited.Test(int(m.Dst)) && !st.lNew.Test(int(m.Dst)) {
+		st.lNew.Set(int(m.Dst))
+		st.parentL[m.Dst] = m.Parent
 	}
 }
 
 // applyLMsgsTwoStage: stage one buckets messages by 64-bit-aligned index
 // range (so two ranges never share a bitmap word); stage two applies each
 // range on its own worker with exclusive ownership.
-func (st *rankState) applyLMsgsTwoStage(recv [][]lMsg, total, workers int) {
+func (st *rankState) applyLMsgsTwoStage(recv [][]pushMsg, total, workers int) {
 	words := (st.rg.LocalN + 63) / 64
 	if words == 0 {
 		return
@@ -285,14 +272,14 @@ func (st *rankState) applyLMsgsTwoStage(recv [][]lMsg, total, workers int) {
 		ranges = words
 	}
 	wordsPer := (words + ranges - 1) / ranges
-	buckets := make([][]lMsg, ranges)
+	buckets := make([][]pushMsg, ranges)
 	per := total/ranges + 1
 	for i := range buckets {
-		buckets[i] = make([]lMsg, 0, per)
+		buckets[i] = make([]pushMsg, 0, per)
 	}
 	for _, part := range recv {
 		for _, m := range part {
-			r := int(m.LIdx) / 64 / wordsPer
+			r := int(m.Dst) / 64 / wordsPer
 			buckets[r] = append(buckets[r], m)
 		}
 	}
@@ -364,7 +351,7 @@ func (st *rankState) l2ePull() int64 {
 // appends every message to send by destination column — the one loop body
 // behind the dense and the sparse exchange. Delegation knowledge
 // (hubVisited) prunes the message first.
-func (st *rankState) l2hPush(send [][]hubMsg) int64 {
+func (st *rankState) l2hPush(send [][]pushMsg) int64 {
 	csr := &st.rg.LToH
 	layout := st.e.Part.Layout
 	hubs := st.e.Part.Hubs
@@ -378,7 +365,7 @@ func (st *rankState) l2hPush(send [][]hubMsg) int64 {
 				continue // delegation knowledge saves the message
 			}
 			col := hubs.ColBlockOf(hub, mesh)
-			send[col] = append(send[col], hubMsg{Hub: hub, Parent: parent})
+			send[col] = append(send[col], pushMsg{Dst: int64(hub), Parent: parent})
 		}
 	})
 	return edges
@@ -386,7 +373,7 @@ func (st *rankState) l2hPush(send [][]hubMsg) int64 {
 
 // applyHubMsgs records received delegate activations (the L2H push's receive
 // side), in part order.
-func (st *rankState) applyHubMsgs(parts [][]hubMsg) {
+func (st *rankState) applyHubMsgs(parts [][]pushMsg) {
 	for _, part := range parts {
 		for _, m := range part {
 			st.applyOneHub(m)
@@ -394,10 +381,10 @@ func (st *rankState) applyHubMsgs(parts [][]hubMsg) {
 	}
 }
 
-func (st *rankState) applyOneHub(m hubMsg) {
-	if !st.hubVisited.Test(int(m.Hub)) && !st.hubNew.Test(int(m.Hub)) {
-		st.hubNew.Set(int(m.Hub))
-		st.parentHub[m.Hub] = m.Parent
+func (st *rankState) applyOneHub(m pushMsg) {
+	if !st.hubVisited.Test(int(m.Dst)) && !st.hubNew.Test(int(m.Dst)) {
+		st.hubNew.Set(int(m.Dst))
+		st.parentHub[m.Dst] = m.Parent
 	}
 }
 
@@ -435,7 +422,7 @@ func (st *rankState) l2hPullScan() int64 {
 // Options.Hierarchical, by the owner's mesh row: stage 1 of the forwarding
 // scheme, where messages hop via the intersection rank of the source column
 // and destination row.
-func (st *rankState) l2lPush(send [][]l2lMsg) int64 {
+func (st *rankState) l2lPush(send [][]pushMsg) int64 {
 	csr := &st.rg.L2L
 	layout := st.e.Part.Layout
 	mesh := st.e.Opt.Mesh
@@ -449,17 +436,17 @@ func (st *rankState) l2lPush(send [][]l2lMsg) int64 {
 			if byRow {
 				to = mesh.RowOf(to)
 			}
-			send[to] = append(send[to], l2lMsg{Dst: dst, Parent: parent})
+			send[to] = append(send[to], pushMsg{Dst: dst, Parent: parent})
 		}
 	})
 	return edges
 }
 
-func (st *rankState) applyL2L(recv [][]l2lMsg) {
+func (st *rankState) applyL2L(recv [][]pushMsg) {
 	layout := st.e.Part.Layout
 	for _, part := range recv {
 		for _, m := range part {
-			st.applyOneL(lMsg{LIdx: layout.LocalIdx(m.Dst), Parent: m.Parent})
+			st.applyOneL(pushMsg{Dst: int64(layout.LocalIdx(m.Dst)), Parent: m.Parent})
 		}
 	}
 }

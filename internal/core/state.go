@@ -100,7 +100,7 @@ func (st *rankState) kernels() [partition.NumComponents]func() (int64, error) {
 			if st.sched.Directions[partition.CompH2L] == stats.DirPull {
 				return st.h2lPull(), nil
 			}
-			send := sendParts(b, partition.CompH2L, &st.scr.lParts, st.e.Opt.Mesh.Cols)
+			send := sendParts(b, partition.CompH2L, &st.scr.pushParts, st.e.Opt.Mesh.Cols)
 			edges := st.h2lPush(send)
 			return edges, ship(b, partition.CompH2L, send, applyL, nil)
 		},
@@ -109,7 +109,7 @@ func (st *rankState) kernels() [partition.NumComponents]func() (int64, error) {
 			if st.sched.Directions[partition.CompL2H] == stats.DirPull {
 				return st.pull(partition.CompL2H, l2hScan)
 			}
-			send := sendParts(b, partition.CompL2H, &st.scr.hubParts, st.e.Opt.Mesh.Cols)
+			send := sendParts(b, partition.CompL2H, &st.scr.pushParts, st.e.Opt.Mesh.Cols)
 			edges := st.l2hPush(send)
 			return edges, ship(b, partition.CompL2H, send, applyHub, nil)
 		},
@@ -117,11 +117,11 @@ func (st *rankState) kernels() [partition.NumComponents]func() (int64, error) {
 			if st.sched.Directions[partition.CompL2L] == stats.DirPull {
 				return st.pull(partition.CompL2L, l2lScan)
 			}
-			fanout, fwd := st.e.Part.Layout.P, (func([][]l2lMsg, int) ([][]l2lMsg, error))(nil)
+			fanout, fwd := st.e.Part.Layout.P, (func([][]pushMsg, int) ([][]pushMsg, error))(nil)
 			if st.e.Opt.Hierarchical {
 				fanout, fwd = st.e.Opt.Mesh.Rows, forward
 			}
-			send := sendParts(b, partition.CompL2L, &st.scr.l2lParts, fanout)
+			send := sendParts(b, partition.CompL2L, &st.scr.pushParts, fanout)
 			edges := st.l2lPush(send)
 			return edges, ship(b, partition.CompL2L, send, applyL2L, fwd)
 		},

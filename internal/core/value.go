@@ -479,38 +479,16 @@ type record[M any] interface {
 	runLen() int
 }
 
-func (m lMsg) put(ups []comm.SparseUpdate, dst, tag int32) []comm.SparseUpdate {
-	return append(ups, comm.SparseUpdate{Dst: dst, Tag: tag, Off: int64(m.LIdx), Val: m.Parent})
-}
-
-func (lMsg) get(us []comm.SparseUpdate) (lMsg, int) {
-	return lMsg{LIdx: int32(us[0].Off), Parent: us[0].Val}, 1
-}
-
-func (lMsg) header(n int) lMsg { return lMsg{Parent: int64(n)} }
-func (m lMsg) runLen() int     { return int(m.Parent) }
-
-func (m hubMsg) put(ups []comm.SparseUpdate, dst, tag int32) []comm.SparseUpdate {
-	return append(ups, comm.SparseUpdate{Dst: dst, Tag: tag, Off: int64(m.Hub), Val: m.Parent})
-}
-
-func (hubMsg) get(us []comm.SparseUpdate) (hubMsg, int) {
-	return hubMsg{Hub: int32(us[0].Off), Parent: us[0].Val}, 1
-}
-
-func (hubMsg) header(n int) hubMsg { return hubMsg{Parent: int64(n)} }
-func (m hubMsg) runLen() int       { return int(m.Parent) }
-
-func (m l2lMsg) put(ups []comm.SparseUpdate, dst, tag int32) []comm.SparseUpdate {
+func (m pushMsg) put(ups []comm.SparseUpdate, dst, tag int32) []comm.SparseUpdate {
 	return append(ups, comm.SparseUpdate{Dst: dst, Tag: tag, Off: m.Dst, Val: m.Parent})
 }
 
-func (l2lMsg) get(us []comm.SparseUpdate) (l2lMsg, int) {
-	return l2lMsg{Dst: us[0].Off, Parent: us[0].Val}, 1
+func (pushMsg) get(us []comm.SparseUpdate) (pushMsg, int) {
+	return pushMsg{Dst: us[0].Off, Parent: us[0].Val}, 1
 }
 
-func (l2lMsg) header(n int) l2lMsg { return l2lMsg{Parent: int64(n)} }
-func (m l2lMsg) runLen() int       { return int(m.Parent) }
+func (pushMsg) header(n int) pushMsg { return pushMsg{Parent: int64(n)} }
+func (m pushMsg) runLen() int        { return int(m.Parent) }
 
 // Dense framing. One dense exchange carries, per destination, one run of
 // messages per plane that pushes the component densely this iteration, in
@@ -797,7 +775,7 @@ type num interface{ int64 | float64 }
 //     min-lowerings;
 //   - w, the per-edge addend, parallel to each component's adjacency, which
 //     only a push with parents declares: that is a min push (SSSP's), and it
-//     ships distMsg where any other ships l2lMsg.
+//     ships distMsg where any other ships pushMsg.
 //
 // Every selector is a flag or a nil-able slice, bitmap or pointer, not a
 // function value: the only indirect call is the walker's, once per row.
@@ -897,14 +875,14 @@ func (p *valuePush[V]) push(b *valueBase, c partition.Component) (int64, error) 
 		n = layout.P
 	}
 	// A push with parents ships distMsg, the candidate with its source; any
-	// other l2lMsg with the row's value bits in Parent (it has no addends). A
+	// other pushMsg with the row's value bits in Parent (it has no addends). A
 	// row picks its loop, so no edge tests which.
-	var s [][]l2lMsg
+	var s [][]pushMsg
 	var d [][]distMsg
 	if p.hubPar != nil {
 		d = sendParts(b, c, &b.scr.distParts, n)
 	} else {
-		s = sendParts(b, c, &b.scr.l2lParts, n)
+		s = sendParts(b, c, &b.scr.pushParts, n)
 	}
 	var edges int64
 	switch c {
@@ -912,7 +890,7 @@ func (p *valuePush[V]) push(b *valueBase, c partition.Component) (int64, error) 
 		edges = hubRows(rg.HToL.IDs, rg.HToL.Ptr, rg.HToL.Adj, p.hubSrc, func(h int32, off int64, row []partition.RemoteL) {
 			if v := rowValue(in, deg, h); d == nil {
 				for _, rem := range row {
-					s[rem.Col] = append(s[rem.Col], l2lMsg{Dst: int64(rem.LIdx), Parent: *(*int64)(unsafe.Pointer(&v))})
+					s[rem.Col] = append(s[rem.Col], pushMsg{Dst: int64(rem.LIdx), Parent: *(*int64)(unsafe.Pointer(&v))})
 				}
 			} else {
 				ws, u := w[off:][:len(row)], orig[h]
@@ -928,7 +906,7 @@ func (p *valuePush[V]) push(b *valueBase, c partition.Component) (int64, error) 
 				for _, h := range row {
 					if v < dst[h] {
 						k := hubs.ColBlockOf(h, mesh)
-						s[k] = append(s[k], l2lMsg{Dst: int64(h), Parent: *(*int64)(unsafe.Pointer(&v))})
+						s[k] = append(s[k], pushMsg{Dst: int64(h), Parent: *(*int64)(unsafe.Pointer(&v))})
 					}
 				}
 			} else {
@@ -946,7 +924,7 @@ func (p *valuePush[V]) push(b *valueBase, c partition.Component) (int64, error) 
 			if v := rowValue(in, deg, li); d == nil {
 				for _, to := range row {
 					k := layout.Owner(to)
-					s[k] = append(s[k], l2lMsg{Dst: to - int64(k)*layout.PerRank, Parent: *(*int64)(unsafe.Pointer(&v))})
+					s[k] = append(s[k], pushMsg{Dst: to - int64(k)*layout.PerRank, Parent: *(*int64)(unsafe.Pointer(&v))})
 				}
 			} else {
 				ws := w[off:][:len(row)]
@@ -970,7 +948,7 @@ func (p *valuePush[V]) push(b *valueBase, c partition.Component) (int64, error) 
 			}
 		}, nil)
 	}
-	return edges, ship(b, c, s, func(recv [][]l2lMsg) {
+	return edges, ship(b, c, s, func(recv [][]pushMsg) {
 		for _, part := range recv {
 			for _, m := range part {
 				switch x, i := *(*V)(unsafe.Pointer(&m.Parent)), int32(m.Dst); {

@@ -128,13 +128,13 @@ func (st *wccState) endIter(it *IterTrace) bool {
 func (st *wccState) syncLabels() error {
 	t := &st.scr.touched
 	err := syncTouched(&st.valueBase, "label_sync", &st.scr.hubRecs,
-		func(h int32) hubMsg { return hubMsg{Hub: h, Parent: st.hubLabel[h]} },
-		func(m hubMsg) (int32, bool) {
-			low := m.Parent < st.hubLabel[m.Hub]
+		func(h int32) pushMsg { return pushMsg{Dst: int64(h), Parent: st.hubLabel[h]} },
+		func(m pushMsg) (int32, bool) {
+			low := m.Parent < st.hubLabel[m.Dst]
 			if low {
-				st.hubLabel[m.Hub] = m.Parent
+				st.hubLabel[m.Dst] = m.Parent
 			}
-			return m.Hub, low
+			return int32(m.Dst), low
 		})
 	for _, h := range t.list {
 		st.hubNext.Set(int(h))

@@ -57,14 +57,12 @@ func rowMask(ptr []int64, n int) []uint64 {
 type rankScratch struct {
 	active               []int32             // ehPush: active source positions
 	ups                  []comm.SparseUpdate // sparse pushes parked until their flush
-	lParts               [][]lMsg            // dense send buffers
-	hubParts             [][]hubMsg
-	l2lParts             [][]l2lMsg
+	pushParts            [][]pushMsg         // dense send buffers; components ship one at a time
 	distParts            [][]distMsg
 	sendWords, recvWords []uint64 // pull-frontier gathers
 
 	touched  touchedHubs // delegates changed since the last syncTouched
-	hubRecs  []hubMsg    // syncTouched's packed records
+	hubRecs  []pushMsg   // syncTouched's packed records
 	distRecs []distMsg
 }
 

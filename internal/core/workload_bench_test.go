@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/comm"
+	"repro/internal/rmat"
 )
 
 // BenchmarkHubSync times one touched-delegate sync (column allgather, fold,
@@ -64,13 +66,7 @@ func scratchBytes(e *Engine) (total int) {
 		s := &e.scratch[i]
 		total += cap(s.ups)*24 + cap(s.hubRecs)*16 + cap(s.distRecs)*24 + cap(s.touched.list)*4 +
 			cap(s.active)*4 + (cap(s.sendWords)+cap(s.recvWords))*8
-		for _, p := range s.lParts {
-			total += cap(p) * 16
-		}
-		for _, p := range s.hubParts {
-			total += cap(p) * 16
-		}
-		for _, p := range s.l2lParts {
+		for _, p := range s.pushParts {
 			total += cap(p) * 16
 		}
 		for _, p := range s.distParts {
@@ -155,4 +151,58 @@ func BenchmarkWorkloadExchangeAllocs(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCheckpointEvery1Overhead measures what the async double-buffered
+// checkpoint writer costs the traversal at the most aggressive setting
+// (-checkpoint-every=1: a delta capture after every BFS iteration), against
+// an identical engine with checkpointing off. Prints the per-iteration
+// overhead in ns and as a percentage of the fault-free iteration time.
+func BenchmarkCheckpointEvery1Overhead(b *testing.B) {
+	cfg := rmat.Config{Scale: 14, Seed: 42}
+	n, edges := cfg.NumVertices(), rmat.Generate(cfg)
+	plain, err := NewEngine(n, edges, Options{Ranks: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	root := firstConnectedRootOf(plain)
+	ck, err := NewEngine(n, edges, Options{Ranks: 4, CheckpointDir: b.TempDir(), CheckpointEvery: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Warm both paths (graph tier write, partitioning) outside the timing.
+	if _, err := plain.Run(root); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := ck.Run(root); err != nil {
+		b.Fatal(err)
+	}
+	var plainNs, ckNs, iters, segs, bytes, dropped int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := plain.Run(root)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plainNs += res.Time.Nanoseconds()
+		ckRes, err := ck.Run(root)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ckRes.Recovery.CheckpointSegments == 0 {
+			b.Fatal("checkpointed run committed no segments")
+		}
+		ckNs += ckRes.Time.Nanoseconds()
+		iters += int64(ckRes.Iterations)
+		segs += ckRes.Recovery.CheckpointSegments
+		bytes += ckRes.Recovery.CheckpointBytes
+		dropped += ckRes.Recovery.CheckpointDropped
+	}
+	b.StopTimer()
+	perIter := float64(ckNs-plainNs) / float64(iters)
+	pct := 100 * float64(ckNs-plainNs) / float64(plainNs)
+	b.ReportMetric(perIter, "ns-overhead/iter")
+	b.ReportMetric(pct, "%overhead")
+	b.Logf("checkpoint-every=1 over %d runs: plain=%v checkpointed=%v -> %.0f ns/iter (%.2f%%) overhead; %d segments, %d bytes, %d captures dropped",
+		b.N, time.Duration(plainNs), time.Duration(ckNs), perIter, pct, segs, bytes, dropped)
 }

@@ -1,8 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section at laptop scale, printing the same rows/series the
-// paper reports. cmd/experiments exposes them on the command line and the
-// repository-root benchmarks wrap them as testing.B targets; EXPERIMENTS.md
-// records paper-vs-measured values for each.
+// paper reports. Registry is the one list of exhibits; cmd/experiments
+// exposes it on the command line and EXPERIMENTS.md records paper-vs-measured
+// values for each. Every measured BFS row runs through graph500.New and
+// Runner.Benchmark: GTEPS is the harmonic mean over sampled, validated roots,
+// as bfsbench reports it.
 package experiments
 
 import (
@@ -13,15 +15,13 @@ import (
 	"strings"
 	"time"
 
+	graph500 "repro"
 	"repro/internal/core"
 	"repro/internal/partition"
 	"repro/internal/perfmodel"
 	"repro/internal/psort"
-	"repro/internal/rmat"
-	"repro/internal/sssp"
 	"repro/internal/stats"
 	"repro/internal/topology"
-	"repro/internal/validate"
 )
 
 // Report is one experiment's regenerated output.
@@ -39,33 +39,66 @@ func (r *Report) addf(format string, args ...any) {
 	r.Lines = append(r.Lines, fmt.Sprintf(format, args...))
 }
 
-// genGraph builds the standard workload for the experiments.
-func genGraph(scale int, seed uint64) (int64, []rmat.Edge) {
-	cfg := rmat.Config{Scale: scale, Seed: seed}
-	return cfg.NumVertices(), rmat.Generate(cfg)
+// Exhibit is one registered exhibit: its id, a one-line summary and the
+// function that regenerates it for a SCALE, a rank count and whether to
+// measure beside the model.
+type Exhibit struct {
+	ID, Summary string
+	Run         func(scale, ranks int, measure bool) (Report, error)
 }
 
-// runGTEPS runs nroots BFS traversals and returns harmonic-mean GTEPS.
-func runGTEPS(eng *core.Engine, n int64, edges []rmat.Edge, nroots int) (float64, error) {
-	deg := eng.Part.Degrees
-	var invSum float64
-	count := 0
-	for root := int64(0); root < n && count < nroots; root++ {
-		if deg[root] == 0 {
-			continue
-		}
-		res, err := eng.Run(root)
-		if err != nil {
-			return 0, err
-		}
-		if _, err := validate.BFS(n, edges, root, res.Parent); err != nil {
-			return 0, fmt.Errorf("root %d: %w", root, err)
-		}
-		teps := float64(res.TraversedEdges) / res.Time.Seconds()
-		invSum += 1 / teps
-		count++
+// Registry lists every exhibit in paper order. All, ByID and the command's
+// -list and -exp all read it.
+var Registry = []Exhibit{
+	{"table1", "partitioning method comparison, vanilla 1D to 1.5D (Table 1)",
+		func(scale, ranks int, _ bool) (Report, error) { return Table1(scale, ranks, 4) }},
+	{"fig2", "R-MAT degree distribution",
+		func(scale, _ int, _ bool) (Report, error) { return Fig2(scale), nil }},
+	{"fig5", "per-iteration activation by class",
+		func(scale, ranks int, _ bool) (Report, error) { return Fig5(scale, ranks) }},
+	{"fig9", "weak scalability (model + measured)",
+		func(_, _ int, measure bool) (Report, error) { return Fig9(measure) }},
+	{"fig10", "time share by subgraph",
+		func(_, _ int, measure bool) (Report, error) { return Fig10(measure) }},
+	{"fig11", "time share by communication type",
+		func(_, _ int, measure bool) (Report, error) { return Fig11(measure) }},
+	{"fig12", "GTEPS vs (E,H) threshold grid",
+		func(scale, ranks int, _ bool) (Report, error) { return Fig12(scale, ranks, 2) }},
+	{"fig13", "partitioned subgraph balance",
+		func(scale, _ int, _ bool) (Report, error) { return Fig13(scale, 64) }},
+	{"fig14", "bucketing throughput (psort scatter; chip not modeled)",
+		func(_, _ int, _ bool) (Report, error) { return Fig14(64), nil }},
+	{"fig15", "ablation: direction, L2L forwarding and rank workers",
+		func(scale, ranks int, _ bool) (Report, error) { return Fig15(scale, ranks, 3) }},
+	{"capacity", "per-node memory of the three schemes at SCALE 44",
+		func(_, _ int, _ bool) (Report, error) { return Capacity(), nil }},
+	{"extensions", "SSSP / PageRank / WCC / reachability on the same partitioning",
+		func(scale, ranks int, _ bool) (Report, error) { return Extensions(scale, ranks) }},
+}
+
+// seed is the graph generator's seed; the sampled roots use seed+1, as
+// bfsbench's do.
+const seed = 42
+
+// bench partitions g under cfg and runs Runner.Benchmark from roots
+// sampled, validated roots — the same roots for every cfg on one graph.
+func bench(g graph500.Graph, cfg graph500.Config, roots int) (*graph500.BenchmarkSummary, error) {
+	r, err := graph500.New(g, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return float64(count) / invSum / 1e9, nil
+	return r.Benchmark(roots, seed+1)
+}
+
+// l2lPerBFS is one BFS's L2L collective calls and bytes, averaged over the
+// runs sum aggregates.
+func l2lPerBFS(sum *graph500.BenchmarkSummary) (calls, bytes int64) {
+	v := sum.Recorder.Volumes[stats.PhaseL2L]
+	for _, c := range v.Calls {
+		calls += c
+	}
+	runs := int64(len(sum.Roots))
+	return calls / runs, v.TotalBytes() / runs
 }
 
 // table1Repeats is how often Table1 times each row. One timing per row swung
@@ -78,10 +111,10 @@ const table1Repeats = 3
 // (no L class), and degree-aware 1.5D, echoing Table 1's methods column with
 // measured GTEPS on our substrate. The L2L columns are one BFS's L2L
 // collectives: the per-edge messaging delegation exists to cut. Each row's
-// GTEPS is timed table1Repeats times.
+// GTEPS is timed table1Repeats times over the same nroots sampled roots.
 func Table1(scale, ranks, nroots int) (Report, error) {
-	rep := Report{ID: "table1", Title: "Partitioning methods (paper Table 1 context)"}
-	n, edges := genGraph(scale, 42)
+	rep := Report{Title: "Partitioning methods (paper Table 1 context)"}
+	g := graph500.Generate(graph500.GenConfig{Scale: scale, Seed: seed})
 	th := core.DefaultThresholds(scale)
 	configs := []struct {
 		name string
@@ -95,29 +128,23 @@ func Table1(scale, ranks, nroots int) (Report, error) {
 	rep.addf("%-32s %10s %16s %8s %10s %12s", "partitioning", "GTEPS", "[min, max]", "hubs", "L2L calls", "L2L bytes")
 	var runs [][]float64
 	for _, cfg := range configs {
-		eng, err := core.NewEngine(n, edges, core.Options{Ranks: ranks, Thresholds: cfg.th})
+		r, err := graph500.New(g, graph500.Config{Ranks: ranks, Thresholds: cfg.th})
 		if err != nil {
 			return rep, err
 		}
 		gs := make([]float64, table1Repeats)
+		var sum *graph500.BenchmarkSummary
 		for i := range gs {
-			if gs[i], err = runGTEPS(eng, n, edges, nroots); err != nil {
+			if sum, err = r.Benchmark(nroots, seed+1); err != nil {
 				return rep, fmt.Errorf("%s: %w", cfg.name, err)
 			}
+			gs[i] = sum.GTEPS()
 		}
 		sort.Float64s(gs)
 		runs = append(runs, gs)
-		res, err := eng.Run(firstConnectedRoot(eng))
-		if err != nil {
-			return rep, fmt.Errorf("%s: %w", cfg.name, err)
-		}
-		l2l := res.Recorder.Volumes[stats.PhaseL2L]
-		var calls int64
-		for _, c := range l2l.Calls {
-			calls += c
-		}
+		calls, bytes := l2lPerBFS(sum)
 		rep.addf("%-32s %10.3f %16s %8d %10d %12d", cfg.name, gs[len(gs)/2], fmt.Sprintf("[%.3f, %.3f]", gs[0], gs[len(gs)-1]),
-			eng.Part.Hubs.K(), calls, l2l.TotalBytes())
+			r.Engine.Part.Hubs.K(), calls, bytes)
 	}
 	rep.addf("paper records: 1D+delegates 15,363-23,756; 2D 38,621-102,956; 1.5D 180,792 GTEPS (at machine scale)")
 	// A ratio of medians whose two rows' ranges overlap is not told apart
@@ -137,9 +164,8 @@ func Table1(scale, ranks, nroots int) (Report, error) {
 // Fig2 reproduces the degree distribution of a Graph 500 graph: log2-binned
 // counts whose comb-like heavy tail matches the paper's Figure 2 shape.
 func Fig2(scale int) Report {
-	rep := Report{ID: "fig2", Title: fmt.Sprintf("Degree distribution, SCALE %d (paper Fig. 2 at SCALE 40)", scale)}
-	n, edges := genGraph(scale, 42)
-	hist := rmat.DegreeHistogram(rmat.Degrees(n, edges))
+	rep := Report{Title: fmt.Sprintf("Degree distribution, SCALE %d (paper Fig. 2 at SCALE 40)", scale)}
+	hist := graph500.DegreeHistogram(graph500.Generate(graph500.GenConfig{Scale: scale, Seed: seed}))
 	rep.addf("%-14s %12s  %s", "degree bin", "vertices", "log scale")
 	for b, c := range hist {
 		if c == 0 {
@@ -156,21 +182,26 @@ func Fig2(scale int) Report {
 }
 
 // Fig5 reproduces the per-iteration activation breakdown by class: E and H
-// activate densely in early iterations, L later.
+// activate densely in early iterations, L later. It traces one validated BFS
+// from a sampled root.
 func Fig5(scale, ranks int) (Report, error) {
-	rep := Report{ID: "fig5", Title: "Active vertices per iteration by class (paper Fig. 5)"}
-	n, edges := genGraph(scale, 42)
-	eng, err := core.NewEngine(n, edges, core.Options{Ranks: ranks})
+	rep := Report{Title: "Active vertices per iteration by class (paper Fig. 5)"}
+	g := graph500.Generate(graph500.GenConfig{Scale: scale, Seed: seed})
+	r, err := graph500.New(g, graph500.Config{Ranks: ranks})
 	if err != nil {
 		return rep, err
 	}
-	res, err := eng.Run(firstConnectedRoot(eng))
+	roots, err := r.SampleRoots(1, seed+1)
 	if err != nil {
 		return rep, err
 	}
-	numE := int64(eng.Part.Hubs.NumE)
-	numH := int64(eng.Part.Hubs.NumH)
-	numL := n - numE - numH
+	res, err := r.RunValidated(roots[0])
+	if err != nil {
+		return rep, err
+	}
+	numE := int64(r.Engine.Part.Hubs.NumE)
+	numH := int64(r.Engine.Part.Hubs.NumH)
+	numL := g.NumVertices - numE - numH
 	rep.addf("%4s %10s %10s %10s  %8s %8s %8s", "iter", "E", "H", "L", "%E", "%H", "%L")
 	pct := func(a, b int64) float64 {
 		if b == 0 {
@@ -190,7 +221,7 @@ func Fig5(scale, ranks int) (Report, error) {
 // node counts next to the paper's reported values, plus measured laptop-
 // scale points for grounding.
 func Fig9(measure bool) (Report, error) {
-	rep := Report{ID: "fig9", Title: "Weak scalability (paper Fig. 9)"}
+	rep := Report{Title: "Weak scalability (paper Fig. 9)"}
 	m := perfmodel.DefaultModel()
 	projs, eff := m.WeakScaling()
 	rep.addf("%-8s %-8s %14s %14s %9s", "scale", "nodes", "model GTEPS", "paper GTEPS", "model/paper")
@@ -202,25 +233,31 @@ func Fig9(measure bool) (Report, error) {
 	if measure {
 		rep.addf("measured in-process weak scaling (shape grounding):")
 		for _, pt := range []struct{ scale, ranks int }{{14, 1}, {15, 2}, {16, 4}, {17, 8}, {18, 16}} {
-			n, edges := genGraph(pt.scale, 42)
-			eng, err := core.NewEngine(n, edges, core.Options{Ranks: pt.ranks})
+			g := graph500.Generate(graph500.GenConfig{Scale: pt.scale, Seed: seed})
+			sum, err := bench(g, graph500.Config{Ranks: pt.ranks}, 3)
 			if err != nil {
 				return rep, err
 			}
-			g, err := runGTEPS(eng, n, edges, 3)
-			if err != nil {
-				return rep, err
-			}
-			rep.addf("  scale %d on %2d ranks: %.3f GTEPS", pt.scale, pt.ranks, g)
+			rep.addf("  scale %d on %2d ranks: %.3f GTEPS", pt.scale, pt.ranks, sum.GTEPS())
 		}
 	}
 	return rep, nil
 }
 
+// measuredAt is the recorder of one validated BFS from a sampled root on the
+// standard graph at scale over ranks: the measured rows of Figures 10 and 11.
+func measuredAt(scale, ranks int) (*stats.Recorder, error) {
+	sum, err := bench(graph500.Generate(graph500.GenConfig{Scale: scale, Seed: seed}), graph500.Config{Ranks: ranks}, 1)
+	if err != nil {
+		return nil, err
+	}
+	return &sum.Recorder, nil
+}
+
 // Fig10 reproduces the time breakdown by subgraph over the scaling points,
 // from the perfmodel plus one measured breakdown.
 func Fig10(measure bool) (Report, error) {
-	rep := Report{ID: "fig10", Title: "Time share by subgraph (paper Fig. 10)"}
+	rep := Report{Title: "Time share by subgraph (paper Fig. 10)"}
 	m := perfmodel.DefaultModel()
 	names := append(append([]string{}, perfmodel.ComponentNames...), "reduce", "other")
 	header := fmt.Sprintf("%-8s %-8s", "scale", "nodes")
@@ -237,10 +274,11 @@ func Fig10(measure bool) (Report, error) {
 		rep.Lines = append(rep.Lines, line)
 	}
 	if measure {
-		bd, err := measuredBreakdown(18, 16)
+		rec, err := measuredAt(18, 16)
 		if err != nil {
 			return rep, err
 		}
+		bd := rec.PhaseShare()
 		rep.addf("measured at scale 18, 16 ranks (time share):")
 		line := "  "
 		for p := stats.Phase(0); p < stats.NumPhases; p++ {
@@ -251,23 +289,9 @@ func Fig10(measure bool) (Report, error) {
 	return rep, nil
 }
 
-func measuredBreakdown(scale, ranks int) ([stats.NumPhases]float64, error) {
-	var out [stats.NumPhases]float64
-	n, edges := genGraph(scale, 42)
-	eng, err := core.NewEngine(n, edges, core.Options{Ranks: ranks})
-	if err != nil {
-		return out, err
-	}
-	res, err := eng.Run(firstConnectedRoot(eng))
-	if err != nil {
-		return out, err
-	}
-	return res.Recorder.PhaseShare(), nil
-}
-
 // Fig11 reproduces the time breakdown by communication type.
 func Fig11(measure bool) (Report, error) {
-	rep := Report{ID: "fig11", Title: "Time share by communication type (paper Fig. 11)"}
+	rep := Report{Title: "Time share by communication type (paper Fig. 11)"}
 	m := perfmodel.DefaultModel()
 	cats := []string{"compute", "imbalance/latency", "alltoallv", "allgather", "reduce_scatter", "other"}
 	header := fmt.Sprintf("%-8s %-8s", "scale", "nodes")
@@ -284,16 +308,11 @@ func Fig11(measure bool) (Report, error) {
 		rep.Lines = append(rep.Lines, line)
 	}
 	if measure {
-		n, edges := genGraph(18, 42)
-		eng, err := core.NewEngine(n, edges, core.Options{Ranks: 16})
+		rec, err := measuredAt(18, 16)
 		if err != nil {
 			return rep, err
 		}
-		res, err := eng.Run(firstConnectedRoot(eng))
-		if err != nil {
-			return rep, err
-		}
-		v := res.Recorder.CommBreakdown()
+		v := rec.CommBreakdown()
 		rep.addf("measured volumes at scale 18, 16 ranks (bytes, intra+inter supernode):")
 		rep.addf("  alltoallv=%d allgather=%d reduce_scatter=%d",
 			v.IntraBytes[0]+v.InterBytes[0], v.IntraBytes[1]+v.InterBytes[1], v.IntraBytes[2]+v.InterBytes[2])
@@ -305,8 +324,8 @@ func Fig11(measure bool) (Report, error) {
 // combinations of E and H thresholds (paper Fig. 12 at SCALE 35 on 256
 // nodes; here at reduced scale with scale-appropriate threshold values).
 func Fig12(scale, ranks, nroots int) (Report, error) {
-	rep := Report{ID: "fig12", Title: "GTEPS vs (E,H) degree thresholds (paper Fig. 12)"}
-	n, edges := genGraph(scale, 42)
+	rep := Report{Title: "GTEPS vs (E,H) degree thresholds (paper Fig. 12)"}
+	g := graph500.Generate(graph500.GenConfig{Scale: scale, Seed: seed})
 	base := core.DefaultThresholds(scale)
 	hVals := []int64{base.H / 4, base.H, base.H * 4, base.H * 16}
 	eVals := []int64{base.E / 4, base.E, base.E * 4, base.E * 16}
@@ -323,17 +342,13 @@ func Fig12(scale, ranks, nroots int) (Report, error) {
 				line += fmt.Sprintf(" %10s", "-") // invalid cell, as in the paper's zeros
 				continue
 			}
-			eng, err := core.NewEngine(n, edges, core.Options{Ranks: ranks, Thresholds: partition.Thresholds{E: e, H: h}})
+			sum, err := bench(g, graph500.Config{Ranks: ranks, Thresholds: partition.Thresholds{E: e, H: h}}, nroots)
 			if err != nil {
 				return rep, err
 			}
-			g, err := runGTEPS(eng, n, edges, nroots)
-			if err != nil {
-				return rep, err
-			}
-			line += fmt.Sprintf(" %10.3f", g)
-			if g > bestG {
-				bestG, best = g, fmt.Sprintf("E=%d H=%d", e, h)
+			line += fmt.Sprintf(" %10.3f", sum.GTEPS())
+			if sum.GTEPS() > bestG {
+				bestG, best = sum.GTEPS(), fmt.Sprintf("E=%d H=%d", e, h)
 			}
 		}
 		rep.Lines = append(rep.Lines, line)
@@ -345,15 +360,22 @@ func Fig12(scale, ranks, nroots int) (Report, error) {
 // Fig13 reproduces the per-partition subgraph size balance: min/max/mean
 // stored edges per rank for each of the six components.
 func Fig13(scale, ranks int) (Report, error) {
-	rep := Report{ID: "fig13", Title: "Partitioned subgraph size balance (paper Fig. 13)"}
-	n, edges := genGraph(scale, 42)
+	rep := Report{Title: "Partitioned subgraph size balance (paper Fig. 13)"}
 	mesh := topology.SquarestMesh(ranks)
-	p, err := partition.Build(n, edges, mesh, core.DefaultThresholds(scale), 0)
+	balance := func(scale int) ([]partition.BalanceStats, error) {
+		g := graph500.Generate(graph500.GenConfig{Scale: scale, Seed: seed})
+		p, err := partition.Build(g.NumVertices, g.Edges, mesh, core.DefaultThresholds(scale), 0)
+		if err != nil {
+			return nil, err
+		}
+		return p.Balance(), nil
+	}
+	bal, err := balance(scale)
 	if err != nil {
 		return rep, err
 	}
 	rep.addf("%-8s %12s %12s %12s %12s %9s", "comp", "min", "max", "mean", "max/mean", "spread")
-	for _, st := range p.Balance() {
+	for _, st := range bal {
 		if st.Mean == 0 {
 			continue
 		}
@@ -370,13 +392,11 @@ func Fig13(scale, ranks int) (Report, error) {
 		if s < 8 {
 			continue
 		}
-		ns, es := genGraph(s, 42)
-		ps, err := partition.Build(ns, es, mesh, core.DefaultThresholds(s), 0)
+		bal, err := balance(s)
 		if err != nil {
 			return rep, err
 		}
-		st := ps.Balance()[partition.CompEH2EH]
-		if st.Mean > 0 {
+		if st := bal[partition.CompEH2EH]; st.Mean > 0 {
 			rep.addf("  scale %2d: %.3f", s, float64(st.Max)/st.Mean)
 		}
 	}
@@ -387,7 +407,7 @@ func Fig13(scale, ranks int) (Report, error) {
 // Section 2.3: modeled per-node bytes for the three partitioning schemes at
 // SCALE 44 on 103,912 x 96 GiB nodes.
 func Capacity() Report {
-	rep := Report{ID: "capacity", Title: "Per-node memory at SCALE 44 (paper Section 2.3 / 8x capacity headline)"}
+	rep := Report{Title: "Per-node memory at SCALE 44 (paper Section 2.3 / 8x capacity headline)"}
 	oneD, twoD := perfmodel.PaperSection23Delegates()
 	rep.addf("paper's per-node delegate counts: 1D needs %.2e vertices, 2D shares %.2e (both untenable)", oneD, twoD)
 	rep.addf("%-24s %12s %14s %12s %10s %6s", "scheme", "edges (GiB)", "delegates (GiB)", "local (GiB)", "total", "fits?")
@@ -402,43 +422,35 @@ func Capacity() Report {
 
 // Extensions summarizes the beyond-the-paper workloads the core driver runs
 // on the same partitioning: SSSP (Graph 500 kernel 2), PageRank, connected
-// components, and reachability from the SSSP root.
+// components, and reachability from the SSSP root, a sampled one.
 func Extensions(scale, ranks int) (Report, error) {
-	rep := Report{ID: "extensions", Title: "Beyond the paper: kernel 2 and the Section 8 analytics direction"}
-	n, edges := genGraph(scale, 42)
-	eng, err := core.NewEngine(n, edges, core.Options{Ranks: ranks})
+	rep := Report{Title: "Beyond the paper: kernel 2 and the Section 8 analytics direction"}
+	r, err := graph500.New(graph500.Generate(graph500.GenConfig{Scale: scale, Seed: seed}), graph500.Config{Ranks: ranks})
 	if err != nil {
 		return rep, err
 	}
-	root := int64(0)
-	for v, d := range eng.Part.Degrees {
-		if d > 0 {
-			root = int64(v)
-			break
-		}
-	}
-	sres, err := eng.RunSSSP(root, 7, 0)
+	roots, err := r.SampleRoots(1, seed+1)
 	if err != nil {
 		return rep, err
 	}
-	if err := sssp.ValidateResult(n, edges, 7, &sssp.Result{
-		Root: root, Dist: sres.Dist, Parent: sres.Parent,
-	}); err != nil {
+	root := roots[0]
+	sres, err := r.SSSPValidated(root, 7)
+	if err != nil {
 		return rep, err
 	}
 	rep.addf("SSSP (kernel 2): %d rounds, %d relaxations, %v (validated against optimality conditions)",
 		sres.Iterations, sres.Relaxations, sres.Time.Round(time.Millisecond))
-	pr, err := eng.RunPageRank(0.85, 1e-8, 200)
+	pr, err := r.PageRank(0.85, 1e-8, 200)
 	if err != nil {
 		return rep, err
 	}
 	rep.addf("PageRank: converged in %d iterations (delta %.1e) in %v", pr.Iterations, pr.Delta, pr.Time.Round(time.Millisecond))
-	wcc, err := eng.RunWCC()
+	wcc, err := r.ConnectedComponents()
 	if err != nil {
 		return rep, err
 	}
 	rep.addf("connected components: %d components in %d label rounds, %v", wcc.Components, wcc.Iterations, wcc.Time.Round(time.Millisecond))
-	reach, err := eng.Run(root)
+	reach, err := r.RunValidated(root)
 	if err != nil {
 		return rep, err
 	}
@@ -460,7 +472,7 @@ func Extensions(scale, ranks int) (Report, error) {
 // per-CPE scratchpads and RMA puts between them, which this host lacks, so
 // only the paper's chip figures are printed beside the host's.
 func Fig14(totalMB int) Report {
-	rep := Report{ID: "fig14", Title: "Bucketing throughput (paper Fig. 14; host only)"}
+	rep := Report{Title: "Bucketing throughput (paper Fig. 14; host only)"}
 	keys := make([]uint64, totalMB<<20/8)
 	rng := rmatRand(99)
 	for i := range keys {
@@ -494,43 +506,45 @@ func rmatRand(seed uint64) func() uint64 {
 	}
 }
 
-// Fig15 reproduces the optimization ablation: (a) vanilla whole-iteration
-// direction optimization, (b) + sub-iteration direction optimization; time
-// broken into EH2EH/other push/pull. The paper's third bar, CG-aware core
-// subgraph segmenting, is not reproduced: it pays through per-core-group
+// Fig15 reproduces the optimization ablation, each row adding one design to
+// the one above: (a) vanilla whole-iteration direction optimization, (b)
+// + sub-iteration direction optimization, (c) + the paper's L2L forwarding
+// through the intersection rank of the source column and destination row
+// (Options.Hierarchical), (d) + two workers per rank, which run the
+// edge-aware vertex cut and the two-stage destination update
+// (Options.RankWorkers). Time is broken into EH2EH/other push/pull, beside
+// one BFS's L2L collective calls and bytes and its edges touched; every row
+// runs the same reps sampled roots. The paper's CG-aware core subgraph
+// segmenting bar is not reproduced: it pays through per-core-group
 // scratchpads read over RMA, which a commodity host lacks (DESIGN §1).
 func Fig15(scale, ranks, reps int) (Report, error) {
-	rep := Report{ID: "fig15", Title: "Ablation: baseline / +sub-iteration (paper Fig. 15)"}
-	n, edges := genGraph(scale, 42)
+	rep := Report{Title: "Ablation: baseline / +sub-iteration / +forwarding / +2 workers (paper Fig. 15)"}
+	g := graph500.Generate(graph500.GenConfig{Scale: scale, Seed: seed})
+	sub := graph500.Config{Ranks: ranks, Direction: graph500.SubIterationDirections}
+	fwd := sub
+	fwd.Hierarchical = true
+	workers := fwd
+	workers.RankWorkers = 2
 	configs := []struct {
 		name string
-		opt  core.Options
+		cfg  graph500.Config
 	}{
-		{"baseline", core.Options{Ranks: ranks, Direction: core.ModeWholeIteration}},
-		{"+sub-iter", core.Options{Ranks: ranks, Direction: core.ModeSubIteration}},
+		{"baseline", graph500.Config{Ranks: ranks, Direction: graph500.WholeIterationDirection}},
+		{"+sub-iter", sub},
+		{"+forwarding", fwd},
+		{"+2 workers", workers},
 	}
-	rep.addf("%-10s %12s %12s %12s %12s %12s %14s", "config", "EH2EH pull", "others pull", "EH2EH push", "others push", "other", "edges touched")
+	rep.addf("%-12s %11s %11s %11s %11s %10s %10s %12s %14s", "config", "EH2EH pull", "others pull", "EH2EH push", "others push",
+		"other", "L2L calls", "L2L bytes", "edges touched")
 	for _, cfg := range configs {
-		eng, err := core.NewEngine(n, edges, cfg.opt)
+		sum, err := bench(g, cfg.cfg, reps)
 		if err != nil {
-			return rep, err
-		}
-		root := firstConnectedRoot(eng)
-		agg := &stats.Recorder{}
-		var edgesTouched int64
-		for r := 0; r < reps; r++ {
-			res, err := eng.Run(root)
-			if err != nil {
-				return rep, err
-			}
-			agg.Merge(res.Recorder)
-			edgesTouched = res.Recorder.TotalEdges()
+			return rep, fmt.Errorf("%s: %w", cfg.name, err)
 		}
 		var ehPull, ehPush, otherPull, otherPush, rest time.Duration
 		for p := stats.Phase(0); p < stats.NumPhases; p++ {
-			pull := agg.Time[p][stats.DirPull]
-			push := agg.Time[p][stats.DirPush]
-			none := agg.Time[p][stats.DirNone]
+			pull := sum.Recorder.Time[p][stats.DirPull]
+			push := sum.Recorder.Time[p][stats.DirPush]
 			if p == stats.PhaseEH2EH {
 				ehPull += pull
 				ehPush += push
@@ -538,96 +552,47 @@ func Fig15(scale, ranks, reps int) (Report, error) {
 				otherPull += pull
 				otherPush += push
 			}
-			rest += none
+			rest += sum.Recorder.Time[p][stats.DirNone]
 		}
 		d := func(t time.Duration) string {
 			return fmt.Sprintf("%.2fms", float64(t.Microseconds())/1e3/float64(reps))
 		}
-		rep.addf("%-10s %12s %12s %12s %12s %12s %14d", cfg.name, d(ehPull), d(otherPull), d(ehPush), d(otherPush), d(rest), edgesTouched)
+		calls, bytes := l2lPerBFS(sum)
+		rep.addf("%-12s %11s %11s %11s %11s %10s %10d %12d %14d", cfg.name, d(ehPull), d(otherPull), d(ehPush), d(otherPush), d(rest),
+			calls, bytes, sum.Recorder.TotalEdges()/int64(reps))
 	}
 	rep.addf("paper: sub-iteration shifts E/H push time into cheaper pulls; segmenting speeds EH2EH pull ~9x on silicon (not reproduced here)")
 	return rep, nil
 }
 
-func firstConnectedRoot(eng *core.Engine) int64 {
-	for v, d := range eng.Part.Degrees {
-		if d > 0 {
-			return int64(v)
-		}
-	}
-	return 0
-}
-
-// All runs every experiment at the given default sizes and returns the
-// reports in figure order.
+// All runs every registered exhibit in Registry order at the given sizes.
 func All(scale, ranks int, measure bool) ([]Report, error) {
 	var out []Report
-	add := func(r Report, err error) error {
+	for _, x := range Registry {
+		rep, err := x.run(scale, ranks, measure)
 		if err != nil {
-			return err
+			return out, err
 		}
-		out = append(out, r)
-		return nil
+		out = append(out, rep)
 	}
-	if err := add(Table1(scale, ranks, 4)); err != nil {
-		return out, err
-	}
-	out = append(out, Fig2(scale))
-	if err := add(Fig5(scale, ranks)); err != nil {
-		return out, err
-	}
-	if err := add(Fig9(measure)); err != nil {
-		return out, err
-	}
-	if err := add(Fig10(measure)); err != nil {
-		return out, err
-	}
-	if err := add(Fig11(measure)); err != nil {
-		return out, err
-	}
-	if err := add(Fig12(scale, ranks, 2)); err != nil {
-		return out, err
-	}
-	if err := add(Fig13(scale, 64)); err != nil {
-		return out, err
-	}
-	out = append(out, Fig14(64))
-	if err := add(Fig15(scale, ranks, 3)); err != nil {
-		return out, err
-	}
-	out = append(out, Capacity())
 	return out, nil
 }
 
-// ByID runs one experiment by its id string.
+// ByID runs one registered exhibit by its id (case-insensitive).
 func ByID(id string, scale, ranks int, measure bool) (Report, error) {
-	switch strings.ToLower(id) {
-	case "table1":
-		return Table1(scale, ranks, 4)
-	case "fig2":
-		return Fig2(scale), nil
-	case "fig5":
-		return Fig5(scale, ranks)
-	case "fig9":
-		return Fig9(measure)
-	case "fig10":
-		return Fig10(measure)
-	case "fig11":
-		return Fig11(measure)
-	case "fig12":
-		return Fig12(scale, ranks, 2)
-	case "fig13":
-		return Fig13(scale, 64)
-	case "fig14":
-		return Fig14(64), nil
-	case "capacity":
-		return Capacity(), nil
-	case "extensions":
-		return Extensions(scale, ranks)
-	case "fig15":
-		return Fig15(scale, ranks, 3)
+	var ids []string
+	for _, x := range Registry {
+		if strings.EqualFold(x.ID, id) {
+			return x.run(scale, ranks, measure)
+		}
+		ids = append(ids, x.ID)
 	}
-	ids := []string{"table1", "fig2", "fig5", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "capacity", "extensions"}
-	sort.Strings(ids)
 	return Report{}, fmt.Errorf("experiments: unknown id %q (have %s)", id, strings.Join(ids, ", "))
+}
+
+// run regenerates the exhibit and stamps its report with the exhibit's id.
+func (x Exhibit) run(scale, ranks int, measure bool) (Report, error) {
+	rep, err := x.Run(scale, ranks, measure)
+	rep.ID = x.ID
+	return rep, err
 }

@@ -103,16 +103,34 @@ func TestFig14(t *testing.T) {
 	}
 }
 
+// TestFig15 checks the four ablation rows, each with its L2L calls and bytes,
+// and that forwarding and a second worker leave the edges the kernels scan
+// where sub-iteration put them: the two switches change how messages travel
+// and who applies them, not which edges are walked.
 func TestFig15(t *testing.T) {
-	rep, err := Fig15(12, 4, 1)
+	rep, err := Fig15(12, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	joined := strings.Join(rep.Lines, "\n")
-	for _, want := range []string{"baseline", "+sub-iter"} {
-		if !strings.Contains(joined, want) {
-			t.Fatalf("missing %q:\n%s", want, joined)
+	edges := map[string]string{}
+	for _, name := range []string{"baseline", "+sub-iter", "+forwarding", "+2 workers"} {
+		var row []string
+		for _, line := range rep.Lines {
+			if f := strings.Fields(strings.TrimPrefix(line, name)); strings.HasPrefix(line, name+" ") && len(f) == 8 {
+				row = f
+			}
 		}
+		if row == nil {
+			t.Fatalf("no %q row with 8 columns:\n%s", name, joined)
+		}
+		if row[5] == "0" || row[6] == "0" {
+			t.Fatalf("%s: L2L calls %s, bytes %s:\n%s", name, row[5], row[6], joined)
+		}
+		edges[name] = row[7]
+	}
+	if e := edges["+sub-iter"]; edges["+forwarding"] != e || edges["+2 workers"] != e {
+		t.Fatalf("edges touched differ across +sub-iter, +forwarding, +2 workers: %v\n%s", edges, joined)
 	}
 }
 
@@ -126,14 +144,27 @@ func TestCapacity(t *testing.T) {
 	}
 }
 
+// TestByID checks that every id -list prints (the registry's) is accepted
+// by ByID, that All runs the registry in order, extensions included, and
+// that an unknown id errors.
 func TestByID(t *testing.T) {
-	if _, err := ByID("fig2", 10, 4, false); err != nil {
+	reports, err := All(10, 4, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ByID("capacity", 10, 4, false); err != nil {
-		t.Fatal(err)
+	if len(reports) != len(Registry) || reports[len(reports)-1].ID != "extensions" {
+		t.Fatalf("All ran %d reports, want the %d registered ending in extensions", len(reports), len(Registry))
 	}
-	if _, err := ByID("nope", 10, 4, false); err == nil {
-		t.Fatal("unknown id accepted")
+	for i, x := range Registry {
+		if reports[i].ID != x.ID {
+			t.Fatalf("All's report %d is %q, want %q", i, reports[i].ID, x.ID)
+		}
+		rep, err := ByID(strings.ToUpper(x.ID), 10, 4, false)
+		if err != nil || rep.ID != x.ID {
+			t.Fatalf("ByID(%q) = %q, %v", x.ID, rep.ID, err)
+		}
+	}
+	if _, err := ByID("nope", 10, 4, false); err == nil || !strings.Contains(err.Error(), "extensions") {
+		t.Fatalf("unknown id: %v", err)
 	}
 }

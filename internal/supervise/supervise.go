@@ -178,16 +178,6 @@ type Config struct {
 	// this long — but only workers that reported at least once, so children
 	// that never adopt the reporter are not shot for silence. 0 disables.
 	HeartbeatTimeout time.Duration
-	// SerializeRestarts admits at most one restarted incarnation (gen > 1)
-	// at a time: a restart whose backoff expires while another restarted
-	// worker is still running queues behind it. Concurrently-restarted
-	// members of a distributed world cannot be told apart from a fresh
-	// world by each other — they hold no dead verdicts for one another —
-	// so they would recognize each other as a quorum and re-run the
-	// world's work as a rump session against live state. Serialized, each
-	// restart meets the real world's verdict (re-admission, sealed
-	// rejection, or orphan silence) alone.
-	SerializeRestarts bool
 	// DrainTimeout bounds a graceful drain: SIGTERM first, SIGKILL to
 	// whatever is still alive at the deadline. Default 10s.
 	DrainTimeout time.Duration
@@ -274,7 +264,13 @@ type Supervisor struct {
 	drainCh   chan struct{}
 
 	// pendingRestarts queues slots whose backoff expired while another
-	// restarted incarnation was running (SerializeRestarts).
+	// restarted incarnation (gen > 1) was running: restarts are serialized.
+	// Concurrently-restarted members of a distributed world cannot be told
+	// apart from a fresh world by each other — they hold no dead verdicts
+	// for one another — so they would recognize each other as a quorum and
+	// re-run the world's work as a rump session against live state.
+	// Serialized, each restart meets the real world's verdict
+	// (re-admission, sealed rejection, or orphan silence) alone.
 	pendingRestarts []int
 
 	mu        sync.Mutex
@@ -479,7 +475,7 @@ func (s *Supervisor) Run() error {
 			if sl.state != slotBackoff {
 				break // drained or killed while waiting
 			}
-			if s.cfg.SerializeRestarts && s.restartedRunning() {
+			if s.restartedRunning() {
 				s.pendingRestarts = append(s.pendingRestarts, id)
 				break
 			}

@@ -283,7 +283,7 @@ func TestSupervisorDrainEscalates(t *testing.T) {
 	}
 }
 
-// TestSupervisorSerializesRestarts: with SerializeRestarts, two slots whose
+// TestSupervisorSerializesRestarts: two slots whose
 // first incarnations crash together must run their replacements one at a
 // time. The replacements race for an atomic mkdir lock; any overlap leaves a
 // marker file.
@@ -296,9 +296,8 @@ func TestSupervisorSerializesRestarts(t *testing.T) {
 		Start: sh("if [ {GEN} -eq 1 ]; then exit 1; fi; " +
 			"if mkdir " + lock + " 2>/dev/null; then sleep 0.15; rmdir " + lock + "; exit 0; " +
 			"else echo gen-{GEN} >> " + overlap + "; exit 0; fi"),
-		BackoffBase:       time.Millisecond,
-		BackoffCap:        4 * time.Millisecond,
-		SerializeRestarts: true,
+		BackoffBase: time.Millisecond,
+		BackoffCap:  4 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
