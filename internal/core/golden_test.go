@@ -88,6 +88,18 @@ func TestSoloGoldenPinned(t *testing.T) {
 		{"batch8-sparse-always", 8, func() (int64, []rmat.Edge) { return combEdges(48, 9) },
 			Options{Mesh: mesh22, Thresholds: partition.Thresholds{E: 64, H: 3}, SparseTail: SparseAlways},
 			soloGolden{parentFNV: 5740447163893679389, iterations: 58, calls: 2172, bytes: 620232, edges: 62584}},
+		// Push-only rows, recorded at e85a507, the last commit whose BFS had
+		// its own hand-written push kernels: they pin every push component
+		// (dense, sparse and forwarded L2L) with no pull to hide it.
+		{"push-only", 1, rm(12, 31),
+			Options{Mesh: mesh22, Thresholds: DefaultThresholds(12), Direction: ModePushOnly},
+			soloGolden{parentFNV: 6695839752681299965, iterations: 5, calls: 216, bytes: 131904, edges: 130674}},
+		{"batch8-push-only-sparse-always", 8, rm(10, 42),
+			Options{Mesh: mesh22, Thresholds: th, Direction: ModePushOnly, SparseTail: SparseAlways},
+			soloGolden{parentFNV: 9592690649358144146, iterations: 5, calls: 208, bytes: 1441192, edges: 259888}},
+		{"batch8-push-only+hierarchical", 8, rm(10, 42),
+			Options{Mesh: mesh23, Thresholds: th, Direction: ModePushOnly, SparseTail: SparseOff, Hierarchical: true},
+			soloGolden{parentFNV: 15020987197805264642, iterations: 5, calls: 372, bytes: 647728, edges: 259888}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
