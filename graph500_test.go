@@ -115,7 +115,6 @@ func TestConfigVariants(t *testing.T) {
 		{Ranks: 8, Hierarchical: true},
 		{Mesh: Mesh{Rows: 2, Cols: 4}},
 		{Ranks: 4, Thresholds: Thresholds{E: 128, H: 16}},
-		{Ranks: 4, RankWorkers: 2},
 	} {
 		r, err := New(g, cfg)
 		if err != nil {

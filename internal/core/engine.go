@@ -1,8 +1,7 @@
 // Package core implements the paper's distributed BFS engine on top of the
 // 1.5D partitioning: per-component push/pull kernels, sub-iteration direction
-// optimization (Section 4.2), edge-aware vertex-cut load balancing of the
-// EH2EH push (Section 5), and delayed reduction of the delegated parent array
-// (Section 5). Ranks are
+// optimization (Section 4.2) and delayed reduction of the delegated parent
+// array (Section 5). Ranks are
 // comm.World goroutines; hub (E and H) state is delegated — replicated and
 // synchronized with column+row collectives — while L state lives only at its
 // owner.
@@ -92,9 +91,6 @@ type Options struct {
 	Thresholds partition.Thresholds // degree thresholds; zero = DefaultThresholds
 
 	Direction DirectionMode
-	// RankWorkers is intra-rank kernel parallelism; the EH2EH push uses
-	// edge-aware vertex-cut chunking across these workers. 0 means 1.
-	RankWorkers int
 	// Hierarchical routes L2L messages through the intersection rank of the
 	// source column and destination row (two alltoallvs on sub-communicators)
 	// instead of one world alltoallv, as the paper's forwarding does.
@@ -224,9 +220,6 @@ func (o Options) withDefaults() (Options, error) {
 	o.Ranks = o.Mesh.Size()
 	if o.Machine.Nodes == 0 {
 		o.Machine = topology.NewSunway(o.Ranks)
-	}
-	if o.RankWorkers <= 0 {
-		o.RankWorkers = 1
 	}
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 128

@@ -113,17 +113,6 @@ func TestEngineHierarchicalL2L(t *testing.T) {
 	checkAgainstReference(t, n, edges, opt, []int64{0, 77})
 }
 
-func TestEngineRankWorkersVertexCut(t *testing.T) {
-	n, edges := rmatEdges(t, 10, 8)
-	opt := Options{
-		Mesh:        topology.Mesh{Rows: 2, Cols: 2},
-		Thresholds:  partition.Thresholds{E: 256, H: 32},
-		RankWorkers: 4,
-		Direction:   ModePushOnly, // exercise the vertex-cut push hard
-	}
-	checkAgainstReference(t, n, edges, opt, []int64{0, 13})
-}
-
 func TestEngineIsolatedRoot(t *testing.T) {
 	// A root with no edges: the BFS must terminate immediately with only the
 	// root reached.
@@ -271,36 +260,6 @@ func TestDefaultThresholds(t *testing.T) {
 		if err := th.Validate(); err != nil {
 			t.Fatalf("scale %d: %v", scale, err)
 		}
-	}
-}
-
-func TestEdgeCutChunksBalance(t *testing.T) {
-	// 1 heavy vertex followed by many light ones: the cut must isolate the
-	// heavy one rather than splitting by count.
-	prefix := []int64{0}
-	weights := append([]int64{1000}, make([]int64, 99)...)
-	for i := range weights {
-		if i > 0 {
-			weights[i] = 1
-		}
-		prefix = append(prefix, prefix[len(prefix)-1]+weights[i])
-	}
-	chunks := edgeCutChunks(prefix, 4)
-	if len(chunks) == 0 {
-		t.Fatal("no chunks")
-	}
-	// Coverage: contiguous, complete.
-	if chunks[0][0] != 0 || chunks[len(chunks)-1][1] != 100 {
-		t.Fatalf("chunks %v do not cover [0,100)", chunks)
-	}
-	for i := 1; i < len(chunks); i++ {
-		if chunks[i][0] != chunks[i-1][1] {
-			t.Fatalf("chunks %v not contiguous", chunks)
-		}
-	}
-	// The heavy vertex must be alone in its chunk.
-	if chunks[0][1] != 1 {
-		t.Fatalf("first chunk %v should contain only the heavy vertex", chunks[0])
 	}
 }
 

@@ -214,29 +214,3 @@ func firstConnectedRootOf(eng *Engine) int64 {
 	}
 	return 0
 }
-
-func TestTwoStageApplyMatchesSerial(t *testing.T) {
-	// The parallel two-stage L message application must produce the same
-	// reachable sets and levels as the serial path.
-	cfg := rmat.Config{Scale: 11, Seed: 72}
-	edges := rmat.Generate(cfg)
-	n := cfg.NumVertices()
-	run := func(workers int) *Result {
-		eng, err := NewEngine(n, edges, Options{Ranks: 4, RankWorkers: workers, Direction: ModePushOnly})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Run(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial := run(1)
-	parallel := run(4)
-	for v := int64(0); v < n; v++ {
-		if (serial.Parent[v] >= 0) != (parallel.Parent[v] >= 0) {
-			t.Fatalf("reachability of %d differs between apply paths", v)
-		}
-	}
-}

@@ -55,11 +55,11 @@ func rowMask(ptr []int64, n int) []uint64 {
 // of a batch share their rank's scratch; they run one at a time, and so do
 // the workloads of successive runs.
 type rankScratch struct {
-	active               []int32             // ehPush: active source positions
 	ups                  []comm.SparseUpdate // sparse pushes parked until their flush
 	pushParts            [][]pushMsg         // dense send buffers; components ship one at a time
 	distParts            [][]distMsg
 	sendWords, recvWords []uint64 // pull-frontier gathers
+	fwdAt                []int    // forwardL2L's run offsets
 
 	touched  touchedHubs // delegates changed since the last syncTouched
 	hubRecs  []pushMsg   // syncTouched's packed records

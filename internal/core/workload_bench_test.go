@@ -65,7 +65,7 @@ func scratchBytes(e *Engine) (total int) {
 	for i := range e.scratch {
 		s := &e.scratch[i]
 		total += cap(s.ups)*24 + cap(s.hubRecs)*16 + cap(s.distRecs)*24 + cap(s.touched.list)*4 +
-			cap(s.active)*4 + (cap(s.sendWords)+cap(s.recvWords))*8
+			cap(s.fwdAt)*8 + (cap(s.sendWords)+cap(s.recvWords))*8
 		for _, p := range s.pushParts {
 			total += cap(p) * 16
 		}

@@ -56,19 +56,16 @@ var Registry = []Exhibit{
 		func(scale, _ int, _ bool) (Report, error) { return Fig2(scale), nil }},
 	{"fig5", "per-iteration activation by class",
 		func(scale, ranks int, _ bool) (Report, error) { return Fig5(scale, ranks) }},
-	{"fig9", "weak scalability (model + measured)",
-		func(_, _ int, measure bool) (Report, error) { return Fig9(measure) }},
-	{"fig10", "time share by subgraph",
-		func(_, _ int, measure bool) (Report, error) { return Fig10(measure) }},
-	{"fig11", "time share by communication type",
-		func(_, _ int, measure bool) (Report, error) { return Fig11(measure) }},
+	{"fig9", "weak scalability (model + measured)", Fig9},
+	{"fig10", "time share by subgraph", Fig10},
+	{"fig11", "time share by communication type", Fig11},
 	{"fig12", "GTEPS vs (E,H) threshold grid",
 		func(scale, ranks int, _ bool) (Report, error) { return Fig12(scale, ranks, 2) }},
 	{"fig13", "partitioned subgraph balance",
 		func(scale, _ int, _ bool) (Report, error) { return Fig13(scale, 64) }},
 	{"fig14", "bucketing throughput (psort scatter; chip not modeled)",
 		func(_, _ int, _ bool) (Report, error) { return Fig14(64), nil }},
-	{"fig15", "ablation: direction, L2L forwarding and rank workers",
+	{"fig15", "ablation: direction and L2L forwarding",
 		func(scale, ranks int, _ bool) (Report, error) { return Fig15(scale, ranks, 3) }},
 	{"capacity", "per-node memory of the three schemes at SCALE 44",
 		func(_, _ int, _ bool) (Report, error) { return Capacity(), nil }},
@@ -219,8 +216,9 @@ func Fig5(scale, ranks int) (Report, error) {
 
 // Fig9 reproduces weak scalability: the perfmodel projection at the paper's
 // node counts next to the paper's reported values, plus measured laptop-
-// scale points for grounding.
-func Fig9(measure bool) (Report, error) {
+// scale points for grounding, a weak-scaling ladder that halves the ranks and
+// drops one SCALE per step and ends at (scale, ranks).
+func Fig9(scale, ranks int, measure bool) (Report, error) {
 	rep := Report{Title: "Weak scalability (paper Fig. 9)"}
 	m := perfmodel.DefaultModel()
 	projs, eff := m.WeakScaling()
@@ -232,13 +230,17 @@ func Fig9(measure bool) (Report, error) {
 	rep.addf("relative parallel efficiency at full scale: model %.0f%% (paper: 52%%)", 100*eff)
 	if measure {
 		rep.addf("measured in-process weak scaling (shape grounding):")
-		for _, pt := range []struct{ scale, ranks int }{{14, 1}, {15, 2}, {16, 4}, {17, 8}, {18, 16}} {
-			g := graph500.Generate(graph500.GenConfig{Scale: pt.scale, Seed: seed})
-			sum, err := bench(g, graph500.Config{Ranks: pt.ranks}, 3)
+		steps := 0 // the ladder starts at (scale-steps, ranks>>steps)
+		for ranks>>(steps+1) > 0 && scale-steps > 1 {
+			steps++
+		}
+		for i := steps; i >= 0; i-- {
+			s, r := scale-i, ranks>>i
+			sum, err := bench(graph500.Generate(graph500.GenConfig{Scale: s, Seed: seed}), graph500.Config{Ranks: r}, 3)
 			if err != nil {
 				return rep, err
 			}
-			rep.addf("  scale %d on %2d ranks: %.3f GTEPS", pt.scale, pt.ranks, sum.GTEPS())
+			rep.addf("  scale %d on %2d ranks: %.3f GTEPS", s, r, sum.GTEPS())
 		}
 	}
 	return rep, nil
@@ -255,8 +257,8 @@ func measuredAt(scale, ranks int) (*stats.Recorder, error) {
 }
 
 // Fig10 reproduces the time breakdown by subgraph over the scaling points,
-// from the perfmodel plus one measured breakdown.
-func Fig10(measure bool) (Report, error) {
+// from the perfmodel plus one measured breakdown at (scale, ranks).
+func Fig10(scale, ranks int, measure bool) (Report, error) {
 	rep := Report{Title: "Time share by subgraph (paper Fig. 10)"}
 	m := perfmodel.DefaultModel()
 	names := append(append([]string{}, perfmodel.ComponentNames...), "reduce", "other")
@@ -274,12 +276,12 @@ func Fig10(measure bool) (Report, error) {
 		rep.Lines = append(rep.Lines, line)
 	}
 	if measure {
-		rec, err := measuredAt(18, 16)
+		rec, err := measuredAt(scale, ranks)
 		if err != nil {
 			return rep, err
 		}
 		bd := rec.PhaseShare()
-		rep.addf("measured at scale 18, 16 ranks (time share):")
+		rep.addf("measured at scale %d, %d ranks (time share):", scale, ranks)
 		line := "  "
 		for p := stats.Phase(0); p < stats.NumPhases; p++ {
 			line += fmt.Sprintf(" %s=%.1f%%", p, 100*bd[p])
@@ -289,8 +291,9 @@ func Fig10(measure bool) (Report, error) {
 	return rep, nil
 }
 
-// Fig11 reproduces the time breakdown by communication type.
-func Fig11(measure bool) (Report, error) {
+// Fig11 reproduces the time breakdown by communication type, from the
+// perfmodel plus one measured volume breakdown at (scale, ranks).
+func Fig11(scale, ranks int, measure bool) (Report, error) {
 	rep := Report{Title: "Time share by communication type (paper Fig. 11)"}
 	m := perfmodel.DefaultModel()
 	cats := []string{"compute", "imbalance/latency", "alltoallv", "allgather", "reduce_scatter", "other"}
@@ -308,12 +311,12 @@ func Fig11(measure bool) (Report, error) {
 		rep.Lines = append(rep.Lines, line)
 	}
 	if measure {
-		rec, err := measuredAt(18, 16)
+		rec, err := measuredAt(scale, ranks)
 		if err != nil {
 			return rep, err
 		}
 		v := rec.CommBreakdown()
-		rep.addf("measured volumes at scale 18, 16 ranks (bytes, intra+inter supernode):")
+		rep.addf("measured volumes at scale %d, %d ranks (bytes, intra+inter supernode):", scale, ranks)
 		rep.addf("  alltoallv=%d allgather=%d reduce_scatter=%d",
 			v.IntraBytes[0]+v.InterBytes[0], v.IntraBytes[1]+v.InterBytes[1], v.IntraBytes[2]+v.InterBytes[2])
 	}
@@ -510,21 +513,19 @@ func rmatRand(seed uint64) func() uint64 {
 // the one above: (a) vanilla whole-iteration direction optimization, (b)
 // + sub-iteration direction optimization, (c) + the paper's L2L forwarding
 // through the intersection rank of the source column and destination row
-// (Options.Hierarchical), (d) + two workers per rank, which run the
-// edge-aware vertex cut and the two-stage destination update
-// (Options.RankWorkers). Time is broken into EH2EH/other push/pull, beside
+// (Options.Hierarchical). Time is broken into EH2EH/other push/pull, beside
 // one BFS's L2L collective calls and bytes and its edges touched; every row
-// runs the same reps sampled roots. The paper's CG-aware core subgraph
-// segmenting bar is not reproduced: it pays through per-core-group
-// scratchpads read over RMA, which a commodity host lacks (DESIGN §1).
+// runs the same reps sampled roots. Two of the paper's bars are not
+// reproduced (DESIGN §1): CG-aware core subgraph segmenting pays through
+// per-core-group scratchpads read over RMA, which a commodity host lacks, and
+// intra-rank workers (the edge-aware vertex cut and the two-stage
+// destination update) lost their row here and were removed.
 func Fig15(scale, ranks, reps int) (Report, error) {
-	rep := Report{Title: "Ablation: baseline / +sub-iteration / +forwarding / +2 workers (paper Fig. 15)"}
+	rep := Report{Title: "Ablation: baseline / +sub-iteration / +forwarding (paper Fig. 15)"}
 	g := graph500.Generate(graph500.GenConfig{Scale: scale, Seed: seed})
 	sub := graph500.Config{Ranks: ranks, Direction: graph500.SubIterationDirections}
 	fwd := sub
 	fwd.Hierarchical = true
-	workers := fwd
-	workers.RankWorkers = 2
 	configs := []struct {
 		name string
 		cfg  graph500.Config
@@ -532,7 +533,6 @@ func Fig15(scale, ranks, reps int) (Report, error) {
 		{"baseline", graph500.Config{Ranks: ranks, Direction: graph500.WholeIterationDirection}},
 		{"+sub-iter", sub},
 		{"+forwarding", fwd},
-		{"+2 workers", workers},
 	}
 	rep.addf("%-12s %11s %11s %11s %11s %10s %10s %12s %14s", "config", "EH2EH pull", "others pull", "EH2EH push", "others push",
 		"other", "L2L calls", "L2L bytes", "edges touched")
@@ -541,16 +541,16 @@ func Fig15(scale, ranks, reps int) (Report, error) {
 		if err != nil {
 			return rep, fmt.Errorf("%s: %w", cfg.name, err)
 		}
-		var ehPull, ehPush, otherPull, otherPush, rest time.Duration
+		var pullEH, pushEH, pullOther, pushOther, rest time.Duration
 		for p := stats.Phase(0); p < stats.NumPhases; p++ {
 			pull := sum.Recorder.Time[p][stats.DirPull]
 			push := sum.Recorder.Time[p][stats.DirPush]
 			if p == stats.PhaseEH2EH {
-				ehPull += pull
-				ehPush += push
+				pullEH += pull
+				pushEH += push
 			} else {
-				otherPull += pull
-				otherPush += push
+				pullOther += pull
+				pushOther += push
 			}
 			rest += sum.Recorder.Time[p][stats.DirNone]
 		}
@@ -558,7 +558,7 @@ func Fig15(scale, ranks, reps int) (Report, error) {
 			return fmt.Sprintf("%.2fms", float64(t.Microseconds())/1e3/float64(reps))
 		}
 		calls, bytes := l2lPerBFS(sum)
-		rep.addf("%-12s %11s %11s %11s %11s %10s %10d %12d %14d", cfg.name, d(ehPull), d(otherPull), d(ehPush), d(otherPush), d(rest),
+		rep.addf("%-12s %11s %11s %11s %11s %10s %10d %12d %14d", cfg.name, d(pullEH), d(pullOther), d(pushEH), d(pushOther), d(rest),
 			calls, bytes, sum.Recorder.TotalEdges()/int64(reps))
 	}
 	rep.addf("paper: sub-iteration shifts E/H push time into cheaper pulls; segmenting speeds EH2EH pull ~9x on silicon (not reproduced here)")

@@ -42,7 +42,7 @@ func TestFig5(t *testing.T) {
 }
 
 func TestFig9Model(t *testing.T) {
-	rep, err := Fig9(false)
+	rep, err := Fig9(10, 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,20 +52,24 @@ func TestFig9Model(t *testing.T) {
 	}
 }
 
+// TestFig10And11Model checks the model rows of Figures 10 and 11, and that
+// the measured rows are taken at the SCALE and rank count asked for.
 func TestFig10And11Model(t *testing.T) {
-	r10, err := Fig10(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r10.Lines) != 1+5 {
-		t.Fatalf("fig10 rows: %d", len(r10.Lines))
-	}
-	r11, err := Fig11(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r11.Lines) != 1+5 {
-		t.Fatalf("fig11 rows: %d", len(r11.Lines))
+	for _, fig := range []func(scale, ranks int, measure bool) (Report, error){Fig10, Fig11} {
+		rep, err := fig(0, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Lines) != 1+5 {
+			t.Fatalf("%s rows: %d", rep.Title, len(rep.Lines))
+		}
+		rep, err = fig(10, 4, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Lines) != 1+5+2 || !strings.Contains(rep.Lines[6], "at scale 10, 4 ranks") {
+			t.Fatalf("%s measured rows:\n%s", rep.Title, strings.Join(rep.Lines, "\n"))
+		}
 	}
 }
 
@@ -103,10 +107,10 @@ func TestFig14(t *testing.T) {
 	}
 }
 
-// TestFig15 checks the four ablation rows, each with its L2L calls and bytes,
-// and that forwarding and a second worker leave the edges the kernels scan
-// where sub-iteration put them: the two switches change how messages travel
-// and who applies them, not which edges are walked.
+// TestFig15 checks the three ablation rows, each with its L2L calls and
+// bytes, and that forwarding leaves the edges the kernels scan where
+// sub-iteration put them: it changes how messages travel, not which edges
+// are walked.
 func TestFig15(t *testing.T) {
 	rep, err := Fig15(12, 4, 2)
 	if err != nil {
@@ -114,7 +118,7 @@ func TestFig15(t *testing.T) {
 	}
 	joined := strings.Join(rep.Lines, "\n")
 	edges := map[string]string{}
-	for _, name := range []string{"baseline", "+sub-iter", "+forwarding", "+2 workers"} {
+	for _, name := range []string{"baseline", "+sub-iter", "+forwarding"} {
 		var row []string
 		for _, line := range rep.Lines {
 			if f := strings.Fields(strings.TrimPrefix(line, name)); strings.HasPrefix(line, name+" ") && len(f) == 8 {
@@ -129,8 +133,8 @@ func TestFig15(t *testing.T) {
 		}
 		edges[name] = row[7]
 	}
-	if e := edges["+sub-iter"]; edges["+forwarding"] != e || edges["+2 workers"] != e {
-		t.Fatalf("edges touched differ across +sub-iter, +forwarding, +2 workers: %v\n%s", edges, joined)
+	if e := edges["+sub-iter"]; edges["+forwarding"] != e {
+		t.Fatalf("edges touched differ across +sub-iter and +forwarding: %v\n%s", edges, joined)
 	}
 }
 

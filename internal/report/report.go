@@ -102,7 +102,6 @@ type RunConfig struct {
 	Seed         uint64 `json:"seed"`
 	Direction    string `json:"direction"`
 	Hierarchical bool   `json:"hierarchical"`
-	RankWorkers  int    `json:"rank_workers"`
 	Sparse       string `json:"sparse,omitempty"`
 	Faults       string `json:"faults,omitempty"`
 	Checkpoints  bool   `json:"checkpoints,omitempty"`

@@ -50,8 +50,8 @@ func syntheticReport() *Report {
 	r := Build(RunConfig{
 		Scale: 14, EdgeFactor: 16, NumVertices: 1 << 14, NumEdges: 16 << 14,
 		Ranks: 4, MeshRows: 2, MeshCols: 2, Roots: 8, Seed: 42,
-		Direction: "sub-iteration", RankWorkers: 1,
-		Workload: "bfs,wcc,kcore,sssp",
+		Direction: "sub-iteration",
+		Workload:  "bfs,wcc,kcore,sssp",
 	}, sum)
 	r.Setup = &SetupReport{
 		Seconds: 0.5, GenerateSeconds: 0.3, PartitionSeconds: 0.4,

@@ -44,7 +44,6 @@ type Spec struct {
 	// Engine.
 	Hierarchical bool
 	Sparse       string // auto, off or always
-	RankWorkers  int
 
 	// Resilience. Faults is an internal/faultinject plan; Deadline and
 	// MaxRetries apply only under one.
@@ -69,7 +68,7 @@ type Spec struct {
 // Default is the spec every launcher starts from before it sets its own
 // scale, ranks and recovery defaults and registers flags.
 func Default() Spec {
-	return Spec{Seed: 42, InFormat: "bin", Sparse: "auto", RankWorkers: 1,
+	return Spec{Seed: 42, InFormat: "bin", Sparse: "auto",
 		CheckpointEvery: 1, Recovery: "shrink"}
 }
 
@@ -90,7 +89,6 @@ func (s *Spec) EngineFlags(fs *flag.FlagSet) {
 	fs.Int64Var(&s.HThreshold, "hthreshold", s.HThreshold, "H degree threshold (with -ethreshold; 0 = scale default)")
 	fs.BoolVar(&s.Hierarchical, "hierarchical", s.Hierarchical, "forward L2L messages via mesh intersections")
 	fs.StringVar(&s.Sparse, "sparse", s.Sparse, "sparse tail collective policy: auto, off or always")
-	fs.IntVar(&s.RankWorkers, "rankworkers", s.RankWorkers, "intra-rank kernel workers (edge-aware vertex cut)")
 	fs.StringVar(&s.Faults, "faults", s.Faults, "fault-injection plan, e.g. \"seed=42,delay=0.01,fail=0.001\", \"kill@rank=3,iter=2\" or (bfsrun) \"sigkill@proc=1,iter=2\"")
 	fs.DurationVar(&s.Deadline, "deadline", s.Deadline, "per-collective deadline under fault injection (0 = off)")
 	fs.IntVar(&s.MaxRetries, "maxretries", s.MaxRetries, "max consecutive retries of a failed iteration under fault injection (0 = default 4)")
@@ -255,7 +253,6 @@ func (s *Spec) Config(g *comm.Group) (graph500.Config, error) {
 	cfg := graph500.Config{
 		Ranks:        s.Ranks,
 		Hierarchical: s.Hierarchical,
-		RankWorkers:  s.RankWorkers,
 		SparseTail:   sparseModes[s.Sparse],
 		Recovery:     recoveryModes[s.Recovery],
 	}
@@ -299,7 +296,6 @@ func (s *Spec) RunConfig(r *graph500.Runner) report.RunConfig {
 		Seed:         s.Seed,
 		Direction:    "sub-iteration",
 		Hierarchical: s.Hierarchical,
-		RankWorkers:  s.RankWorkers,
 		Faults:       s.Faults,
 		Checkpoints:  s.CheckpointDir != "",
 	}

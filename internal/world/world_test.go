@@ -78,8 +78,7 @@ func options(t *testing.T, s Spec) core.Options {
 	}
 	o := r.Engine.Opt
 	return core.Options{Ranks: o.Ranks, Mesh: o.Mesh, Thresholds: o.Thresholds,
-		Hierarchical: o.Hierarchical, RankWorkers: o.RankWorkers,
-		SparseTail: o.SparseTail, Recovery: o.Recovery, CheckpointDir: o.CheckpointDir,
+		Hierarchical: o.Hierarchical, SparseTail: o.SparseTail, Recovery: o.Recovery, CheckpointDir: o.CheckpointDir,
 		CheckpointEvery: o.CheckpointEvery, MaxRetries: o.MaxRetries,
 		CollectiveDeadline: o.CollectiveDeadline, Transport: o.Transport}
 }
@@ -89,7 +88,7 @@ func TestFlagsToOptions(t *testing.T) {
 	// What the engine fills in when a spec leaves it alone.
 	base := func(ranks int) core.Options {
 		return core.Options{Ranks: ranks, Mesh: topology.SquarestMesh(ranks),
-			Thresholds: core.DefaultThresholds(6), RankWorkers: 1, CheckpointEvery: 1, MaxRetries: 4}
+			Thresholds: core.DefaultThresholds(6), CheckpointEvery: 1, MaxRetries: 4}
 	}
 	with := func(o core.Options, edit func(*core.Options)) core.Options { edit(&o); return o }
 	for _, tc := range []struct {
@@ -102,10 +101,10 @@ func TestFlagsToOptions(t *testing.T) {
 		{"bfsrun", nil, with(base(4), func(o *core.Options) { o.Recovery = core.RecoverRestore }), 14},
 		{"bfsd", nil, base(4), 14},
 		{"bfsbench", []string{"-scale", "12", "-rows", "2", "-cols", "3", "-hierarchical",
-			"-sparse", "off", "-rankworkers", "2", "-ethreshold", "64", "-hthreshold", "8",
+			"-sparse", "off", "-ethreshold", "64", "-hthreshold", "8",
 			"-checkpoint-dir", ckpt, "-checkpoint-every", "3", "-recovery", "restore"},
 			core.Options{Ranks: 6, Mesh: topology.Mesh{Rows: 2, Cols: 3}, Hierarchical: true,
-				SparseTail: core.SparseOff, RankWorkers: 2, Thresholds: graph500.Thresholds{E: 64, H: 8},
+				SparseTail: core.SparseOff, Thresholds: graph500.Thresholds{E: 64, H: 8},
 				CheckpointDir: ckpt, CheckpointEvery: 3, Recovery: core.RecoverRestore, MaxRetries: 4}, 12},
 		{"bfsd", []string{"-ranks", "8", "-sparse", "always", "-deadline", "5ms"}, // no plan: deadline unused
 			with(base(8), func(o *core.Options) { o.SparseTail = core.SparseAlways }), 14},
